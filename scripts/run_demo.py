@@ -9,6 +9,7 @@ fresh tasks keep what they grew.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import numpy as np
 
@@ -29,8 +30,7 @@ def main() -> int:
     cfg = load_config(args.config)
     optim = cfg.optimizer
     if args.penalty is not None:
-        optim = type(optim)(learning_rate=optim.learning_rate,
-                            penalty=args.penalty, eps=optim.eps)
+        optim = dataclasses.replace(optim, penalty=args.penalty)
 
     stream = generate_stream(cfg.stream, cfg.model.feature_dim,
                              cfg.model.prototype_scale)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,8 +26,7 @@ DEFAULT_GRID = (0.0, 0.005, 0.01, 0.015, 0.02, 0.025)
 
 
 def run_once(cfg, penalty: float):
-    optim = type(cfg.optimizer)(learning_rate=cfg.optimizer.learning_rate,
-                                penalty=penalty, eps=cfg.optimizer.eps)
+    optim = dataclasses.replace(cfg.optimizer, penalty=penalty)
     stream = generate_stream(cfg.stream, cfg.model.feature_dim,
                              cfg.model.prototype_scale)
     model = build_model(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, MissingRouterError, StateError
-from .numerics import as_matrix, require_finite, softmax_rows
+from .numerics import MatMul, as_matrix, require_finite, softmax_rows
 
 
 @dataclass
@@ -167,7 +167,7 @@ class MixtureAdapterLayer:
         router.weight = router.weight[keep_rows, :]
         self.version += 1
 
-    def route(self, task: int, x) -> RoutingDistribution:
+    def route(self, task: int, x, matmul: MatMul = np.matmul) -> RoutingDistribution:
         xm = as_matrix(x)
         if xm.shape[1] != self.dim:
             raise DimensionError(f"layer dim {self.dim}, input width {xm.shape[1]}")
@@ -179,18 +179,19 @@ class MixtureAdapterLayer:
             return RoutingDistribution(
                 probs=empty, top_k_mask=empty.astype(bool), weights=empty.copy()
             )
-        logits = xm @ router.weight.T
+        logits = matmul(xm, router.weight.T)
         probs = softmax_rows(logits)
         mask = top_k_select(probs, self.top_k)
         masked = np.where(mask, probs, 0.0)
         weights = masked / masked.sum(axis=1, keepdims=True)
         return RoutingDistribution(probs=probs, top_k_mask=mask, weights=weights)
 
-    def forward(self, task: int, x):
+    def forward(self, task: int, x, matmul: MatMul = np.matmul):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
-        top-k experts.  Returns (y, dist, cache)."""
+        top-k experts, every product done by `matmul`.  Returns (y, dist,
+        cache)."""
         xm = as_matrix(x)
-        dist = self.route(task, xm)
+        dist = self.route(task, xm, matmul)
         router = self.router_for(task)
         n_vis = router.n_visible
         down_acts = []
@@ -198,8 +199,8 @@ class MixtureAdapterLayer:
         y = xm.copy()
         for j in range(n_vis):
             e = self.experts[j]
-            a = xm @ e.down.T
-            u = a @ e.up.T
+            a = matmul(xm, e.down.T)
+            u = matmul(a, e.up.T)
             down_acts.append(a)
             outputs.append(u)
             y += dist.weights[:, j:j + 1] * u

@@ -8,14 +8,16 @@ protocol, through the bank, which cannot match an unenrolled task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .model import AdapterModel
+from .numerics import rowwise_matmul
 from .streams import TaskData
-from .task_bank import TaskBank
+from .task_bank import TaskBank, window_queries
 
 
 def _check_matrix(matrix) -> np.ndarray:
@@ -99,23 +101,37 @@ def bank_routed_predictions(model: AdapterModel, bank: TaskBank, data: TaskData,
     `text_emb` defaults to the task's own label table; passing a pooled table
     with `label_offset` evaluates the class-incremental protocol.  Returns
     (predictions, audit records); predictions are offset into the table.
+
+    Batched: one bare-backbone embed of every row, one bank match of every
+    window, then one forward per routed group (the fallback is a group).
+    Every product goes through `rowwise_matmul` with the window as its block,
+    so results equal those of embedding, matching and classifying one window
+    at a time bit for bit; a single GEMM per group would round differently
+    and can flip argmax ties between duplicate label rows of a pooled table.
     """
     if window < 1:
         raise DimensionError(f"query window must be >= 1, got {window}")
     table = data.text_emb if text_emb is None else text_emb
-    n = data.eval_x.shape[0]
+    matmul = partial(rowwise_matmul, block=window)
+    x = data.eval_x
+    n = x.shape[0]
+    queries = window_queries(model.embed(x, None, matmul), data.text_emb, window)
+    tasks, distances, matched = bank.match(queries)
+    row_window = np.arange(n) // window
     preds = np.empty(n, dtype=np.int64)
-    audits: list[AuditRecord] = []
-    for start in range(0, n, window):
-        rows = data.eval_x[start:start + window]
-        frozen = model.embed(rows, None)
-        match = bank.identify(frozen, data.text_emb)
-        route = match.task if match.matched else None
-        preds[start:start + rows.shape[0]] = model.predict(rows, table, route)
-        audits.append(AuditRecord(
-            true_task=data.task_id, window_start=start, matched=match.matched,
-            routed_task=route, distance=match.distance,
-        ))
+    for route in [None, *sorted(set(tasks[matched].tolist()))]:
+        in_group = ~matched if route is None else matched & (tasks == route)
+        rows = in_group[row_window]
+        if rows.any():
+            # a group is whole windows in stream order, so blocks stay windows
+            preds[rows] = model.predict(x[rows], table, route, matmul)
+    audits = [
+        AuditRecord(
+            true_task=data.task_id, window_start=w * window, matched=bool(hit),
+            routed_task=int(task) if hit else None, distance=float(dist),
+        )
+        for w, (task, dist, hit) in enumerate(zip(tasks, distances, matched))
+    ]
     return preds, audits
 
 
@@ -145,21 +161,6 @@ def pooled_accuracy(model: AdapterModel, bank: TaskBank,
         hits += int((preds == truth).sum())
         total += truth.shape[0]
     return hits / total
-
-
-@dataclass
-class StreamEvalResult:
-    matrix: np.ndarray
-    cil_trace: list[float] = field(default_factory=list)
-    audits: list[AuditRecord] = field(default_factory=list)
-    id_hits: int = 0
-    id_queries: int = 0
-
-    @property
-    def id_accuracy(self) -> float | None:
-        if self.id_queries == 0:
-            return None
-        return self.id_hits / self.id_queries
 
 
 def evaluate_row(model: AdapterModel, bank: TaskBank | None,

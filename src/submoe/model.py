@@ -14,7 +14,7 @@ import numpy as np
 
 from .adapter import ForwardCache, MixtureAdapterLayer, RoutingDistribution
 from .errors import ConfigError, DimensionError
-from .numerics import as_matrix, contrastive_loss, require_finite
+from .numerics import MatMul, as_matrix, contrastive_loss, require_finite
 
 
 @dataclass
@@ -30,8 +30,8 @@ class FrozenBackbone:
     def dim(self) -> int:
         return self.weights[0].shape[1]
 
-    def layer_forward(self, i: int, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ self.weights[i].T + self.biases[i])
+    def layer_forward(self, i: int, x: np.ndarray, matmul: MatMul = np.matmul) -> np.ndarray:
+        return np.tanh(matmul(x, self.weights[i].T) + self.biases[i])
 
 
 def build_backbone(dim: int, depth: int, seed: int) -> FrozenBackbone:
@@ -74,37 +74,39 @@ class AdapterModel:
     def adapter_layers(self) -> list[MixtureAdapterLayer]:
         return [self.adapters[i] for i in sorted(self.adapters)]
 
-    def _forward(self, x, task: int | None, keep_tape: bool):
+    def _forward(self, x, task: int | None, keep_tape: bool, matmul: MatMul = np.matmul):
         h = as_matrix(x)
         if h.shape[1] != self.dim:
             raise DimensionError(f"input width {h.shape[1]}, backbone dim {self.dim}")
         require_finite("model input", h)
         tape = [] if keep_tape else None
         for i in range(self.backbone.depth):
-            t = self.backbone.layer_forward(i, h)
+            t = self.backbone.layer_forward(i, h, matmul)
             cache: ForwardCache | None = None
             if task is not None and i in self.adapters:
-                h, _, cache = self.adapters[i].forward(task, t)
+                h, _, cache = self.adapters[i].forward(task, t, matmul)
             else:
                 h = t
             if keep_tape:
                 tape.append((t, cache))
         return h, tape
 
-    def embed(self, x, task: int | None) -> np.ndarray:
-        emb, _ = self._forward(x, task, keep_tape=False)
+    def embed(self, x, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
+        """Image embeddings routed through `task`'s adapters.  `matmul` does
+        every product (see `numerics.rowwise_matmul` for the row-exact one)."""
+        emb, _ = self._forward(x, task, keep_tape=False, matmul=matmul)
         return emb
 
-    def logits(self, x, text_emb, task: int | None) -> np.ndarray:
+    def logits(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
         """Cosine similarities of embeddings against label rows."""
-        emb = self.embed(x, task)
+        emb = self.embed(x, task, matmul)
         txt = as_matrix(text_emb)
         e = emb / np.linalg.norm(emb, axis=1, keepdims=True)
         t = txt / np.linalg.norm(txt, axis=1, keepdims=True)
-        return e @ t.T
+        return matmul(e, t.T)
 
-    def predict(self, x, text_emb, task: int | None) -> np.ndarray:
-        return self.logits(x, text_emb, task).argmax(axis=1)
+    def predict(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
+        return self.logits(x, text_emb, task, matmul).argmax(axis=1)
 
     def loss_and_grads(self, x, labels, text_emb, task: int):
         """Contrastive loss plus analytic gradients for every adapter layer.

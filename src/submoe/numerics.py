@@ -29,6 +29,29 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"{name} contains non-finite entries")
 
 
+MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1) -> np.ndarray:
+    """`a @ b` as one BLAS call per block of `block` consecutive rows of the
+    2-d `a` (the last block may be shorter).
+
+    The result equals ``np.vstack([a[s:s + block] @ b for s in
+    range(0, len(a), block)])`` bit for bit: NumPy's stacked matmul loops over
+    the leading axis in C and makes, for each block, the BLAS call that the
+    2-d product of that block makes (GEMV for one row, GEMM for more).  A
+    single GEMM over all rows rounds differently in the last ulp, which can
+    flip an argmax between tied columns, so code that must reproduce
+    one-window-at-a-time results batches through this instead of `a @ b`.
+    """
+    n, k = a.shape
+    full = n - n % block
+    head = (a[:full].reshape(-1, block, k) @ b).reshape(full, b.shape[1])
+    if full == n:
+        return head
+    return np.vstack([head, a[full:] @ b])
+
+
 def softmax(logits) -> np.ndarray:
     """Stable softmax of a 1-d logit vector."""
     v = np.asarray(logits, dtype=np.float64)

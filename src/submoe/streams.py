@@ -236,10 +236,20 @@ def load_task(manifest_path: str | Path) -> TaskData:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read task manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format") != "submoe-task":
+    if not isinstance(manifest, dict) or manifest.get("format") != "submoe-task":
         raise DataError(f"{manifest_path} is not a task manifest")
-    bin_path = manifest_path.parent / manifest["file"]
-    raw = bin_path.read_bytes()
+    name = manifest.get("file")
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise DataError(
+            f"{manifest_path}: 'file' must name a file in the manifest's directory, got {name!r}"
+        )
+    bin_path = manifest_path.parent / name
+    try:
+        raw = bin_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read task data {bin_path}: {exc}") from exc
+    if len(raw) < 56:
+        raise DataError(f"{bin_path}: truncated header ({len(raw)} bytes)")
     if raw[:8] != _MAGIC:
         raise DataError(f"{bin_path}: bad magic")
     version, classes, dim, n_train, n_eval, task_id = struct.unpack("<6q", raw[8:56])
@@ -275,6 +285,13 @@ def load_task(manifest_path: str | Path) -> TaskData:
     eval_y = take_i(n_eval)
     if off != len(raw):
         raise DataError(f"{bin_path}: trailing or missing bytes")
+    for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
+                            ("text_emb", text), ("prototypes", protos)):
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{bin_path}: {field_name} has non-finite entries")
+    for field_name, labels in (("train_y", train_y), ("eval_y", eval_y)):
+        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+            raise DataError(f"{bin_path}: {field_name} has labels outside [0, {classes})")
     return TaskData(
         task_id=task_id, train_x=train_x, train_y=train_y,
         eval_x=eval_x, eval_y=eval_y, text_emb=text, prototypes=protos,

@@ -426,5 +426,9 @@ def test_criterion_12_runs_are_byte_identical(tmp_path):
     a = (first / METRICS_FILE).read_bytes()
     b = (second / METRICS_FILE).read_bytes()
     assert a == b
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
     print(f"two identical runs wrote byte-identical metrics "
-          f"({len(a)} bytes)")
+          f"({len(a)} bytes) and {len(files)} byte-identical files")

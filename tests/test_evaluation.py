@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submoe.errors import DimensionError, DomainError, NumericError
 from submoe.evaluation import (
-    average_score, bank_routed_accuracy, cil_scores, evaluate_row, last_score,
-    pooled_accuracy, task_accuracy, transfer_score,
+    AuditRecord, average_score, bank_routed_accuracy, bank_routed_predictions,
+    cil_scores, evaluate_row, last_score, pooled_accuracy, task_accuracy,
+    transfer_score,
 )
 from submoe.lifecycle import PhaseSchedule, learn_task
 from submoe.model import build_model
 from submoe.optim import OptimConfig
-from submoe.streams import TaskSpec, generate_stream
-from submoe.task_bank import TaskBank
+from submoe.streams import Alignment, TaskSpec, generate_stream
+from submoe.task_bank import TaskBank, fused_embedding
 
 # Hand-computed oracle: columnwise pre-learning means
 #   j=1: 0.5 / 1            j=2: (0.4+0.45)/2        j=3: (0.3+0.35+0.4)/3
@@ -161,3 +164,100 @@ def test_pooled_accuracy_uses_global_labels():
     assert solo == pytest.approx(direct, abs=1e-12)
     with pytest.raises(DomainError):
         pooled_accuracy(model, bank, [])
+
+
+def _identify_reference(bank, img_emb, txt_emb):
+    """The bank's matching rule one signature at a time: strict `<` keeps the
+    lower id on ties."""
+    q = fused_embedding(img_emb, txt_emb)
+    best_task, best_dist = None, np.inf
+    for task in sorted(bank.entries):
+        diff = q - bank.entries[task]
+        if bank.metric == "manhattan":
+            d = float(np.abs(diff).sum())
+        else:
+            d = float(np.linalg.norm(diff))
+        if d < best_dist:
+            best_task, best_dist = task, d
+    matched = best_dist <= bank.threshold
+    return matched, best_task if matched else None, best_dist
+
+
+def _routed_predictions_reference(model, bank, data, window, table):
+    """Task-free inference one query window at a time, with plain GEMM."""
+    n = data.eval_x.shape[0]
+    preds = np.empty(n, dtype=np.int64)
+    audits = []
+    for start in range(0, n, window):
+        rows = data.eval_x[start:start + window]
+        matched, route, dist = _identify_reference(
+            bank, model.embed(rows, None), data.text_emb)
+        preds[start:start + rows.shape[0]] = model.predict(rows, table, route)
+        audits.append(AuditRecord(
+            true_task=data.task_id, window_start=start, matched=matched,
+            routed_task=route, distance=dist,
+        ))
+    return preds, audits
+
+
+@pytest.fixture(scope="module")
+def trained_three():
+    """Three learned tasks, their enrolment signatures, and per-metric middle
+    thresholds (the median one-row distance to the nearest signature)."""
+    model, _, stream, sched, cfg = small_setup(n_tasks=2)
+    # a reuse task keeps task 0's label rows, so the pooled table has duplicates
+    stream += generate_stream([
+        TaskSpec(task_id=0, classes=3, samples_per_class=16, eval_per_class=8, seed=0,
+                 noise=0.05),
+        TaskSpec(task_id=2, classes=3, samples_per_class=16, eval_per_class=8, seed=2,
+                 noise=0.05, alignment=Alignment(mode="reuse", source=0, perturbation=0.3)),
+    ], DIM, prototype_scale=2.0)[1:]
+    signatures = {}
+    for t, data in enumerate(stream):
+        learn_task(model, t, data, sched, cfg, np.random.default_rng(20 + t))
+        signatures[t] = fused_embedding(model.embed(data.train_x, None), data.text_emb)
+    middle = {}
+    for metric in ("manhattan", "euclidean"):
+        bank = TaskBank(threshold=0.0, metric=metric, entries=dict(signatures))
+        nearest = [
+            _identify_reference(bank, model.embed(d.eval_x[i:i + 1], None), d.text_emb)[2]
+            for d in stream for i in range(d.eval_x.shape[0])
+        ]
+        middle[metric] = float(np.median(nearest))
+    return model, stream, signatures, middle
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_routing_equals_one_window_at_a_time(trained_three, data):
+    model, stream, signatures, middle = trained_three
+    task = data.draw(st.sampled_from(stream), label="task")
+    n = task.eval_x.shape[0]
+    window = data.draw(st.integers(1, n + 3), label="window")
+    metric = data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric")
+    # None: exactly the first window's distance, which must still match
+    threshold = data.draw(st.sampled_from([0.0, middle[metric], 1e300, None]),
+                          label="threshold")
+    # each enrolled id takes some learned task's signature, so two ids can hold
+    # the same signature and a tie must go to the lower id
+    ids = data.draw(st.lists(st.sampled_from(sorted(signatures)), min_size=1,
+                             max_size=3, unique=True), label="ids")
+    sources = data.draw(st.lists(st.sampled_from(sorted(signatures)), min_size=len(ids),
+                                 max_size=len(ids)), label="sources")
+    bank = TaskBank(threshold=threshold or 0.0, metric=metric,
+                    entries={i: signatures[s].copy() for i, s in zip(ids, sources)})
+    if threshold is None:
+        bank.threshold = _identify_reference(
+            bank, model.embed(task.eval_x[:window], None), task.text_emb)[2]
+    pooled = data.draw(st.booleans(), label="pooled")
+    table = np.vstack([d.text_emb for d in stream]) if pooled else task.text_emb
+
+    preds, audits = bank_routed_predictions(
+        model, bank, task, window, text_emb=table if pooled else None)
+    ref_preds, ref_audits = _routed_predictions_reference(model, bank, task, window, table)
+
+    assert np.array_equal(preds, ref_preds)
+    assert len(audits) == len(ref_audits) == -(-n // window)
+    for got, ref in zip(audits, ref_audits):
+        assert got.to_payload() == ref.to_payload()
+        assert type(got.distance) is float and type(got.matched) is bool

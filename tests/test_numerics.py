@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from submoe.errors import DimensionError, LabelError, NumericError
 from submoe.numerics import (
     contrastive_loss, finite_diff_grad, is_prob_vector, kl_divergence,
-    softmax, softmax_rows,
+    rowwise_matmul, softmax, softmax_rows,
 )
 
 # Hand-evaluated expectations, frozen before the implementations were run.
@@ -148,3 +148,21 @@ def test_finite_diff_on_known_quadratic():
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(NumericError):
         finite_diff_grad(lambda v: 0.0, np.ones(2), h=0.0)
+
+
+# (rows, inner, columns) of the products task-free evaluation makes: backbone
+# and adapter layers at dim 16 and 64, rank 2, pooled label tables of 18 rows
+MATMUL_SHAPES = [(192, 16, 16), (192, 64, 64), (192, 64, 2), (192, 2, 64),
+                 (192, 64, 57), (192, 16, 18), (7, 8, 3), (1, 8, 8)]
+
+
+@pytest.mark.parametrize("n,k,m", MATMUL_SHAPES)
+def test_rowwise_matmul_equals_stacked_one_row_products(n, k, m):
+    rng = np.random.default_rng(n * k + m)
+    a = rng.standard_normal((n, k))
+    b = rng.standard_normal((m, k)).T  # transposed view, as in `x @ w.T`
+    ref = np.vstack([a[i:i + 1] @ b for i in range(n)])
+    assert np.array_equal(rowwise_matmul(a, b), ref)
+    for block in (2, 3, 5, n, n + 3):
+        ref = np.vstack([a[s:s + block] @ b for s in range(0, n, block)])
+        assert np.array_equal(rowwise_matmul(a, b, block), ref)

@@ -196,3 +196,56 @@ def test_load_rejects_corrupt_files(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         load_task(tmp_path / "missing.json")
+
+
+def _exported(tmp_path):
+    data = generate_task(spec(), DIM, [])
+    manifest = export_task(data, tmp_path)
+    return data, manifest, tmp_path / json.loads(manifest.read_text())["file"]
+
+
+def test_load_rejects_non_finite_arrays(tmp_path):
+    _, manifest, bin_path = _exported(tmp_path)
+    raw = bytearray(bin_path.read_bytes())
+    raw[56:64] = np.array([np.nan], dtype="<f8").tobytes()  # train_x[0, 0]
+    bin_path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="train_x has non-finite"):
+        load_task(manifest)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_load_rejects_labels_outside_class_range(tmp_path, label):
+    data, manifest, bin_path = _exported(tmp_path)
+    n_train, n_eval = data.train_x.shape[0], data.eval_x.shape[0]
+    off = 56 + 8 * (n_train + n_eval + 2 * data.classes) * DIM + 8 * n_train  # eval_y[0]
+    raw = bytearray(bin_path.read_bytes())
+    raw[off:off + 8] = np.array([label], dtype="<i8").tobytes()
+    bin_path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=r"eval_y has labels outside \[0, 3\)"):
+        load_task(manifest)
+
+
+@pytest.mark.parametrize("name", ["../task_0.bin", "sub/task_0.bin", "/tmp/task_0.bin",
+                                  "", "..", 7, None])
+def test_load_rejects_manifest_file_outside_its_directory(tmp_path, name):
+    inner = tmp_path / "inner"
+    _, manifest, _ = _exported(inner)
+    payload = json.loads(manifest.read_text())
+    payload["file"] = name
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="'file' must name a file"):
+        load_task(manifest)
+
+
+def test_load_wraps_os_errors_reading_the_data_file(tmp_path):
+    _, manifest, bin_path = _exported(tmp_path)
+    bin_path.unlink()
+    with pytest.raises(DataError, match="cannot read task data"):
+        load_task(manifest)
+    bin_path.mkdir()  # reading a directory raises IsADirectoryError
+    with pytest.raises(DataError, match="cannot read task data"):
+        load_task(manifest)
+    bin_path.rmdir()
+    bin_path.write_bytes(b"SUBMOE01" + bytes(8))
+    with pytest.raises(DataError, match="truncated header"):
+        load_task(manifest)
