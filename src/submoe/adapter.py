@@ -3,8 +3,9 @@
 Each layer keeps an ordered expert list and one router per task.  A router
 only ever sees the experts that existed when it was created, so inference
 for an old task replays exactly the computation it was trained with.  The
-backward pass is hand-derived and returns gradients for every visible
-expert (frozen ones included, for inspection) plus the router.
+backward pass is hand-derived and returns gradients only for the visible
+experts the routed task owns (the only ones a learning step updates) plus
+the router.
 """
 
 from __future__ import annotations
@@ -210,13 +211,17 @@ class MixtureAdapterLayer:
         )
         return y, dist, cache
 
-    def backward(self, cache: ForwardCache, grad_y):
+    def backward(self, cache: ForwardCache, grad_y, input_grad: bool = True):
         """Analytic backward through forward().
 
-        Returns (grad_x, expert_grads, router_grad) where expert_grads[j] is
-        (grad_down, grad_up) for visible expert j.  The routing gradient goes
-        through the softmax Jacobian restricted to the top-k support; the
-        discrete top-k selection itself is treated as constant.
+        Returns (grad_x, expert_grads, router_grad).  expert_grads[j] is
+        (grad_down, grad_up) for visible expert j when `cache.task` owns it,
+        and None for every other visible expert: experts of other tasks are
+        frozen, so nothing would apply their gradients.  The routing gradient
+        goes through the softmax Jacobian restricted to the top-k support;
+        the discrete top-k selection itself is treated as constant.  With
+        `input_grad` false, grad_x is None and is not computed (the lowest
+        adapter layer has nothing trainable below it).
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
@@ -228,22 +233,27 @@ class MixtureAdapterLayer:
         w = cache.dist.weights
         x = cache.x
 
-        grad_x = g.copy()
+        grad_x = g.copy() if input_grad else None
         expert_grads = []
         dmix = np.empty_like(w)
         for j in range(cache.n_visible):
             e = self.experts[j]
-            wg = g * w[:, j:j + 1]
-            grad_up = wg.T @ cache.down_acts[j]
-            grad_down = (wg @ e.up).T @ x
-            expert_grads.append((grad_down, grad_up))
-            grad_x += w[:, j:j + 1] * (g @ e.up @ e.down)
+            if e.owner_task == cache.task:
+                wg = g * w[:, j:j + 1]
+                grad_up = wg.T @ cache.down_acts[j]
+                grad_down = (wg @ e.up).T @ x
+                expert_grads.append((grad_down, grad_up))
+            else:
+                expert_grads.append(None)
+            if input_grad:
+                grad_x += w[:, j:j + 1] * (g @ e.up @ e.down)
             dmix[:, j] = (g * cache.outputs[j]).sum(axis=1)
         # softmax Jacobian on the renormalised support: rows outside the
         # top-k have w == 0 and so receive exactly zero
         dz = w * (dmix - (w * dmix).sum(axis=1, keepdims=True))
         router_grad = dz.T @ x
-        grad_x += dz @ router.weight
+        if input_grad:
+            grad_x += dz @ router.weight
         return grad_x, expert_grads, router_grad
 
 

@@ -53,7 +53,7 @@ def build_backbone(dim: int, depth: int, seed: int) -> FrozenBackbone:
 @dataclass
 class LayerGrads:
     layer_index: int
-    expert_grads: list[tuple[np.ndarray, np.ndarray]]
+    expert_grads: list[tuple[np.ndarray, np.ndarray] | None]  # None: not the task's
     router_grad: np.ndarray
     dist: RoutingDistribution
 
@@ -112,22 +112,26 @@ class AdapterModel:
         """Contrastive loss plus analytic gradients for every adapter layer.
 
         Returns (loss, grads) with one LayerGrads per adapter layer in layer
-        order; frozen experts' gradients are included for inspection and must
-        not be applied.
+        order.  Each holds the router gradient and, per visible expert, the
+        (down, up) gradient if `task` owns that expert or None if it is
+        frozen.  The backward pass stops at the lowest adapter layer:
+        nothing below it trains.
         """
         emb, tape = self._forward(x, task, keep_tape=True)
         loss, g = contrastive_loss(emb, text_emb, labels, self.temperature)
+        lowest = min(self.adapters)
         per_layer: dict[int, LayerGrads] = {}
-        for i in range(self.backbone.depth - 1, -1, -1):
+        for i in range(self.backbone.depth - 1, lowest - 1, -1):
             t, cache = tape[i]
             if cache is not None:
                 layer = self.adapters[i]
-                g, expert_grads, router_grad = layer.backward(cache, g)
+                g, expert_grads, router_grad = layer.backward(cache, g, input_grad=i > lowest)
                 per_layer[i] = LayerGrads(
                     layer_index=i, expert_grads=expert_grads,
                     router_grad=router_grad, dist=cache.dist,
                 )
-            g = (g * (1.0 - t * t)) @ self.backbone.weights[i]
+            if i > lowest:
+                g = (g * (1.0 - t * t)) @ self.backbone.weights[i]
         return loss, [per_layer[i] for i in sorted(per_layer)]
 
     def routing_snapshot(self, x, labels, text_emb, task: int):

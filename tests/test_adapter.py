@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submoe.adapter import (
-    MixtureAdapterLayer, expert_gradient_norm, layer_from_payload,
+    MixtureAdapterLayer, Router, expert_gradient_norm, layer_from_payload,
     layer_to_payload, top_k_select,
 )
 from submoe.errors import DimensionError, MissingRouterError, StateError
 from submoe.numerics import finite_diff_grad, softmax_rows
+
+from reference_grads import full_backward
 
 
 def make_layer(dim=6, rank=2, top_k=2, n_experts=3, task=0, seed=0,
@@ -126,6 +128,47 @@ def test_backward_matches_finite_differences():
     fd_x = finite_diff_grad(
         lambda v: 0.5 * float(((layer.forward(0, v)[0] - target) ** 2).sum()), x)
     np.testing.assert_allclose(grad_x, fd_x, rtol=1e-6, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    owners=st.lists(st.integers(0, 2), max_size=6).map(lambda tail: [0, 1] + tail),
+    visible=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    task=st.integers(0, 2),
+    top_k=st.integers(1, 5),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_backward_is_bit_exact_on_owned_experts(owners, visible, task, top_k, rows, seed):
+    # experts of several tasks in any order; each task's router sees a prefix
+    # of the expert list, possibly empty
+    dim, rank = 5, 2
+    rng = np.random.default_rng(seed)
+    layer = MixtureAdapterLayer(layer_index=0, dim=dim, rank=rank, top_k=top_k)
+    for owner in owners:
+        layer.add_expert(owner, rng).up = rng.standard_normal((dim, rank))
+    for t, nv in enumerate(visible):
+        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)),
+                                  owner_task=t)
+    x = rng.standard_normal((rows, dim))
+    g = rng.standard_normal((rows, dim))
+    _, _, cache = layer.forward(task, x)
+    ref_x, ref_experts, ref_router = full_backward(layer, cache, g)
+
+    for input_grad in (True, False):
+        grad_x, expert_grads, router_grad = layer.backward(cache, g, input_grad=input_grad)
+        if input_grad:
+            assert grad_x.tobytes() == ref_x.tobytes()
+        else:
+            assert grad_x is None
+        assert router_grad.tobytes() == ref_router.tobytes()
+        assert len(expert_grads) == cache.n_visible
+        for j, got in enumerate(expert_grads):
+            if owners[j] == task:
+                assert got[0].tobytes() == ref_experts[j][0].tobytes()
+                assert got[1].tobytes() == ref_experts[j][1].tobytes()
+            else:
+                assert got is None
 
 
 def test_expert_grad_equals_routing_mass_times_sole_expert_grad():

@@ -13,6 +13,8 @@ from submoe.model import (
 )
 from submoe.numerics import contrastive_loss, finite_diff_grad
 
+from reference_grads import full_loss_and_grads
+
 DIM = 6
 
 
@@ -106,6 +108,32 @@ def test_loss_and_grads_match_finite_differences():
             num_u = finite_diff_grad(loss_of(None, e.up), e.up.ravel().copy())
             np.testing.assert_allclose(gu.ravel(), num_u, atol=1e-5)
     assert np.isfinite(loss)
+
+
+def test_loss_and_grads_equal_the_full_backward_bitwise():
+    # adapters at 1 and 2 of 4 layers: the backward pass stops at layer 1,
+    # and each layer returns gradients only for the routed task's experts
+    model = build_model(dim=DIM, depth=4, adapter_layers=[1, 2], rank=2,
+                        top_k=2, temperature=0.5, seed=0)
+    attach_task(model, 0, n_experts=2, seed=20)
+    attach_task(model, 1, n_experts=3, seed=21)
+    x, labels, text = batch(np.random.default_rng(22))
+    for task in (0, 1):
+        loss, grads = model.loss_and_grads(x, labels, text, task=task)
+        ref_loss, ref_layers, _ = full_loss_and_grads(model, x, labels, text, task)
+        assert loss == ref_loss
+        assert [lg.layer_index for lg in grads] == sorted(ref_layers)
+        for lg in grads:
+            ref_experts, ref_router = ref_layers[lg.layer_index]
+            assert lg.router_grad.tobytes() == ref_router.tobytes()
+            layer = model.adapters[lg.layer_index]
+            assert len(lg.expert_grads) == len(ref_experts)
+            for j, got in enumerate(lg.expert_grads):
+                if layer.experts[j].owner_task == task:
+                    assert got[0].tobytes() == ref_experts[j][0].tobytes()
+                    assert got[1].tobytes() == ref_experts[j][1].tobytes()
+                else:
+                    assert got is None
 
 
 def test_routing_snapshot_matches_direct_loss():
