@@ -7,6 +7,7 @@ followed by a save reproduces every 64-bit value bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +69,94 @@ def save_checkpoint(path: str | Path, model: AdapterModel,
     return path
 
 
+_PHASES = ("expanded", "identified", "pruned", "done")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise DataError(f"checkpoint {what}")
+
+
+def _require_array(arr: np.ndarray, shape: tuple, what: str) -> None:
+    _require(arr.shape == shape, f"{what}: shape {arr.shape}, expected {shape}")
+    _require(bool(np.isfinite(arr).all()), f"{what}: non-finite values")
+
+
+def _check_model(model: AdapterModel, n_layer_entries: int) -> None:
+    """Everything the converters take on trust: types, shapes, finiteness."""
+    t = model.temperature
+    _require((_is_int(t) or isinstance(t, float) and math.isfinite(t)) and t > 0,
+             "temperature: not a positive number")
+    _require(all(_is_int(task) for task in model.learned_tasks), "learned_tasks: not ints")
+    _require(all(v in _PHASES for v in model.phase.values()), "phase: unknown value")
+    _require(model.current_task is None or _is_int(model.current_task),
+             "current_task: not an int")
+    bb = model.backbone
+    _require(bb.depth >= 1 and len(bb.biases) == bb.depth, "backbone: layer counts differ")
+    _require(bb.weights[0].ndim == 2 and bb.dim >= 1, "backbone: weights are not matrices")
+    dim = bb.dim
+    for i, (w, b) in enumerate(zip(bb.weights, bb.biases)):
+        _require_array(w, (dim, dim), f"backbone weight {i}")
+        _require_array(b, (dim,), f"backbone bias {i}")
+    _require(len(model.adapters) == n_layer_entries, "adapters: duplicate layer index")
+    for index, layer in model.adapters.items():
+        where = f"adapter layer {index}"
+        _require(_is_int(index) and 0 <= index < bb.depth, f"{where}: outside the backbone")
+        _require(all(_is_int(v) for v in (layer.rank, layer.top_k, layer.version,
+                                           layer.next_expert_id))
+                 and layer.rank >= 1 and layer.top_k >= 1, f"{where}: bad header")
+        _require(_is_int(layer.dim) and layer.dim == dim,
+                 f"{where}: dim {layer.dim!r}, backbone dim {dim}")
+        ids = [e.expert_id for e in layer.experts]
+        _require(all(_is_int(v) and 0 <= v < layer.next_expert_id for v in ids)
+                 and len(set(ids)) == len(ids), f"{where}: bad expert ids")
+        for e in layer.experts:
+            _require(_is_int(e.owner_task) and isinstance(e.frozen, bool),
+                     f"{where} expert {e.expert_id}: bad owner or flag")
+            _require_array(e.down, (layer.rank, dim), f"{where} expert {e.expert_id} down")
+            _require_array(e.up, (dim, layer.rank), f"{where} expert {e.expert_id} up")
+        for task, r in layer.routers.items():
+            _require(_is_int(task) and isinstance(r.frozen, bool),
+                     f"{where} router {task!r}: bad task or flag")
+            w = r.weight
+            if w.shape == (0,):  # a router with no visible experts saves as []
+                continue
+            _require(w.ndim == 2 and w.shape[0] <= len(layer.experts),
+                     f"{where} router {task}: shape {w.shape}, {len(layer.experts)} experts")
+            _require_array(w, (w.shape[0], dim), f"{where} router {task}")
+
+
+def _check_bank(bank: TaskBank, dim: int) -> None:
+    for task, f in bank.entries.items():
+        _require(_is_int(task), f"bank entry {task!r}: not an int task")
+        _require_array(f, (2 * dim,), f"bank entry {task}")
+
+
 def load_checkpoint(path: str | Path):
+    """(model, bank or None, meta) from a checkpoint file; any fault in the
+    file raises `DataError`."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a checkpoint file")
     if doc.get("version") != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    model = model_from_payload(doc["model"])
-    bank = bank_from_payload(doc["bank"]) if doc.get("bank") is not None else None
+    # the converters trust their payload, so a missing key, a wrong type or a
+    # ragged or non-numeric array surfaces as one of these
+    try:
+        model = model_from_payload(doc["model"])
+        n_layer_entries = len(doc["model"]["adapters"])
+        bank = bank_from_payload(doc["bank"]) if doc.get("bank") is not None else None
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    _check_model(model, n_layer_entries)
+    if bank is not None:
+        _check_bank(bank, model.dim)
     return model, bank, doc.get("meta", {})

@@ -19,7 +19,7 @@ from .config import ExperimentConfig, config_to_dict
 from .errors import DataError
 from .evaluation import evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
-from .model import AdapterModel, build_model, trainable_stage1_params
+from .model import AdapterModel, build_model
 from .streams import export_task, generate_stream
 from .task_bank import TaskBank
 
@@ -139,7 +139,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             f"layer_{k}": v for k, v in counts.items()}, "total": sum(counts.values())})
         per_task_summary.append({
             "task_id": data.task_id,
-            "stage1_trainable_params": trainable_stage1_params(model, data.task_id),
+            "stage1_trainable_params": report.stage1_trainable_params,
             "candidates_added": cfg.schedule.num_candidates * len(model.adapters),
             "candidates_pruned": report.removed_total,
             "final_eval_loss": trace.snapshots[-1].loss,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, StateError
-from .model import AdapterModel
+from .model import AdapterModel, trainable_stage1_params
 from .numerics import kl_divergence
 from .optim import (
     AdamWState, OptimConfig, PenaltyState, apply_step, apply_step_adamw,
-    init_adamw_state, init_penalty_state, penalty_value, step_scale, total_loss,
+    init_adamw_state, init_penalty_state, penalty_value, step_scale,
 )
 from .streams import TaskData
 
@@ -100,6 +100,7 @@ class PruneReport:
     task: int
     threshold: float
     layers: list[LayerPruneRecord]
+    stage1_trainable_params: int  # counted before pruning: what phase 1 trained
 
     @property
     def removed_total(self) -> int:
@@ -284,6 +285,7 @@ def prune_candidates(model: AdapterModel, task: int, trace: RoutingTrace,
     layers = model.adapter_layers()
     if len(final.layer_weights) != len(layers):
         raise StateError("trace layer count does not match the model")
+    trained = trainable_stage1_params(model, task)
     records = []
     for pos, layer in enumerate(layers):
         weights = final.layer_weights[pos]
@@ -303,7 +305,8 @@ def prune_candidates(model: AdapterModel, task: int, trace: RoutingTrace,
             mean_weights=mass, pruned_ids=pruned, kept_ids=kept,
         ))
     model.phase[task] = "pruned"
-    return PruneReport(task=task, threshold=threshold, layers=records)
+    return PruneReport(task=task, threshold=threshold, layers=records,
+                       stage1_trainable_params=trained)
 
 
 def finetune_experts(model: AdapterModel, task: int, data: TaskData,

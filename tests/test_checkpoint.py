@@ -101,3 +101,105 @@ def test_load_rejects_bad_files(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
+
+
+def _set(path_keys, value):
+    def mutate(doc):
+        node = doc
+        for k in path_keys[:-1]:
+            node = node[k]
+        node[path_keys[-1]] = value
+        return doc
+    return mutate
+
+
+def _drop(path_keys):
+    def mutate(doc):
+        node = doc
+        for k in path_keys[:-1]:
+            node = node[k]
+        del node[path_keys[-1]]
+        return doc
+    return mutate
+
+
+LAYER = ["model", "adapters", 0]
+EXPERT = LAYER + ["experts", 0]
+ROUTER = LAYER + ["routers", 0]
+BAD_DOCUMENTS = {
+    "not an object": lambda doc: [doc],
+    "missing model": _drop(["model"]),
+    "missing backbone": _drop(["model", "backbone"]),
+    "missing expert key": _drop(EXPERT + ["up"]),
+    "missing bank threshold": _drop(["bank", "threshold"]),
+    "phase not a mapping": _set(["model", "phase"], [1, 2]),
+    "adapters not a list": _set(["model", "adapters"], 3),
+    "ragged down": _set(EXPERT + ["down", 0], [1.0]),
+    "non-numeric up": _set(EXPERT + ["up", 0, 0], "x"),
+    "nested number": _set(EXPERT + ["up", 0, 0], [[1.0]]),
+    "huge integer": _set(EXPERT + ["up", 0, 0], 10 ** 400),
+    "rank as string": _set(LAYER + ["rank"], "2"),
+    "zero top_k": _set(LAYER + ["top_k"], 0),
+    "float layer index": _set(LAYER + ["layer_index"], 1.0),
+    "layer outside backbone": _set(LAYER + ["layer_index"], 7),
+    "duplicate layer index": _set(["model", "adapters", 1, "layer_index"], 1),
+    "down of wrong shape": _set(EXPERT + ["down"], [[0.0] * DIM] * 3),
+    "up transposed": _set(EXPERT + ["up"], [[0.0] * 2] * (DIM + 1)),
+    "router beyond experts": _set(ROUTER + ["weight"], [[0.0] * DIM] * 20),
+    "router of wrong width": _set(ROUTER + ["weight"], [[0.0] * (DIM - 1)]),
+    "backbone weight shape": _set(["model", "backbone", "weights", 1], [[0.0] * DIM] * 2),
+    "backbone bias missing": _drop(["model", "backbone", "biases", 2]),
+    "non-finite backbone": _set(["model", "backbone", "biases", 0, 0], float("nan")),
+    "non-finite expert": _set(EXPERT + ["down", 0, 0], float("inf")),
+    "zero temperature": _set(["model", "temperature"], 0.0),
+    "string flag": _set(EXPERT + ["frozen"], "yes"),
+    "unknown phase": _set(["model", "phase", "0"], "halfway"),
+    "duplicate expert id": _set(LAYER + ["experts", 1, "expert_id"], 0),
+    "bank entry width": _set(["bank", "entries", 0, "embedding"], [0.0] * DIM),
+    "bank metric": _set(["bank", "metric"], "cosine"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_load_rejects_malformed_documents_with_data_error(tmp_path, name):
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    doc = BAD_DOCUMENTS[name](json.loads(path.read_text()))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_router_without_visible_experts_round_trips(tmp_path):
+    # a task whose candidates were all pruned keeps a router with no rows
+    model, bank, _ = trained_model()
+    for layer in model.adapter_layers():
+        layer.router_for(0).weight = np.zeros((0, DIM))
+    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    loaded, _, _ = load_checkpoint(path)
+    x = np.random.default_rng(3).standard_normal((4, DIM))
+    np.testing.assert_array_equal(loaded.embed(x, 0), model.embed(x, 0))
+
+
+def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path):
+    model, bank, _ = trained_model()
+    good = save_checkpoint(tmp_path / "good.json", model, bank).read_bytes()
+    path = tmp_path / "fuzz.json"
+    outcomes = {"loaded": 0, "rejected": 0}
+
+    def attempt(data: bytes):
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except DataError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+
+    for end in range(0, len(good), 97):
+        attempt(good[:end])
+    for offset in range(0, len(good), 11):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        attempt(bytes(flipped))
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0

@@ -56,6 +56,21 @@ def test_run_writes_every_artifact(tmp_path):
     assert result.summary["bank_queries"] > 0
 
 
+def test_summary_counts_stage1_params_before_pruning(tmp_path):
+    raw = base_raw(protocol="id_given", cil=False)
+    raw["schedule"]["prune_threshold"] = 0.9
+    result = run_experiment(config_from_dict(raw), tmp_path / "run")
+    dim, rank, cands = 8, 2, 2
+    before = {"layer_1": 0, "layer_2": 0}
+    tasks = result.summary["tasks"]
+    for rec, counts in zip(tasks, result.summary["expert_counts"]):
+        # per layer: the candidates plus a router row for every visible expert
+        expected = sum(cands * 2 * rank * dim + (n + cands) * dim for n in before.values())
+        assert rec["stage1_trainable_params"] == expected
+        before = {k: counts[k] for k in before}
+    assert sum(rec["candidates_pruned"] for rec in tasks) > 0
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = config_from_dict(base_raw())
     run_experiment(cfg, tmp_path / "a")

@@ -163,6 +163,20 @@ def test_stage1_param_count_is_linear_in_candidates():
     assert counts[1] > counts[0]
 
 
+def test_prune_report_counts_stage1_params_before_pruning():
+    stream = two_task_stream()
+    sched = make_schedule(prune_threshold=0.99, num_candidates=3)
+    model = make_model()
+    rng = np.random.default_rng(9)
+    begin_task(model, 0, sched, rng)
+    trace = fit_routing(model, 0, stream[0], sched, make_cfg(), rng)
+    trained = trainable_stage1_params(model, 0)
+    report = prune_candidates(model, 0, trace, sched.prune_threshold)
+    assert report.removed_total > 0
+    assert report.stage1_trainable_params == trained
+    assert trainable_stage1_params(model, 0) < trained
+
+
 def test_prune_threshold_extremes():
     stream = two_task_stream()
     sched_keep = make_schedule(prune_threshold=0.0)
