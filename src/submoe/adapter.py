@@ -258,7 +258,8 @@ class MixtureAdapterLayer:
 
 
 def expert_gradient_norm(expert_grads) -> np.ndarray:
-    """Combined Frobenius norm per expert over its (down, up) gradients."""
+    """Combined Frobenius norm per expert over its (down, up) gradients; give
+    it the non-None entries of a backward pass's `expert_grads`."""
     out = np.empty(len(expert_grads))
     for j, (gd, gu) in enumerate(expert_grads):
         out[j] = np.sqrt(float((gd * gd).sum() + (gu * gu).sum()))
