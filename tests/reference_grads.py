@@ -36,8 +36,8 @@ def full_backward(layer, cache, grad_y):
 
 
 def full_loss_and_grads(model, x, labels, text_emb, task: int):
-    """(loss, {layer index: (expert_grads, router_grad)}, input gradient),
-    backpropagating through every adapter and backbone layer."""
+    """(loss, {layer index: (expert_grads, router_grad)}), backpropagating
+    through every adapter and backbone layer down to the input."""
     emb, tape = model._forward(x, task, keep_tape=True)
     loss, g = contrastive_loss(emb, text_emb, labels, model.temperature)
     per_layer = {}
@@ -47,4 +47,4 @@ def full_loss_and_grads(model, x, labels, text_emb, task: int):
             g, expert_grads, router_grad = full_backward(model.adapters[i], cache, g)
             per_layer[i] = (expert_grads, router_grad)
         g = (g * (1.0 - t * t)) @ model.backbone.weights[i]
-    return loss, per_layer, g
+    return loss, per_layer
