@@ -7,8 +7,8 @@ frozen embeddings routes queries without task ids at inference time.
 """
 
 from .adapter import (
-    LoraExpert, MixtureAdapterLayer, Router, RoutingDistribution,
-    expert_gradient_norm, new_expert, top_k_select,
+    LoraExpert, MixtureAdapterLayer, Router, RoutingDistribution, new_expert,
+    top_k_select,
 )
 from .config import ExperimentConfig, load_config
 from .errors import (
@@ -23,13 +23,8 @@ from .lifecycle import (
     fit_routing, kl_to_final, learn_task, prune_candidates,
 )
 from .model import AdapterModel, FrozenBackbone, build_backbone, build_model
-from .numerics import (
-    contrastive_loss, finite_diff_grad, kl_divergence, softmax, softmax_rows,
-)
-from .optim import (
-    OptimConfig, PenaltyState, SoftProjection, apply_step, block_dot,
-    penalty_value, proximal_argmin, soft_projection, step_scale, total_loss,
-)
+from .numerics import contrastive_loss, kl_divergence, softmax, softmax_rows
+from .optim import OptimConfig, PenaltyState, apply_step, penalty_value, step_scale
 from .streams import Alignment, TaskData, TaskSpec, generate_stream, generate_task
 from .task_bank import MatchResult, TaskBank, fused_embedding
 

@@ -27,15 +27,6 @@ class LoraExpert:
     up: np.ndarray    # [dim, rank]
     owner_task: int
     expert_id: int
-    frozen: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.down.shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.down.shape[0]
 
     def params(self) -> list[np.ndarray]:
         return [self.down, self.up]
@@ -54,8 +45,6 @@ class Router:
     """Linear scorer over the experts visible at its creation time."""
 
     weight: np.ndarray  # [n_visible, dim]
-    owner_task: int
-    frozen: bool = False
 
     @property
     def n_visible(self) -> int:
@@ -125,7 +114,7 @@ class MixtureAdapterLayer:
     def add_router(self, task: int) -> Router:
         if task in self.routers:
             raise StateError(f"layer {self.layer_index} already has a router for task {task}")
-        router = Router(weight=np.zeros((len(self.experts), self.dim)), owner_task=task)
+        router = Router(weight=np.zeros((len(self.experts), self.dim)))
         self.routers[task] = router
         self.version += 1
         return router
@@ -257,15 +246,6 @@ class MixtureAdapterLayer:
         return grad_x, expert_grads, router_grad
 
 
-def expert_gradient_norm(expert_grads) -> np.ndarray:
-    """Combined Frobenius norm per expert over its (down, up) gradients; give
-    it the non-None entries of a backward pass's `expert_grads`."""
-    out = np.empty(len(expert_grads))
-    for j, (gd, gu) in enumerate(expert_grads):
-        out[j] = np.sqrt(float((gd * gd).sum() + (gu * gu).sum()))
-    return out
-
-
 def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
     return {
         "layer_index": layer.layer_index,
@@ -280,22 +260,19 @@ def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
                 "up": e.up.tolist(),
                 "owner_task": e.owner_task,
                 "expert_id": e.expert_id,
-                "frozen": e.frozen,
             }
             for e in layer.experts
         ],
         "routers": [
-            {
-                "task": task,
-                "weight": r.weight.tolist(),
-                "frozen": r.frozen,
-            }
+            {"task": task, "weight": r.weight.tolist()}
             for task, r in layer.routers.items()
         ],
     }
 
 
 def layer_from_payload(payload: dict) -> MixtureAdapterLayer:
+    """Inverse of `layer_to_payload`; ignores the `frozen` keys that version 1
+    checkpoints carry."""
     layer = MixtureAdapterLayer(
         layer_index=payload["layer_index"],
         dim=payload["dim"],
@@ -310,12 +287,10 @@ def layer_from_payload(payload: dict) -> MixtureAdapterLayer:
             up=np.asarray(e["up"], dtype=np.float64),
             owner_task=e["owner_task"],
             expert_id=e["expert_id"],
-            frozen=e["frozen"],
         ))
     for r in payload["routers"]:
-        layer.routers[r["task"]] = Router(
-            weight=np.asarray(r["weight"], dtype=np.float64),
-            owner_task=r["task"],
-            frozen=r["frozen"],
-        )
+        weight = np.asarray(r["weight"], dtype=np.float64)
+        if weight.shape == (0,):  # a router with no rows saves as []
+            weight = weight.reshape(0, layer.dim)
+        layer.routers[r["task"]] = Router(weight=weight)
     return layer

@@ -1,7 +1,9 @@
 """Self-describing JSON checkpoints for the model and task bank.
 
 Floats are serialised with Python's shortest-round-trip repr, so a load
-followed by a save reproduces every 64-bit value bit for bit.
+followed by a save reproduces every 64-bit value bit for bit.  Version 2
+dropped the per-expert and per-router `frozen` flags that version 1 wrote;
+the loader reads both and ignores those flags.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .model import AdapterModel, FrozenBackbone
 from .task_bank import TaskBank, bank_from_payload, bank_to_payload
 
 FORMAT = "submoe-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def model_to_payload(model: AdapterModel) -> dict:
@@ -115,16 +117,12 @@ def _check_model(model: AdapterModel, n_layer_entries: int) -> None:
         _require(all(_is_int(v) and 0 <= v < layer.next_expert_id for v in ids)
                  and len(set(ids)) == len(ids), f"{where}: bad expert ids")
         for e in layer.experts:
-            _require(_is_int(e.owner_task) and isinstance(e.frozen, bool),
-                     f"{where} expert {e.expert_id}: bad owner or flag")
+            _require(_is_int(e.owner_task), f"{where} expert {e.expert_id}: bad owner")
             _require_array(e.down, (layer.rank, dim), f"{where} expert {e.expert_id} down")
             _require_array(e.up, (dim, layer.rank), f"{where} expert {e.expert_id} up")
         for task, r in layer.routers.items():
-            _require(_is_int(task) and isinstance(r.frozen, bool),
-                     f"{where} router {task!r}: bad task or flag")
+            _require(_is_int(task), f"{where} router {task!r}: bad task")
             w = r.weight
-            if w.shape == (0,):  # a router with no visible experts saves as []
-                continue
             _require(w.ndim == 2 and w.shape[0] <= len(layer.experts),
                      f"{where} router {task}: shape {w.shape}, {len(layer.experts)} experts")
             _require_array(w, (w.shape[0], dim), f"{where} router {task}")
@@ -146,8 +144,9 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a checkpoint file")
-    if doc.get("version") != VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    version = doc.get("version")
+    if not _is_int(version) or version not in (1, VERSION):
+        raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     # the converters trust their payload, so a missing key, a wrong type or a
     # ragged or non-numeric array surfaces as one of these
     try:

@@ -18,8 +18,8 @@ from .errors import ConfigError, DataError, NumericError, StateError
 from .model import AdapterModel, trainable_stage1_params
 from .numerics import kl_divergence
 from .optim import (
-    AdamWState, OptimConfig, PenaltyState, apply_step, apply_step_adamw,
-    init_adamw_state, init_penalty_state, penalty_value, step_scale,
+    AdamWState, OptimConfig, PenaltyState, apply_step, init_adamw_state,
+    init_penalty_state, penalty_value,
 )
 from .streams import TaskData
 
@@ -109,17 +109,14 @@ class PruneReport:
 
 def begin_task(model: AdapterModel, task: int, schedule: PhaseSchedule,
                rng: np.random.Generator) -> None:
-    """Freeze everything learned so far, then give every adapter layer
-    `num_candidates` fresh zero-output experts and a new router for `task`."""
+    """Give every adapter layer `num_candidates` fresh zero-output experts and
+    a new router for `task`.  Everything learned so far stays frozen: a step
+    only updates the experts and router the task being learned owns."""
     if task in model.learned_tasks or task in model.phase:
         raise StateError(f"task {task} was already started")
     if model.current_task is not None:
         raise StateError(f"task {model.current_task} is still in progress")
     for layer in model.adapter_layers():
-        for e in layer.experts:
-            e.frozen = True
-        for r in layer.routers.values():
-            r.frozen = True
         layer.top_k = schedule.top_k
         for _ in range(schedule.num_candidates):
             layer.add_expert(task, rng)
@@ -158,10 +155,30 @@ class _BatchCursor:
         return out
 
 
+_StepStates = dict[int, tuple[PenaltyState, AdamWState | None]]
+
+
+def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
+                 router_trainable: bool) -> _StepStates:
+    """Per adapter layer, the penalty state of the task's candidates and, for
+    AdamW, the moments of every array a phase steps (candidates, then the
+    router when it trains)."""
+    states: _StepStates = {}
+    for layer in model.adapter_layers():
+        cand_params = [e.params() for e in layer.candidates(task)]
+        adam = None
+        if cfg.method == "adamw":
+            params = [p for group in cand_params for p in group]
+            if router_trainable:
+                params.append(layer.router_for(task).weight)
+            adam = init_adamw_state(params)
+        states[layer.layer_index] = (init_penalty_state(cand_params), adam)
+    return states
+
+
 def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
-                cfg: OptimConfig, router_trainable: bool,
-                penalty_states: dict[int, PenaltyState],
-                adam_states: dict[int, AdamWState], step_no: int) -> tuple[float, float]:
+                cfg: OptimConfig, router_trainable: bool, states: _StepStates,
+                step_no: int) -> tuple[float, float]:
     """One optimisation step over the batch `idx`; returns (contrastive, aux)."""
     loss, grads = model.loss_and_grads(
         data.train_x[idx], data.train_y[idx], data.text_emb, task
@@ -172,36 +189,15 @@ def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
     for lg in grads:
         layer = model.adapters[lg.layer_index]
         cand_idx = layer.candidate_indices(task)
-        cands = [e for e in layer.experts if e.owner_task == task]
         mean_w = lg.dist.mean_weights()
         pis = [float(mean_w[j]) for j in cand_idx]
-        cand_params = [[e.down, e.up] for e in cands]
+        cand_params = [e.params() for e in layer.candidates(task)]
         cand_grads = [list(lg.expert_grads[j]) for j in cand_idx]
-        router = layer.router_for(task)
-        plain = [router.weight] if router_trainable else []
-        plain_grads = [lg.router_grad] if router_trainable else []
-        state = penalty_states[lg.layer_index]
-        if cfg.method == "sgd":
-            apply_step(cand_params, cand_grads, pis, plain, plain_grads, state, cfg)
-        else:
-            n = sum(
-                1 for pi, gg in zip(pis, cand_grads)
-                if pi > 0.0 and any(np.any(g != 0.0) for g in gg)
-            )
-            flat_params, flat_grads, scales = [], [], []
-            for pi, group, gg in zip(pis, cand_params, cand_grads):
-                s = step_scale(pi, n, cfg)
-                for p, g in zip(group, gg):
-                    flat_params.append(p)
-                    flat_grads.append(g)
-                    scales.append(s)
-            for p, g in zip(plain, plain_grads):
-                flat_params.append(p)
-                flat_grads.append(g)
-                scales.append(1.0)
-            apply_step_adamw(flat_params, flat_grads, scales, adam_states[lg.layer_index], cfg)
-            state.prev = [[p.copy() for p in group] for group in cand_params]
-            state.change_count = n
+        plain, plain_grads = [], []
+        if router_trainable:
+            plain, plain_grads = [layer.router_for(task).weight], [lg.router_grad]
+        state, adam = states[lg.layer_index]
+        apply_step(cand_params, cand_grads, pis, plain, plain_grads, state, cfg, adam)
         aux += penalty_value(pis, cand_params, state)
     return loss, aux
 
@@ -218,16 +214,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     eval_x, eval_y = _eval_batch(data, schedule, task)
     cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
 
-    penalty_states: dict[int, PenaltyState] = {}
-    adam_states: dict[int, AdamWState] = {}
-    for layer in model.adapter_layers():
-        cands = [e for e in layer.experts if e.owner_task == task]
-        penalty_states[layer.layer_index] = init_penalty_state([[e.down, e.up] for e in cands])
-        if cfg.method == "adamw":
-            params = [p for e in cands for p in (e.down, e.up)]
-            params.append(layer.router_for(task).weight)
-            adam_states[layer.layer_index] = init_adamw_state(params)
-
+    states = _step_states(model, task, cfg, router_trainable=True)
     snapshots: list[RoutingSnapshot] = []
 
     def snap(step: int):
@@ -239,7 +226,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     done_steps = 0
     for s in range(1, schedule.identify_steps + 1):
         idx = cursor.next()
-        _phase_step(model, task, data, idx, cfg, True, penalty_states, adam_states, s)
+        _phase_step(model, task, data, idx, cfg, True, states, s)
         done_steps = s
         if s % schedule.snapshot_interval == 0 or s == schedule.identify_steps:
             snap(s)
@@ -316,25 +303,12 @@ def finetune_experts(model: AdapterModel, task: int, data: TaskData,
     the surviving candidates.  A task with no survivors is a no-op."""
     if model.phase.get(task) != "pruned":
         raise StateError(f"task {task}: fine-tune requires prune_candidates first")
-    for layer in model.adapter_layers():
-        layer.router_for(task).frozen = True
     plain_cfg = replace(cfg, penalty=0.0)
     cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
-    penalty_states: dict[int, PenaltyState] = {}
-    adam_states: dict[int, AdamWState] = {}
-    for layer in model.adapter_layers():
-        cands = [e for e in layer.experts if e.owner_task == task]
-        penalty_states[layer.layer_index] = init_penalty_state([[e.down, e.up] for e in cands])
-        if cfg.method == "adamw":
-            params = [p for e in cands for p in (e.down, e.up)]
-            adam_states[layer.layer_index] = init_adamw_state(params)
+    states = _step_states(model, task, cfg, router_trainable=False)
     for s in range(1, schedule.finetune_steps + 1):
         idx = cursor.next()
-        _phase_step(model, task, data, idx, plain_cfg, False, penalty_states, adam_states, s)
-    for layer in model.adapter_layers():
-        for e in layer.experts:
-            if e.owner_task == task:
-                e.frozen = True
+        _phase_step(model, task, data, idx, plain_cfg, False, states, s)
     model.phase[task] = "done"
     model.learned_tasks.append(task)
     model.current_task = None

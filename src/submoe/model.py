@@ -185,23 +185,3 @@ def trainable_stage1_params(model: AdapterModel, task: int) -> int:
             total += e.down.size + e.up.size
         total += layer.router_for(task).weight.size
     return total
-
-
-def frozen_fingerprint(model: AdapterModel, exclude_task: int | None = None) -> dict:
-    """Byte-level fingerprint of every parameter not owned by `exclude_task`;
-    used to assert that training leaves frozen state untouched."""
-    fp = {}
-    for i, layer in enumerate(model.adapter_layers()):
-        for e in layer.experts:
-            if exclude_task is not None and e.owner_task == exclude_task:
-                continue
-            fp[("expert", i, e.expert_id, "down")] = e.down.tobytes()
-            fp[("expert", i, e.expert_id, "up")] = e.up.tobytes()
-        for t, r in layer.routers.items():
-            if exclude_task is not None and t == exclude_task:
-                continue
-            fp[("router", i, t)] = r.weight.tobytes()
-    for j, w in enumerate(model.backbone.weights):
-        fp[("backbone", j, "w")] = w.tobytes()
-        fp[("backbone", j, "b")] = model.backbone.biases[j].tobytes()
-    return fp

@@ -1,8 +1,6 @@
 """Float64 numeric primitives shared by every other module.
 
-Everything here is pure and operates on plain numpy arrays.  The
-finite-difference oracle exists for the test suite and deliberately knows
-nothing about the analytic gradients it is used to check.
+Everything here is pure and operates on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -72,15 +70,6 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def is_prob_vector(v, atol: float = 1e-12) -> bool:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        return False
-    if arr.min() < -atol or arr.max() > 1.0 + atol:
-        return False
-    return abs(float(arr.sum()) - 1.0) <= max(atol, 64 * np.finfo(np.float64).eps * arr.size)
-
-
 def kl_divergence(p, q) -> float:
     """KL(p || q) with q floored at KL_FLOOR and renormalised; 0*log(0) := 0."""
     pa = np.asarray(p, dtype=np.float64)
@@ -148,24 +137,3 @@ def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
     proj = (dih * ih).sum(axis=1, keepdims=True)
     grad = (dih - proj * ih) / img_norm[:, None]
     return loss, grad
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if not np.isfinite(h) or h <= 0.0:
-        raise NumericError(f"step size must be positive, got {h}")
-    base = np.array(x, dtype=np.float64)  # private copy; f sees perturbed views of it
-    grad = np.zeros_like(base)
-    flat = base.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(f(base))
-        flat[i] = orig - h
-        f_minus = float(f(base))
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"objective non-finite near coordinate {i}")
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad

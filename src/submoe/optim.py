@@ -7,17 +7,17 @@ Newly added ("candidate") experts take a damped SGD step
 where pi is the expert's routing mass on the batch and n counts the
 candidates actually changing this step.  That scalar damping is the exact
 minimiser of the local quadratic model with a routing-weighted displacement
-penalty; `proximal_argmin` solves the same quadratic generically (assemble
-the Hessian, solve the stationarity system) and exists to validate the
-closed form.  Routers and any other plain block take an undamped step.
+penalty (the test suite checks it against a generic quadratic solve).
+Routers and any other plain block take an undamped step.
 
 The damping factors form a diagonal soft projection of the concatenated
 gradient: identity on old blocks, 1/(1 + 2*lr*penalty*n*pi_j) on new block
 j.  With penalty == 0 every factor is exactly 1.0 and the step is plain SGD
 bit for bit.
 
-An AdamW variant is provided for end-to-end runs; the equivalence claims
-above are only asserted for SGD.
+`apply_step` also runs an AdamW rule (`method: "adamw"`) that multiplies each
+block's step by the same damping factor; the equivalence claims above are
+only asserted for SGD.
 """
 
 from __future__ import annotations
@@ -64,38 +64,6 @@ def step_scale(pi: float, n: int, cfg: OptimConfig) -> float:
 
 
 @dataclass
-class SoftProjection:
-    """Diagonal block form of the damped step: identity on the old/plain
-    block, per-candidate scale on each new block."""
-
-    new_scales: np.ndarray  # one scale per candidate block
-
-    def apply(self, plain_grads: list[np.ndarray],
-              new_grads: list[list[np.ndarray]]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-        if len(new_grads) != self.new_scales.size:
-            raise DimensionError(
-                f"{len(new_grads)} new blocks but {self.new_scales.size} scales"
-            )
-        proj_plain = [g.copy() for g in plain_grads]
-        proj_new = [[self.new_scales[j] * g for g in grads] for j, grads in enumerate(new_grads)]
-        return proj_plain, proj_new
-
-
-def soft_projection(pis, n: int, cfg: OptimConfig) -> SoftProjection:
-    scales = np.array([step_scale(float(p), n, cfg) for p in pis])
-    return SoftProjection(new_scales=scales)
-
-
-def block_dot(old_block: np.ndarray, new_block: np.ndarray) -> float:
-    """Inner product of the two step components embedded in the concatenated
-    parameter space: [old, 0] against [0, new].  Identically zero; kept as a
-    checkable witness that the blocks never mix."""
-    a = np.concatenate([np.ravel(old_block), np.zeros(np.size(new_block))])
-    b = np.concatenate([np.zeros(np.size(old_block)), np.ravel(new_block)])
-    return float(a @ b)
-
-
-@dataclass
 class PenaltyState:
     """Snapshots of candidate parameters after the previous step, plus the
     change count of that step; feeds the displacement penalty value."""
@@ -122,13 +90,6 @@ def penalty_value(pis, live: list[list[np.ndarray]], state: PenaltyState) -> flo
     return state.change_count * total
 
 
-def total_loss(contrastive: float, aux: float, cfg: OptimConfig) -> float:
-    val = contrastive + cfg.penalty * aux
-    if not np.isfinite(val):
-        raise NumericError(f"total loss is non-finite ({contrastive} + {cfg.penalty} * {aux})")
-    return val
-
-
 @dataclass
 class StepReport:
     change_count: int
@@ -137,60 +98,6 @@ class StepReport:
 
 def _any_nonzero(grads: list[np.ndarray]) -> bool:
     return any(np.any(g != 0.0) for g in grads)
-
-
-def apply_step(candidates: list[list[np.ndarray]],
-               candidate_grads: list[list[np.ndarray]],
-               pis,
-               plain: list[np.ndarray],
-               plain_grads: list[np.ndarray],
-               state: PenaltyState,
-               cfg: OptimConfig) -> StepReport:
-    """One SGD step, in place: damped on candidate blocks, plain elsewhere.
-
-    The change count n is established before any update: a candidate counts
-    as changing when it carries routing mass and a nonzero gradient.  State
-    snapshots are refreshed to the post-step values.
-    """
-    if len(candidates) != len(candidate_grads) or len(candidates) != len(pis):
-        raise DimensionError("candidate params, grads, and pis must align")
-    if len(plain) != len(plain_grads):
-        raise DimensionError("plain params and grads must align")
-    n = sum(
-        1 for pi, grads in zip(pis, candidate_grads)
-        if pi > 0.0 and _any_nonzero(grads)
-    )
-    scales = []
-    for pi, group, grads in zip(pis, candidates, candidate_grads):
-        s = step_scale(float(pi), n, cfg)
-        scales.append(s)
-        coef = cfg.learning_rate * s
-        for p, g in zip(group, grads):
-            p -= coef * g
-    for p, g in zip(plain, plain_grads):
-        p -= cfg.learning_rate * g
-    state.prev = [[p.copy() for p in group] for group in candidates]
-    state.change_count = n
-    return StepReport(change_count=n, scales=scales)
-
-
-def proximal_argmin(g: np.ndarray, w_prev: np.ndarray, pi: float, n: int,
-                    cfg: OptimConfig) -> np.ndarray:
-    """Independent oracle for the damped step.
-
-    Minimises  g . (w - w_prev) + ||w - w_prev||^2 / (2 lr)
-               + penalty * n * pi * ||w - w_prev||^2
-    by assembling the quadratic's Hessian and solving the stationarity
-    system, rather than using the closed-form scalar damping.
-    """
-    gv = np.asarray(g, dtype=np.float64)
-    wv = np.asarray(w_prev, dtype=np.float64)
-    if gv.shape != wv.shape:
-        raise DimensionError(f"gradient shape {gv.shape} vs parameter shape {wv.shape}")
-    dim = gv.size
-    hess = (1.0 / cfg.learning_rate + 2.0 * cfg.penalty * n * pi) * np.eye(dim)
-    delta = np.linalg.solve(hess, -gv.ravel())
-    return wv + delta.reshape(wv.shape)
 
 
 @dataclass
@@ -209,13 +116,10 @@ def init_adamw_state(params: list[np.ndarray]) -> AdamWState:
     )
 
 
-def apply_step_adamw(params: list[np.ndarray], grads: list[np.ndarray],
-                     scales: list[float], state: AdamWState, cfg: OptimConfig) -> None:
+def _adamw_update(params: list[np.ndarray], grads: list[np.ndarray],
+                  scales: list[float], state: AdamWState, cfg: OptimConfig) -> None:
     """AdamW with decoupled weight decay; each block's step is additionally
-    multiplied by its damping scale (1.0 for plain blocks).  Heuristic
-    extension of the SGD damping; not covered by the equivalence oracle."""
-    if len(params) != len(grads) or len(params) != len(scales):
-        raise DimensionError("params, grads, and scales must align")
+    multiplied by its damping scale (1.0 for plain blocks)."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
@@ -229,3 +133,49 @@ def apply_step_adamw(params: list[np.ndarray], grads: list[np.ndarray],
         p -= cfg.learning_rate * s * step
         if cfg.weight_decay > 0.0:
             p -= cfg.learning_rate * cfg.weight_decay * p
+
+
+def apply_step(candidates: list[list[np.ndarray]],
+               candidate_grads: list[list[np.ndarray]],
+               pis,
+               plain: list[np.ndarray],
+               plain_grads: list[np.ndarray],
+               state: PenaltyState,
+               cfg: OptimConfig,
+               adam: AdamWState | None = None) -> StepReport:
+    """One step, in place, by the rule `cfg.method` names: damped on
+    candidate blocks, plain elsewhere.
+
+    The change count n is established before any update: a candidate counts
+    as changing when it carries routing mass and a nonzero gradient.  AdamW
+    takes its moments from `adam`, which holds one entry per candidate array
+    and then per plain array, in order.  State snapshots are refreshed to the
+    post-step values.
+    """
+    if len(candidates) != len(candidate_grads) or len(candidates) != len(pis):
+        raise DimensionError("candidate params, grads, and pis must align")
+    if len(plain) != len(plain_grads):
+        raise DimensionError("plain params and grads must align")
+    n = sum(
+        1 for pi, grads in zip(pis, candidate_grads)
+        if pi > 0.0 and _any_nonzero(grads)
+    )
+    scales = [step_scale(float(pi), n, cfg) for pi in pis]
+    if cfg.method == "sgd":
+        for s, group, grads in zip(scales, candidates, candidate_grads):
+            coef = cfg.learning_rate * s
+            for p, g in zip(group, grads):
+                p -= coef * g
+        for p, g in zip(plain, plain_grads):
+            p -= cfg.learning_rate * g
+    else:
+        params = [p for group in candidates for p in group] + list(plain)
+        grads = [g for group in candidate_grads for g in group] + list(plain_grads)
+        block_scales = [s for s, group in zip(scales, candidates) for _ in group]
+        block_scales += [1.0] * len(plain)
+        if adam is None or len(adam.m) != len(params):
+            raise DimensionError("AdamW needs one moment pair per stepped array")
+        _adamw_update(params, grads, block_scales, adam, cfg)
+    state.prev = [[p.copy() for p in group] for group in candidates]
+    state.change_count = n
+    return StepReport(change_count=n, scales=scales)

@@ -19,13 +19,11 @@ from submoe.evaluation import (
 from submoe.experiment import METRICS_FILE, run_experiment
 from submoe.lifecycle import PhaseSchedule, kl_to_final, learn_task
 from submoe.model import build_model
-from submoe.numerics import finite_diff_grad
-from submoe.optim import (
-    OptimConfig, apply_step, init_penalty_state, proximal_argmin,
-    soft_projection, step_scale,
-)
+from submoe.optim import OptimConfig, apply_step, init_penalty_state, step_scale
 from submoe.streams import Alignment, TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
+
+from oracles import finite_diff_grad, proximal_argmin, soft_projection
 
 DIM = 16
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submoe.adapter import (
-    MixtureAdapterLayer, Router, expert_gradient_norm, layer_from_payload,
-    layer_to_payload, top_k_select,
+    MixtureAdapterLayer, Router, layer_from_payload, layer_to_payload, top_k_select,
 )
 from submoe.errors import DimensionError, MissingRouterError, StateError
-from submoe.numerics import finite_diff_grad, softmax_rows
+from submoe.numerics import softmax_rows
 
+from oracles import expert_gradient_norm, finite_diff_grad
 from reference_grads import full_backward
 
 
@@ -148,8 +148,7 @@ def test_backward_is_bit_exact_on_owned_experts(owners, visible, task, top_k, ro
     for owner in owners:
         layer.add_expert(owner, rng).up = rng.standard_normal((dim, rank))
     for t, nv in enumerate(visible):
-        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)),
-                                  owner_task=t)
+        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)))
     x = rng.standard_normal((rows, dim))
     g = rng.standard_normal((rows, dim))
     _, _, cache = layer.forward(task, x)
@@ -256,7 +255,6 @@ def test_old_router_forward_bitwise_stable_after_growth_and_prune():
 def test_serialisation_round_trip_is_bit_exact():
     layer = make_layer(seed=16)
     layer.experts[0].down[0, 0] = 0.1 + 0.2  # classic non-representable decimal
-    layer.experts[1].frozen = True
     payload = layer_to_payload(layer)
     import json
     restored = layer_from_payload(json.loads(json.dumps(payload)))
@@ -264,11 +262,10 @@ def test_serialisation_round_trip_is_bit_exact():
     for a, b in zip(layer.experts, restored.experts):
         np.testing.assert_array_equal(a.down, b.down)
         np.testing.assert_array_equal(a.up, b.up)
-        assert (a.owner_task, a.expert_id, a.frozen) == (b.owner_task, b.expert_id, b.frozen)
+        assert (a.owner_task, a.expert_id) == (b.owner_task, b.expert_id)
     for task in layer.routers:
         np.testing.assert_array_equal(
             layer.routers[task].weight, restored.routers[task].weight)
-        assert layer.routers[task].frozen == restored.routers[task].frozen
 
 
 def test_prune_output_shift_bounded_by_cached_quantities():

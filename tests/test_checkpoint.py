@@ -10,10 +10,12 @@ import pytest
 from submoe.checkpoint import load_checkpoint, save_checkpoint
 from submoe.errors import DataError
 from submoe.lifecycle import PhaseSchedule, learn_task
-from submoe.model import build_model, frozen_fingerprint
+from submoe.model import build_model
 from submoe.optim import OptimConfig
 from submoe.streams import TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
+
+from oracles import frozen_fingerprint
 
 DIM = 8
 
@@ -128,6 +130,7 @@ EXPERT = LAYER + ["experts", 0]
 ROUTER = LAYER + ["routers", 0]
 BAD_DOCUMENTS = {
     "not an object": lambda doc: [doc],
+    "version as bool": _set(["version"], True),
     "missing model": _drop(["model"]),
     "missing backbone": _drop(["model", "backbone"]),
     "missing expert key": _drop(EXPERT + ["up"]),
@@ -152,7 +155,6 @@ BAD_DOCUMENTS = {
     "non-finite backbone": _set(["model", "backbone", "biases", 0, 0], float("nan")),
     "non-finite expert": _set(EXPERT + ["down", 0, 0], float("inf")),
     "zero temperature": _set(["model", "temperature"], 0.0),
-    "string flag": _set(EXPERT + ["frozen"], "yes"),
     "unknown phase": _set(["model", "phase", "0"], "halfway"),
     "duplicate expert id": _set(LAYER + ["experts", 1, "expert_id"], 0),
     "bank entry width": _set(["bank", "entries", 0, "embedding"], [0.0] * DIM),
@@ -176,9 +178,32 @@ def test_router_without_visible_experts_round_trips(tmp_path):
     for layer in model.adapter_layers():
         layer.router_for(0).weight = np.zeros((0, DIM))
     path = save_checkpoint(tmp_path / "ck.json", model, bank)
-    loaded, _, _ = load_checkpoint(path)
+    loaded, loaded_bank, _ = load_checkpoint(path)
+    for layer in loaded.adapter_layers():
+        assert layer.router_for(0).weight.shape == (0, DIM)
     x = np.random.default_rng(3).standard_normal((4, DIM))
     np.testing.assert_array_equal(loaded.embed(x, 0), model.embed(x, 0))
+    again = save_checkpoint(tmp_path / "again.json", loaded, loaded_bank)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_version_1_documents_with_frozen_flags_still_load(tmp_path):
+    # version 1 wrote a `frozen` flag on every expert and router; nothing
+    # reads it, so the loader ignores it
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "v2.json", model, bank)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    doc["version"] = 1
+    for layer in doc["model"]["adapters"]:
+        for entry in layer["experts"] + layer["routers"]:
+            entry["frozen"] = True
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(doc))
+    loaded, loaded_bank, _ = load_checkpoint(v1)
+    assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
+    assert save_checkpoint(tmp_path / "resaved.json", loaded, loaded_bank).read_bytes() \
+        == path.read_bytes()
 
 
 def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 import submoe
 from submoe.cli import main
-from submoe.experiment import METRICS_FILE, OUTPUT_ROOT_ENV
+from submoe.experiment import METRICS_FILE, OUTPUT_ROOT_ENV, SUMMARY_FILE
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -145,24 +145,59 @@ def test_sweep_empty_values_exits_1(rooted, capsys):
     assert "--values" in capsys.readouterr().err
 
 
-def test_console_entry_point(rooted):
-    cfg = write_config(rooted)
-    # The child must import the same submoe as this process, installed or
-    # not, so its PYTHONPATH starts at the directory holding that package and
-    # keeps the caller's entries (made absolute, as the child runs in
-    # `rooted`). Everything else is left out so that the output root comes
-    # from the one variable set here, not from the caller's environment.
+def child_env(output_root: Path) -> dict:
+    """Environment for a child Python process.
+
+    The child must import the same submoe as this process, installed or not,
+    so its PYTHONPATH starts at the directory holding that package and keeps
+    the caller's entries (made absolute, as the child runs elsewhere).
+    Everything else is left out so that the output root comes from the one
+    variable set here, not from the caller's environment.
+    """
     pythonpath = [str(Path(submoe.__file__).resolve().parents[1])]
     pythonpath += [os.path.abspath(p)
                    for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(pythonpath),
+            OUTPUT_ROOT_ENV: str(output_root)}
+
+
+def test_console_entry_point(rooted):
+    cfg = write_config(rooted)
     proc = subprocess.run(
         [sys.executable, "-c", "import submoe.cli, sys; sys.exit(submoe.cli.main())",
          "run", str(cfg)],
-        capture_output=True, text=True, cwd=rooted,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(pythonpath),
-             OUTPUT_ROOT_ENV: str(rooted / "sub")},
+        capture_output=True, text=True, cwd=rooted, env=child_env(rooted / "sub"),
     )
     # argv[1:] of the -c invocation are the CLI args
     assert proc.returncode == 0, proc.stderr
     assert "run complete" in proc.stdout
     assert (rooted / "sub" / "runs" / "cli" / METRICS_FILE).is_file()
+
+
+REPO = Path(__file__).resolve().parents[1]
+DEMO_CONFIG = REPO / "configs" / "demo.json"
+
+
+def run_script(name: str, tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), "--config", str(DEMO_CONFIG), *args],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("extra", [[], ["--penalty", "0.02"]])
+def test_run_demo_script_narrates_its_run_directory(tmp_path, extra):
+    proc = run_script("run_demo.py", tmp_path, *extra)
+    cfg = json.loads(DEMO_CONFIG.read_text())
+    summary = json.loads((tmp_path / cfg["output_dir"] / SUMMARY_FILE).read_text())
+    total = int(proc.stdout.rsplit("(total ", 1)[1].rstrip(")\n"))
+    assert total == summary["final_expert_total"]
+    penalty = float(extra[1]) if extra else cfg["optimizer"]["penalty"]
+    assert proc.stdout.startswith(f"penalty={penalty}  ")
+
+
+def test_export_stream_script_round_trips(tmp_path):
+    proc = run_script("export_stream.py", tmp_path, "--out", str(tmp_path / "stream"))
+    assert proc.stdout.count("round trip ok") == 6

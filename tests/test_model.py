@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from submoe.errors import ConfigError, DimensionError
-from submoe.model import (
-    AdapterModel, build_backbone, build_model, frozen_fingerprint,
-    trainable_stage1_params,
-)
-from submoe.numerics import contrastive_loss, finite_diff_grad
+from submoe.model import AdapterModel, build_backbone, build_model, trainable_stage1_params
+from submoe.numerics import contrastive_loss
 
+from oracles import finite_diff_grad, frozen_fingerprint
 from reference_grads import full_loss_and_grads
 
 DIM = 6

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from submoe.errors import ConfigError, DimensionError, NumericError
 from submoe.optim import (
-    OptimConfig, apply_step, apply_step_adamw, block_dot, init_adamw_state,
-    init_penalty_state, penalty_value, proximal_argmin, soft_projection,
-    step_scale, total_loss,
+    OptimConfig, apply_step, init_adamw_state, init_penalty_state, penalty_value,
+    step_scale,
 )
+
+from oracles import block_dot, proximal_argmin, soft_projection, total_loss
 
 # Frozen hand evaluations of the damping factor 1 / (1 + 2*lr*penalty*n*pi)
 SCALE_FULL_MASS = 0.5            # lr=0.1, penalty=5, n=1, pi=1 -> 1/2
@@ -207,18 +208,22 @@ def test_apply_step_shape_guards():
     with pytest.raises(DimensionError):
         apply_step([[np.zeros(2)]], [], [0.5], [], [],
                    init_penalty_state([[np.zeros(2)]]), cfg())
+    live = [[np.zeros(2)]]
+    with pytest.raises(DimensionError):  # AdamW without a moment per array
+        apply_step(live, [[np.ones(2)]], [0.5], [], [], init_penalty_state(live),
+                   cfg(method="adamw"), init_adamw_state([]))
 
 
 def test_adamw_moves_params_and_respects_scale():
     rng = np.random.default_rng(7)
-    c = OptimConfig(learning_rate=0.1, method="adamw")
+    c = cfg(method="adamw")  # a lone candidate with full mass is damped by 1/2
     g = rng.standard_normal(4)
     base = rng.standard_normal(4)
     a, b = base.copy(), base.copy()
-    sa, sb = init_adamw_state([a]), init_adamw_state([b])
-    apply_step_adamw([a], [g], [1.0], sa, c)
-    apply_step_adamw([b], [g], [0.5], sb, c)
-    assert sa.t == 1 and np.abs(base - a).sum() > 0
+    adam = init_adamw_state([b, a])
+    report = apply_step([[b]], [[g]], [1.0], [a], [g], init_penalty_state([[b]]), c, adam)
+    assert report.scales == [SCALE_FULL_MASS]
+    assert adam.t == 1 and np.abs(base - a).sum() > 0
     # moments depend only on the gradient, so the first damped step is
     # exactly scale times the full one
     np.testing.assert_allclose(base - b, 0.5 * (base - a), atol=1e-12)
@@ -228,7 +233,6 @@ def test_adamw_weight_decay_shrinks_params():
     c = OptimConfig(learning_rate=0.1, method="adamw", weight_decay=0.1)
     p = np.full(3, 100.0)
     g = np.zeros(3)
-    state = init_adamw_state([p])
-    apply_step_adamw([p], [g], [1.0], state, c)
+    apply_step([], [], [], [p], [g], init_penalty_state([]), c, init_adamw_state([p]))
     # zero gradient contributes nothing; decoupled decay still shrinks
     np.testing.assert_allclose(p, 100.0 * (1.0 - 0.01), atol=1e-12)

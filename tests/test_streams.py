@@ -249,3 +249,26 @@ def test_load_wraps_os_errors_reading_the_data_file(tmp_path):
     bin_path.write_bytes(b"SUBMOE01" + bytes(8))
     with pytest.raises(DataError, match="truncated header"):
         load_task(manifest)
+
+
+def test_truncated_or_bit_flipped_task_files_load_or_raise_data_error(tmp_path):
+    _, manifest, bin_path = _exported(tmp_path)
+    good = bin_path.read_bytes()
+    outcomes = {"loaded": 0, "rejected": 0}
+
+    def attempt(data: bytes):
+        bin_path.write_bytes(data)
+        try:
+            load_task(manifest)
+        except DataError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+
+    for end in range(0, len(good), 97):
+        attempt(good[:end])
+    for offset in range(0, len(good), 11):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        attempt(bytes(flipped))
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
