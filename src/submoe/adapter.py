@@ -85,12 +85,13 @@ def top_k_select(probs: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest entries per row, ties broken toward the
     lower expert index."""
     n = probs.shape[1]
-    k_eff = min(k, n)
+    if k >= n:
+        return np.ones(probs.shape, dtype=bool)
     # stable sort on the negated probs keeps the lower index first among ties
     order = np.argsort(-probs, axis=1, kind="stable")
     mask = np.zeros(probs.shape, dtype=bool)
     rows = np.arange(probs.shape[0])[:, None]
-    mask[rows, order[:, :k_eff]] = True
+    mask[rows, order[:, :k]] = True
     return mask
 
 

@@ -4,17 +4,34 @@ The accuracy matrix a[i][j] holds task j's accuracy after learning task i
 (0-based).  Entries above the diagonal evaluate tasks not yet learned and
 always go through the fallback (bare backbone) or, under the task-free
 protocol, through the bank, which cannot match an unenrolled task.
+
+A run evaluates incrementally through one `EvalState`.  A learned task's
+adapters are frozen and the bank only grows, so a window's output changes
+only when its route does:
+- `id_free`: each eval task's bare-backbone window queries are embedded and
+  matched once; after an enrolment every window is measured against the new
+  signature alone (`TaskBank.rematch`), and only windows whose route changed
+  are embedded and classified again.  The state keeps each window's nearest
+  task, distance and route, and each row's routed embedding and prediction.
+- `id_given`: accuracy is kept per (task, route), so a run makes 2n predicts.
+- the CIL pass reuses the row's routed embeddings and computes only the
+  cosine against the grown pooled label table.
+Every product of task-free evaluation goes through `rowwise_matmul` with the
+query window as its block, so each window's result is one BLAS call on its
+own rows, whatever else is computed with it: the incremental results equal
+full re-evaluation (`bank_routed_predictions`) bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .model import AdapterModel
+from .model import AdapterModel, cosine_logits
 from .numerics import rowwise_matmul
 from .streams import TaskData
 from .task_bank import TaskBank, window_queries
@@ -91,6 +108,24 @@ def task_accuracy(model: AdapterModel, data: TaskData, route_task: int | None) -
     return float((pred == data.eval_y).mean())
 
 
+def _embed_routes(model: AdapterModel, x: np.ndarray, bare: np.ndarray,
+                  tasks: np.ndarray, matched: np.ndarray, todo: np.ndarray,
+                  window: int, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the routed embedding of every row of the windows in
+    the mask `todo`, and return those rows' mask.  An unmatched window keeps
+    its bare-backbone rows, and each matched task gets one embed of its
+    windows' rows: whole windows in stream order, so `rowwise_matmul`'s
+    blocks stay windows."""
+    row_window = np.arange(x.shape[0]) // window
+    fallback = (todo & ~matched)[row_window]
+    out[fallback] = bare[fallback]
+    matmul = partial(rowwise_matmul, block=window)
+    for route in sorted(set(tasks[todo & matched].tolist())):
+        rows = (todo & matched & (tasks == route))[row_window]
+        out[rows] = model.embed(x[rows], route, matmul)
+    return todo[row_window]
+
+
 def bank_routed_predictions(model: AdapterModel, bank: TaskBank, data: TaskData,
                             window: int = 1,
                             text_emb: np.ndarray | None = None,
@@ -102,29 +137,24 @@ def bank_routed_predictions(model: AdapterModel, bank: TaskBank, data: TaskData,
     with `label_offset` evaluates the class-incremental protocol.  Returns
     (predictions, audit records); predictions are offset into the table.
 
-    Batched: one bare-backbone embed of every row, one bank match of every
-    window, then one forward per routed group (the fallback is a group).
-    Every product goes through `rowwise_matmul` with the window as its block,
-    so results equal those of embedding, matching and classifying one window
-    at a time bit for bit; a single GEMM per group would round differently
-    and can flip argmax ties between duplicate label rows of a pooled table.
+    Full evaluation, the reference for `EvalState`: one bare-backbone embed
+    of every row, one bank match of every window, then one embed per routed
+    group (the fallback reuses the bare rows).  Every product goes through
+    `rowwise_matmul` with the window as its block, so results equal those of
+    embedding, matching and classifying one window at a time bit for bit; a
+    single GEMM per group would round differently and can flip argmax ties
+    between duplicate label rows of a pooled table.
     """
     if window < 1:
         raise DimensionError(f"query window must be >= 1, got {window}")
     table = data.text_emb if text_emb is None else text_emb
     matmul = partial(rowwise_matmul, block=window)
-    x = data.eval_x
-    n = x.shape[0]
-    queries = window_queries(model.embed(x, None, matmul), data.text_emb, window)
-    tasks, distances, matched = bank.match(queries)
-    row_window = np.arange(n) // window
-    preds = np.empty(n, dtype=np.int64)
-    for route in [None, *sorted(set(tasks[matched].tolist()))]:
-        in_group = ~matched if route is None else matched & (tasks == route)
-        rows = in_group[row_window]
-        if rows.any():
-            # a group is whole windows in stream order, so blocks stay windows
-            preds[rows] = model.predict(x[rows], table, route, matmul)
+    bare = model.embed(data.eval_x, None, matmul)
+    tasks, distances, matched = bank.match(window_queries(bare, data.text_emb, window))
+    emb = np.empty_like(bare)
+    _embed_routes(model, data.eval_x, bare, tasks, matched, np.ones_like(matched),
+                  window, emb)
+    preds = cosine_logits(emb, table, matmul).argmax(axis=1)
     audits = [
         AuditRecord(
             true_task=data.task_id, window_start=w * window, matched=bool(hit),
@@ -141,41 +171,143 @@ def bank_routed_accuracy(model: AdapterModel, bank: TaskBank, data: TaskData,
     return float((preds == data.eval_y).mean()), audits
 
 
+class WindowDecisions(NamedTuple):
+    """The bank's decisions for one task's query windows in one matrix row;
+    window w starts at eval row w * window and goes to `nearest[w]` when
+    `matched[w]`, else to the fallback."""
+
+    task_id: int
+    window: int
+    nearest: np.ndarray   # int64, nearest enrolled id even when unmatched
+    distance: np.ndarray  # float64
+    matched: np.ndarray   # bool
+
+
+@dataclass
+class _TaskWindows:
+    """One eval task's cached task-free evaluation.  The decision arrays are
+    replaced, never written in place, so a `WindowDecisions` stays valid."""
+
+    data: TaskData
+    window: int
+    queries: np.ndarray    # [windows, 2 * dim], bare-backbone window queries
+    bare: np.ndarray       # [rows, dim], bare-backbone embeddings
+    nearest: np.ndarray
+    distance: np.ndarray
+    matched: np.ndarray
+    emb: np.ndarray        # [rows, dim], embeddings through each row's route
+    preds: np.ndarray      # [rows], predictions against the task's own labels
+    signatures: dict[int, np.ndarray]  # the bank entries `nearest` reflects
+    rule: tuple[str, float]            # the bank's (metric, threshold)
+
+
+@dataclass
+class EvalState:
+    """Evaluation results of one run that later matrix rows reuse.
+
+    Valid while learned tasks stay frozen (criterion 05) and while the bank
+    only gains entries; a bank entry that is replaced or removed, or a new
+    metric or threshold, makes a task's windows match the whole bank again.
+    Entries are keyed by task id and hold their `TaskData`, so another task
+    object under the same id, or another window, starts afresh.
+    """
+
+    windows: dict[int, _TaskWindows] = field(default_factory=dict)
+    given: dict[tuple[int, int | None], tuple[TaskData, float]] = field(
+        default_factory=dict)
+
+    def task_windows(self, model: AdapterModel, bank: TaskBank, data: TaskData,
+                     window: int) -> _TaskWindows:
+        """`data`'s windows routed by the current bank, with their routed
+        embeddings and own-table predictions brought up to date."""
+        if window < 1:
+            raise DimensionError(f"query window must be >= 1, got {window}")
+        matmul = partial(rowwise_matmul, block=window)
+        rule = (bank.metric, bank.threshold)
+        w = self.windows.get(data.task_id)
+        if w is None or w.data is not data or w.window != window:
+            bare = model.embed(data.eval_x, None, matmul)
+            queries = window_queries(bare, data.text_emb, window)
+            nearest, distance, matched = bank.match(queries)
+            w = _TaskWindows(
+                data=data, window=window, queries=queries, bare=bare, nearest=nearest,
+                distance=distance, matched=matched, emb=np.empty_like(bare),
+                preds=np.empty(bare.shape[0], dtype=np.int64),
+                signatures=dict(bank.entries), rule=rule,
+            )
+            self.windows[data.task_id] = w
+            todo = np.ones_like(matched)
+        else:
+            old_nearest, old_matched = w.nearest, w.matched
+            if rule != w.rule or any(
+                    bank.entries.get(t) is not sig for t, sig in w.signatures.items()):
+                w.nearest, w.distance, w.matched = bank.match(w.queries)
+            else:
+                for task in sorted(bank.entries.keys() - w.signatures.keys()):
+                    w.nearest, w.distance, w.matched = bank.rematch(
+                        w.queries, w.nearest, w.distance, task)
+            w.signatures, w.rule = dict(bank.entries), rule
+            todo = (w.matched != old_matched) | (w.matched & (w.nearest != old_nearest))
+        if todo.any():
+            rows = _embed_routes(model, data.eval_x, w.bare, w.nearest, w.matched, todo,
+                                 window, w.emb)
+            w.preds[rows] = cosine_logits(w.emb[rows], data.text_emb, matmul).argmax(axis=1)
+        return w
+
+    def given_accuracy(self, model: AdapterModel, data: TaskData,
+                       route: int | None) -> float:
+        """`task_accuracy`, computed once per (task, route)."""
+        key = (data.task_id, route)
+        hit = self.given.get(key)
+        if hit is None or hit[0] is not data:
+            hit = self.given[key] = (data, task_accuracy(model, data, route))
+        return hit[1]
+
+
 def pooled_accuracy(model: AdapterModel, bank: TaskBank,
-                    tasks: list[TaskData], window: int = 1) -> float:
+                    tasks: list[TaskData], window: int = 1,
+                    state: EvalState | None = None) -> float:
     """Class-incremental accuracy over every class seen so far: one pooled
-    label table, task identity inferred per query window."""
+    label table, task identity inferred per query window.  Reuses the routed
+    embeddings `state` holds (a new state evaluates from scratch)."""
     if not tasks:
         raise DomainError("pooled accuracy needs at least one task")
+    state = EvalState() if state is None else state
     table = np.vstack([t.text_emb for t in tasks])
-    offsets = {}
-    acc_offset = 0
-    for t in tasks:
-        offsets[t.task_id] = acc_offset
-        acc_offset += t.text_emb.shape[0]
+    matmul = partial(rowwise_matmul, block=window)
     hits = 0
     total = 0
+    offset = 0
     for t in tasks:
-        preds, _ = bank_routed_predictions(model, bank, t, window, text_emb=table)
-        truth = t.eval_y + offsets[t.task_id]
+        w = state.task_windows(model, bank, t, window)
+        preds = cosine_logits(w.emb, table, matmul).argmax(axis=1)
+        truth = t.eval_y + offset
         hits += int((preds == truth).sum())
         total += truth.shape[0]
+        offset += t.text_emb.shape[0]
     return hits / total
 
 
 def evaluate_row(model: AdapterModel, bank: TaskBank | None,
                  tasks: list[TaskData], learned: set[int],
-                 protocol: str, window: int = 1) -> tuple[np.ndarray, list[AuditRecord]]:
-    """One matrix row: accuracy on every task given the current model."""
+                 protocol: str, window: int = 1,
+                 state: EvalState | None = None) -> tuple[np.ndarray, list[WindowDecisions]]:
+    """One matrix row: accuracy on every task given the current model, plus
+    the bank's window decisions per task under `id_free` (none under
+    `id_given`).  Reuses what `state` holds from earlier rows (a new state
+    evaluates from scratch)."""
+    state = EvalState() if state is None else state
     row = np.empty(len(tasks))
-    audits: list[AuditRecord] = []
+    decisions: list[WindowDecisions] = []
     for j, data in enumerate(tasks):
         if protocol == "id_free":
             if bank is None:
                 raise DomainError("id_free protocol needs a task bank")
-            row[j], rec = bank_routed_accuracy(model, bank, data, window)
-            audits.extend(rec)
+            w = state.task_windows(model, bank, data, window)
+            row[j] = float((w.preds == data.eval_y).mean())
+            decisions.append(WindowDecisions(
+                data.task_id, window, w.nearest, w.distance, w.matched))
         else:
             route = data.task_id if data.task_id in learned else None
-            row[j] = task_accuracy(model, data, route)
-    return row, audits
+            row[j] = state.given_accuracy(model, data, route)
+    return row, decisions

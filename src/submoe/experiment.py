@@ -6,18 +6,20 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_dict
 from .errors import DataError
-from .evaluation import evaluate_row, pooled_accuracy
+from .evaluation import EvalState, WindowDecisions, evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
 from .streams import export_task, generate_stream
@@ -56,6 +58,10 @@ class RunResult:
     traces: list = field(default_factory=list)
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     with open(path, "w") as fh:
         for rec in records:
@@ -69,6 +75,26 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
         writer.writerow(["after_task"] + [f"task_{j}" for j in range(n)])
         for i in range(n):
             writer.writerow([i] + [repr(float(v)) for v in matrix[i]])
+
+
+def audit_lines(after_task: int, enrolled: bool, d: WindowDecisions) -> str:
+    """One task's `ifer_audit.jsonl` lines for one matrix row, each equal to
+    `json.dumps(record, sort_keys=True)` of the window's record, built from
+    the decision arrays without a dict per window."""
+    # json.dumps of the list writes each float as json.dumps of that float
+    distances = json.dumps(d.distance.tolist())[1:-1].split(", ")
+    head = f'{{"after_task": {after_task}, "distance": '
+    flag = "true" if enrolled else "false"
+    hit = f', "enrolled": {flag}, "matched": true, "routed_task": '
+    miss = f', "enrolled": {flag}, "matched": false, "routed_task": null'
+    tail = f', "true_task": {d.task_id}, "window_start": '
+    starts = range(0, len(distances) * d.window, d.window)
+    return "".join(
+        f"{head}{dist}{hit}{task}{tail}{start}}}\n" if matched
+        else f"{head}{dist}{miss}{tail}{start}}}\n"
+        for dist, matched, task, start in zip(
+            distances, d.matched.tolist(), d.nearest.tolist(), starts)
+    )
 
 
 def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
@@ -86,13 +112,123 @@ def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
     return metrics
 
 
+@dataclass
+class _Run:
+    """What a run accumulates for its artifacts."""
+
+    model: AdapterModel
+    bank: TaskBank
+    matrix: np.ndarray
+    cil_trace: list[float] = field(default_factory=list)
+    trace_records: list[dict] = field(default_factory=list)
+    prune_records: list[dict] = field(default_factory=list)
+    kl_rows: list[tuple] = field(default_factory=list)
+    count_rows: list[dict] = field(default_factory=list)
+    per_task: list[dict] = field(default_factory=list)
+    reports: list = field(default_factory=list)
+    traces: list = field(default_factory=list)
+    bank_queries: int = 0
+    bank_known: int = 0  # windows of enrolled tasks
+    bank_hits: int = 0   # ... routed to their own task
+    metrics: dict = field(default_factory=dict)
+    summary: dict = field(default_factory=dict)
+
+
+def _learn(run: _Run, cfg: ExperimentConfig, data) -> None:
+    """Learn one task, enroll it in the bank and log its records."""
+    model = run.model
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17, data.task_id]))
+    report, trace = learn_task(model, data.task_id, data, cfg.schedule, cfg.optimizer, rng)
+    run.reports.append(report)
+    run.traces.append(trace)
+    run.trace_records.extend(trace_records(trace))
+    run.prune_records.extend(prune_records(report))
+    for step, kl in kl_to_final(trace):
+        loss = next(s.loss for s in trace.snapshots if s.step == step)
+        run.kl_rows.append((data.task_id, step, kl, loss))
+
+    take = min(cfg.task_bank.enroll_batch, data.train_x.shape[0])
+    run.bank.enroll(data.task_id, model.embed(data.train_x[:take], None), data.text_emb)
+
+    counts = model.expert_counts()
+    run.count_rows.append({"after_task": data.task_id, **{
+        f"layer_{k}": v for k, v in counts.items()}, "total": sum(counts.values())})
+    run.per_task.append({
+        "task_id": data.task_id,
+        "stage1_trainable_params": report.stage1_trainable_params,
+        "candidates_added": cfg.schedule.num_candidates * len(model.adapters),
+        "candidates_pruned": report.removed_total,
+        "final_eval_loss": trace.snapshots[-1].loss,
+    })
+
+
+def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int, learned: set[int],
+              state: EvalState, audit: TextIO | None) -> None:
+    """Matrix row `i` (and the CIL pass); the row's bank decisions go to the
+    audit file and the summary counts."""
+    window = cfg.task_bank.query_window
+    row, decisions = evaluate_row(
+        run.model, run.bank, tasks, learned, cfg.evaluation.protocol, window, state=state)
+    run.matrix[i, :] = row
+    after = tasks[i].task_id
+    for d in decisions:
+        enrolled = d.task_id in learned
+        run.bank_queries += len(d.distance)
+        if enrolled:
+            run.bank_known += len(d.distance)
+            run.bank_hits += int((d.matched & (d.nearest == d.task_id)).sum())
+        audit.write(audit_lines(after, enrolled, d))
+    if cfg.evaluation.cil:
+        run.cil_trace.append(pooled_accuracy(
+            run.model, run.bank, tasks[:i + 1], window, state=state))
+
+
+def _summary(run: _Run) -> dict:
+    return {
+        "tasks": run.per_task,
+        "expert_counts": run.count_rows,
+        "final_expert_total": run.count_rows[-1]["total"] if run.count_rows else 0,
+        "cil_trace": run.cil_trace,
+        "bank_queries": run.bank_queries,
+        "bank_id_accuracy": run.bank_hits / run.bank_known if run.bank_known else None,
+    }
+
+
+def _write_kl_csv(path: Path, run: _Run) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task", "step", "mean_kl", "eval_loss"])
+        for row in run.kl_rows:
+            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+
+
+def _write_counts_csv(path: Path, run: _Run) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(run.count_rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(run.count_rows)
+
+
+# Every artifact but the config (written first) and the audit (written a row
+# at a time), in write order; `save_checkpoint` is looked up at call time.
+ARTIFACT_WRITERS = (
+    (METRICS_FILE, lambda path, run: _write_json(path, run.metrics)),
+    (MATRIX_FILE, lambda path, run: _write_matrix_csv(path, run.matrix)),
+    (SUMMARY_FILE, lambda path, run: _write_json(path, run.summary)),
+    (TRACE_FILE, lambda path, run: _write_jsonl(path, run.trace_records)),
+    (PRUNE_FILE, lambda path, run: _write_jsonl(path, run.prune_records)),
+    (KL_FILE, _write_kl_csv),
+    (COUNTS_FILE, _write_counts_csv),
+    (CHECKPOINT_FILE, lambda path, run: save_checkpoint(path, run.model, run.bank)),
+)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     if not cfg.stream:
         raise DataError("config has an empty task stream")
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    (out / CONFIG_FILE).write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    _write_json(out / CONFIG_FILE, config_to_dict(cfg))
 
     tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
     if cfg.export_stream:
@@ -106,92 +242,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         seed=cfg.seed,
     )
     bank = TaskBank(threshold=cfg.task_bank.match_threshold, metric=cfg.task_bank.metric)
-
-    n = len(tasks)
-    matrix = np.full((n, n), np.nan)
-    cil_trace: list[float] = []
-    all_trace_records: list[dict] = []
-    all_prune_records: list[dict] = []
-    all_audits: list[dict] = []
-    kl_rows: list[tuple] = []
-    count_rows: list[dict] = []
-    per_task_summary: list[dict] = []
-    reports, traces = [], []
+    run = _Run(model=model, bank=bank, matrix=np.full((len(tasks), len(tasks)), np.nan))
+    state = EvalState()
     learned: set[int] = set()
+    # only task-free evaluation audits the bank's decisions
+    with (open(out / AUDIT_FILE, "w") if cfg.evaluation.protocol == "id_free"
+          else contextlib.nullcontext()) as audit:
+        for i, data in enumerate(tasks):
+            _learn(run, cfg, data)
+            learned.add(data.task_id)
+            _evaluate(run, cfg, tasks, i, learned, state, audit)
 
-    for i, data in enumerate(tasks):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17, data.task_id]))
-        report, trace = learn_task(model, data.task_id, data, cfg.schedule, cfg.optimizer, rng)
-        learned.add(data.task_id)
-        reports.append(report)
-        traces.append(trace)
-        all_trace_records.extend(trace_records(trace))
-        all_prune_records.extend(prune_records(report))
-        for step, kl in kl_to_final(trace):
-            loss = next(s.loss for s in trace.snapshots if s.step == step)
-            kl_rows.append((data.task_id, step, kl, loss))
+    run.metrics = compute_metrics(run.matrix, run.cil_trace)
+    run.summary = _summary(run)
+    for name, write in ARTIFACT_WRITERS:
+        write(out / name, run)
 
-        take = min(cfg.task_bank.enroll_batch, data.train_x.shape[0])
-        bank.enroll(data.task_id, model.embed(data.train_x[:take], None), data.text_emb)
-
-        counts = model.expert_counts()
-        count_rows.append({"after_task": data.task_id, **{
-            f"layer_{k}": v for k, v in counts.items()}, "total": sum(counts.values())})
-        per_task_summary.append({
-            "task_id": data.task_id,
-            "stage1_trainable_params": report.stage1_trainable_params,
-            "candidates_added": cfg.schedule.num_candidates * len(model.adapters),
-            "candidates_pruned": report.removed_total,
-            "final_eval_loss": trace.snapshots[-1].loss,
-        })
-
-        row, audits = evaluate_row(
-            model, bank, tasks, learned, cfg.evaluation.protocol,
-            cfg.task_bank.query_window,
-        )
-        matrix[i, :] = row
-        for rec in audits:
-            all_audits.append({
-                "after_task": data.task_id,
-                "enrolled": rec.true_task in learned,
-                **rec.to_payload(),
-            })
-        if cfg.evaluation.cil:
-            cil_trace.append(pooled_accuracy(
-                model, bank, tasks[:i + 1], cfg.task_bank.query_window))
-
-    metrics = compute_metrics(matrix, cil_trace)
-
-    id_known = [a for a in all_audits if a["enrolled"]]
-    summary = {
-        "tasks": per_task_summary,
-        "expert_counts": count_rows,
-        "final_expert_total": count_rows[-1]["total"] if count_rows else 0,
-        "cil_trace": cil_trace,
-        "bank_queries": len(all_audits),
-        "bank_id_accuracy": (
-            sum(1 for a in id_known if a["routed_task"] == a["true_task"]) / len(id_known)
-            if id_known else None),
-    }
-
-    (out / METRICS_FILE).write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-    _write_matrix_csv(out / MATRIX_FILE, matrix)
-    (out / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_jsonl(out / TRACE_FILE, all_trace_records)
-    _write_jsonl(out / PRUNE_FILE, all_prune_records)
-    if all_audits:
-        _write_jsonl(out / AUDIT_FILE, all_audits)
-    with open(out / KL_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "step", "mean_kl", "eval_loss"])
-        for row in kl_rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
-    with open(out / COUNTS_FILE, "w", newline="") as fh:
-        keys = list(count_rows[0].keys())
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(count_rows)
-    save_checkpoint(out / CHECKPOINT_FILE, model, bank)
-
-    return RunResult(out_dir=out, matrix=matrix, metrics=metrics, summary=summary,
-                     model=model, bank=bank, reports=reports, traces=traces)
+    return RunResult(out_dir=out, matrix=run.matrix, metrics=run.metrics,
+                     summary=run.summary, model=model, bank=bank,
+                     reports=run.reports, traces=run.traces)

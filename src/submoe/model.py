@@ -50,6 +50,15 @@ def build_backbone(dim: int, depth: int, seed: int) -> FrozenBackbone:
     return FrozenBackbone(weights=weights, biases=biases)
 
 
+def cosine_logits(emb: np.ndarray, text_emb, matmul: MatMul = np.matmul) -> np.ndarray:
+    """Cosine similarities of embedding rows against label rows: the
+    classification step after `AdapterModel.embed`, row by row."""
+    txt = as_matrix(text_emb)
+    e = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    t = txt / np.linalg.norm(txt, axis=1, keepdims=True)
+    return matmul(e, t.T)
+
+
 @dataclass
 class LayerGrads:
     layer_index: int
@@ -99,11 +108,7 @@ class AdapterModel:
 
     def logits(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
         """Cosine similarities of embeddings against label rows."""
-        emb = self.embed(x, task, matmul)
-        txt = as_matrix(text_emb)
-        e = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        t = txt / np.linalg.norm(txt, axis=1, keepdims=True)
-        return matmul(e, t.T)
+        return cosine_logits(self.embed(x, task, matmul), text_emb, matmul)
 
     def predict(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
         return self.logits(x, text_emb, task, matmul).argmax(axis=1)

@@ -123,6 +123,19 @@ class TaskBank:
         best_dist = dist[np.arange(q.shape[0]), best]
         return np.asarray(ids, dtype=np.int64)[best], best_dist, best_dist <= self.threshold
 
+    def rematch(self, queries: np.ndarray, tasks: np.ndarray, distances: np.ndarray,
+                task: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`match` of `queries` after enrolling `task`, from (tasks, distances)
+        of a `match` made before: only the new signature is measured.  A row
+        moves to `task` when it is nearer, or as near with a lower id, which
+        is `match`'s argmin rule; each distance equals its column of `match`'s
+        distance matrix bit for bit.  Returns new arrays, as `match` does.
+        """
+        dist = self._distances(queries, self.entries[task][None])[:, 0]
+        moved = (dist < distances) | ((dist == distances) & (task < tasks))
+        best_dist = np.where(moved, dist, distances)
+        return np.where(moved, task, tasks), best_dist, best_dist <= self.threshold
+
     def identify(self, img_emb, txt_emb) -> MatchResult:
         """Nearest enrolled task of one query window (see `match`)."""
         tasks, dist, matched = self.match(fused_embedding(img_emb, txt_emb)[None])

@@ -37,6 +37,15 @@ def test_top_k_equal_probs_takes_lowest_indices():
     np.testing.assert_array_equal(mask, [[True, True, False, False]])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 64])
+def test_top_k_select_equals_its_stable_sort(k):
+    probs = np.array([[0.1, 0.4, 0.1, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    want = np.zeros(probs.shape, dtype=bool)
+    np.put_along_axis(want, order, True, axis=1)
+    assert top_k_select(probs, k).tobytes() == want.tobytes()
+
+
 def test_route_equal_rows_renormalises_to_half():
     layer = make_layer(n_experts=4, random_router=False)  # zero router -> uniform probs
     dist = layer.route(0, np.random.default_rng(1).standard_normal((3, 6)))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from submoe.errors import DimensionError, DomainError, NumericError
 from submoe.evaluation import (
-    AuditRecord, average_score, bank_routed_accuracy, bank_routed_predictions,
-    cil_scores, evaluate_row, last_score, pooled_accuracy, task_accuracy,
-    transfer_score,
+    AuditRecord, EvalState, average_score, bank_routed_accuracy,
+    bank_routed_predictions, cil_scores, evaluate_row, last_score, pooled_accuracy,
+    task_accuracy, transfer_score,
 )
 from submoe.lifecycle import PhaseSchedule, learn_task
 from submoe.model import build_model
@@ -261,3 +261,83 @@ def test_batched_routing_equals_one_window_at_a_time(trained_three, data):
     for got, ref in zip(audits, ref_audits):
         assert got.to_payload() == ref.to_payload()
         assert type(got.distance) is float and type(got.matched) is bool
+
+
+def _pooled_reference(model, bank, tasks, window):
+    """Class-incremental accuracy by full re-evaluation of every task."""
+    table = np.vstack([t.text_emb for t in tasks])
+    hits = total = offset = 0
+    for t in tasks:
+        preds, _ = bank_routed_predictions(model, bank, t, window, text_emb=table)
+        hits += int((preds == t.eval_y + offset).sum())
+        total += t.eval_y.shape[0]
+        offset += t.text_emb.shape[0]
+    return hits / total
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
+    """One EvalState carried across enrolments, as a run carries it, gives
+    every row, decision and CIL accuracy that full re-evaluation gives."""
+    model, stream, signatures, middle = trained_three
+    n = stream[0].eval_x.shape[0]
+    window = data.draw(st.integers(1, n + 3), label="window")
+    metric = data.draw(st.sampled_from(["manhattan", "euclidean"]), label="metric")
+    protocol = data.draw(st.sampled_from(["id_free", "id_given"]), label="protocol")
+    # enrolment order need not follow the ids; ids sharing a source tie
+    ids = data.draw(st.permutations(sorted(signatures)), label="ids")
+    sources = data.draw(st.lists(st.sampled_from(sorted(signatures)), min_size=len(ids),
+                                 max_size=len(ids)), label="sources")
+    threshold = data.draw(st.sampled_from([0.0, middle[metric], 1e300, None]),
+                          label="threshold")
+    if threshold is None:
+        # exactly one window's distance to its nearest signature in the full bank
+        full = TaskBank(threshold=0.0, metric=metric,
+                        entries={i: signatures[s] for i, s in zip(ids, sources)})
+        task = data.draw(st.sampled_from(stream), label="threshold task")
+        _, audits = bank_routed_predictions(model, full, task, window)
+        threshold = data.draw(st.sampled_from([a.distance for a in audits]),
+                              label="window distance")
+    bank = TaskBank(threshold=threshold, metric=metric)
+    state = EvalState()
+    learned = set()
+    for i, (task_id, source) in enumerate(zip(ids, sources)):
+        bank.entries[task_id] = signatures[source].copy()
+        learned.add(task_id)
+        row, decisions = evaluate_row(model, bank, stream, learned, protocol, window,
+                                      state=state)
+        if protocol == "id_given":
+            assert decisions == []
+            want = [task_accuracy(model, d, d.task_id if d.task_id in learned else None)
+                    for d in stream]
+            assert row.tolist() == want
+            continue
+        assert len(decisions) == len(stream)
+        for j, (d, dec) in enumerate(zip(stream, decisions)):
+            preds, audits = bank_routed_predictions(model, bank, d, window)
+            assert row[j] == float((preds == d.eval_y).mean())
+            assert dec.task_id == d.task_id and dec.window == window
+            assert [a.distance for a in audits] == dec.distance.tolist()
+            assert [a.matched for a in audits] == dec.matched.tolist()
+            assert [a.routed_task for a in audits] == [
+                t if m else None for t, m in zip(dec.nearest.tolist(), dec.matched.tolist())]
+        # the reuse task keeps task 0's label rows: the pooled table has duplicates
+        seen = stream[:i + 1]
+        assert (pooled_accuracy(model, bank, seen, window, state=state)
+                == _pooled_reference(model, bank, seen, window))
+
+
+def test_eval_state_reevaluates_when_a_signature_is_replaced(trained_three):
+    model, stream, signatures, _ = trained_three
+    bank = TaskBank(threshold=1e300, entries={0: signatures[0].copy()})
+    state = EvalState()
+    evaluate_row(model, bank, stream, {0}, "id_free", 2, state=state)
+    bank.entries[1] = signatures[1].copy()
+    bank.entries[0] = signatures[2].copy()  # replaced, not a new id
+    row, decisions = evaluate_row(model, bank, stream, {0, 1}, "id_free", 2, state=state)
+    fresh_row, fresh = evaluate_row(model, bank, stream, {0, 1}, "id_free", 2)
+    assert row.tolist() == fresh_row.tolist()
+    for got, want in zip(decisions, fresh):
+        assert got.nearest.tolist() == want.nearest.tolist()
+        assert got.distance.tolist() == want.distance.tolist()

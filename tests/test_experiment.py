@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 
 from submoe.config import config_from_dict
 from submoe.errors import DataError
+from submoe.evaluation import WindowDecisions
 from submoe.experiment import (
     AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, COUNTS_FILE, KL_FILE, MATRIX_FILE,
     METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE, SUMMARY_FILE, TRACE_FILE,
-    compute_metrics, resolve_output_dir, run_experiment,
+    audit_lines, compute_metrics, resolve_output_dir, run_experiment,
 )
 from submoe.streams import load_task
 
@@ -91,6 +93,37 @@ def test_audit_enrollment_annotation(tmp_path):
         assert rec["enrolled"] == (rec["true_task"] <= rec["after_task"])
 
 
+@pytest.mark.parametrize("window", [1, 3])
+def test_summary_bank_counts_equal_the_audit(tmp_path, window):
+    result = run_experiment(config_from_dict(pinned_raw("id_free", True, window)),
+                            tmp_path / "run")
+    audits = [json.loads(line) for line in
+              (tmp_path / "run" / AUDIT_FILE).read_text().splitlines()]
+    known = [a for a in audits if a["enrolled"]]
+    hits = sum(a["routed_task"] == a["true_task"] for a in known)
+    assert 0 < hits < len(known)
+    summary = json.loads((tmp_path / "run" / SUMMARY_FILE).read_text())
+    assert summary == result.summary
+    assert summary["bank_queries"] == len(audits)
+    assert summary["bank_id_accuracy"] == hits / len(known)
+
+
+def test_audit_lines_equal_json_dumps_of_each_record():
+    d = WindowDecisions(
+        task_id=-4, window=3, nearest=np.array([7, -4, 0, 2], dtype=np.int64),
+        distance=np.array([0.1 + 0.2, 0.0, np.inf, 1e300 * 10.0 / 7.0]),
+        matched=np.array([True, True, False, True]),
+    )
+    for enrolled in (True, False):
+        want = "".join(json.dumps({
+            "after_task": 11, "enrolled": enrolled, "true_task": -4,
+            "window_start": 3 * w, "matched": bool(m),
+            "routed_task": int(t) if m else None, "distance": float(dist),
+        }, sort_keys=True) + "\n" for w, (t, dist, m) in enumerate(
+            zip(d.nearest, d.distance, d.matched)))
+        assert audit_lines(11, enrolled, d) == want
+
+
 def test_id_given_protocol_has_no_audits(tmp_path):
     cfg = config_from_dict(base_raw(protocol="id_given", cil=False))
     result = run_experiment(cfg, tmp_path / "run")
@@ -151,3 +184,63 @@ def test_compute_metrics_shapes():
     assert out2["transfer"] == pytest.approx(0.4)
     assert out2["cil_last"] == pytest.approx(0.7)
     assert out2["cil_avg"] == pytest.approx(0.8)
+
+
+def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
+    """Three tasks with non-monotonic ids, a reuse task (duplicate pooled label
+    rows) and a threshold that leaves some windows on the fallback."""
+    return {
+        "seed": 5,
+        "output_dir": "runs/pinned",
+        "model": {"feature_dim": 8, "depth": 3, "adapter_layers": [1, 2], "rank": 2},
+        "schedule": {"identify_steps": 8, "finetune_steps": 4, "num_candidates": 2,
+                     "batch_size": 8, "snapshot_interval": 4},
+        "optimizer": {"learning_rate": 0.5, "penalty": 0.01},
+        "contrastive": {"temperature": 0.2},
+        "task_bank": {"match_threshold": 1.3, "enroll_batch": 16, "query_window": window},
+        "evaluation": {"protocol": protocol, "cil": cil},
+        "stream": [
+            {"task_id": 2, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
+             "seed": 2},
+            {"task_id": 0, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
+             "seed": 0},
+            {"task_id": 1, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
+             "seed": 1, "alignment": {"mode": "reuse", "source": 0, "perturbation": 0.3}},
+        ],
+    }
+
+
+# sha256 of every run-directory file, recorded before stream evaluation became
+# incremental; the evaluation rewrite must not move a byte.
+SHARED_DIGESTS = {
+    CHECKPOINT_FILE: "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
+    COUNTS_FILE: "3dfd1d0078c0d3b6dd0d131b5a23da7fb6a3c676a8630e3df526fe664ef03809",
+    KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
+    TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
+    PRUNE_FILE: "78c560c2f5285ca9b0b26a4078a1cb1e41b05de24848e5098da61ede3d6ef566",
+}
+PINNED_DIGESTS = {
+    "id_free": {
+        **SHARED_DIGESTS,
+        MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
+        CONFIG_FILE: "1cfb31def31fb50bb09e12a1da3b8321cbe9d57f0c3a6bbf76373675ca87f0de",
+        AUDIT_FILE: "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a",
+        METRICS_FILE: "ffdb1433d423ab2d54854a3a93ec8737e1263dba28126b5c4452d985dd50c690",
+        SUMMARY_FILE: "6a0e9401880bc03b3c50b2319fb74e7543e91c4392225adcf3036eead24b745b",
+    },
+    "id_given": {
+        **SHARED_DIGESTS,
+        MATRIX_FILE: "6f04daca2601d82141b75bb69295f740aa5edf7dcd577e5127ec8946c93d335d",
+        CONFIG_FILE: "4767ad704106d312c0ad892235fa746208bfa32626fcf3ff8b27e70cb92a7801",
+        METRICS_FILE: "3154225ba8af9e4d1be8360fe1a66df776f6675cb79b52a6e591fd766ba68e76",
+        SUMMARY_FILE: "7ffb0c2623d51460da9a34d88236133f121a002d6952d6be8d399ffec125816e",
+    },
+}
+
+
+@pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
+def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
+    run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "run").iterdir()}
+    assert got == PINNED_DIGESTS[protocol]

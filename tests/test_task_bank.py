@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from submoe.errors import ConfigError, DimensionError, StateError
 from submoe.task_bank import (
@@ -105,3 +108,49 @@ def test_payload_round_trip_is_bit_exact():
     assert sorted(back.entries) == sorted(bank.entries)
     for t in bank.entries:
         assert back.entries[t].tobytes() == bank.entries[t].tobytes()
+
+
+@st.composite
+def queries_and_signatures(draw):
+    """Queries and signatures over a shared pool of rows, so equal distances
+    (ties) and repeated signatures occur."""
+    width = draw(st.integers(1, 6), label="width")
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), width),
+                       elements=st.floats(-1e6, 1e6)), label="pool")
+    rows = st.integers(0, pool.shape[0] - 1)
+    q = pool[draw(st.lists(rows, min_size=1, max_size=5), label="q")]
+    s = pool[draw(st.lists(rows, min_size=1, max_size=5), label="s")]
+    noise = draw(arrays(np.float64, q.shape, elements=st.sampled_from([0.0, 0.5, -3.25])))
+    return q + noise, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(qs=queries_and_signatures(), metric=st.sampled_from(["manhattan", "euclidean"]))
+def test_each_distance_column_equals_its_one_signature_call(qs, metric):
+    # TaskBank.rematch measures one signature at a time; match measures all
+    q, s = qs
+    bank = TaskBank(threshold=1.0, metric=metric)
+    full = bank._distances(q, s)
+    for j in range(s.shape[0]):
+        assert full[:, j].tobytes() == bank._distances(q, s[j:j + 1])[:, 0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(qs=queries_and_signatures(), metric=st.sampled_from(["manhattan", "euclidean"]),
+       data=st.data())
+def test_rematch_one_enrolment_at_a_time_equals_match(qs, metric, data):
+    q, s = qs
+    ids = data.draw(st.lists(st.integers(-3, 9), min_size=s.shape[0],
+                             max_size=s.shape[0], unique=True), label="ids")
+    bank = TaskBank(threshold=0.0, metric=metric)
+    # exactly one of the distances, so the <= boundary is exercised
+    bank.threshold = float(data.draw(st.sampled_from(
+        sorted(set(bank._distances(q, s).ravel().tolist()))), label="threshold"))
+    bank.entries[ids[0]] = s[0]
+    tasks, dist, matched = bank.match(q)
+    for task, sig in zip(ids[1:], s[1:]):
+        bank.entries[task] = sig
+        tasks, dist, matched = bank.rematch(q, tasks, dist, task)
+    ref = bank.match(q)
+    for got, want in zip((tasks, dist, matched), ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
