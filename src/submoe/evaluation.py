@@ -91,15 +91,6 @@ class AuditRecord:
     routed_task: int | None
     distance: float
 
-    def to_payload(self) -> dict:
-        return {
-            "true_task": self.true_task,
-            "window_start": self.window_start,
-            "matched": self.matched,
-            "routed_task": self.routed_task,
-            "distance": self.distance,
-        }
-
 
 def task_accuracy(model: AdapterModel, data: TaskData, route_task: int | None) -> float:
     """Accuracy of cosine-similarity classification on the eval split, routed
@@ -128,14 +119,14 @@ def _embed_routes(model: AdapterModel, x: np.ndarray, bare: np.ndarray,
 
 def bank_routed_predictions(model: AdapterModel, bank: TaskBank, data: TaskData,
                             window: int = 1,
-                            text_emb: np.ndarray | None = None,
-                            label_offset: int = 0):
+                            text_emb: np.ndarray | None = None):
     """Task-free inference: identify each query window via the bank, then
     classify through the matched task's adapters (fallback when unmatched).
 
-    `text_emb` defaults to the task's own label table; passing a pooled table
-    with `label_offset` evaluates the class-incremental protocol.  Returns
-    (predictions, audit records); predictions are offset into the table.
+    `text_emb` defaults to the task's own label table; with a pooled table,
+    predictions are rows of that table, and the class-incremental protocol
+    (`pooled_accuracy`) adds the task's offset into it to the truth labels.
+    Returns (predictions, audit records).
 
     Full evaluation, the reference for `EvalState`: one bare-backbone embed
     of every row, one bank match of every window, then one embed per routed

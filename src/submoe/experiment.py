@@ -77,24 +77,76 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
             writer.writerow([i] + [repr(float(v)) for v in matrix[i]])
 
 
-def audit_lines(after_task: int, enrolled: bool, d: WindowDecisions) -> str:
+def audit_lines(after_task: int, enrolled: bool, d: WindowDecisions,
+                mask: np.ndarray | None = None) -> str:
     """One task's `ifer_audit.jsonl` lines for one matrix row, each equal to
     `json.dumps(record, sort_keys=True)` of the window's record, built from
-    the decision arrays without a dict per window."""
+    the decision arrays without a dict per window.  `mask` selects the
+    windows written (default: all)."""
+    sel = slice(None) if mask is None else mask
     # json.dumps of the list writes each float as json.dumps of that float
-    distances = json.dumps(d.distance.tolist())[1:-1].split(", ")
+    distances = json.dumps(d.distance[sel].tolist())[1:-1].split(", ")
     head = f'{{"after_task": {after_task}, "distance": '
     flag = "true" if enrolled else "false"
     hit = f', "enrolled": {flag}, "matched": true, "routed_task": '
     miss = f', "enrolled": {flag}, "matched": false, "routed_task": null'
     tail = f', "true_task": {d.task_id}, "window_start": '
-    starts = range(0, len(distances) * d.window, d.window)
+    starts = (np.arange(len(d.distance))[sel] * d.window).tolist()
     return "".join(
         f"{head}{dist}{hit}{task}{tail}{start}}}\n" if matched
         else f"{head}{dist}{miss}{tail}{start}}}\n"
         for dist, matched, task, start in zip(
-            distances, d.matched.tolist(), d.nearest.tolist(), starts)
+            distances, d.matched[sel].tolist(), d.nearest[sel].tolist(), starts)
     )
+
+
+def audit_changes(audited: dict[int, tuple[bool, WindowDecisions]], after_task: int,
+                  enrolled: bool, d: WindowDecisions) -> str:
+    """`audit_lines` of the windows whose record differs from the one last
+    written for `d`'s task: every window at the task's first row or when
+    `enrolled` flips, else those whose distance (bitwise, as `json.dumps`
+    tells floats apart), matched flag or routed task changed.  `audited`
+    maps each task to its last (enrolled, decisions) and is updated."""
+    last = audited.get(d.task_id)
+    audited[d.task_id] = (enrolled, d)
+    if last is None or last[0] != enrolled:
+        return audit_lines(after_task, enrolled, d)
+    prev = last[1]
+    # `_TaskWindows` replaces its decision arrays and never writes into
+    # them, so the same objects hold the same decisions
+    if d.distance is prev.distance and d.matched is prev.matched and d.nearest is prev.nearest:
+        return ""
+    changed = ((d.distance.view(np.uint64) != prev.distance.view(np.uint64))
+               | (d.matched != prev.matched)
+               | (d.matched & (d.nearest != prev.nearest)))
+    return audit_lines(after_task, enrolled, d, changed) if changed.any() else ""
+
+
+def read_audit(run_dir: str | Path) -> list[dict]:
+    """Every window's audit record in every matrix row, in row order, then
+    stream order, then window order.  `ifer_audit.jsonl` holds a window's
+    line only at its first row and where its record changes; this rebuilds
+    the rows in between from the run directory alone (the row order is
+    `effective_config.json`'s stream).  A missing or malformed file raises
+    `DataError`."""
+    run_dir = Path(run_dir)
+    try:
+        rows = [task["task_id"] for task in
+                json.loads((run_dir / CONFIG_FILE).read_text())["stream"]]
+        written: dict[int, list[dict]] = {}
+        with open(run_dir / AUDIT_FILE) as fh:
+            for line in fh:
+                rec = json.loads(line)
+                written.setdefault(rec["after_task"], []).append(rec)
+        current: dict[tuple[int, int], dict] = {}
+        records = []
+        for after in rows:
+            for rec in written.get(after, ()):
+                current[rec["true_task"], rec["window_start"]] = rec
+            records.extend({**rec, "after_task": after} for rec in current.values())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{run_dir}: cannot read the audit: {exc!r}") from None
+    return records
 
 
 def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
@@ -130,6 +182,7 @@ class _Run:
     bank_queries: int = 0
     bank_known: int = 0  # windows of enrolled tasks
     bank_hits: int = 0   # ... routed to their own task
+    audited: dict[int, tuple[bool, WindowDecisions]] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
@@ -165,7 +218,8 @@ def _learn(run: _Run, cfg: ExperimentConfig, data) -> None:
 def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int, learned: set[int],
               state: EvalState, audit: TextIO | None) -> None:
     """Matrix row `i` (and the CIL pass); the row's bank decisions go to the
-    audit file and the summary counts."""
+    summary counts, and those that changed since the last row to the audit
+    file."""
     window = cfg.task_bank.query_window
     row, decisions = evaluate_row(
         run.model, run.bank, tasks, learned, cfg.evaluation.protocol, window, state=state)
@@ -177,7 +231,7 @@ def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int, learned: se
         if enrolled:
             run.bank_known += len(d.distance)
             run.bank_hits += int((d.matched & (d.nearest == d.task_id)).sum())
-        audit.write(audit_lines(after, enrolled, d))
+        audit.write(audit_changes(run.audited, after, enrolled, d))
     if cfg.evaluation.cil:
         run.cil_trace.append(pooled_accuracy(
             run.model, run.bank, tasks[:i + 1], window, state=state))

@@ -259,7 +259,7 @@ def test_batched_routing_equals_one_window_at_a_time(trained_three, data):
     assert np.array_equal(preds, ref_preds)
     assert len(audits) == len(ref_audits) == -(-n // window)
     for got, ref in zip(audits, ref_audits):
-        assert got.to_payload() == ref.to_payload()
+        assert got == ref
         assert type(got.distance) is float and type(got.matched) is bool
 
 

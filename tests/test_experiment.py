@@ -10,13 +10,14 @@ import pytest
 
 from submoe.config import config_from_dict
 from submoe.errors import DataError
-from submoe.evaluation import WindowDecisions
+from submoe.evaluation import EvalState, WindowDecisions, evaluate_row
 from submoe.experiment import (
     AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, COUNTS_FILE, KL_FILE, MATRIX_FILE,
     METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE, SUMMARY_FILE, TRACE_FILE,
-    audit_lines, compute_metrics, resolve_output_dir, run_experiment,
+    audit_changes, audit_lines, compute_metrics, read_audit, resolve_output_dir,
+    run_experiment,
 )
-from submoe.streams import load_task
+from submoe.streams import generate_stream, load_task
 
 
 def base_raw(n_tasks=2, protocol="id_free", cil=True) -> dict:
@@ -86,9 +87,7 @@ def test_runs_are_byte_identical(tmp_path):
 def test_audit_enrollment_annotation(tmp_path):
     cfg = config_from_dict(base_raw())
     run_experiment(cfg, tmp_path / "run")
-    audits = [json.loads(line) for line in
-              (tmp_path / "run" / AUDIT_FILE).read_text().splitlines()]
-    for rec in audits:
+    for rec in read_audit(tmp_path / "run"):
         # a task is enrolled in the bank iff it has already been learned
         assert rec["enrolled"] == (rec["true_task"] <= rec["after_task"])
 
@@ -97,8 +96,7 @@ def test_audit_enrollment_annotation(tmp_path):
 def test_summary_bank_counts_equal_the_audit(tmp_path, window):
     result = run_experiment(config_from_dict(pinned_raw("id_free", True, window)),
                             tmp_path / "run")
-    audits = [json.loads(line) for line in
-              (tmp_path / "run" / AUDIT_FILE).read_text().splitlines()]
+    audits = read_audit(tmp_path / "run")
     known = [a for a in audits if a["enrolled"]]
     hits = sum(a["routed_task"] == a["true_task"] for a in known)
     assert 0 < hits < len(known)
@@ -122,12 +120,93 @@ def test_audit_lines_equal_json_dumps_of_each_record():
         }, sort_keys=True) + "\n" for w, (t, dist, m) in enumerate(
             zip(d.nearest, d.distance, d.matched)))
         assert audit_lines(11, enrolled, d) == want
+        mask = np.array([False, True, False, True])
+        want = "".join(line for line, keep in zip(want.splitlines(True), mask) if keep)
+        assert audit_lines(11, enrolled, d, mask) == want
+
+
+def test_audit_changes_writes_the_windows_whose_record_changed():
+    audited: dict = {}
+    d = WindowDecisions(
+        task_id=1, window=2, nearest=np.array([0, 0, 0, 0, 0]),
+        distance=np.array([0.5, 0.5, 0.5, 0.5, 0.0]),
+        matched=np.array([True, True, False, False, True]),
+    )
+    assert audit_changes(audited, 0, True, d) == audit_lines(0, True, d)
+    # window 1 is routed elsewhere at an equal distance; window 2 stays
+    # unmatched, so its record is unchanged though its nearest task moved;
+    # window 3 becomes matched; window 4's distance differs only in its sign
+    e = WindowDecisions(
+        task_id=1, window=2, nearest=np.array([0, 3, 3, 0, 0]),
+        distance=np.array([0.5, 0.5, 0.5, 0.5, -0.0]),
+        matched=np.array([True, True, False, True, True]),
+    )
+    want = audit_lines(4, True, e, np.array([False, True, False, True, True]))
+    assert audit_changes(audited, 4, True, e) == want
+    assert len(want.splitlines()) == 3
+
+
+def test_read_audit_rejects_a_malformed_line(tmp_path):
+    run_experiment(config_from_dict(base_raw()), tmp_path / "run")
+    with open(tmp_path / "run" / AUDIT_FILE, "a") as fh:
+        fh.write('{"after_task": 1}\n')
+    with pytest.raises(DataError, match="cannot read the audit"):
+        read_audit(tmp_path / "run")
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_no_audit_line_repeats_its_window(tmp_path, window):
+    raw = pinned_raw("id_free", True, window)
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    first_row = raw["stream"][0]["task_id"]
+    last: dict[tuple[int, int], dict] = {}
+    for line in (tmp_path / "run" / AUDIT_FILE).read_text().splitlines():
+        rec = json.loads(line)
+        after = rec.pop("after_task")
+        key = rec["true_task"], rec["window_start"]
+        # a window's first line is in the first row, and each later one changes
+        assert key in last or after == first_row
+        assert last.get(key) != rec
+        last[key] = rec
+    assert len(last) == 3 * -(-15 // window)
+
+
+def test_audit_changes_skips_equal_decisions_of_a_replaced_bank_entry(tmp_path):
+    cfg = config_from_dict(pinned_raw("id_free", True, 3))
+    result = run_experiment(cfg, tmp_path / "run")
+    tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
+    learned = {t.task_id for t in tasks}
+    state = EvalState()
+    audited: dict = {}
+    _, first = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
+                            state=state)
+    assert "".join(audit_changes(audited, 2, True, d) for d in first) == "".join(
+        audit_lines(2, True, d) for d in first)
+    # the same decision objects: nothing to compare, nothing written
+    _, same = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
+                           state=state)
+    assert all(a.distance is b.distance for a, b in zip(first, same))
+    assert [audit_changes(audited, 0, True, d) for d in same] == [""] * 3
+    # an equal signature under the same id: every window is matched again into
+    # new arrays with equal values, and still nothing is written
+    result.bank.entries[0] = result.bank.entries[0].copy()
+    _, replaced = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
+                               state=state)
+    for a, b in zip(same, replaced):
+        assert a.distance is not b.distance and a.matched is not b.matched
+        assert a.distance.tolist() == b.distance.tolist()
+    assert [audit_changes(audited, 1, True, d) for d in replaced] == [""] * 3
+    # a flipped `enrolled` flag writes every window again
+    assert audit_changes(audited, 1, False, replaced[0]) == audit_lines(
+        1, False, replaced[0])
 
 
 def test_id_given_protocol_has_no_audits(tmp_path):
     cfg = config_from_dict(base_raw(protocol="id_given", cil=False))
     result = run_experiment(cfg, tmp_path / "run")
     assert not (tmp_path / "run" / AUDIT_FILE).exists()
+    with pytest.raises(DataError, match="cannot read the audit"):
+        read_audit(tmp_path / "run")
     assert result.summary["bank_queries"] == 0
     assert result.summary["bank_id_accuracy"] is None
     assert result.metrics["cil_last"] is None
@@ -211,7 +290,9 @@ def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
 
 
 # sha256 of every run-directory file, recorded before stream evaluation became
-# incremental; the evaluation rewrite must not move a byte.
+# incremental; the evaluation rewrite must not move a byte.  The audit file is
+# change-only since; its dense records, re-serialised a line each, keep the
+# digest of the full per-row file (DENSE_AUDIT_DIGEST).
 SHARED_DIGESTS = {
     CHECKPOINT_FILE: "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
     COUNTS_FILE: "3dfd1d0078c0d3b6dd0d131b5a23da7fb6a3c676a8630e3df526fe664ef03809",
@@ -224,7 +305,7 @@ PINNED_DIGESTS = {
         **SHARED_DIGESTS,
         MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
         CONFIG_FILE: "1cfb31def31fb50bb09e12a1da3b8321cbe9d57f0c3a6bbf76373675ca87f0de",
-        AUDIT_FILE: "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a",
+        AUDIT_FILE: "254c5e596783e7c940f4d13aeda3c4466f47cf274d32ed37b7894c6ff7e3170f",
         METRICS_FILE: "ffdb1433d423ab2d54854a3a93ec8737e1263dba28126b5c4452d985dd50c690",
         SUMMARY_FILE: "6a0e9401880bc03b3c50b2319fb74e7543e91c4392225adcf3036eead24b745b",
     },
@@ -237,6 +318,8 @@ PINNED_DIGESTS = {
     },
 }
 
+DENSE_AUDIT_DIGEST = "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a"
+
 
 @pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
 def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
@@ -244,3 +327,7 @@ def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
     assert got == PINNED_DIGESTS[protocol]
+    if protocol == "id_free":
+        dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                        for rec in read_audit(tmp_path / "run"))
+        assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST
