@@ -112,10 +112,6 @@ def audit_changes(audited: dict[int, tuple[bool, WindowDecisions]], after_task: 
     if last is None or last[0] != enrolled:
         return audit_lines(after_task, enrolled, d)
     prev = last[1]
-    # `_TaskWindows` replaces its decision arrays and never writes into
-    # them, so the same objects hold the same decisions
-    if d.distance is prev.distance and d.matched is prev.matched and d.nearest is prev.nearest:
-        return ""
     changed = ((d.distance.view(np.uint64) != prev.distance.view(np.uint64))
                | (d.matched != prev.matched)
                | (d.matched & (d.nearest != prev.nearest)))
@@ -127,23 +123,33 @@ def read_audit(run_dir: str | Path) -> list[dict]:
     stream order, then window order.  `ifer_audit.jsonl` holds a window's
     line only at its first row and where its record changes; this rebuilds
     the rows in between from the run directory alone (the row order is
-    `effective_config.json`'s stream).  A missing or malformed file raises
-    `DataError`."""
+    `effective_config.json`'s stream).  A row without lines cannot be told
+    from a row never evaluated, so the run must have finished: its
+    `summary.json` (written after the last row) must exist and count the
+    rebuilt records as `bank_queries`.  A missing, malformed or unfinished
+    audit raises `DataError`."""
     run_dir = Path(run_dir)
     try:
         rows = [task["task_id"] for task in
                 json.loads((run_dir / CONFIG_FILE).read_text())["stream"]]
-        written: dict[int, list[dict]] = {}
+        written: dict[int, list[dict]] = {after: [] for after in rows}
         with open(run_dir / AUDIT_FILE) as fh:
             for line in fh:
                 rec = json.loads(line)
-                written.setdefault(rec["after_task"], []).append(rec)
+                if rec["after_task"] not in written:
+                    raise ValueError(f"after_task {rec['after_task']!r} is not in the stream")
+                written[rec["after_task"]].append(rec)
         current: dict[tuple[int, int], dict] = {}
         records = []
         for after in rows:
-            for rec in written.get(after, ()):
+            for rec in written[after]:
                 current[rec["true_task"], rec["window_start"]] = rec
             records.extend({**rec, "after_task": after} for rec in current.values())
+        if not (run_dir / SUMMARY_FILE).is_file():
+            raise ValueError(f"no {SUMMARY_FILE}: the run did not finish")
+        queries = json.loads((run_dir / SUMMARY_FILE).read_text())["bank_queries"]
+        if queries != len(records):
+            raise ValueError(f"{len(records)} records rebuilt, {queries} bank queries made")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{run_dir}: cannot read the audit: {exc!r}") from None
     return records
@@ -283,6 +289,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / CONFIG_FILE, config_to_dict(cfg))
+    # a summary marks a finished run to `read_audit`; one left by an earlier
+    # run must not vouch for this run's audit
+    (out / SUMMARY_FILE).unlink(missing_ok=True)
 
     tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
     if cfg.export_stream:

@@ -154,6 +154,49 @@ def test_read_audit_rejects_a_malformed_line(tmp_path):
         read_audit(tmp_path / "run")
 
 
+def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
+    audit = (run_dir / AUDIT_FILE).read_text()
+    summary = (run_dir / SUMMARY_FILE).read_text()
+    assert len(read_audit(run_dir)) == json.loads(summary)["bank_queries"]
+
+    def rejected(audit_text: str, summary_text: str | None, match: str) -> None:
+        (run_dir / AUDIT_FILE).write_text(audit_text)
+        (run_dir / SUMMARY_FILE).unlink(missing_ok=True)
+        if summary_text is not None:
+            (run_dir / SUMMARY_FILE).write_text(summary_text)
+        with pytest.raises(DataError, match=match):
+            read_audit(run_dir)
+
+    # no summary: the loop never finished
+    rejected(audit, None, "summary.json")
+    # lines cut from the first row leave fewer records than bank queries
+    rejected("".join(audit.splitlines(True)[1:]), summary, "bank queries")
+    # a row that is not in the stream
+    line = json.loads(audit.splitlines()[0])
+    rejected(audit + json.dumps({**line, "after_task": 99}, sort_keys=True) + "\n",
+             summary, "not in the stream")
+
+    # a run that raises after its first row, into the directory of a finished
+    # run, leaves a partial audit and no summary to vouch for it
+    (run_dir / AUDIT_FILE).write_text(audit)
+    calls = []
+
+    def fail_second_row(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("stop")
+        return evaluate_row(*args, **kwargs)
+
+    monkeypatch.setattr("submoe.experiment.evaluate_row", fail_second_row)
+    with pytest.raises(RuntimeError, match="stop"):
+        run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
+    assert (run_dir / AUDIT_FILE).read_text()
+    with pytest.raises(DataError, match="summary.json"):
+        read_audit(run_dir)
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_no_audit_line_repeats_its_window(tmp_path, window):
     raw = pinned_raw("id_free", True, window)
@@ -182,10 +225,9 @@ def test_audit_changes_skips_equal_decisions_of_a_replaced_bank_entry(tmp_path):
                             state=state)
     assert "".join(audit_changes(audited, 2, True, d) for d in first) == "".join(
         audit_lines(2, True, d) for d in first)
-    # the same decision objects: nothing to compare, nothing written
+    # the same decisions: nothing written
     _, same = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
                            state=state)
-    assert all(a.distance is b.distance for a, b in zip(first, same))
     assert [audit_changes(audited, 0, True, d) for d in same] == [""] * 3
     # an equal signature under the same id: every window is matched again into
     # new arrays with equal values, and still nothing is written
