@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import config_from_dict, config_to_dict, load_config
-from .errors import ConfigError, SubmoeError
+from .errors import ConfigError, DataError, SubmoeError
 from .experiment import (
     MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, resolve_output_dir, run_experiment,
 )
@@ -42,10 +42,20 @@ def _read_run(directory: Path) -> tuple[dict, dict]:
     if not metrics_path.is_file():
         raise ConfigError(f"{directory} does not look like a run directory "
                           f"(missing {METRICS_FILE})")
-    metrics = json.loads(metrics_path.read_text())
+    metrics = _read_object(metrics_path)
     summary_path = directory / SUMMARY_FILE
-    summary = json.loads(summary_path.read_text()) if summary_path.is_file() else {}
+    summary = _read_object(summary_path) if summary_path.is_file() else {}
     return metrics, summary
+
+
+def _read_object(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _fmt(val) -> str:

@@ -1,16 +1,22 @@
 """Experiment configuration: one JSON file, nested sections, every
-hyperparameter named.  Parse errors carry the offending field path."""
+hyperparameter named.  The dataclasses are the schema: the parser walks
+their fields, and parse errors carry the offending field path."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .lifecycle import PhaseSchedule
 from .optim import OptimConfig
-from .streams import Alignment, TaskSpec
+from .streams import TaskSpec
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,9 @@ class ModelSection:
             raise ConfigError(f"model.depth: must be >= 1, got {self.depth}")
         if self.prototype_scale <= 0.0:
             raise ConfigError(f"model.prototype_scale: must be positive, got {self.prototype_scale}")
+        for i in self.adapter_layers:
+            if not (0 <= i < self.depth):
+                raise ConfigError(f"model.adapter_layers: index {i} outside [0, {self.depth})")
 
 
 @dataclass(frozen=True)
@@ -79,268 +88,105 @@ class ExperimentConfig:
     export_stream: bool = False
 
 
-def _expect(mapping, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return mapping
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> expected type, in field order.  `X | None` reads as X,
+    because null always selects the default."""
+    return {name: typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+            for name, hint in typing.get_type_hints(cls).items()}
 
 
-def _pick(mapping: dict, key: str, path: str, types, default=...):
-    if key not in mapping:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    val = mapping[key]
-    if val is None and default is not ...:
-        # explicit null selects the default, so effective configs reparse
-        return default
-    if types is float and isinstance(val, int) and not isinstance(val, bool):
+def _parse(cls, raw, path: str, defaults):
+    """Build dataclass `cls` from the JSON object `raw`, one field at a time;
+    a missing key or an explicit null takes the field's value in `defaults`
+    (so effective configs reparse)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    schema = _schema(cls)
+    extra = raw.keys() - schema.keys()
+    if extra:
+        raise ConfigError(f"{path or 'config'}.{sorted(extra)[0]}: unknown field")
+    kwargs = {}
+    for name, hint in schema.items():
+        val, default = raw.get(name), getattr(defaults, name)
+        kwargs[name] = default if val is None else _value(
+            hint, val, f"{path}.{name}" if path else name, default)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # a stream entry's checks name the field without its index: add the path
+        if str(exc).startswith(path):
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _value(hint, val, path: str, default):
+    origin = typing.get_origin(hint)
+    if origin is list:  # the stream: a task's defaults depend on its position
+        if not isinstance(val, list):
+            raise ConfigError(f"{path}: expected a list of task specs")
+        return [_parse(TaskSpec, item, f"{path}[{i}]", TaskSpec(
+            task_id=i, classes=8, samples_per_class=64, seed=i)) for i, item in enumerate(val)]
+    if origin is tuple:  # a JSON list; config_to_dict leaves it a tuple
+        if not isinstance(val, (list, tuple)) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in val):
+            raise ConfigError(f"{path}: expected a list of ints")
+        return tuple(val)
+    if dataclasses.is_dataclass(hint):
+        return _parse(hint, val, path, default)
+    return _check(hint, val, path)
+
+
+def _check(kind: type, val, path: str):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}: expected {getattr(types, '__name__', types)}, "
-                          f"got {type(val).__name__}")
+    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val}")
     return val
 
 
-def _unknown_keys(mapping: dict, allowed: set[str], path: str):
-    extra = set(mapping) - allowed
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown field")
-
-
-def _parse_alignment(raw, path: str) -> Alignment:
-    raw = _expect(raw, path)
-    _unknown_keys(raw, {"mode", "source", "perturbation", "fraction"}, path)
-    try:
-        return Alignment(
-            mode=_pick(raw, "mode", path, str, "orthogonal"),
-            source=_pick(raw, "source", path, int, None),
-            perturbation=_pick(raw, "perturbation", path, float, 0.0),
-            fraction=_pick(raw, "fraction", path, float, 0.5),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_task(raw, idx: int) -> TaskSpec:
-    path = f"stream[{idx}]"
-    raw = _expect(raw, path)
-    _unknown_keys(raw, {
-        "task_id", "classes", "samples_per_class", "eval_per_class",
-        "seed", "noise", "alignment", "data_path",
-    }, path)
-    align = _parse_alignment(raw.get("alignment", {}), f"{path}.alignment")
-    try:
-        return TaskSpec(
-            task_id=_pick(raw, "task_id", path, int, idx),
-            classes=_pick(raw, "classes", path, int, 8),
-            samples_per_class=_pick(raw, "samples_per_class", path, int, 64),
-            eval_per_class=_pick(raw, "eval_per_class", path, int, 16),
-            seed=_pick(raw, "seed", path, int, idx),
-            noise=_pick(raw, "noise", path, float, 0.1),
-            alignment=align,
-            data_path=_pick(raw, "data_path", path, str, None),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = _expect(raw, "config")
-    _unknown_keys(raw, {
-        "seed", "output_dir", "model", "schedule", "optimizer",
-        "contrastive", "task_bank", "evaluation", "stream", "export_stream",
-    }, "config")
-
-    model_raw = _expect(raw.get("model", {}), "model")
-    _unknown_keys(model_raw, {"feature_dim", "depth", "adapter_layers", "rank",
-                              "prototype_scale"}, "model")
-    adapter_layers = _pick(model_raw, "adapter_layers", "model", list, [2, 3])
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in adapter_layers):
-        raise ConfigError("model.adapter_layers: expected a list of ints")
-    model = ModelSection(
-        feature_dim=_pick(model_raw, "feature_dim", "model", int, 32),
-        depth=_pick(model_raw, "depth", "model", int, 4),
-        adapter_layers=tuple(adapter_layers),
-        rank=_pick(model_raw, "rank", "model", int, 2),
-        prototype_scale=_pick(model_raw, "prototype_scale", "model", float, 1.0),
-    )
-
-    sched_raw = _expect(raw.get("schedule", {}), "schedule")
-    _unknown_keys(sched_raw, {
-        "identify_steps", "finetune_steps", "identify_epochs", "finetune_epochs",
-        "prune_threshold", "num_candidates", "top_k", "batch_size",
-        "eval_batch_size", "snapshot_interval", "kl_plateau_stop",
-    }, "schedule")
-    identify_steps = _pick(sched_raw, "identify_steps", "schedule", int, None)
-    finetune_steps = _pick(sched_raw, "finetune_steps", "schedule", int, None)
-    identify_epochs = _pick(sched_raw, "identify_epochs", "schedule", int, None)
-    finetune_epochs = _pick(sched_raw, "finetune_epochs", "schedule", int, None)
-    if identify_steps is not None and identify_epochs is not None:
-        raise ConfigError("schedule.identify_epochs: give steps or epochs, not both")
-    if finetune_steps is not None and finetune_epochs is not None:
-        raise ConfigError("schedule.finetune_epochs: give steps or epochs, not both")
-    if identify_steps is None and identify_epochs is None:
-        identify_steps = 100
-    if finetune_steps is None and finetune_epochs is None:
-        finetune_steps = 100
-
-    stream_raw = raw.get("stream", [])
-    if not isinstance(stream_raw, list):
-        raise ConfigError("stream: expected a list of task specs")
-    stream = [_parse_task(item, i) for i, item in enumerate(stream_raw)]
-
-    batch_size = _pick(sched_raw, "batch_size", "schedule", int, 64)
-
-    def epochs_to_steps(epochs: int, which: str) -> int:
-        if epochs < 1:
-            raise ConfigError(f"schedule.{which}: must be >= 1, got {epochs}")
-        if not stream:
-            raise ConfigError(f"schedule.{which}: epoch units need a stream")
-        rows = min(s.classes * s.samples_per_class for s in stream)
-        return epochs * max(1, rows // min(batch_size, rows))
-
-    if identify_steps is None:
-        identify_steps = epochs_to_steps(identify_epochs, "identify_epochs")
-    if finetune_steps is None:
-        finetune_steps = epochs_to_steps(finetune_epochs, "finetune_epochs")
-
-    schedule = PhaseSchedule(
-        identify_steps=identify_steps,
-        finetune_steps=finetune_steps,
-        prune_threshold=_pick(sched_raw, "prune_threshold", "schedule", float, 0.1),
-        num_candidates=_pick(sched_raw, "num_candidates", "schedule", int, 1),
-        top_k=_pick(sched_raw, "top_k", "schedule", int, 2),
-        batch_size=batch_size,
-        eval_batch_size=_pick(sched_raw, "eval_batch_size", "schedule", int, 256),
-        snapshot_interval=_pick(sched_raw, "snapshot_interval", "schedule", int, 10),
-        kl_plateau_stop=_pick(sched_raw, "kl_plateau_stop", "schedule", float, None),
-    )
-
-    opt_raw = _expect(raw.get("optimizer", {}), "optimizer")
-    _unknown_keys(opt_raw, {"method", "learning_rate", "penalty", "weight_decay",
-                            "beta1", "beta2", "eps"}, "optimizer")
-    optimizer = OptimConfig(
-        learning_rate=_pick(opt_raw, "learning_rate", "optimizer", float, 0.01),
-        penalty=_pick(opt_raw, "penalty", "optimizer", float, 0.01),
-        method=_pick(opt_raw, "method", "optimizer", str, "sgd"),
-        weight_decay=_pick(opt_raw, "weight_decay", "optimizer", float, 0.0),
-        beta1=_pick(opt_raw, "beta1", "optimizer", float, 0.9),
-        beta2=_pick(opt_raw, "beta2", "optimizer", float, 0.999),
-        eps=_pick(opt_raw, "eps", "optimizer", float, 1e-8),
-    )
-
-    con_raw = _expect(raw.get("contrastive", {}), "contrastive")
-    _unknown_keys(con_raw, {"temperature"}, "contrastive")
-    contrastive = ContrastiveSection(
-        temperature=_pick(con_raw, "temperature", "contrastive", float, 0.07))
-
-    bank_raw = _expect(raw.get("task_bank", {}), "task_bank")
-    _unknown_keys(bank_raw, {"match_threshold", "metric", "enroll_batch",
-                             "query_window"}, "task_bank")
-    bank = BankSection(
-        match_threshold=_pick(bank_raw, "match_threshold", "task_bank", float, 10.0),
-        metric=_pick(bank_raw, "metric", "task_bank", str, "manhattan"),
-        enroll_batch=_pick(bank_raw, "enroll_batch", "task_bank", int, 64),
-        query_window=_pick(bank_raw, "query_window", "task_bank", int, 1),
-    )
-
-    eval_raw = _expect(raw.get("evaluation", {}), "evaluation")
-    _unknown_keys(eval_raw, {"protocol", "cil"}, "evaluation")
-    evaluation = EvalSection(
-        protocol=_pick(eval_raw, "protocol", "evaluation", str, "id_given"),
-        cil=_pick(eval_raw, "cil", "evaluation", bool, False),
-    )
-
-    for i in model.adapter_layers:
-        if not (0 <= i < model.depth):
-            raise ConfigError(f"model.adapter_layers: index {i} outside [0, {model.depth})")
-
-    return ExperimentConfig(
-        seed=_pick(raw, "seed", "config", int, 0),
-        output_dir=_pick(raw, "output_dir", "config", str, "runs/run"),
-        model=model,
-        schedule=schedule,
-        optimizer=optimizer,
-        contrastive=contrastive,
-        task_bank=bank,
-        evaluation=evaluation,
-        stream=stream,
-        export_stream=_pick(raw, "export_stream", "config", bool, False),
-    )
+    """Parse a raw JSON config.  `schedule.identify_epochs`/`finetune_epochs`
+    are the only keys outside the dataclasses: each becomes its `*_steps`,
+    a whole number of batches of the smallest task per epoch."""
+    epochs = {}
+    if isinstance(raw, dict) and isinstance(raw.get("schedule"), dict):
+        sched = dict(raw["schedule"])
+        for which in ("identify", "finetune"):
+            given = sched.pop(f"{which}_epochs", None)
+            if given is None:
+                continue
+            if sched.get(f"{which}_steps") is not None:
+                raise ConfigError(f"schedule.{which}_epochs: give steps or epochs, not both")
+            epochs[which] = _check(int, given, f"schedule.{which}_epochs")
+        raw = {**raw, "schedule": sched}
+    cfg = _parse(ExperimentConfig, raw, "", ExperimentConfig())
+    steps = {}
+    for which, count in epochs.items():
+        if count < 1:
+            raise ConfigError(f"schedule.{which}_epochs: must be >= 1, got {count}")
+        if not cfg.stream:
+            raise ConfigError(f"schedule.{which}_epochs: epoch units need a stream")
+        rows = min(s.classes * s.samples_per_class for s in cfg.stream)
+        steps[f"{which}_steps"] = count * max(1, rows // min(cfg.schedule.batch_size, rows))
+    if steps:
+        cfg.schedule = dataclasses.replace(cfg.schedule, **steps)
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully resolved (effective) configuration, reparseable by config_from_dict."""
-    return {
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "export_stream": cfg.export_stream,
-        "model": {
-            "feature_dim": cfg.model.feature_dim,
-            "depth": cfg.model.depth,
-            "adapter_layers": list(cfg.model.adapter_layers),
-            "rank": cfg.model.rank,
-            "prototype_scale": cfg.model.prototype_scale,
-        },
-        "schedule": {
-            "identify_steps": cfg.schedule.identify_steps,
-            "finetune_steps": cfg.schedule.finetune_steps,
-            "prune_threshold": cfg.schedule.prune_threshold,
-            "num_candidates": cfg.schedule.num_candidates,
-            "top_k": cfg.schedule.top_k,
-            "batch_size": cfg.schedule.batch_size,
-            "eval_batch_size": cfg.schedule.eval_batch_size,
-            "snapshot_interval": cfg.schedule.snapshot_interval,
-            "kl_plateau_stop": cfg.schedule.kl_plateau_stop,
-        },
-        "optimizer": {
-            "method": cfg.optimizer.method,
-            "learning_rate": cfg.optimizer.learning_rate,
-            "penalty": cfg.optimizer.penalty,
-            "weight_decay": cfg.optimizer.weight_decay,
-            "beta1": cfg.optimizer.beta1,
-            "beta2": cfg.optimizer.beta2,
-            "eps": cfg.optimizer.eps,
-        },
-        "contrastive": {"temperature": cfg.contrastive.temperature},
-        "task_bank": {
-            "match_threshold": cfg.task_bank.match_threshold,
-            "metric": cfg.task_bank.metric,
-            "enroll_batch": cfg.task_bank.enroll_batch,
-            "query_window": cfg.task_bank.query_window,
-        },
-        "evaluation": {
-            "protocol": cfg.evaluation.protocol,
-            "cil": cfg.evaluation.cil,
-        },
-        "stream": [
-            {
-                "task_id": s.task_id,
-                "classes": s.classes,
-                "samples_per_class": s.samples_per_class,
-                "eval_per_class": s.eval_per_class,
-                "seed": s.seed,
-                "noise": s.noise,
-                "alignment": {
-                    "mode": s.alignment.mode,
-                    "source": s.alignment.source,
-                    "perturbation": s.alignment.perturbation,
-                    "fraction": s.alignment.fraction,
-                },
-                "data_path": s.data_path,
-            }
-            for s in cfg.stream
-        ],
-    }
+    return dataclasses.asdict(cfg)

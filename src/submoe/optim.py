@@ -52,6 +52,8 @@ class OptimConfig:
             raise ConfigError(f"optimizer.weight_decay: must be >= 0, got {self.weight_decay}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("optimizer.beta1/beta2: must lie in [0, 1)")
+        if not self.eps > 0.0:
+            raise ConfigError(f"optimizer.eps: must be positive, got {self.eps}")
 
 
 def step_scale(pi: float, n: int, cfg: OptimConfig) -> float:

@@ -201,3 +201,23 @@ def test_run_demo_script_narrates_its_run_directory(tmp_path, extra):
 def test_export_stream_script_round_trips(tmp_path):
     proc = run_script("export_stream.py", tmp_path, "--out", str(tmp_path / "stream"))
     assert proc.stdout.count("round trip ok") == 6
+
+
+def test_run_config_that_is_not_utf8_exits_1(rooted, capsys):
+    bad = rooted / "latin1.json"
+    bad.write_bytes(b'{"output_dir": "caf\xe9"}')
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("metrics, summary", [
+    ("{", None), ("[1]", None), ("{}", "{"), ("{}", "[1]"),
+], ids=["metrics malformed", "metrics a list", "summary malformed", "summary a list"])
+def test_report_on_a_malformed_run_file_exits_2(rooted, capsys, metrics, summary):
+    run_dir = rooted / "run"
+    run_dir.mkdir()
+    (run_dir / METRICS_FILE).write_text(metrics)
+    if summary is not None:
+        (run_dir / SUMMARY_FILE).write_text(summary)
+    assert main(["report", str(run_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

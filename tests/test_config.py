@@ -3,7 +3,10 @@ round trips."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +147,79 @@ def test_explicit_null_selects_default():
                             "task_bank": {"metric": None}})
     assert cfg.schedule.kl_plateau_stop is None
     assert cfg.task_bank.metric == "manhattan"
+
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIG_FILES = sorted([*REPO.glob("configs/*.json"), *REPO.glob("perfbench/configs/*.json")])
+
+# sha256 of json.dumps(config_to_dict(load_config(path)), indent=2,
+# sort_keys=True): the effective config each shipped file resolves to.
+EFFECTIVE_CONFIG_SHA256 = {
+    "configs/demo.json":
+        "86e5897b501550088f7eedc903341613d464faace7452bd92e56151399ba3822",
+    "perfbench/configs/demo_free_cil.json":
+        "d94a8e3435acfac2fbce992f15e411c92556c23525ef57d4a7be1e2d007b4991",
+    "perfbench/configs/ortho20_free.json":
+        "47bc3dbd032f9d119584e4ed71de2d60f8cd3d8a6271faf8e47d502bc22cc250",
+    "perfbench/configs/ortho20_given.json":
+        "b8f9a78645bb3b3927aed4e9f4cfb36f7d18375463e255c92e9ff313accee0bb",
+}
+
+
+def _effective_sha256(cfg: ExperimentConfig) -> str:
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EFFECTIVE_CONFIG_SHA256))
+def test_effective_config_of_each_shipped_file_is_pinned(name):
+    assert _effective_sha256(load_config(REPO / name)) == EFFECTIVE_CONFIG_SHA256[name]
+
+
+def test_effective_config_of_the_empty_config_is_pinned():
+    assert _effective_sha256(config_from_dict({})) == (
+        "00b1abd755f0cf45521cc30bb9d643d255a63f0e520f8d7587b31d3b76620d47")
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: str(p.relative_to(REPO)))
+def test_every_shipped_config_round_trips(path):
+    cfg = load_config(path)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def _with_value(dotted: str, value) -> dict:
+    raw = minimal()
+    node = raw
+    *parents, leaf = dotted.replace("[0]", ".0").split(".")
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+    node[leaf] = value
+    return raw
+
+
+FLOAT_FIELDS = (
+    "model.prototype_scale", "contrastive.temperature", "task_bank.match_threshold",
+    "schedule.kl_plateau_stop", "optimizer.eps", "stream[0].noise",
+    "stream[0].alignment.perturbation",
+)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("dotted", FLOAT_FIELDS)
+def test_non_finite_floats_are_rejected_with_their_field_path(dotted, value):
+    # float("NaN") and float("Infinity") are what json.loads makes of them
+    with pytest.raises(ConfigError, match=re.escape(dotted) + ": must be finite"):
+        config_from_dict(_with_value(dotted, float(value)))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_optimizer_eps_must_be_positive(eps):
+    with pytest.raises(ConfigError, match=r"optimizer\.eps"):
+        config_from_dict({"optimizer": {"eps": eps}})
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"output_dir": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(bad)
