@@ -24,6 +24,7 @@ from .experiment import (
 )
 
 METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
+SUMMARY_KEYS = ("final_expert_total", "bank_id_accuracy")
 
 
 def _cmd_run(args) -> int:
@@ -31,8 +32,7 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg)
     print(f"run complete: {result.out_dir}")
     for key in METRIC_KEYS:
-        val = result.metrics.get(key)
-        print(f"  {key:>9}: {'-' if val is None else f'{val:.4f}'}")
+        print(f"  {key:>9}: {_fmt(result.metrics.get(key))}")
     print(f"  experts  : {result.summary['final_expert_total']}")
     return 0
 
@@ -42,19 +42,25 @@ def _read_run(directory: Path) -> tuple[dict, dict]:
     if not metrics_path.is_file():
         raise ConfigError(f"{directory} does not look like a run directory "
                           f"(missing {METRICS_FILE})")
-    metrics = _read_object(metrics_path)
+    metrics = _read_object(metrics_path, METRIC_KEYS)
     summary_path = directory / SUMMARY_FILE
-    summary = _read_object(summary_path) if summary_path.is_file() else {}
+    summary = _read_object(summary_path, SUMMARY_KEYS) if summary_path.is_file() else {}
     return metrics, summary
 
 
-def _read_object(path: Path) -> dict:
+def _read_object(path: Path, numbers: tuple[str, ...]) -> dict:
+    """The JSON object in `path`, whose `numbers` keys, where present, hold a
+    number or null (a bool is not a number)."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
+    for key in numbers:
+        val = payload.get(key)
+        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise DataError(f"{path}: {key} must be a number or null, got {val!r}")
     return payload
 
 

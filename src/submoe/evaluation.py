@@ -19,7 +19,9 @@ only when its route does:
 Every product of task-free evaluation goes through `rowwise_matmul` with the
 query window as its block, so each window's result is one BLAS call on its
 own rows, whatever else is computed with it: the incremental results equal
-full re-evaluation (`bank_routed_predictions`) bit for bit.
+those of a fresh `EvalState` on the same bank, and of evaluating one window
+at a time, bit for bit (one GEMM per route would round differently and can
+flip argmax ties between duplicate label rows of a pooled table).
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ def cil_scores(trace) -> tuple[float, float]:
     return float(a[-1]), float(a.mean())
 
 
-@dataclass
-class AuditRecord:
-    true_task: int
-    window_start: int
-    matched: bool
-    routed_task: int | None
-    distance: float
-
-
 def task_accuracy(model: AdapterModel, data: TaskData, route_task: int | None) -> float:
     """Accuracy of cosine-similarity classification on the eval split, routed
     through `route_task`'s adapters (None = bare backbone)."""
@@ -115,51 +108,6 @@ def _embed_routes(model: AdapterModel, x: np.ndarray, bare: np.ndarray,
         rows = (todo & matched & (tasks == route))[row_window]
         out[rows] = model.embed(x[rows], route, matmul)
     return todo[row_window]
-
-
-def bank_routed_predictions(model: AdapterModel, bank: TaskBank, data: TaskData,
-                            window: int = 1,
-                            text_emb: np.ndarray | None = None):
-    """Task-free inference: identify each query window via the bank, then
-    classify through the matched task's adapters (fallback when unmatched).
-
-    `text_emb` defaults to the task's own label table; with a pooled table,
-    predictions are rows of that table, and the class-incremental protocol
-    (`pooled_accuracy`) adds the task's offset into it to the truth labels.
-    Returns (predictions, audit records).
-
-    Full evaluation, the reference for `EvalState`: one bare-backbone embed
-    of every row, one bank match of every window, then one embed per routed
-    group (the fallback reuses the bare rows).  Every product goes through
-    `rowwise_matmul` with the window as its block, so results equal those of
-    embedding, matching and classifying one window at a time bit for bit; a
-    single GEMM per group would round differently and can flip argmax ties
-    between duplicate label rows of a pooled table.
-    """
-    if window < 1:
-        raise DimensionError(f"query window must be >= 1, got {window}")
-    table = data.text_emb if text_emb is None else text_emb
-    matmul = partial(rowwise_matmul, block=window)
-    bare = model.embed(data.eval_x, None, matmul)
-    tasks, distances, matched = bank.match(window_queries(bare, data.text_emb, window))
-    emb = np.empty_like(bare)
-    _embed_routes(model, data.eval_x, bare, tasks, matched, np.ones_like(matched),
-                  window, emb)
-    preds = cosine_logits(emb, table, matmul).argmax(axis=1)
-    audits = [
-        AuditRecord(
-            true_task=data.task_id, window_start=w * window, matched=bool(hit),
-            routed_task=int(task) if hit else None, distance=float(dist),
-        )
-        for w, (task, dist, hit) in enumerate(zip(tasks, distances, matched))
-    ]
-    return preds, audits
-
-
-def bank_routed_accuracy(model: AdapterModel, bank: TaskBank, data: TaskData,
-                         window: int = 1):
-    preds, audits = bank_routed_predictions(model, bank, data, window)
-    return float((preds == data.eval_y).mean()), audits
 
 
 class WindowDecisions(NamedTuple):

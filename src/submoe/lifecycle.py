@@ -232,10 +232,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
             snap(s)
             if schedule.kl_plateau_stop is not None and len(snapshots) >= 2:
                 prev, cur = snapshots[-2], snapshots[-1]
-                drift = float(np.mean([
-                    kl_divergence(cur.layer_weights[i], prev.layer_weights[i])
-                    for i in range(len(cur.layer_weights))
-                ]))
+                drift = _mean_layer_kl(cur, prev)
                 plateau_hits = plateau_hits + 1 if drift < schedule.kl_plateau_stop else 0
                 if plateau_hits >= 2 and s < schedule.identify_steps:
                     break
@@ -245,19 +242,18 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     return RoutingTrace(task=task, snapshots=snapshots)
 
 
+def _mean_layer_kl(p: RoutingSnapshot, q: RoutingSnapshot) -> float:
+    """KL(p || q) of the mean routing weights, averaged over adapter layers."""
+    return float(np.mean([kl_divergence(pw, qw)
+                          for pw, qw in zip(p.layer_weights, q.layer_weights)]))
+
+
 def kl_to_final(trace: RoutingTrace) -> list[tuple[int, float]]:
     """Per snapshot, KL(final || snapshot) averaged over adapter layers."""
     if len(trace.snapshots) < 2:
         raise StateError("need at least two snapshots for a convergence curve")
     final = trace.snapshots[-1]
-    curve = []
-    for snap in trace.snapshots:
-        vals = [
-            kl_divergence(final.layer_weights[i], snap.layer_weights[i])
-            for i in range(len(final.layer_weights))
-        ]
-        curve.append((snap.step, float(np.mean(vals))))
-    return curve
+    return [(snap.step, _mean_layer_kl(final, snap)) for snap in trace.snapshots]
 
 
 def prune_candidates(model: AdapterModel, task: int, trace: RoutingTrace,

@@ -141,18 +141,10 @@ class AdapterModel:
 
     def routing_snapshot(self, x, labels, text_emb, task: int):
         """Eval-batch loss plus per-adapter-layer mean routing distributions."""
-        h = as_matrix(x)
-        layer_weights, layer_probs = [], []
-        for i in range(self.backbone.depth):
-            t = self.backbone.layer_forward(i, h)
-            if i in self.adapters:
-                h, dist, _ = self.adapters[i].forward(task, t)
-                layer_weights.append(dist.mean_weights())
-                layer_probs.append(dist.mean_probs())
-            else:
-                h = t
-        loss, _ = contrastive_loss(h, text_emb, labels, self.temperature)
-        return loss, layer_weights, layer_probs
+        emb, tape = self._forward(x, task, keep_tape=True)
+        loss, _ = contrastive_loss(emb, text_emb, labels, self.temperature)
+        dists = [cache.dist for _, cache in tape if cache is not None]
+        return loss, [d.mean_weights() for d in dists], [d.mean_probs() for d in dists]
 
     def expert_counts(self) -> dict[int, int]:
         return {i: len(self.adapters[i].experts) for i in sorted(self.adapters)}

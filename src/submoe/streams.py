@@ -234,7 +234,7 @@ def load_task(manifest_path: str | Path) -> TaskData:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read task manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "submoe-task":
         raise DataError(f"{manifest_path} is not a task manifest")

@@ -75,11 +75,6 @@ class TaskBank:
         if self.metric not in _METRICS:
             raise ConfigError(f"task_bank.metric: unknown metric {self.metric!r}")
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        if a.shape != b.shape:
-            raise DimensionError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-        return float(self._distances(a[None], b[None])[0, 0])
-
     def _distances(self, queries: np.ndarray, signatures: np.ndarray) -> np.ndarray:
         """[queries, signatures] distances; each entry equals the 1-d
         `np.abs(q - s).sum()` or `np.linalg.norm(q - s)` bit for bit."""

@@ -13,8 +13,7 @@ import numpy as np
 from submoe.adapter import RoutingDistribution
 from submoe.config import config_from_dict
 from submoe.evaluation import (
-    average_score, bank_routed_predictions, cil_scores, last_score,
-    task_accuracy, transfer_score,
+    EvalState, average_score, cil_scores, last_score, task_accuracy, transfer_score,
 )
 from submoe.experiment import METRICS_FILE, run_experiment
 from submoe.lifecycle import PhaseSchedule, kl_to_final, learn_task
@@ -347,15 +346,15 @@ def test_criterion_10_bank_identification_and_fallback():
                     data.text_emb)
     queries = hits = 0
     for data in stream:
-        preds, audits = bank_routed_predictions(model, bank, data, window=1)
-        assert all(a.matched and a.routed_task == data.task_id for a in audits)
+        w = EvalState().task_windows(model, bank, data, window=1)
+        assert w.matched.all() and (w.nearest == data.task_id).all()
         given = np.concatenate([
             model.predict(data.eval_x[s:s + 1], data.text_emb, data.task_id)
             for s in range(data.eval_x.shape[0])
         ])
-        assert np.array_equal(preds, given)
-        queries += len(audits)
-        hits += sum(a.routed_task == data.task_id for a in audits)
+        assert np.array_equal(w.preds, given)
+        queries += len(w.matched)
+        hits += int((w.matched & (w.nearest == data.task_id)).sum())
 
     # threshold 0: nothing matches, inference must equal the bare backbone
     strict = TaskBank(threshold=0.0)
@@ -363,13 +362,13 @@ def test_criterion_10_bank_identification_and_fallback():
         strict.enroll(data.task_id, model.embed(data.train_x[:32], None),
                       data.text_emb)
     for data in stream:
-        preds, audits = bank_routed_predictions(model, strict, data, window=1)
-        assert not any(a.matched for a in audits)
+        w = EvalState().task_windows(model, strict, data, window=1)
+        assert not w.matched.any()
         fallback = np.concatenate([
             model.predict(data.eval_x[s:s + 1], data.text_emb, None)
             for s in range(data.eval_x.shape[0])
         ])
-        assert np.array_equal(preds, fallback)
+        assert np.array_equal(w.preds, fallback)
     print(f"identification {hits}/{queries}; matched path and fallback "
           "both bit-identical to their references")
     assert hits == queries

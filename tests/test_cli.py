@@ -221,3 +221,45 @@ def test_report_on_a_malformed_run_file_exits_2(rooted, capsys, metrics, summary
         (run_dir / SUMMARY_FILE).write_text(summary)
     assert main(["report", str(run_dir)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _fake_run(root, name, metrics, summary):
+    run_dir = root / name
+    run_dir.mkdir()
+    (run_dir / METRICS_FILE).write_text(json.dumps(metrics))
+    (run_dir / SUMMARY_FILE).write_text(json.dumps(summary))
+    return str(run_dir)
+
+
+GOOD_SUMMARY = {"final_expert_total": 4, "bank_id_accuracy": 0.5}
+
+
+@pytest.mark.parametrize("metrics, summary", [
+    ({"transfer": "x"}, GOOD_SUMMARY),
+    ({"last": True}, GOOD_SUMMARY),
+    ({"avg": [0.5]}, GOOD_SUMMARY),
+    ({}, {"final_expert_total": 4, "bank_id_accuracy": "y"}),
+    ({}, {"final_expert_total": "4", "bank_id_accuracy": 0.5}),
+    ({}, {"final_expert_total": False}),
+], ids=["metric a string", "metric a bool", "metric a list", "bank id a string",
+        "experts a string", "experts a bool"])
+@pytest.mark.parametrize("diff", [False, True], ids=["one run", "two runs"])
+def test_report_rejects_a_printed_value_that_is_not_a_number(rooted, capsys, metrics,
+                                                             summary, diff):
+    bad = _fake_run(rooted, "bad", metrics, summary)
+    dirs = [_fake_run(rooted, "good", {"transfer": 0.5, "last": None}, GOOD_SUMMARY),
+            bad] if diff else [bad]
+    assert main(["report", *dirs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a number or null" in err
+
+
+def test_report_prints_numbers_and_nulls(rooted, capsys):
+    metrics = {"transfer": 0.25, "avg": 1, "last": None}
+    a = _fake_run(rooted, "a", metrics, GOOD_SUMMARY)
+    b = _fake_run(rooted, "b", metrics, {"final_expert_total": 6, "bank_id_accuracy": None})
+    assert main(["report", a]) == 0
+    out = capsys.readouterr().out
+    assert "0.2500" in out and "1.0000" in out and "bank id  : 0.5000" in out
+    assert main(["report", a, b]) == 0
+    assert "+2" in capsys.readouterr().out

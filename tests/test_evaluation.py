@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 
 from submoe.errors import DimensionError, DomainError, NumericError
 from submoe.evaluation import (
-    AuditRecord, EvalState, average_score, bank_routed_accuracy,
-    bank_routed_predictions, cil_scores, evaluate_row, last_score, pooled_accuracy,
+    EvalState, average_score, cil_scores, evaluate_row, last_score, pooled_accuracy,
     task_accuracy, transfer_score,
 )
 from submoe.lifecycle import PhaseSchedule, learn_task
-from submoe.model import build_model
+from submoe.model import build_model, cosine_logits
+from submoe.numerics import rowwise_matmul
 from submoe.optim import OptimConfig
 from submoe.streams import Alignment, TaskSpec, generate_stream
 from submoe.task_bank import TaskBank, fused_embedding
@@ -108,6 +110,19 @@ def enroll(model, bank, data):
     bank.enroll(data.task_id, model.embed(data.train_x, None), data.text_emb)
 
 
+def routed(model, bank, data, window=1, table=None):
+    """A fresh `EvalState`'s task-free evaluation of `data`: predictions
+    against `table` (the task's own label table by default) and one
+    (matched, route, distance) record per query window."""
+    w = EvalState().task_windows(model, bank, data, window)
+    preds = w.preds
+    if table is not None:
+        preds = cosine_logits(w.emb, table, partial(rowwise_matmul, block=window)).argmax(axis=1)
+    records = [(m, t if m else None, d) for t, d, m in
+               zip(w.nearest.tolist(), w.distance.tolist(), w.matched.tolist())]
+    return preds, records
+
+
 def test_task_accuracy_bounds_and_fallback():
     model, _, stream, sched, cfg = small_setup()
     acc_before = task_accuracy(model, stream[0], None)
@@ -120,10 +135,11 @@ def test_bank_routing_matches_direct_routing_when_identified():
     model, bank, stream, sched, cfg = small_setup()
     learn_task(model, 0, stream[0], sched, cfg, np.random.default_rng(1))
     enroll(model, bank, stream[0])
-    acc, audits = bank_routed_accuracy(model, bank, stream[0], window=4)
-    assert all(a.matched and a.routed_task == 0 for a in audits)
+    preds, records = routed(model, bank, stream[0], window=4)
+    assert all(matched and route == 0 for matched, route, _ in records)
+    acc = float((preds == stream[0].eval_y).mean())
     assert acc == pytest.approx(task_accuracy(model, stream[0], 0), abs=1e-12)
-    assert len(audits) == stream[0].eval_x.shape[0] // 4
+    assert len(records) == stream[0].eval_x.shape[0] // 4
 
 
 def test_unmatched_queries_fall_back_to_backbone():
@@ -131,8 +147,9 @@ def test_unmatched_queries_fall_back_to_backbone():
     learn_task(model, 0, stream[0], sched, cfg, np.random.default_rng(2))
     # enroll a signature far from anything real so nothing matches at 0.0
     bank.entries[0] = np.full(2 * DIM, 1e6)
-    acc, audits = bank_routed_accuracy(model, bank, stream[0])
-    assert all(not a.matched and a.routed_task is None for a in audits)
+    preds, records = routed(model, bank, stream[0])
+    assert all(not matched and route is None for matched, route, _ in records)
+    acc = float((preds == stream[0].eval_y).mean())
     assert acc == pytest.approx(task_accuracy(model, stream[0], None), abs=1e-12)
 
 
@@ -160,8 +177,8 @@ def test_pooled_accuracy_uses_global_labels():
     assert 0.0 <= acc <= 1.0
     # single-task pooling with that task's own table reduces to routed accuracy
     solo = pooled_accuracy(model, bank, stream[:1], window=4)
-    direct, _ = bank_routed_accuracy(model, bank, stream[0], window=4)
-    assert solo == pytest.approx(direct, abs=1e-12)
+    preds, _ = routed(model, bank, stream[0], window=4)
+    assert solo == pytest.approx(float((preds == stream[0].eval_y).mean()), abs=1e-12)
     with pytest.raises(DomainError):
         pooled_accuracy(model, bank, [])
 
@@ -187,17 +204,13 @@ def _routed_predictions_reference(model, bank, data, window, table):
     """Task-free inference one query window at a time, with plain GEMM."""
     n = data.eval_x.shape[0]
     preds = np.empty(n, dtype=np.int64)
-    audits = []
+    records = []
     for start in range(0, n, window):
         rows = data.eval_x[start:start + window]
-        matched, route, dist = _identify_reference(
-            bank, model.embed(rows, None), data.text_emb)
-        preds[start:start + rows.shape[0]] = model.predict(rows, table, route)
-        audits.append(AuditRecord(
-            true_task=data.task_id, window_start=start, matched=matched,
-            routed_task=route, distance=dist,
-        ))
-    return preds, audits
+        record = _identify_reference(bank, model.embed(rows, None), data.text_emb)
+        preds[start:start + rows.shape[0]] = model.predict(rows, table, record[1])
+        records.append(record)
+    return preds, records
 
 
 @pytest.fixture(scope="module")
@@ -252,23 +265,20 @@ def test_batched_routing_equals_one_window_at_a_time(trained_three, data):
     pooled = data.draw(st.booleans(), label="pooled")
     table = np.vstack([d.text_emb for d in stream]) if pooled else task.text_emb
 
-    preds, audits = bank_routed_predictions(
-        model, bank, task, window, text_emb=table if pooled else None)
-    ref_preds, ref_audits = _routed_predictions_reference(model, bank, task, window, table)
+    preds, records = routed(model, bank, task, window, table if pooled else None)
+    ref_preds, ref_records = _routed_predictions_reference(model, bank, task, window, table)
 
     assert np.array_equal(preds, ref_preds)
-    assert len(audits) == len(ref_audits) == -(-n // window)
-    for got, ref in zip(audits, ref_audits):
-        assert got == ref
-        assert type(got.distance) is float and type(got.matched) is bool
+    assert len(records) == -(-n // window)
+    assert records == ref_records
 
 
 def _pooled_reference(model, bank, tasks, window):
-    """Class-incremental accuracy by full re-evaluation of every task."""
+    """Class-incremental accuracy from a fresh evaluation of every task."""
     table = np.vstack([t.text_emb for t in tasks])
     hits = total = offset = 0
     for t in tasks:
-        preds, _ = bank_routed_predictions(model, bank, t, window, text_emb=table)
+        preds, _ = routed(model, bank, t, window, table)
         hits += int((preds == t.eval_y + offset).sum())
         total += t.eval_y.shape[0]
         offset += t.text_emb.shape[0]
@@ -279,7 +289,7 @@ def _pooled_reference(model, bank, tasks, window):
 @given(data=st.data())
 def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
     """One EvalState carried across enrolments, as a run carries it, gives
-    every row, decision and CIL accuracy that full re-evaluation gives."""
+    every row, decision and CIL accuracy that a fresh EvalState gives."""
     model, stream, signatures, middle = trained_three
     n = stream[0].eval_x.shape[0]
     window = data.draw(st.integers(1, n + 3), label="window")
@@ -296,8 +306,8 @@ def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
         full = TaskBank(threshold=0.0, metric=metric,
                         entries={i: signatures[s] for i, s in zip(ids, sources)})
         task = data.draw(st.sampled_from(stream), label="threshold task")
-        _, audits = bank_routed_predictions(model, full, task, window)
-        threshold = data.draw(st.sampled_from([a.distance for a in audits]),
+        _, records = routed(model, full, task, window)
+        threshold = data.draw(st.sampled_from([dist for _, _, dist in records]),
                               label="window distance")
     bank = TaskBank(threshold=threshold, metric=metric)
     state = EvalState()
@@ -315,13 +325,11 @@ def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
             continue
         assert len(decisions) == len(stream)
         for j, (d, dec) in enumerate(zip(stream, decisions)):
-            preds, audits = bank_routed_predictions(model, bank, d, window)
+            preds, records = routed(model, bank, d, window)
             assert row[j] == float((preds == d.eval_y).mean())
             assert dec.task_id == d.task_id and dec.window == window
-            assert [a.distance for a in audits] == dec.distance.tolist()
-            assert [a.matched for a in audits] == dec.matched.tolist()
-            assert [a.routed_task for a in audits] == [
-                t if m else None for t, m in zip(dec.nearest.tolist(), dec.matched.tolist())]
+            assert records == [(m, t if m else None, dist) for t, dist, m in zip(
+                dec.nearest.tolist(), dec.distance.tolist(), dec.matched.tolist())]
         # the reuse task keeps task 0's label rows: the pooled table has duplicates
         seen = stream[:i + 1]
         assert (pooled_accuracy(model, bank, seen, window, state=state)

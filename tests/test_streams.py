@@ -197,6 +197,11 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_task(tmp_path / "missing.json")
 
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff")
+    with pytest.raises(DataError, match="cannot read task manifest"):
+        load_task(not_utf8)
+
 
 def _exported(tmp_path):
     data = generate_task(spec(), DIM, [])

@@ -33,8 +33,9 @@ def test_manhattan_and_euclidean_distances():
     bank_m = TaskBank(threshold=10.0, metric="manhattan")
     bank_e = TaskBank(threshold=10.0, metric="euclidean")
     a, b = np.array([0.0, 0.0, 0.0]), np.array([3.0, -4.0, 0.0])
-    assert bank_m.distance(a, b) == 7.0
-    assert bank_e.distance(a, b) == 5.0
+    for bank, want in ((bank_m, 7.0), (bank_e, 5.0)):
+        bank.entries[0] = b
+        assert bank.match(a[None])[1].tolist() == [want]
 
 
 def test_identify_nearest_with_threshold():
