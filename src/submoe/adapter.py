@@ -1,11 +1,11 @@
 """Mixture-of-low-rank-experts adapter layer with task-owned routers.
 
 Each layer keeps an ordered expert list and one router per task.  A router
-only ever sees the experts that existed when it was created, so inference
-for an old task replays exactly the computation it was trained with.  The
-backward pass is hand-derived and returns gradients only for the visible
-experts the routed task owns (the only ones a learning step updates) plus
-the router.
+only ever sees the experts that existed when it was created, and mixes its
+own `top_k` of them, so inference for an old task replays exactly the
+computation it was trained with.  The backward pass is hand-derived and
+returns gradients only for the visible experts the routed task owns (the
+only ones a learning step updates) plus the router.
 """
 
 from __future__ import annotations
@@ -42,9 +42,11 @@ def new_expert(dim: int, rank: int, owner_task: int, expert_id: int,
 
 @dataclass
 class Router:
-    """Linear scorer over the experts visible at its creation time."""
+    """Linear scorer over the experts visible at its creation time; each row
+    mixes its `top_k` highest-scoring experts."""
 
     weight: np.ndarray  # [n_visible, dim]
+    top_k: int
 
     @property
     def n_visible(self) -> int:
@@ -100,7 +102,7 @@ class MixtureAdapterLayer:
     layer_index: int
     dim: int
     rank: int
-    top_k: int
+    top_k: int  # the k of a router added without one
     experts: list[LoraExpert] = field(default_factory=list)
     routers: dict[int, Router] = field(default_factory=dict)
     version: int = 0
@@ -112,10 +114,13 @@ class MixtureAdapterLayer:
         except KeyError:
             raise MissingRouterError(f"layer {self.layer_index} has no router for task {task}")
 
-    def add_router(self, task: int) -> Router:
+    def add_router(self, task: int, top_k: int | None = None) -> Router:
+        """A zero router for `task` over every current expert, mixing `top_k`
+        of them (default: the layer's `top_k`)."""
         if task in self.routers:
             raise StateError(f"layer {self.layer_index} already has a router for task {task}")
-        router = Router(weight=np.zeros((len(self.experts), self.dim)))
+        router = Router(weight=np.zeros((len(self.experts), self.dim)),
+                        top_k=self.top_k if top_k is None else top_k)
         self.routers[task] = router
         self.version += 1
         return router
@@ -134,27 +139,30 @@ class MixtureAdapterLayer:
         return [i for i, e in enumerate(self.experts) if e.owner_task == task]
 
     def remove_experts(self, expert_ids: set[int], task: int) -> None:
-        """Drop the given experts (must belong to `task`) and the matching
-        rows of that task's router."""
+        """Drop the given experts (must belong to `task` and be visible to no
+        other task's router) and the matching rows of that task's router.
+        A refused removal raises `StateError` and changes nothing."""
         if not expert_ids:
             return
         router = self.router_for(task)
-        keep_rows = []
-        kept = []
-        for i, e in enumerate(self.experts):
-            if e.expert_id in expert_ids:
-                if e.owner_task != task:
-                    raise StateError(
-                        f"expert {e.expert_id} belongs to task {e.owner_task}, not {task}"
-                    )
-                continue
-            kept.append(e)
-            if i < router.n_visible:
-                keep_rows.append(i)
-        removed = len(self.experts) - len(kept)
-        if removed != len(expert_ids):
+        doomed = [i for i, e in enumerate(self.experts) if e.expert_id in expert_ids]
+        if len(doomed) != len(expert_ids):
             raise StateError("some expert ids to remove were not found")
-        self.experts = kept
+        for i in doomed:
+            e = self.experts[i]
+            if e.owner_task != task:
+                raise StateError(
+                    f"expert {e.expert_id} belongs to task {e.owner_task}, not {task}"
+                )
+        for other, r in self.routers.items():
+            if other != task and r.n_visible > doomed[0]:
+                raise StateError(
+                    f"expert {self.experts[doomed[0]].expert_id} is visible to "
+                    f"task {other}'s router"
+                )
+        gone = set(doomed)
+        keep_rows = [i for i in range(router.n_visible) if i not in gone]
+        self.experts = [e for i, e in enumerate(self.experts) if i not in gone]
         router.weight = router.weight[keep_rows, :]
         self.version += 1
 
@@ -172,7 +180,7 @@ class MixtureAdapterLayer:
             )
         logits = matmul(xm, router.weight.T)
         probs = softmax_rows(logits)
-        mask = top_k_select(probs, self.top_k)
+        mask = top_k_select(probs, router.top_k)
         masked = np.where(mask, probs, 0.0)
         weights = masked / masked.sum(axis=1, keepdims=True)
         return RoutingDistribution(probs=probs, top_k_mask=mask, weights=weights)
@@ -245,53 +253,3 @@ class MixtureAdapterLayer:
         if input_grad:
             grad_x += dz @ router.weight
         return grad_x, expert_grads, router_grad
-
-
-def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
-    return {
-        "layer_index": layer.layer_index,
-        "dim": layer.dim,
-        "rank": layer.rank,
-        "top_k": layer.top_k,
-        "version": layer.version,
-        "next_expert_id": layer.next_expert_id,
-        "experts": [
-            {
-                "down": e.down.tolist(),
-                "up": e.up.tolist(),
-                "owner_task": e.owner_task,
-                "expert_id": e.expert_id,
-            }
-            for e in layer.experts
-        ],
-        "routers": [
-            {"task": task, "weight": r.weight.tolist()}
-            for task, r in layer.routers.items()
-        ],
-    }
-
-
-def layer_from_payload(payload: dict) -> MixtureAdapterLayer:
-    """Inverse of `layer_to_payload`; ignores the `frozen` keys that version 1
-    checkpoints carry."""
-    layer = MixtureAdapterLayer(
-        layer_index=payload["layer_index"],
-        dim=payload["dim"],
-        rank=payload["rank"],
-        top_k=payload["top_k"],
-        version=payload["version"],
-        next_expert_id=payload["next_expert_id"],
-    )
-    for e in payload["experts"]:
-        layer.experts.append(LoraExpert(
-            down=np.asarray(e["down"], dtype=np.float64),
-            up=np.asarray(e["up"], dtype=np.float64),
-            owner_task=e["owner_task"],
-            expert_id=e["expert_id"],
-        ))
-    for r in payload["routers"]:
-        weight = np.asarray(r["weight"], dtype=np.float64)
-        if weight.shape == (0,):  # a router with no rows saves as []
-            weight = weight.reshape(0, layer.dim)
-        layer.routers[r["task"]] = Router(weight=weight)
-    return layer

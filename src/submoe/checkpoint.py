@@ -1,26 +1,153 @@
 """Self-describing JSON checkpoints for the model and task bank.
 
-Floats are serialised with Python's shortest-round-trip repr, so a load
-followed by a save reproduces every 64-bit value bit for bit.  Version 2
+Version 3 writes every float64 array (backbone weights and biases, each
+expert's `down` and `up`, each router's `weight`, each bank signature) as
+one object `{"shape": [...], "f64": "<base64>"}`, where the text is
+the base64 of the array's little-endian, C-order IEEE-754 bytes.  base64 is
+a one-to-one map between byte strings and text, so a load returns every
+value bit for bit (`-0.0` included) with no decimal conversion either way,
+and a float costs 32/3 characters rather than the ~22 of its shortest
+decimal repr.  Each router also stores its own `top_k`.  Scalars such as the
+temperature and the bank threshold stay JSON numbers, whose shortest
+round-trip repr is exact too.
+
+Versions 1 and 2 wrote arrays as nested lists of numbers and had every
+router of a layer mix the layer's `top_k`; the loader reads both.  Version 2
 dropped the per-expert and per-router `frozen` flags that version 1 wrote;
-the loader reads both and ignores those flags.
+the loader ignores them.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .adapter import layer_from_payload, layer_to_payload
+from .adapter import LoraExpert, MixtureAdapterLayer, Router
 from .errors import DataError
 from .model import AdapterModel, FrozenBackbone
-from .task_bank import TaskBank, bank_from_payload, bank_to_payload
+from .task_bank import TaskBank
 
 FORMAT = "submoe-checkpoint"
-VERSION = 2
+VERSION = 3
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise DataError(f"checkpoint {what}")
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """The version 3 form of a float64 array: its shape and the base64 of its
+    little-endian C-order bytes."""
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(obj) -> np.ndarray:
+    """Inverse of `encode_array`: an owned, writable, native float64 array.
+    A malformed object raises `DataError`."""
+    _require(isinstance(obj, dict) and obj.keys() == {"shape", "f64"},
+             "array: not a {shape, f64} object")
+    shape = obj["shape"]
+    _require(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
+             "array shape: not a list of non-negative ints")
+    _require(isinstance(obj["f64"], str), "array f64: not a string")
+    try:
+        data = base64.b64decode(obj["f64"], validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise DataError(f"checkpoint array f64: not base64: {exc}") from exc
+    _require(len(data) == 8 * math.prod(shape),
+             f"array f64: {len(data)} bytes for shape {shape}")
+    # frombuffer is a read-only view of `data`; astype makes the owned copy
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _decoder(version: int):
+    """The array reader of a checkpoint version: versions 1 and 2 wrote
+    nested lists."""
+    if version >= 3:
+        return decode_array
+    return lambda obj: np.asarray(obj, dtype=np.float64)
+
+
+def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
+    return {
+        "layer_index": layer.layer_index,
+        "dim": layer.dim,
+        "rank": layer.rank,
+        "top_k": layer.top_k,
+        "version": layer.version,
+        "next_expert_id": layer.next_expert_id,
+        "experts": [
+            {
+                "down": encode_array(e.down),
+                "up": encode_array(e.up),
+                "owner_task": e.owner_task,
+                "expert_id": e.expert_id,
+            }
+            for e in layer.experts
+        ],
+        "routers": [
+            {"task": task, "top_k": r.top_k, "weight": encode_array(r.weight)}
+            for task, r in layer.routers.items()
+        ],
+    }
+
+
+def layer_from_payload(payload: dict, version: int = VERSION) -> MixtureAdapterLayer:
+    """Inverse of `layer_to_payload` for a checkpoint of `version`; routers of
+    versions 1 and 2 take the layer's `top_k`, and version 1's `frozen` keys
+    are ignored."""
+    decode = _decoder(version)
+    layer = MixtureAdapterLayer(
+        layer_index=payload["layer_index"],
+        dim=payload["dim"],
+        rank=payload["rank"],
+        top_k=payload["top_k"],
+        version=payload["version"],
+        next_expert_id=payload["next_expert_id"],
+    )
+    for e in payload["experts"]:
+        layer.experts.append(LoraExpert(
+            down=decode(e["down"]),
+            up=decode(e["up"]),
+            owner_task=e["owner_task"],
+            expert_id=e["expert_id"],
+        ))
+    for r in payload["routers"]:
+        weight = decode(r["weight"])
+        if weight.shape == (0,):  # a version 1 or 2 router with no rows saved as []
+            weight = weight.reshape(0, layer.dim)
+        top_k = r["top_k"] if version >= 3 else layer.top_k
+        layer.routers[r["task"]] = Router(weight=weight, top_k=top_k)
+    return layer
+
+
+def bank_to_payload(bank: TaskBank) -> dict:
+    return {
+        "threshold": bank.threshold,
+        "metric": bank.metric,
+        "entries": [
+            {"task": task, "embedding": encode_array(bank.entries[task])}
+            for task in sorted(bank.entries)
+        ],
+    }
+
+
+def bank_from_payload(payload: dict, version: int = VERSION) -> TaskBank:
+    decode = _decoder(version)
+    bank = TaskBank(threshold=payload["threshold"], metric=payload["metric"])
+    for item in payload["entries"]:
+        bank.entries[item["task"]] = decode(item["embedding"])
+    return bank
 
 
 def model_to_payload(model: AdapterModel) -> dict:
@@ -30,21 +157,22 @@ def model_to_payload(model: AdapterModel) -> dict:
         "phase": {str(k): v for k, v in model.phase.items()},
         "current_task": model.current_task,
         "backbone": {
-            "weights": [w.tolist() for w in model.backbone.weights],
-            "biases": [b.tolist() for b in model.backbone.biases],
+            "weights": [encode_array(w) for w in model.backbone.weights],
+            "biases": [encode_array(b) for b in model.backbone.biases],
         },
         "adapters": [layer_to_payload(model.adapters[i]) for i in sorted(model.adapters)],
     }
 
 
-def model_from_payload(payload: dict) -> AdapterModel:
+def model_from_payload(payload: dict, version: int = VERSION) -> AdapterModel:
+    decode = _decoder(version)
     backbone = FrozenBackbone(
-        weights=[np.asarray(w, dtype=np.float64) for w in payload["backbone"]["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in payload["backbone"]["biases"]],
+        weights=[decode(w) for w in payload["backbone"]["weights"]],
+        biases=[decode(b) for b in payload["backbone"]["biases"]],
     )
     adapters = {}
     for entry in payload["adapters"]:
-        layer = layer_from_payload(entry)
+        layer = layer_from_payload(entry, version)
         adapters[layer.layer_index] = layer
     return AdapterModel(
         backbone=backbone,
@@ -72,15 +200,6 @@ def save_checkpoint(path: str | Path, model: AdapterModel,
 
 
 _PHASES = ("expanded", "identified", "pruned", "done")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require(ok: bool, what: str) -> None:
-    if not ok:
-        raise DataError(f"checkpoint {what}")
 
 
 def _require_array(arr: np.ndarray, shape: tuple, what: str) -> None:
@@ -122,6 +241,7 @@ def _check_model(model: AdapterModel, n_layer_entries: int) -> None:
             _require_array(e.up, (dim, layer.rank), f"{where} expert {e.expert_id} up")
         for task, r in layer.routers.items():
             _require(_is_int(task), f"{where} router {task!r}: bad task")
+            _require(_is_int(r.top_k) and r.top_k >= 1, f"{where} router {task}: bad top_k")
             w = r.weight
             _require(w.ndim == 2 and w.shape[0] <= len(layer.experts),
                      f"{where} router {task}: shape {w.shape}, {len(layer.experts)} experts")
@@ -145,14 +265,14 @@ def load_checkpoint(path: str | Path):
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a checkpoint file")
     version = doc.get("version")
-    if not _is_int(version) or version not in (1, VERSION):
+    if not _is_int(version) or version not in (1, 2, VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     # the converters trust their payload, so a missing key, a wrong type or a
     # ragged or non-numeric array surfaces as one of these
     try:
-        model = model_from_payload(doc["model"])
+        model = model_from_payload(doc["model"], version)
         n_layer_entries = len(doc["model"]["adapters"])
-        bank = bank_from_payload(doc["bank"]) if doc.get("bank") is not None else None
+        bank = bank_from_payload(doc["bank"], version) if doc.get("bank") is not None else None
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from exc
     _check_model(model, n_layer_entries)

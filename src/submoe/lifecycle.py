@@ -110,17 +110,17 @@ class PruneReport:
 def begin_task(model: AdapterModel, task: int, schedule: PhaseSchedule,
                rng: np.random.Generator) -> None:
     """Give every adapter layer `num_candidates` fresh zero-output experts and
-    a new router for `task`.  Everything learned so far stays frozen: a step
-    only updates the experts and router the task being learned owns."""
+    a new router for `task` that mixes `schedule.top_k` experts.  Everything
+    learned so far stays frozen: a step only updates the experts and router
+    the task being learned owns."""
     if task in model.learned_tasks or task in model.phase:
         raise StateError(f"task {task} was already started")
     if model.current_task is not None:
         raise StateError(f"task {model.current_task} is still in progress")
     for layer in model.adapter_layers():
-        layer.top_k = schedule.top_k
         for _ in range(schedule.num_candidates):
             layer.add_expert(task, rng)
-        layer.add_router(task)
+        layer.add_router(task, schedule.top_k)
     model.current_task = task
     model.phase[task] = "expanded"
 

@@ -136,21 +136,3 @@ class TaskBank:
         tasks, dist, matched = self.match(fused_embedding(img_emb, txt_emb)[None])
         task = int(tasks[0]) if matched[0] else None
         return MatchResult(matched=bool(matched[0]), task=task, distance=float(dist[0]))
-
-
-def bank_to_payload(bank: TaskBank) -> dict:
-    return {
-        "threshold": bank.threshold,
-        "metric": bank.metric,
-        "entries": [
-            {"task": task, "embedding": bank.entries[task].tolist()}
-            for task in sorted(bank.entries)
-        ],
-    }
-
-
-def bank_from_payload(payload: dict) -> TaskBank:
-    bank = TaskBank(threshold=payload["threshold"], metric=payload["metric"])
-    for item in payload["entries"]:
-        bank.entries[item["task"]] = np.asarray(item["embedding"], dtype=np.float64)
-    return bank

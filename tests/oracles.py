@@ -1,11 +1,13 @@
 """Independent checks the test suite compares the engine against: a generic
 quadratic solve for the damped step, its diagonal projection form, central
-finite differences, and byte fingerprints of frozen state.  None of this is
-used by the engine itself."""
+finite differences, byte fingerprints of frozen state, and the version 2
+checkpoint writer.  None of this is used by the engine itself."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -130,3 +132,54 @@ def expert_gradient_norm(expert_grads) -> np.ndarray:
     for j, (gd, gu) in enumerate(expert_grads):
         out[j] = np.sqrt(float((gd * gd).sum() + (gu * gu).sum()))
     return out
+
+
+def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
+    """Write (model, bank, meta) as a version 2 checkpoint, the format before
+    version 3: every float64 array as nested lists of shortest-repr numbers,
+    and one `top_k` per layer that all its routers use.  `load_checkpoint`
+    must keep reading these files, and re-serialising a loaded version 3
+    file this way must give the bytes the version 2 writer gave."""
+    def layer_payload(layer) -> dict:
+        ks = {r.top_k for r in layer.routers.values()}
+        if ks - {layer.top_k}:
+            raise ValueError(f"layer {layer.layer_index}: version 2 has one top_k per "
+                             f"layer, its routers use {sorted(ks)}")
+        return {
+            "layer_index": layer.layer_index,
+            "dim": layer.dim,
+            "rank": layer.rank,
+            "top_k": layer.top_k,
+            "version": layer.version,
+            "next_expert_id": layer.next_expert_id,
+            "experts": [
+                {"down": e.down.tolist(), "up": e.up.tolist(),
+                 "owner_task": e.owner_task, "expert_id": e.expert_id}
+                for e in layer.experts
+            ],
+            "routers": [{"task": task, "weight": r.weight.tolist()}
+                        for task, r in layer.routers.items()],
+        }
+
+    model_payload = {
+        "temperature": model.temperature,
+        "learned_tasks": list(model.learned_tasks),
+        "phase": {str(k): v for k, v in model.phase.items()},
+        "current_task": model.current_task,
+        "backbone": {
+            "weights": [w.tolist() for w in model.backbone.weights],
+            "biases": [b.tolist() for b in model.backbone.biases],
+        },
+        "adapters": [layer_payload(model.adapters[i]) for i in sorted(model.adapters)],
+    }
+    bank_payload = None if bank is None else {
+        "threshold": bank.threshold,
+        "metric": bank.metric,
+        "entries": [{"task": task, "embedding": bank.entries[task].tolist()}
+                    for task in sorted(bank.entries)],
+    }
+    doc = {"format": "submoe-checkpoint", "version": 2, "model": model_payload,
+           "bank": bank_payload, "meta": meta or {}}
+    path = Path(path)
+    path.write_text(json.dumps(doc) + "\n")
+    return path

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submoe.adapter import (
-    MixtureAdapterLayer, Router, layer_from_payload, layer_to_payload, top_k_select,
-)
+from submoe.adapter import MixtureAdapterLayer, Router, top_k_select
+from submoe.checkpoint import layer_from_payload, layer_to_payload
 from submoe.errors import DimensionError, MissingRouterError, StateError
 from submoe.numerics import softmax_rows
 
@@ -157,7 +156,8 @@ def test_backward_is_bit_exact_on_owned_experts(owners, visible, task, top_k, ro
     for owner in owners:
         layer.add_expert(owner, rng).up = rng.standard_normal((dim, rank))
     for t, nv in enumerate(visible):
-        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)))
+        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)),
+                                  top_k=top_k)
     x = rng.standard_normal((rows, dim))
     g = rng.standard_normal((rows, dim))
     _, _, cache = layer.forward(task, x)
@@ -261,6 +261,37 @@ def test_old_router_forward_bitwise_stable_after_growth_and_prune():
     np.testing.assert_array_equal(y_pruned, y_before)
 
 
+def test_remove_experts_refuses_experts_another_router_sees():
+    # task 1's router sees task 0's experts; dropping one of them would leave
+    # that router with more rows than experts
+    layer = make_layer(n_experts=2, task=0, seed=19)
+    rng = np.random.default_rng(20)
+    for _ in range(2):
+        layer.add_expert(1, rng).up = rng.standard_normal((6, 2))
+    layer.add_router(1).weight = rng.standard_normal((4, 6))
+    x = rng.standard_normal((3, 6))
+    y1, _, _ = layer.forward(1, x)
+
+    def state():
+        return ([(e.expert_id, e.down.tobytes(), e.up.tobytes()) for e in layer.experts],
+                {t: r.weight.tobytes() for t, r in layer.routers.items()}, layer.version)
+
+    before = state()
+    with pytest.raises(StateError, match="visible to task 1"):
+        layer.remove_experts({layer.experts[1].expert_id}, 0)
+    assert state() == before
+    assert layer.forward(1, x)[0].tobytes() == y1.tobytes()
+
+
+def test_router_top_k_is_its_own():
+    layer = make_layer(n_experts=3, top_k=1, seed=21)
+    layer.add_router(1, top_k=3).weight = layer.router_for(0).weight.copy()
+    x = np.random.default_rng(22).standard_normal((4, 6))
+    assert (layer.route(0, x).top_k_mask.sum(axis=1) == 1).all()
+    assert (layer.route(1, x).top_k_mask.sum(axis=1) == 3).all()
+    assert layer.add_router(2).top_k == layer.top_k == 1
+
+
 def test_serialisation_round_trip_is_bit_exact():
     layer = make_layer(seed=16)
     layer.experts[0].down[0, 0] = 0.1 + 0.2  # classic non-representable decimal
@@ -275,6 +306,7 @@ def test_serialisation_round_trip_is_bit_exact():
     for task in layer.routers:
         np.testing.assert_array_equal(
             layer.routers[task].weight, restored.routers[task].weight)
+        assert restored.routers[task].top_k == layer.routers[task].top_k
 
 
 def test_prune_output_shift_bounded_by_cached_quantities():

@@ -2,36 +2,41 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from submoe.checkpoint import load_checkpoint, save_checkpoint
+from submoe.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
 from submoe.errors import DataError
-from submoe.lifecycle import PhaseSchedule, learn_task
+from submoe.lifecycle import (
+    PhaseSchedule, begin_task, finetune_experts, fit_routing, learn_task, prune_candidates,
+)
 from submoe.model import build_model
 from submoe.optim import OptimConfig
 from submoe.streams import TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
 
-from oracles import frozen_fingerprint
+from oracles import frozen_fingerprint, save_checkpoint_v2
 
 DIM = 8
+SCHEDULE = PhaseSchedule(identify_steps=15, finetune_steps=10, num_candidates=2,
+                         batch_size=16, snapshot_interval=5)
+OPTIM = OptimConfig(learning_rate=0.5, penalty=0.01)
+# the current writer and the version 2 one the loader must keep reading
+WRITERS = {"v3": save_checkpoint, "v2": save_checkpoint_v2}
 
 
-def trained_model():
+def trained_model(learned=(0, 1)):
     stream = generate_stream(
         [TaskSpec(task_id=i, classes=3, samples_per_class=16, eval_per_class=8, seed=i)
          for i in range(2)], DIM)
     model = build_model(dim=DIM, depth=3, adapter_layers=[1, 2], rank=2,
                        top_k=2, temperature=0.5, seed=0)
-    sched = PhaseSchedule(identify_steps=15, finetune_steps=10, num_candidates=2,
-                          batch_size=16, snapshot_interval=5)
-    cfg = OptimConfig(learning_rate=0.5, penalty=0.01)
     bank = TaskBank(threshold=25.0)
-    for t in (0, 1):
-        learn_task(model, t, stream[t], sched, cfg, np.random.default_rng(t))
+    for t in learned:
+        learn_task(model, t, stream[t], SCHEDULE, OPTIM, np.random.default_rng(t))
         bank.enroll(t, model.embed(stream[t].train_x, None), stream[t].text_emb)
     return model, bank, stream
 
@@ -79,6 +84,57 @@ def test_awkward_floats_survive(tmp_path):
     loaded, _, _ = load_checkpoint(path)
     assert loaded.adapter_layers()[0].experts[0].up[0, 0] == 0.1 + 0.2
     assert loaded.adapter_layers()[0].experts[0].down[0, 0] == 1e-308
+
+
+def test_array_encoding_is_the_exact_bytes():
+    a = np.array([[0.1 + 0.2, -0.0, 5e-324], [np.nextafter(1.0, 2.0), -1e308, 3.0]])
+    enc = encode_array(a)
+    assert enc == {"shape": [2, 3],
+                   "f64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+    back = decode_array(json.loads(json.dumps(enc)))
+    assert back.tobytes() == a.tobytes() and back.shape == a.shape
+    # owned, writable, native: a later learning step updates it in place
+    assert back.dtype == np.float64 and back.flags.owndata and back.flags.writeable
+    assert decode_array(encode_array(np.zeros((0, DIM)))).shape == (0, DIM)
+
+
+def test_loaded_model_takes_learning_steps(tmp_path):
+    # a checkpoint made mid-task resumes: fitting writes into loaded arrays
+    model, bank, stream = trained_model(learned=(0,))
+    begin_task(model, 1, SCHEDULE, np.random.default_rng(1))
+    loaded, _, _ = load_checkpoint(save_checkpoint(tmp_path / "ck.json", model, bank))
+    arrays = [a for layer in loaded.adapter_layers()
+              for a in [p for e in layer.experts for p in e.params()]
+              + [r.weight for r in layer.routers.values()]]
+    assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+    for m in (model, loaded):
+        rng = np.random.default_rng(7)
+        trace = fit_routing(m, 1, stream[1], SCHEDULE, OPTIM, rng)
+        prune_candidates(m, 1, trace, SCHEDULE.prune_threshold)
+        finetune_experts(m, 1, stream[1], SCHEDULE, OPTIM, rng)
+    assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
+
+
+def test_each_router_keeps_its_top_k(tmp_path):
+    model, bank, _ = trained_model()
+    for layer in model.adapter_layers():
+        layer.router_for(0).top_k = 1
+        layer.router_for(1).top_k = 3
+    loaded, _, _ = load_checkpoint(save_checkpoint(tmp_path / "ck.json", model, bank))
+    for layer in loaded.adapter_layers():
+        assert {t: r.top_k for t, r in layer.routers.items()} == {0: 1, 1: 3}
+    x = np.random.default_rng(9).standard_normal((5, DIM))
+    for t in (0, 1):
+        assert loaded.embed(x, t).tobytes() == model.embed(x, t).tobytes()
+
+
+def test_version_2_routers_take_the_layer_top_k(tmp_path):
+    model, bank, _ = trained_model()
+    loaded, _, _ = load_checkpoint(save_checkpoint_v2(tmp_path / "v2.json", model, bank))
+    for layer in loaded.adapter_layers():
+        assert all(r.top_k == layer.top_k == 2 for r in layer.routers.values())
+    assert save_checkpoint(tmp_path / "v3.json", loaded, bank).read_bytes() \
+        == save_checkpoint(tmp_path / "orig.json", model, bank).read_bytes()
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -164,26 +220,74 @@ BAD_DOCUMENTS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
 def test_load_rejects_malformed_documents_with_data_error(tmp_path, name):
+    # nested-list arrays: the version 2 documents the loader still reads
     model, bank, _ = trained_model()
-    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    path = save_checkpoint_v2(tmp_path / "ck.json", model, bank)
     doc = BAD_DOCUMENTS[name](json.loads(path.read_text()))
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError):
         load_checkpoint(path)
 
 
-def test_router_without_visible_experts_round_trips(tmp_path):
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+DOWN = EXPERT + ["down"]
+BAD_V3_DOCUMENTS = {
+    "f64 not base64": (_set(DOWN + ["f64"], "@@@@"), "not base64"),
+    "f64 not ascii": (_set(DOWN + ["f64"], "\u00e9\u00e9\u00e9\u00e9"), "not base64"),
+    "f64 bad padding": (_set(DOWN + ["f64"], "AAA"), "not base64"),
+    "f64 not a string": (_set(DOWN + ["f64"], 0), "f64: not a string"),
+    "f64 one float short": (_set(DOWN + ["f64"], _b64(bytes(8 * (2 * DIM - 1)))),
+                            "bytes for shape"),
+    "f64 not whole floats": (_set(DOWN + ["f64"], _b64(bytes(8 * 2 * DIM + 3))),
+                             "bytes for shape"),
+    "f64 missing": (_drop(DOWN + ["f64"]), "array: not a"),
+    "shape missing": (_drop(DOWN + ["shape"]), "array: not a"),
+    "extra key": (_set(DOWN + ["dtype"], "f8"), "array: not a"),
+    "nested list in version 3": (_set(DOWN, [[0.0] * DIM] * 2), "array: not a"),
+    "negative shape": (_set(DOWN + ["shape"], [-2, -DIM]), "array shape"),
+    "bool in shape": (_set(["model", "backbone", "biases", 0, "shape"], [True, DIM]),
+                      "array shape"),
+    "float in shape": (_set(DOWN + ["shape"], [2.0, DIM]), "array shape"),
+    "shape not a list": (_set(DOWN + ["shape"], 2 * DIM), "array shape"),
+    "NaN bits": (_set(DOWN + ["f64"], _b64(np.full(2 * DIM, np.nan).tobytes())),
+                 "non-finite"),
+    "Inf bits in the bank": (_set(["bank", "entries", 0, "embedding", "f64"],
+                                  _b64(np.full(2 * DIM, -np.inf).tobytes())), "non-finite"),
+    "router beyond experts": (_set(ROUTER + ["weight"], encode_array(np.zeros((20, DIM)))),
+                              "router 0: shape"),
+    "router top_k missing": (_drop(ROUTER + ["top_k"]), "malformed"),
+    "router top_k zero": (_set(ROUTER + ["top_k"], 0), "bad top_k"),
+    "router top_k bool": (_set(ROUTER + ["top_k"], True), "bad top_k"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_V3_DOCUMENTS))
+def test_load_rejects_malformed_version_3_arrays(tmp_path, name):
+    mutate, message = BAD_V3_DOCUMENTS[name]
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_router_without_visible_experts_round_trips(tmp_path, writer):
     # a task whose candidates were all pruned keeps a router with no rows
+    save = WRITERS[writer]
     model, bank, _ = trained_model()
     for layer in model.adapter_layers():
         layer.router_for(0).weight = np.zeros((0, DIM))
-    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    path = save(tmp_path / "ck.json", model, bank)
     loaded, loaded_bank, _ = load_checkpoint(path)
     for layer in loaded.adapter_layers():
         assert layer.router_for(0).weight.shape == (0, DIM)
     x = np.random.default_rng(3).standard_normal((4, DIM))
     np.testing.assert_array_equal(loaded.embed(x, 0), model.embed(x, 0))
-    again = save_checkpoint(tmp_path / "again.json", loaded, loaded_bank)
+    again = save(tmp_path / "again.json", loaded, loaded_bank)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -191,7 +295,7 @@ def test_version_1_documents_with_frozen_flags_still_load(tmp_path):
     # version 1 wrote a `frozen` flag on every expert and router; nothing
     # reads it, so the loader ignores it
     model, bank, _ = trained_model()
-    path = save_checkpoint(tmp_path / "v2.json", model, bank)
+    path = save_checkpoint_v2(tmp_path / "v2.json", model, bank)
     doc = json.loads(path.read_text())
     assert doc["version"] == 2
     doc["version"] = 1
@@ -202,13 +306,14 @@ def test_version_1_documents_with_frozen_flags_still_load(tmp_path):
     v1.write_text(json.dumps(doc))
     loaded, loaded_bank, _ = load_checkpoint(v1)
     assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
-    assert save_checkpoint(tmp_path / "resaved.json", loaded, loaded_bank).read_bytes() \
+    assert save_checkpoint_v2(tmp_path / "resaved.json", loaded, loaded_bank).read_bytes() \
         == path.read_bytes()
 
 
-def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path):
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path, writer):
     model, bank, _ = trained_model()
-    good = save_checkpoint(tmp_path / "good.json", model, bank).read_bytes()
+    good = WRITERS[writer](tmp_path / "good.json", model, bank).read_bytes()
     path = tmp_path / "fuzz.json"
     outcomes = {"loaded": 0, "rejected": 0}
 

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from submoe.checkpoint import load_checkpoint
 from submoe.config import config_from_dict
 from submoe.errors import DataError
 from submoe.evaluation import EvalState, WindowDecisions, evaluate_row
@@ -18,6 +19,8 @@ from submoe.experiment import (
     run_experiment,
 )
 from submoe.streams import generate_stream, load_task
+
+from oracles import save_checkpoint_v2
 
 
 def base_raw(n_tasks=2, protocol="id_free", cil=True) -> dict:
@@ -334,9 +337,11 @@ def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
 # sha256 of every run-directory file, recorded before stream evaluation became
 # incremental; the evaluation rewrite must not move a byte.  The audit file is
 # change-only since; its dense records, re-serialised a line each, keep the
-# digest of the full per-row file (DENSE_AUDIT_DIGEST).
+# digest of the full per-row file (DENSE_AUDIT_DIGEST).  The checkpoint is
+# version 3 since; the loaded file, re-serialised as version 2, keeps the
+# digest of the version 2 file (V2_CHECKPOINT_DIGEST).
 SHARED_DIGESTS = {
-    CHECKPOINT_FILE: "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
+    CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
     COUNTS_FILE: "3dfd1d0078c0d3b6dd0d131b5a23da7fb6a3c676a8630e3df526fe664ef03809",
     KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
     TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
@@ -361,6 +366,7 @@ PINNED_DIGESTS = {
 }
 
 DENSE_AUDIT_DIGEST = "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a"
+V2_CHECKPOINT_DIGEST = "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761"
 
 
 @pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
@@ -369,6 +375,9 @@ def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
     assert got == PINNED_DIGESTS[protocol]
+    model, bank, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
+    v2 = save_checkpoint_v2(tmp_path / "v2.json", model, bank, meta)
+    assert hashlib.sha256(v2.read_bytes()).hexdigest() == V2_CHECKPOINT_DIGEST
     if protocol == "id_free":
         dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                         for rec in read_audit(tmp_path / "run"))

@@ -60,7 +60,7 @@ def test_begin_task_grows_every_adapter_layer():
         assert len(layer.experts) == 3
         assert all(e.owner_task == 0 for e in layer.experts)
         assert layer.router_for(0).n_visible == 3
-        assert layer.top_k == 4
+        assert layer.router_for(0).top_k == 4
         assert (np.vstack([e.up for e in layer.experts]) == 0.0).all()
     assert model.phase[0] == "expanded" and model.current_task == 0
 
@@ -132,6 +132,27 @@ def test_earlier_tasks_stay_bitwise_identical():
 
     assert frozen_fingerprint(model, exclude_task=1) == fp
     np.testing.assert_array_equal(model.embed(x, task=0), before)
+
+
+def test_a_later_top_k_leaves_earlier_tasks_bitwise_identical():
+    # each router keeps the k it was learned with, so a stream continued with
+    # another schedule.top_k does not re-route old tasks
+    model = make_model()
+    stream = two_task_stream()
+    cfg = make_cfg()
+    keep_all = dict(num_candidates=3, prune_threshold=0.0)  # so k matters for task 0
+    learn_task(model, 0, stream[0], make_schedule(top_k=1, **keep_all), cfg,
+               np.random.default_rng(4))
+    x = np.random.default_rng(5).standard_normal((6, DIM))
+    before = model.embed(x, task=0).copy()
+    assert all(layer.router_for(0).n_visible == 3 for layer in model.adapter_layers())
+
+    learn_task(model, 1, stream[1], make_schedule(top_k=2, **keep_all), cfg,
+               np.random.default_rng(6))
+
+    for layer in model.adapter_layers():
+        assert (layer.router_for(0).top_k, layer.router_for(1).top_k) == (1, 2)
+    assert model.embed(x, task=0).tobytes() == before.tobytes()
 
 
 def test_training_is_deterministic_under_shared_seed():

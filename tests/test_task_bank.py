@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from submoe.errors import ConfigError, DimensionError, StateError
-from submoe.task_bank import (
-    MatchResult, TaskBank, bank_from_payload, bank_to_payload, fused_embedding,
-)
+from submoe.checkpoint import bank_from_payload, bank_to_payload
+from submoe.task_bank import MatchResult, TaskBank, fused_embedding
 
 
 def test_fused_embedding_is_mean_concat():
