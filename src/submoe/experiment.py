@@ -6,20 +6,18 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import decode_array, encode_array, save_checkpoint
 from .config import ExperimentConfig, config_to_dict
 from .errors import DataError
-from .evaluation import EvalState, WindowDecisions, evaluate_row, pooled_accuracy
+from .evaluation import EvalState, evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
 from .streams import export_task, generate_stream
@@ -34,7 +32,6 @@ CONFIG_FILE = "effective_config.json"
 TRACE_FILE = "routing_traces.jsonl"
 PRUNE_FILE = "truncation_reports.jsonl"
 KL_FILE = "kl_curves.csv"
-COUNTS_FILE = "expert_counts.csv"
 AUDIT_FILE = "ifer_audit.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
 
@@ -77,74 +74,58 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
             writer.writerow([i] + [repr(float(v)) for v in matrix[i]])
 
 
-def audit_lines(after_task: int, enrolled: bool, d: WindowDecisions,
-                mask: np.ndarray | None = None) -> str:
-    """One task's `ifer_audit.jsonl` lines for one matrix row, each equal to
-    `json.dumps(record, sort_keys=True)` of the window's record, built from
-    the decision arrays without a dict per window.  `mask` selects the
-    windows written (default: all)."""
-    sel = slice(None) if mask is None else mask
-    # json.dumps of the list writes each float as json.dumps of that float
-    distances = json.dumps(d.distance[sel].tolist())[1:-1].split(", ")
-    head = f'{{"after_task": {after_task}, "distance": '
-    flag = "true" if enrolled else "false"
-    hit = f', "enrolled": {flag}, "matched": true, "routed_task": '
-    miss = f', "enrolled": {flag}, "matched": false, "routed_task": null'
-    tail = f', "true_task": {d.task_id}, "window_start": '
-    starts = (np.arange(len(d.distance))[sel] * d.window).tolist()
-    return "".join(
-        f"{head}{dist}{hit}{task}{tail}{start}}}\n" if matched
-        else f"{head}{dist}{miss}{tail}{start}}}\n"
-        for dist, matched, task, start in zip(
-            distances, d.matched[sel].tolist(), d.nearest[sel].tolist(), starts)
-    )
-
-
-def audit_changes(audited: dict[int, tuple[bool, WindowDecisions]], after_task: int,
-                  enrolled: bool, d: WindowDecisions) -> str:
-    """`audit_lines` of the windows whose record differs from the one last
-    written for `d`'s task: every window at the task's first row or when
-    `enrolled` flips, else those whose distance (bitwise, as `json.dumps`
-    tells floats apart), matched flag or routed task changed.  `audited`
-    maps each task to its last (enrolled, decisions) and is updated."""
-    last = audited.get(d.task_id)
-    audited[d.task_id] = (enrolled, d)
-    if last is None or last[0] != enrolled:
-        return audit_lines(after_task, enrolled, d)
-    prev = last[1]
-    changed = ((d.distance.view(np.uint64) != prev.distance.view(np.uint64))
-               | (d.matched != prev.matched)
-               | (d.matched & (d.nearest != prev.nearest)))
-    return audit_lines(after_task, enrolled, d, changed) if changed.any() else ""
-
-
 def read_audit(run_dir: str | Path) -> list[dict]:
     """Every window's audit record in every matrix row, in row order, then
-    stream order, then window order.  `ifer_audit.jsonl` holds a window's
-    line only at its first row and where its record changes; this rebuilds
-    the rows in between from the run directory alone (the row order is
-    `effective_config.json`'s stream).  A row without lines cannot be told
-    from a row never evaluated, so the run must have finished: its
-    `summary.json` (written after the last row) must exist and count the
-    rebuilt records as `bank_queries`.  A missing, malformed or unfinished
-    audit raises `DataError`."""
+    stream order, then window order, replayed from `ifer_audit.jsonl`.  The
+    file holds one line per eval task, in stream order: the task's window
+    distances to every final bank signature, ids ascending, as a
+    [windows, tasks] matrix.  A signature never changes after enrolment, so
+    column k is what the bank measured when task k was enrolled: at row i a
+    window's nearest task is the argmin over the columns of the first i + 1
+    stream tasks, the lowest id winning ties as in `TaskBank.match`, and it
+    is matched iff that distance is <= `match_threshold`.  The row order,
+    threshold and window come from `effective_config.json`.  The run must
+    have finished: its `summary.json` (written after the audit) must exist
+    and count the records as `bank_queries`.  A missing, malformed or
+    unfinished audit raises `DataError`."""
     run_dir = Path(run_dir)
     try:
-        rows = [task["task_id"] for task in
-                json.loads((run_dir / CONFIG_FILE).read_text())["stream"]]
-        written: dict[int, list[dict]] = {after: [] for after in rows}
-        with open(run_dir / AUDIT_FILE) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if rec["after_task"] not in written:
-                    raise ValueError(f"after_task {rec['after_task']!r} is not in the stream")
-                written[rec["after_task"]].append(rec)
-        current: dict[tuple[int, int], dict] = {}
+        cfg = json.loads((run_dir / CONFIG_FILE).read_text())
+        stream = [task["task_id"] for task in cfg["stream"]]
+        threshold = cfg["task_bank"]["match_threshold"]
+        window = cfg["task_bank"]["query_window"]
+        ids = np.array(sorted(stream), dtype=np.int64)
+        lines = (run_dir / AUDIT_FILE).read_text().splitlines()
+        if len(lines) != len(stream):
+            raise ValueError(f"{len(lines)} task lines for {len(stream)} stream tasks")
+        dists = []
+        for n, (task, line) in enumerate(zip(stream, lines), 1):
+            rec = json.loads(line)
+            if (not isinstance(rec, dict) or rec.keys() != {"true_task", "distance"}
+                    or rec["true_task"] != task):
+                raise ValueError(f"line {n} is not the {{true_task, distance}} "
+                                 f"line of task {task}")
+            dist = decode_array(rec["distance"])
+            if dist.ndim != 2 or dist.shape[1] != len(ids):
+                raise ValueError(f"task {task}: distance shape {dist.shape}, "
+                                 f"want [windows, {len(ids)}]")
+            dists.append(dist)
         records = []
-        for after in rows:
-            for rec in written[after]:
-                current[rec["true_task"], rec["window_start"]] = rec
-            records.extend({**rec, "after_task": after} for rec in current.values())
+        for i, after in enumerate(stream):
+            learned = stream[:i + 1]
+            cols = np.isin(ids, learned)
+            for task, dist in zip(stream, dists):
+                d = dist[:, cols]
+                best = d.argmin(axis=1)  # the first minimum: the lowest id
+                distance = d[np.arange(d.shape[0]), best]
+                head = {"after_task": after, "enrolled": task in learned}
+                records.extend({
+                    **head, "distance": dist_w, "matched": hit,
+                    "routed_task": near if hit else None,
+                    "true_task": task, "window_start": w * window,
+                } for w, (dist_w, hit, near) in enumerate(zip(
+                    distance.tolist(), (distance <= threshold).tolist(),
+                    ids[cols][best].tolist())))
         if not (run_dir / SUMMARY_FILE).is_file():
             raise ValueError(f"no {SUMMARY_FILE}: the run did not finish")
         queries = json.loads((run_dir / SUMMARY_FILE).read_text())["bank_queries"]
@@ -188,7 +169,8 @@ class _Run:
     bank_queries: int = 0
     bank_known: int = 0  # windows of enrolled tasks
     bank_hits: int = 0   # ... routed to their own task
-    audited: dict[int, tuple[bool, WindowDecisions]] = field(default_factory=dict)
+    audit: bool = False  # task-free evaluation audits the bank's decisions
+    state: EvalState = field(default_factory=EvalState)
     metrics: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
@@ -221,26 +203,23 @@ def _learn(run: _Run, cfg: ExperimentConfig, data) -> None:
     })
 
 
-def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int, learned: set[int],
-              state: EvalState, audit: TextIO | None) -> None:
+def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int,
+              learned: set[int]) -> None:
     """Matrix row `i` (and the CIL pass); the row's bank decisions go to the
-    summary counts, and those that changed since the last row to the audit
-    file."""
+    summary counts."""
     window = cfg.task_bank.query_window
     row, decisions = evaluate_row(
-        run.model, run.bank, tasks, learned, cfg.evaluation.protocol, window, state=state)
+        run.model, run.bank, tasks, learned, cfg.evaluation.protocol, window,
+        state=run.state)
     run.matrix[i, :] = row
-    after = tasks[i].task_id
     for d in decisions:
-        enrolled = d.task_id in learned
         run.bank_queries += len(d.distance)
-        if enrolled:
+        if d.task_id in learned:
             run.bank_known += len(d.distance)
             run.bank_hits += int((d.matched & (d.nearest == d.task_id)).sum())
-        audit.write(audit_changes(run.audited, after, enrolled, d))
     if cfg.evaluation.cil:
         run.cil_trace.append(pooled_accuracy(
-            run.model, run.bank, tasks[:i + 1], window, state=state))
+            run.model, run.bank, tasks[:i + 1], window, state=run.state))
 
 
 def _summary(run: _Run) -> dict:
@@ -262,23 +241,27 @@ def _write_kl_csv(path: Path, run: _Run) -> None:
             writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
 
 
-def _write_counts_csv(path: Path, run: _Run) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(run.count_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(run.count_rows)
+def _write_audit(path: Path, run: _Run) -> None:
+    """Under task-free evaluation, each eval task's window distances to every
+    final bank signature (see `read_audit`).  The first row evaluates every
+    task, so `run.state.windows` holds them in stream order."""
+    if run.audit:
+        _write_jsonl(path, [
+            {"true_task": task, "distance": encode_array(run.bank.distances(w.queries)[1])}
+            for task, w in run.state.windows.items()])
 
 
-# Every artifact but the config (written first) and the audit (written a row
-# at a time), in write order; `save_checkpoint` is looked up at call time.
+# Every artifact but the config (written first), in write order; the summary
+# marks a finished run to `read_audit`, so the audit precedes it.
+# `save_checkpoint` is looked up at call time.
 ARTIFACT_WRITERS = (
     (METRICS_FILE, lambda path, run: _write_json(path, run.metrics)),
     (MATRIX_FILE, lambda path, run: _write_matrix_csv(path, run.matrix)),
+    (AUDIT_FILE, _write_audit),
     (SUMMARY_FILE, lambda path, run: _write_json(path, run.summary)),
     (TRACE_FILE, lambda path, run: _write_jsonl(path, run.trace_records)),
     (PRUNE_FILE, lambda path, run: _write_jsonl(path, run.prune_records)),
     (KL_FILE, _write_kl_csv),
-    (COUNTS_FILE, _write_counts_csv),
     (CHECKPOINT_FILE, lambda path, run: save_checkpoint(path, run.model, run.bank)),
 )
 
@@ -289,8 +272,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / CONFIG_FILE, config_to_dict(cfg))
-    # a summary marks a finished run to `read_audit`; one left by an earlier
-    # run must not vouch for this run's audit
+    # an earlier run's audit must not outlive this run, nor its summary (the
+    # mark of a finished run to `read_audit`) vouch for this run's audit
+    (out / AUDIT_FILE).unlink(missing_ok=True)
     (out / SUMMARY_FILE).unlink(missing_ok=True)
 
     tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
@@ -305,16 +289,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         seed=cfg.seed,
     )
     bank = TaskBank(threshold=cfg.task_bank.match_threshold, metric=cfg.task_bank.metric)
-    run = _Run(model=model, bank=bank, matrix=np.full((len(tasks), len(tasks)), np.nan))
-    state = EvalState()
+    run = _Run(model=model, bank=bank, matrix=np.full((len(tasks), len(tasks)), np.nan),
+               audit=cfg.evaluation.protocol == "id_free")
     learned: set[int] = set()
-    # only task-free evaluation audits the bank's decisions
-    with (open(out / AUDIT_FILE, "w") if cfg.evaluation.protocol == "id_free"
-          else contextlib.nullcontext()) as audit:
-        for i, data in enumerate(tasks):
-            _learn(run, cfg, data)
-            learned.add(data.task_id)
-            _evaluate(run, cfg, tasks, i, learned, state, audit)
+    for i, data in enumerate(tasks):
+        _learn(run, cfg, data)
+        learned.add(data.task_id)
+        _evaluate(run, cfg, tasks, i, learned)
 
     run.metrics = compute_metrics(run.matrix, run.cil_trace)
     run.summary = _summary(run)

@@ -95,14 +95,11 @@ class TaskBank:
         self.entries[task] = f
         return f
 
-    def match(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest enrolled task of every row of a [windows, 2 * dim] query
-        matrix; a row is matched iff its distance is <= threshold, and ties
-        go to the lower task id.
-
-        Returns (tasks, distances, matched), one entry per row; `tasks` holds
-        the nearest id even where the row is unmatched.
-        """
+    def distances(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, dist): the enrolled ids ascending, and the distance of every
+        row of a [windows, 2 * dim] query matrix to each of their signatures,
+        [windows, tasks].  Column k equals `rematch`'s measure of signature
+        `ids[k]` alone, bit for bit."""
         if not self.entries:
             raise StateError("task bank is empty; enroll at least one task first")
         q = as_matrix(queries)
@@ -112,11 +109,21 @@ class TaskBank:
             raise DimensionError(
                 f"query width {q.shape[1]} does not match bank width {signatures.shape[1]}"
             )
-        dist = self._distances(q, signatures)
+        return np.asarray(ids, dtype=np.int64), self._distances(q, signatures)
+
+    def match(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest enrolled task of every row of a [windows, 2 * dim] query
+        matrix; a row is matched iff its distance is <= threshold, and ties
+        go to the lower task id.
+
+        Returns (tasks, distances, matched), one entry per row; `tasks` holds
+        the nearest id even where the row is unmatched.
+        """
+        ids, dist = self.distances(queries)
         # argmin keeps the first minimum, i.e. the lowest id in sorted order
         best = dist.argmin(axis=1)
-        best_dist = dist[np.arange(q.shape[0]), best]
-        return np.asarray(ids, dtype=np.int64)[best], best_dist, best_dist <= self.threshold
+        best_dist = dist[np.arange(dist.shape[0]), best]
+        return ids[best], best_dist, best_dist <= self.threshold
 
     def rematch(self, queries: np.ndarray, tasks: np.ndarray, distances: np.ndarray,
                 task: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,17 +8,16 @@ import json
 import numpy as np
 import pytest
 
-from submoe.checkpoint import load_checkpoint
+from submoe.checkpoint import decode_array, encode_array, load_checkpoint
 from submoe.config import config_from_dict
 from submoe.errors import DataError
-from submoe.evaluation import EvalState, WindowDecisions, evaluate_row
+from submoe.evaluation import evaluate_row
 from submoe.experiment import (
-    AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, COUNTS_FILE, KL_FILE, MATRIX_FILE,
-    METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE, SUMMARY_FILE, TRACE_FILE,
-    audit_changes, audit_lines, compute_metrics, read_audit, resolve_output_dir,
-    run_experiment,
+    AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE,
+    OUTPUT_ROOT_ENV, PRUNE_FILE, SUMMARY_FILE, TRACE_FILE, compute_metrics, read_audit,
+    resolve_output_dir, run_experiment,
 )
-from submoe.streams import generate_stream, load_task
+from submoe.streams import load_task
 
 from oracles import save_checkpoint_v2
 
@@ -43,7 +42,7 @@ def base_raw(n_tasks=2, protocol="id_free", cil=True) -> dict:
 
 
 ARTIFACTS = (METRICS_FILE, MATRIX_FILE, SUMMARY_FILE, CONFIG_FILE, TRACE_FILE,
-             PRUNE_FILE, KL_FILE, COUNTS_FILE, CHECKPOINT_FILE)
+             PRUNE_FILE, KL_FILE, CHECKPOINT_FILE)
 
 
 def test_run_writes_every_artifact(tmp_path):
@@ -109,44 +108,32 @@ def test_summary_bank_counts_equal_the_audit(tmp_path, window):
     assert summary["bank_id_accuracy"] == hits / len(known)
 
 
-def test_audit_lines_equal_json_dumps_of_each_record():
-    d = WindowDecisions(
-        task_id=-4, window=3, nearest=np.array([7, -4, 0, 2], dtype=np.int64),
-        distance=np.array([0.1 + 0.2, 0.0, np.inf, 1e300 * 10.0 / 7.0]),
-        matched=np.array([True, True, False, True]),
-    )
-    for enrolled in (True, False):
-        want = "".join(json.dumps({
-            "after_task": 11, "enrolled": enrolled, "true_task": -4,
-            "window_start": 3 * w, "matched": bool(m),
-            "routed_task": int(t) if m else None, "distance": float(dist),
-        }, sort_keys=True) + "\n" for w, (t, dist, m) in enumerate(
-            zip(d.nearest, d.distance, d.matched)))
-        assert audit_lines(11, enrolled, d) == want
-        mask = np.array([False, True, False, True])
-        want = "".join(line for line, keep in zip(want.splitlines(True), mask) if keep)
-        assert audit_lines(11, enrolled, d, mask) == want
+@pytest.mark.parametrize("metric,threshold,window",
+                         [("manhattan", 1.3, 1), ("euclidean", 0.6, 3)])
+def test_read_audit_replays_the_decisions_of_every_row(tmp_path, monkeypatch, metric,
+                                                       threshold, window):
+    raw = pinned_raw("id_free", True, window)
+    raw["task_bank"].update(metric=metric, match_threshold=threshold)
+    rows = []
 
+    def recording(*args, **kwargs):
+        row, decisions = evaluate_row(*args, **kwargs)
+        rows.append(decisions)  # their arrays are replaced, never written
+        return row, decisions
 
-def test_audit_changes_writes_the_windows_whose_record_changed():
-    audited: dict = {}
-    d = WindowDecisions(
-        task_id=1, window=2, nearest=np.array([0, 0, 0, 0, 0]),
-        distance=np.array([0.5, 0.5, 0.5, 0.5, 0.0]),
-        matched=np.array([True, True, False, False, True]),
-    )
-    assert audit_changes(audited, 0, True, d) == audit_lines(0, True, d)
-    # window 1 is routed elsewhere at an equal distance; window 2 stays
-    # unmatched, so its record is unchanged though its nearest task moved;
-    # window 3 becomes matched; window 4's distance differs only in its sign
-    e = WindowDecisions(
-        task_id=1, window=2, nearest=np.array([0, 3, 3, 0, 0]),
-        distance=np.array([0.5, 0.5, 0.5, 0.5, -0.0]),
-        matched=np.array([True, True, False, True, True]),
-    )
-    want = audit_lines(4, True, e, np.array([False, True, False, True, True]))
-    assert audit_changes(audited, 4, True, e) == want
-    assert len(want.splitlines()) == 3
+    monkeypatch.setattr("submoe.experiment.evaluate_row", recording)
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    stream = [task["task_id"] for task in raw["stream"]]
+    want = [json.dumps({
+        "after_task": stream[i], "distance": dist, "enrolled": d.task_id in stream[:i + 1],
+        "matched": hit, "routed_task": near if hit else None, "true_task": d.task_id,
+        "window_start": w * window,
+    }, sort_keys=True) for i, decisions in enumerate(rows) for d in decisions
+        for w, (dist, hit, near) in enumerate(zip(
+            d.distance.tolist(), d.matched.tolist(), d.nearest.tolist()))]
+    got = [json.dumps(rec, sort_keys=True) for rec in read_audit(tmp_path / "run")]
+    assert len(rows) == 3 and got == want
+    assert 0 < sum('"matched": true' in line for line in got) < len(got)
 
 
 def test_read_audit_rejects_a_malformed_line(tmp_path):
@@ -163,27 +150,45 @@ def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch
     audit = (run_dir / AUDIT_FILE).read_text()
     summary = (run_dir / SUMMARY_FILE).read_text()
     assert len(read_audit(run_dir)) == json.loads(summary)["bank_queries"]
+    lines = [json.loads(line) for line in audit.splitlines()]
+    assert [rec["distance"]["shape"] for rec in lines] == [[5, 3]] * 3
 
-    def rejected(audit_text: str, summary_text: str | None, match: str) -> None:
-        (run_dir / AUDIT_FILE).write_text(audit_text)
+    def rejected(records: list[dict], summary_text: str | None, match: str) -> None:
+        (run_dir / AUDIT_FILE).write_text(
+            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
         (run_dir / SUMMARY_FILE).unlink(missing_ok=True)
         if summary_text is not None:
             (run_dir / SUMMARY_FILE).write_text(summary_text)
         with pytest.raises(DataError, match=match):
             read_audit(run_dir)
 
-    # no summary: the loop never finished
-    rejected(audit, None, "summary.json")
-    # lines cut from the first row leave fewer records than bank queries
-    rejected("".join(audit.splitlines(True)[1:]), summary, "bank queries")
-    # a row that is not in the stream
-    line = json.loads(audit.splitlines()[0])
-    rejected(audit + json.dumps({**line, "after_task": 99}, sort_keys=True) + "\n",
-             summary, "not in the stream")
+    # no summary: the run never finished
+    rejected(lines, None, "summary.json")
+    # a missing or an extra task line
+    rejected(lines[:2], summary, "2 task lines for 3 stream tasks")
+    rejected(lines + lines[:1], summary, "4 task lines for 3 stream tasks")
+    # the lines out of stream order
+    rejected(lines[::-1], summary, "line 1 is not the .* line of task 2")
+    # task 2's matrix replaced: a column short, flattened to 1-d, or with fewer
+    # windows than bank queries made
+    first = decode_array(lines[0]["distance"])
+
+    def with_first(distance: dict) -> list[dict]:
+        return [{**lines[0], "distance": distance}] + lines[1:]
+
+    rejected(with_first(encode_array(first[:, :2])), summary, r"want \[windows, 3\]")
+    rejected(with_first(encode_array(first.ravel())), summary, r"want \[windows, 3\]")
+    rejected(with_first(encode_array(first[:4])), summary, "bank queries")
+    # f64 text that is not base64, or whose bytes do not fill the shape
+    rejected(with_first({**lines[0]["distance"], "f64": "not base64!"}), summary,
+             "not base64")
+    rejected(with_first({**lines[0]["distance"], "shape": [6, 3]}), summary,
+             "bytes for shape")
 
     # a run that raises after its first row, into the directory of a finished
-    # run, leaves a partial audit and no summary to vouch for it
+    # run, leaves neither the old audit nor a summary
     (run_dir / AUDIT_FILE).write_text(audit)
+    (run_dir / SUMMARY_FILE).write_text(summary)
     calls = []
 
     def fail_second_row(*args, **kwargs):
@@ -195,55 +200,16 @@ def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch
     monkeypatch.setattr("submoe.experiment.evaluate_row", fail_second_row)
     with pytest.raises(RuntimeError, match="stop"):
         run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
-    assert (run_dir / AUDIT_FILE).read_text()
-    with pytest.raises(DataError, match="summary.json"):
+    assert not (run_dir / AUDIT_FILE).exists() and not (run_dir / SUMMARY_FILE).exists()
+    with pytest.raises(DataError, match="cannot read the audit"):
         read_audit(run_dir)
 
 
-@pytest.mark.parametrize("window", [1, 3])
-def test_no_audit_line_repeats_its_window(tmp_path, window):
-    raw = pinned_raw("id_free", True, window)
-    run_experiment(config_from_dict(raw), tmp_path / "run")
-    first_row = raw["stream"][0]["task_id"]
-    last: dict[tuple[int, int], dict] = {}
-    for line in (tmp_path / "run" / AUDIT_FILE).read_text().splitlines():
-        rec = json.loads(line)
-        after = rec.pop("after_task")
-        key = rec["true_task"], rec["window_start"]
-        # a window's first line is in the first row, and each later one changes
-        assert key in last or after == first_row
-        assert last.get(key) != rec
-        last[key] = rec
-    assert len(last) == 3 * -(-15 // window)
-
-
-def test_audit_changes_skips_equal_decisions_of_a_replaced_bank_entry(tmp_path):
-    cfg = config_from_dict(pinned_raw("id_free", True, 3))
-    result = run_experiment(cfg, tmp_path / "run")
-    tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
-    learned = {t.task_id for t in tasks}
-    state = EvalState()
-    audited: dict = {}
-    _, first = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
-                            state=state)
-    assert "".join(audit_changes(audited, 2, True, d) for d in first) == "".join(
-        audit_lines(2, True, d) for d in first)
-    # the same decisions: nothing written
-    _, same = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
-                           state=state)
-    assert [audit_changes(audited, 0, True, d) for d in same] == [""] * 3
-    # an equal signature under the same id: every window is matched again into
-    # new arrays with equal values, and still nothing is written
-    result.bank.entries[0] = result.bank.entries[0].copy()
-    _, replaced = evaluate_row(result.model, result.bank, tasks, learned, "id_free", 3,
-                               state=state)
-    for a, b in zip(same, replaced):
-        assert a.distance is not b.distance and a.matched is not b.matched
-        assert a.distance.tolist() == b.distance.tolist()
-    assert [audit_changes(audited, 1, True, d) for d in replaced] == [""] * 3
-    # a flipped `enrolled` flag writes every window again
-    assert audit_changes(audited, 1, False, replaced[0]) == audit_lines(
-        1, False, replaced[0])
+def test_id_given_run_removes_an_earlier_audit(tmp_path):
+    run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), tmp_path / "run")
+    assert (tmp_path / "run" / AUDIT_FILE).is_file()
+    run_experiment(config_from_dict(pinned_raw("id_given", False, 3)), tmp_path / "run")
+    assert not (tmp_path / "run" / AUDIT_FILE).exists()
 
 
 def test_id_given_protocol_has_no_audits(tmp_path):
@@ -336,13 +302,13 @@ def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
 
 # sha256 of every run-directory file, recorded before stream evaluation became
 # incremental; the evaluation rewrite must not move a byte.  The audit file is
-# change-only since; its dense records, re-serialised a line each, keep the
-# digest of the full per-row file (DENSE_AUDIT_DIGEST).  The checkpoint is
+# each eval task's distance matrix since; its dense records, re-serialised a
+# line each, keep the digest of the full per-row file (DENSE_AUDIT_DIGEST, and
+# DENSE_AUDIT_DIGEST_W1 at query window 1).  The checkpoint is
 # version 3 since; the loaded file, re-serialised as version 2, keeps the
 # digest of the version 2 file (V2_CHECKPOINT_DIGEST).
 SHARED_DIGESTS = {
     CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
-    COUNTS_FILE: "3dfd1d0078c0d3b6dd0d131b5a23da7fb6a3c676a8630e3df526fe664ef03809",
     KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
     TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
     PRUNE_FILE: "78c560c2f5285ca9b0b26a4078a1cb1e41b05de24848e5098da61ede3d6ef566",
@@ -352,7 +318,7 @@ PINNED_DIGESTS = {
         **SHARED_DIGESTS,
         MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
         CONFIG_FILE: "1cfb31def31fb50bb09e12a1da3b8321cbe9d57f0c3a6bbf76373675ca87f0de",
-        AUDIT_FILE: "254c5e596783e7c940f4d13aeda3c4466f47cf274d32ed37b7894c6ff7e3170f",
+        AUDIT_FILE: "6b78ee7e837afa9bbff0cca5468e893136b923c13f1af887b4e6551732a3e79b",
         METRICS_FILE: "ffdb1433d423ab2d54854a3a93ec8737e1263dba28126b5c4452d985dd50c690",
         SUMMARY_FILE: "6a0e9401880bc03b3c50b2319fb74e7543e91c4392225adcf3036eead24b745b",
     },
@@ -366,6 +332,7 @@ PINNED_DIGESTS = {
 }
 
 DENSE_AUDIT_DIGEST = "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a"
+DENSE_AUDIT_DIGEST_W1 = "f325fee0ead6d1839b2b3bb73f582dc2c061f2f12f9259034f451f4dacac75ce"
 V2_CHECKPOINT_DIGEST = "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761"
 
 
@@ -382,3 +349,10 @@ def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
         dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                         for rec in read_audit(tmp_path / "run"))
         assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST
+
+
+def test_dense_audit_at_window_1_is_pinned(tmp_path):
+    run_experiment(config_from_dict(pinned_raw("id_free", True, 1)), tmp_path / "run")
+    dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
+                    for rec in read_audit(tmp_path / "run"))
+    assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST_W1

@@ -154,3 +154,37 @@ def test_rematch_one_enrolment_at_a_time_equals_match(qs, metric, data):
     ref = bank.match(q)
     for got, want in zip((tasks, dist, matched), ref):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_distances_columns_equal_rematch_and_match_is_their_argmin(metric):
+    # the audit stores `distances` of the final bank and replays each row's
+    # decisions from it, so each column must be what `rematch` measured at
+    # that task's enrolment, and `match` its argmin with the lower id on ties
+    rng = np.random.default_rng(11)
+    imgs = rng.standard_normal((6, 4, 5))
+    txt = rng.standard_normal((3, 5))
+    ids = rng.permutation(np.arange(-4, 20)).tolist()
+    bank = TaskBank(threshold=0.0, metric=metric)
+    for k, task in enumerate(ids):
+        bank.enroll(task, imgs[k % 6], txt)  # every signature four times: ties
+    q = np.vstack([fused_embedding(img, txt) for img in imgs]
+                  + [rng.standard_normal((7, 10))])
+    got_ids, dist = bank.distances(q)
+    assert got_ids.dtype == np.int64 and got_ids.tolist() == sorted(ids)
+    assert dist.shape == (13, 24)
+    assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) == 4).all()
+    n = q.shape[0]
+    for k, task in enumerate(got_ids.tolist()):
+        _, alone, _ = bank.rematch(q, np.full(n, task), np.full(n, np.inf), task)
+        assert dist[:, k].tobytes() == alone.tobytes()
+
+    bank.threshold = float(np.median(dist.min(axis=1)))
+    tasks, best, matched = bank.match(q)
+    col = dist.argmin(axis=1)
+    assert tasks.tolist() == got_ids[col].tolist()
+    assert best.tobytes() == dist[np.arange(n), col].tobytes()
+    assert matched.tolist() == (best <= bank.threshold).tolist()
+    assert 0 < matched.sum() < n
+    for r in range(n):
+        assert tasks[r] == got_ids[dist[r] == best[r]].min()
