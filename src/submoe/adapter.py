@@ -5,23 +5,40 @@ only ever sees the experts that existed when it was created, and mixes its
 own `top_k` of them, so inference for an old task replays exactly the
 computation it was trained with.  The backward pass is hand-derived and
 returns gradients only for the visible experts the routed task owns (the
-only ones a learning step updates) plus the router.
+only ones a learning step updates) plus, on request, the router.
+
+The layer packs its experts' arrays into `down_all [E, rank, dim]` and
+`up_all [E, dim, rank]`, whose slices are the experts' `down` and `up`, so a
+pass makes one stacked product per stage over a chunk of experts.  A stacked
+product makes, per expert, the BLAS call of that expert's 2-d product, and
+the weighted outputs are summed in expert order, so every value is bit for
+bit that of a loop over the experts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 import numpy as np
 
 from .errors import DimensionError, MissingRouterError, StateError
 from .numerics import MatMul, as_matrix, require_finite, softmax_rows
 
+_DOWN, _UP = attrgetter("down"), attrgetter("up")
+
+# No stacked temporary of a pass exceeds this many bytes: a chunk holds as
+# many experts as fit, and at least one.
+CHUNK_BYTES = 128 * 1024
+
 
 @dataclass
 class LoraExpert:
     """Rank-r residual map x -> up @ (down @ x); `up` starts at zero so a
-    fresh expert is exactly the zero map."""
+    fresh expert is exactly the zero map.  In a layer, `down` and `up` are
+    views of the layer's packed arrays; an array bound in their place is
+    copied into a new pack at the layer's next pass."""
 
     down: np.ndarray  # [rank, dim]
     up: np.ndarray    # [dim, rank]
@@ -69,18 +86,50 @@ class RoutingDistribution:
         return self.probs.mean(axis=0)
 
 
+class StackedViews(Sequence):
+    """The experts stacked in `chunks` ([per, ...] arrays, the last one
+    possibly shorter), one view per expert, made when it is read."""
+
+    def __init__(self, chunks: list[np.ndarray]):
+        self.chunks = chunks
+        self.per = len(chunks[0]) if chunks else 1
+        self.n = sum(len(c) for c in chunks)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not -self.n <= j < self.n:
+            raise IndexError(f"expert {j} of {self.n}")
+        j %= self.n
+        return self.chunks[j // self.per][j % self.per]
+
+
 @dataclass
 class ForwardCache:
     """Everything backward() needs; `version` pins the cache to the layer
-    structure it was computed against."""
+    structure it was computed against.  forward() stores the per-expert
+    arrays as `StackedViews` of its chunks; backward() stacks any other
+    sequence itself."""
 
     x: np.ndarray
     task: int
     dist: RoutingDistribution
-    down_acts: list[np.ndarray]  # per expert, [B, rank]
-    outputs: list[np.ndarray]    # per expert, [B, dim]
+    down_acts: Sequence[np.ndarray]  # per expert, [B, rank]
+    outputs: Sequence[np.ndarray]    # per expert, [B, dim]
     n_visible: int
     version: int
+
+
+def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray, buf: np.ndarray) -> None:
+    """acc += w[:, 0:1] * terms[0] + w[:, 1:2] * terms[1] + ..., bit for bit
+    as a loop of `acc += w[:, j:j + 1] * terms[j]`: the first weighted term
+    takes `acc` in (float addition commutes exactly), and `np.add.reduce`
+    over the leading axis adds the others in order.  The weighted terms go
+    to `buf` (which may be `terms`)."""
+    np.multiply(w.T[:, :, None], terms, out=buf)
+    buf[0] += acc
+    np.add.reduce(buf, axis=0, out=acc)
 
 
 def top_k_select(probs: np.ndarray, k: int) -> np.ndarray:
@@ -107,6 +156,46 @@ class MixtureAdapterLayer:
     routers: dict[int, Router] = field(default_factory=dict)
     version: int = 0
     next_expert_id: int = 0
+    down_all: np.ndarray = field(init=False, repr=False, compare=False)  # [E, rank, dim]
+    up_all: np.ndarray = field(init=False, repr=False, compare=False)    # [E, dim, rank]
+    _packed: tuple = field(init=False, repr=False, compare=False)  # the slots' views
+
+    def __post_init__(self):
+        self._repack()
+
+    def _repack(self) -> None:
+        """Copy every expert's arrays into fresh `down_all`/`up_all` and make
+        them views of their slots."""
+        n = len(self.experts)
+        self.down_all = np.empty((n, self.rank, self.dim))
+        self.up_all = np.empty((n, self.dim, self.rank))
+        for i, e in enumerate(self.experts):
+            self.down_all[i], self.up_all[i] = e.down, e.up
+            e.down, e.up = self.down_all[i], self.up_all[i]
+        self._packed = (list(map(_DOWN, self.experts)), list(map(_UP, self.experts)))
+
+    def packed(self, visible: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(down_all, up_all), repacked first if the expert count changed or
+        an array of the first `visible` experts (default: all) is no longer
+        its slot (a checkpoint load or an `e.up = ...` rebinds it)."""
+        experts = self.experts if visible is None else self.experts[:visible]
+        downs, ups = self._packed
+        if not (len(self.experts) == len(downs)
+                and all(map(is_, map(_DOWN, experts), downs))
+                and all(map(is_, map(_UP, experts), ups))):
+            self._repack()
+        return self.down_all, self.up_all
+
+    def _chunks(self, n: int, rows: int) -> tuple[list[slice], np.ndarray]:
+        """Consecutive slices of the first `n` experts, each small enough
+        that a stacked [experts, rows, max(dim, rank)] array fits in
+        `CHUNK_BYTES`, and one scratch array of the largest chunk's
+        [experts, rows, dim].  A pass reuses the scratch array for its
+        temporaries: one new array per chunk would be freed at the top of
+        the heap, which malloc then trims and faults in again."""
+        per = max(1, CHUNK_BYTES // max(1, 8 * rows * max(self.dim, self.rank)))
+        slices = [slice(s, min(s + per, n)) for s in range(0, n, per)]
+        return slices, np.empty((min(per, n), rows, self.dim))
 
     def router_for(self, task: int) -> Router:
         try:
@@ -129,6 +218,7 @@ class MixtureAdapterLayer:
         expert = new_expert(self.dim, self.rank, owner_task, self.next_expert_id, rng)
         self.next_expert_id += 1
         self.experts.append(expert)
+        self._repack()
         self.version += 1
         return expert
 
@@ -163,6 +253,7 @@ class MixtureAdapterLayer:
         gone = set(doomed)
         keep_rows = [i for i in range(router.n_visible) if i not in gone]
         self.experts = [e for i, e in enumerate(self.experts) if i not in gone]
+        self._repack()
         router.weight = router.weight[keep_rows, :]
         self.version += 1
 
@@ -187,29 +278,27 @@ class MixtureAdapterLayer:
 
     def forward(self, task: int, x, matmul: MatMul = np.matmul):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
-        top-k experts, every product done by `matmul`.  Returns (y, dist,
-        cache)."""
+        top-k experts, every product done by `matmul` (one stacked call per
+        chunk of experts).  Returns (y, dist, cache)."""
         xm = as_matrix(x)
         dist = self.route(task, xm, matmul)
-        router = self.router_for(task)
-        n_vis = router.n_visible
-        down_acts = []
-        outputs = []
+        n_vis = self.router_for(task).n_visible
+        down_all, up_all = self.packed(n_vis)
+        acts, outs = [], []
         y = xm.copy()
-        for j in range(n_vis):
-            e = self.experts[j]
-            a = matmul(xm, e.down.T)
-            u = matmul(a, e.up.T)
-            down_acts.append(a)
-            outputs.append(u)
-            y += dist.weights[:, j:j + 1] * u
+        slices, buf = self._chunks(n_vis, xm.shape[0])
+        for s in slices:
+            acts.append(matmul(xm, down_all[s].transpose(0, 2, 1)))
+            outs.append(matmul(acts[-1], up_all[s].transpose(0, 2, 1)))
+            _mix(y, dist.weights[:, s], outs[-1], buf[:len(outs[-1])])
         cache = ForwardCache(
-            x=xm, task=task, dist=dist, down_acts=down_acts, outputs=outputs,
-            n_visible=n_vis, version=self.version,
+            x=xm, task=task, dist=dist, down_acts=StackedViews(acts),
+            outputs=StackedViews(outs), n_visible=n_vis, version=self.version,
         )
         return y, dist, cache
 
-    def backward(self, cache: ForwardCache, grad_y, input_grad: bool = True):
+    def backward(self, cache: ForwardCache, grad_y, input_grad: bool = True,
+                 router_grad: bool = True):
         """Analytic backward through forward().
 
         Returns (grad_x, expert_grads, router_grad).  expert_grads[j] is
@@ -219,7 +308,9 @@ class MixtureAdapterLayer:
         goes through the softmax Jacobian restricted to the top-k support;
         the discrete top-k selection itself is treated as constant.  With
         `input_grad` false, grad_x is None and is not computed (the lowest
-        adapter layer has nothing trainable below it).
+        adapter layer has nothing trainable below it); with `router_grad`
+        false, the router gradient is None and is not computed (a frozen
+        router).  Neither flag changes the values that are returned.
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
@@ -230,26 +321,32 @@ class MixtureAdapterLayer:
         router = self.router_for(cache.task)
         w = cache.dist.weights
         x = cache.x
+        down_all, up_all = self.packed(cache.n_visible)
 
-        grad_x = g.copy() if input_grad else None
-        expert_grads = []
-        dmix = np.empty_like(w)
-        for j in range(cache.n_visible):
-            e = self.experts[j]
+        expert_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cache.n_visible
+        for j, e in enumerate(self.experts[:cache.n_visible]):
             if e.owner_task == cache.task:
                 wg = g * w[:, j:j + 1]
                 grad_up = wg.T @ cache.down_acts[j]
                 grad_down = (wg @ e.up).T @ x
-                expert_grads.append((grad_down, grad_up))
-            else:
-                expert_grads.append(None)
+                expert_grads[j] = (grad_down, grad_up)
+        if not (input_grad or router_grad):
+            return None, expert_grads, None
+        slices, buf = self._chunks(cache.n_visible, x.shape[0])
+        grad_x = g.copy() if input_grad else None
+        outputs = (cache.outputs.chunks if isinstance(cache.outputs, StackedViews)
+                   else [np.stack(cache.outputs[s]) for s in slices])
+        dmix = np.empty_like(w)
+        for s, u in zip(slices, outputs):
+            t = buf[:len(u)]
             if input_grad:
-                grad_x += w[:, j:j + 1] * (g @ e.up @ e.down)
-            dmix[:, j] = (g * cache.outputs[j]).sum(axis=1)
+                np.matmul(g @ up_all[s], down_all[s], out=t)
+                _mix(grad_x, w[:, s], t, t)
+            np.multiply(g, u, out=t)
+            dmix[:, s] = t.sum(axis=2).T
         # softmax Jacobian on the renormalised support: rows outside the
         # top-k have w == 0 and so receive exactly zero
         dz = w * (dmix - (w * dmix).sum(axis=1, keepdims=True))
-        router_grad = dz.T @ x
         if input_grad:
             grad_x += dz @ router.weight
-        return grad_x, expert_grads, router_grad
+        return grad_x, expert_grads, dz.T @ x if router_grad else None

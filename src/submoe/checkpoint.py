@@ -51,21 +51,28 @@ def encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
 
 
+def _array_check(ok: bool, message: str) -> None:
+    if not ok:
+        raise DataError(message)
+
+
 def decode_array(obj) -> np.ndarray:
     """Inverse of `encode_array`: an owned, writable, native float64 array.
-    A malformed object raises `DataError`."""
-    _require(isinstance(obj, dict) and obj.keys() == {"shape", "f64"},
-             "array: not a {shape, f64} object")
+    A malformed object raises `DataError`, worded by the array alone: the
+    checkpoint and the audit both store their arrays this way, and their
+    readers name the file."""
+    _array_check(isinstance(obj, dict) and obj.keys() == {"shape", "f64"},
+                 "array: not a {shape, f64} object")
     shape = obj["shape"]
-    _require(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
-             "array shape: not a list of non-negative ints")
-    _require(isinstance(obj["f64"], str), "array f64: not a string")
+    _array_check(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
+                 "array shape: not a list of non-negative ints")
+    _array_check(isinstance(obj["f64"], str), "array f64: not a string")
     try:
         data = base64.b64decode(obj["f64"], validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise DataError(f"checkpoint array f64: not base64: {exc}") from exc
-    _require(len(data) == 8 * math.prod(shape),
-             f"array f64: {len(data)} bytes for shape {shape}")
+        raise DataError(f"array f64: not base64: {exc}") from exc
+    _array_check(len(data) == 8 * math.prod(shape),
+                 f"array f64: {len(data)} bytes for shape {shape}")
     # frombuffer is a read-only view of `data`; astype makes the owned copy
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 

@@ -1,7 +1,9 @@
 """Command-line entry points.
 
   submoe run <config.json>                 learn the stream, write artifacts
-  submoe report <dir> [<dir2>]             summarise one run or diff two
+  submoe report <dir> [<dir2>]             summarise one run, or diff two:
+                                           metrics, then the files whose
+                                           bytes differ (sha256 per file)
   submoe sweep <config.json> --param K --values a,b,c
                                            one run per value, plus a summary
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -68,6 +71,31 @@ def _fmt(val) -> str:
     return "-" if val is None else f"{val:.4f}"
 
 
+def _file_digests(directory: Path) -> dict[str, str]:
+    """sha256 of every file under `directory`, keyed by relative path."""
+    out = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        try:
+            with open(path, "rb") as fh:
+                out[path.relative_to(directory).as_posix()] = hashlib.file_digest(
+                    fh, "sha256").hexdigest()
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+    return out
+
+
+def _print_file_diff(first: Path, second: Path) -> None:
+    da, db = _file_digests(first), _file_digests(second)
+    names = da.keys() | db.keys()
+    differ = sorted(name for name in names if da.get(name) != db.get(name))
+    if not differ:
+        print(f"files: all {len(names)} byte-identical (sha256)")
+        return
+    print(f"files whose bytes differ (sha256), {len(differ)} of {len(names)}:")
+    for name in differ:
+        print(f"  {name}  A {da.get(name, 'absent')}  B {db.get(name, 'absent')}")
+
+
 def _cmd_report(args) -> int:
     first = Path(args.dirs[0])
     metrics, summary = _read_run(first)
@@ -98,6 +126,7 @@ def _cmd_report(args) -> int:
     eb = summary2.get("final_expert_total")
     if ea is not None and eb is not None:
         print(f"  {'experts':>9}  {ea:>10}  {eb:>10}  {eb - ea:>+10}")
+    _print_file_diff(first, second)
     return 0
 
 
@@ -161,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the experiment config")
     p_run.set_defaults(func=_cmd_run)
 
-    p_rep = sub.add_parser("report", help="summarise a run directory (two dirs: diff)")
+    p_rep = sub.add_parser("report", help="summarise a run directory (two dirs: diff "
+                                          "the metrics and the file bytes)")
     p_rep.add_argument("dirs", nargs="+", help="one or two run directories")
     p_rep.set_defaults(func=_cmd_report)
 

@@ -43,7 +43,7 @@ def _check_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"accuracy matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericError("accuracy matrix has non-finite (unpopulated?) entries")
     if m.min() < 0.0 or m.max() > 1.0:
         raise NumericError("accuracies must lie in [0, 1]")
@@ -80,7 +80,7 @@ def cil_scores(trace) -> tuple[float, float]:
     a = np.asarray(trace, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("CIL trace must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(a)) or a.min() < 0.0 or a.max() > 1.0:
+    if not np.isfinite(a).all() or a.min() < 0.0 or a.max() > 1.0:
         raise NumericError("CIL accuracies must be finite and lie in [0, 1]")
     return float(a[-1]), float(a.mean())
 
@@ -112,11 +112,10 @@ def _embed_routes(model: AdapterModel, x: np.ndarray, bare: np.ndarray,
 
 class WindowDecisions(NamedTuple):
     """The bank's decisions for one task's query windows in one matrix row;
-    window w starts at eval row w * window and goes to `nearest[w]` when
-    `matched[w]`, else to the fallback."""
+    window w starts at eval row w * query_window and goes to `nearest[w]`
+    when `matched[w]`, else to the fallback."""
 
     task_id: int
-    window: int
     nearest: np.ndarray   # int64, nearest enrolled id even when unmatched
     distance: np.ndarray  # float64
     matched: np.ndarray   # bool
@@ -244,8 +243,7 @@ def evaluate_row(model: AdapterModel, bank: TaskBank | None,
                 raise DomainError("id_free protocol needs a task bank")
             w = state.task_windows(model, bank, data, window)
             row[j] = float((w.preds == data.eval_y).mean())
-            decisions.append(WindowDecisions(
-                data.task_id, window, w.nearest, w.distance, w.matched))
+            decisions.append(WindowDecisions(data.task_id, w.nearest, w.distance, w.matched))
         else:
             route = data.task_id if data.task_id in learned else None
             row[j] = state.given_accuracy(model, data, route)

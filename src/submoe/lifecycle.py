@@ -181,7 +181,7 @@ def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
                 step_no: int) -> tuple[float, float]:
     """One optimisation step over the batch `idx`; returns (contrastive, aux)."""
     loss, grads = model.loss_and_grads(
-        data.train_x[idx], data.train_y[idx], data.text_emb, task
+        data.train_x[idx], data.train_y[idx], data.text_emb, task, router_trainable
     )
     if not np.isfinite(loss):
         raise NumericError(f"step {step_no}: training loss became non-finite")

@@ -63,7 +63,7 @@ def cosine_logits(emb: np.ndarray, text_emb, matmul: MatMul = np.matmul) -> np.n
 class LayerGrads:
     layer_index: int
     expert_grads: list[tuple[np.ndarray, np.ndarray] | None]  # None: not the task's
-    router_grad: np.ndarray
+    router_grad: np.ndarray | None  # None: not requested (a frozen router)
     dist: RoutingDistribution
 
 
@@ -113,11 +113,12 @@ class AdapterModel:
     def predict(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
         return self.logits(x, text_emb, task, matmul).argmax(axis=1)
 
-    def loss_and_grads(self, x, labels, text_emb, task: int):
+    def loss_and_grads(self, x, labels, text_emb, task: int, router_grad: bool = True):
         """Contrastive loss plus analytic gradients for every adapter layer.
 
         Returns (loss, grads) with one LayerGrads per adapter layer in layer
-        order.  Each holds the router gradient and, per visible expert, the
+        order.  Each holds the router gradient (None when `router_grad` is
+        false: the routers are frozen) and, per visible expert, the
         (down, up) gradient if `task` owns that expert or None if it is
         frozen.  The backward pass stops at the lowest adapter layer:
         nothing below it trains.
@@ -130,10 +131,11 @@ class AdapterModel:
             t, cache = tape[i]
             if cache is not None:
                 layer = self.adapters[i]
-                g, expert_grads, router_grad = layer.backward(cache, g, input_grad=i > lowest)
+                g, expert_grads, rgrad = layer.backward(
+                    cache, g, input_grad=i > lowest, router_grad=router_grad)
                 per_layer[i] = LayerGrads(
                     layer_index=i, expert_grads=expert_grads,
-                    router_grad=router_grad, dist=cache.dist,
+                    router_grad=rgrad, dist=cache.dist,
                 )
             if i > lowest:
                 g = (g * (1.0 - t * t)) @ self.backbone.weights[i]

@@ -23,7 +23,7 @@ def as_matrix(x) -> np.ndarray:
 
 
 def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
 
 
@@ -31,23 +31,26 @@ MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1) -> np.ndarray:
-    """`a @ b` as one BLAS call per block of `block` consecutive rows of the
-    2-d `a` (the last block may be shorter).
+    """`a @ b` as one BLAS call per block of `block` consecutive rows of `a`
+    (the last block may be shorter) and per matrix of the leading stacked
+    axes of `a` and `b`, which broadcast as they do in `np.matmul`.
 
-    The result equals ``np.vstack([a[s:s + block] @ b for s in
-    range(0, len(a), block)])`` bit for bit: NumPy's stacked matmul loops over
-    the leading axis in C and makes, for each block, the BLAS call that the
-    2-d product of that block makes (GEMV for one row, GEMM for more).  A
-    single GEMM over all rows rounds differently in the last ulp, which can
-    flip an argmax between tied columns, so code that must reproduce
-    one-window-at-a-time results batches through this instead of `a @ b`.
+    The result equals the products of each block of each matrix,
+    ``a[..., s:s + block, :] @ b``, stacked back in row order, bit for bit:
+    NumPy's stacked matmul loops over the leading axes in C and makes, for
+    each block, the BLAS call that the 2-d product of that block makes (GEMV
+    for one row, GEMM for more).  A single GEMM over all rows rounds
+    differently in the last ulp, which can flip an argmax between tied
+    columns, so code that must reproduce one-window-at-a-time results
+    batches through this instead of `a @ b`.
     """
-    n, k = a.shape
+    *lead, n, k = a.shape
     full = n - n % block
-    head = (a[:full].reshape(-1, block, k) @ b).reshape(full, b.shape[1])
+    head = a[..., :full, :].reshape(*lead, full // block, block, k) @ b[..., None, :, :]
+    head = head.reshape(*head.shape[:-3], full, head.shape[-1])
     if full == n:
         return head
-    return np.vstack([head, a[full:] @ b])
+    return np.concatenate([head, a[..., full:, :] @ b], axis=-2)
 
 
 def softmax(logits) -> np.ndarray:

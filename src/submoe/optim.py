@@ -99,7 +99,7 @@ class StepReport:
 
 
 def _any_nonzero(grads: list[np.ndarray]) -> bool:
-    return any(np.any(g != 0.0) for g in grads)
+    return any(g.any() for g in grads)
 
 
 @dataclass

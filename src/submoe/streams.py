@@ -287,7 +287,7 @@ def load_task(manifest_path: str | Path) -> TaskData:
         raise DataError(f"{bin_path}: trailing or missing bytes")
     for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
                             ("text_emb", text), ("prototypes", protos)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DataError(f"{bin_path}: {field_name} has non-finite entries")
     for field_name, labels in (("train_y", train_y), ("eval_y", eval_y)):
         if labels.size and (labels.min() < 0 or labels.max() >= classes):

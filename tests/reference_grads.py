@@ -1,13 +1,43 @@
-"""Reference backward passes that compute every gradient: the adapter layer's
-for every visible expert plus the input, and the model's through every
-layer down to the input.  The engine computes only what a learning step
-applies; tests compare it with these bit for bit."""
+"""Reference passes of the adapter layer and the model, one expert at a time.
+
+The forward loops over the visible experts with 2-d products, and the
+backward passes compute every gradient: the adapter layer's for every
+visible expert plus the input, and the model's through every layer down to
+the input.  The engine stacks its per-expert products and computes only what
+a learning step applies; tests compare it with these bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from submoe.adapter import ForwardCache
 from submoe.numerics import as_matrix, contrastive_loss
+
+
+def blockwise_matmul(a, b, block: int):
+    """`a @ b` one 2-d product per block of `block` rows, stacked in order:
+    the definition `numerics.rowwise_matmul` is bit-equal to."""
+    return np.vstack([a[s:s + block] @ b for s in range(0, a.shape[0], block)])
+
+
+def loop_forward(layer, task: int, x, matmul=np.matmul):
+    """(y, dist, cache) of the layer's forward, one expert at a time:
+    y = x, then y += w_j * up_j @ down_j @ x for each visible expert j."""
+    xm = as_matrix(x)
+    dist = layer.route(task, xm, matmul)
+    n_vis = layer.router_for(task).n_visible
+    down_acts, outputs = [], []
+    y = xm.copy()
+    for j in range(n_vis):
+        e = layer.experts[j]
+        a = matmul(xm, e.down.T)
+        u = matmul(a, e.up.T)
+        down_acts.append(a)
+        outputs.append(u)
+        y += dist.weights[:, j:j + 1] * u
+    cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=down_acts, outputs=outputs,
+                         n_visible=n_vis, version=layer.version)
+    return y, dist, cache
 
 
 def full_backward(layer, cache, grad_y):

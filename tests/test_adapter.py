@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submoe.adapter import MixtureAdapterLayer, Router, top_k_select
+from submoe.adapter import CHUNK_BYTES, ForwardCache, MixtureAdapterLayer, Router, top_k_select
 from submoe.checkpoint import layer_from_payload, layer_to_payload
 from submoe.errors import DimensionError, MissingRouterError, StateError
-from submoe.numerics import softmax_rows
+from submoe.numerics import rowwise_matmul, softmax_rows
 
 from oracles import expert_gradient_norm, finite_diff_grad
-from reference_grads import full_backward
+from reference_grads import blockwise_matmul, full_backward, loop_forward
 
 
 def make_layer(dim=6, rank=2, top_k=2, n_experts=3, task=0, seed=0,
@@ -332,3 +335,108 @@ def test_prune_output_shift_bounded_by_cached_quantities():
     bound = (np.abs(w_before - w_after) * out_norms).sum(axis=1)
     shift = np.linalg.norm(y_before - y_after, axis=1)
     assert np.all(shift <= bound + 1e-12)
+
+
+# (dim, rows): at dim 64 and 256 or 300 rows one expert fills a chunk, at 100
+# rows two do, and at dim 16 and 48 rows twenty-one do
+STACK_SHAPES = [(5, 1), (5, 6), (64, 1), (64, 7), (64, 100), (64, 256), (64, 300),
+                (16, 48)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    owners=st.lists(st.integers(0, 2), min_size=1, max_size=24),
+    visible=st.lists(st.integers(0, 24), min_size=3, max_size=3),
+    task=st.integers(0, 2),
+    top_k=st.integers(1, 30),
+    shape=st.sampled_from(STACK_SHAPES),
+    block=st.sampled_from([None, 1, 3, 7]),
+    rebind=st.booleans(),
+    event=st.sampled_from(["none", "remove", "checkpoint"]),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
+        owners, visible, task, top_k, shape, block, rebind, event, seed):
+    # each task's router sees a prefix of the expert list, possibly empty
+    dim, rows = shape
+    rng = np.random.default_rng(seed)
+    layer = MixtureAdapterLayer(layer_index=0, dim=dim, rank=2, top_k=top_k)
+    for owner in owners:
+        e = layer.add_expert(owner, rng)
+        if rebind:  # the expert's array is then no longer a slot of the pack
+            e.up = rng.standard_normal((dim, 2))
+        else:
+            e.up[...] = rng.standard_normal((dim, 2))
+    for t, nv in enumerate(visible):
+        layer.routers[t] = Router(weight=rng.standard_normal((min(nv, len(owners)), dim)),
+                                  top_k=top_k)
+    if event == "remove":
+        # task 3 sees every expert, then loses one of its own two
+        for _ in range(2):
+            layer.add_expert(3, rng).up[...] = rng.standard_normal((dim, 2))
+        layer.add_router(3).weight = rng.standard_normal((len(layer.experts), dim))
+        layer.remove_experts({layer.experts[-2 + seed % 2].expert_id}, 3)
+        task = 3
+    elif event == "checkpoint":
+        layer = layer_from_payload(json.loads(json.dumps(layer_to_payload(layer))))
+    engine = np.matmul if block is None else partial(rowwise_matmul, block=block)
+    ref = np.matmul if block is None else partial(blockwise_matmul, block=block)
+    x = rng.standard_normal((rows, dim))
+    g = rng.standard_normal((rows, dim))
+
+    y, dist, cache = layer.forward(task, x, engine)
+    ref_y, ref_dist, ref_cache = loop_forward(layer, task, x, ref)
+    assert y.tobytes() == ref_y.tobytes()
+    for name in ("probs", "top_k_mask", "weights"):
+        assert getattr(dist, name).tobytes() == getattr(ref_dist, name).tobytes()
+    assert (cache.task, cache.n_visible, cache.version) == (
+        ref_cache.task, ref_cache.n_visible, ref_cache.version)
+    assert cache.x.tobytes() == ref_cache.x.tobytes()
+    assert len(cache.down_acts) == len(cache.outputs) == cache.n_visible
+    for name in ("down_acts", "outputs"):
+        for got, want in zip(getattr(cache, name), getattr(ref_cache, name)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    per_chunk = max(1, CHUNK_BYTES // (8 * rows * dim))
+    assert [len(u) for u in cache.outputs.chunks] == [
+        min(per_chunk, cache.n_visible - s) for s in range(0, cache.n_visible, per_chunk)]
+
+    ref_x, ref_experts, ref_router = full_backward(layer, ref_cache, g)
+    # a cache of plain per-expert lists gives the same gradients
+    bare = ForwardCache(x=cache.x, task=cache.task, dist=cache.dist,
+                        down_acts=list(cache.down_acts), outputs=list(cache.outputs),
+                        n_visible=cache.n_visible, version=cache.version)
+    for c in (cache, bare):
+        for input_grad in (True, False):
+            for router_grad in (True, False):
+                grad_x, expert_grads, rgrad = layer.backward(
+                    c, g, input_grad=input_grad, router_grad=router_grad)
+                if input_grad:
+                    assert grad_x.tobytes() == ref_x.tobytes()
+                else:
+                    assert grad_x is None
+                if router_grad:
+                    assert rgrad.tobytes() == ref_router.tobytes()
+                else:
+                    assert rgrad is None
+                assert len(expert_grads) == cache.n_visible
+                for j, got in enumerate(expert_grads):
+                    if layer.experts[j].owner_task == task:
+                        assert got[0].tobytes() == ref_experts[j][0].tobytes()
+                        assert got[1].tobytes() == ref_experts[j][1].tobytes()
+                    else:
+                        assert got is None
+
+
+def test_experts_are_views_of_the_packed_arrays():
+    layer = make_layer(n_experts=3, seed=23)
+    layer.experts[1].up = np.ones((6, 2))  # rebound: no longer a slot
+    down_all, up_all = layer.packed()
+    assert down_all.shape == (3, 2, 6) and up_all.shape == (3, 6, 2)
+    for i, e in enumerate(layer.experts):
+        assert np.shares_memory(e.down, down_all) and np.shares_memory(e.up, up_all)
+        assert e.down.tobytes() == down_all[i].tobytes()
+        assert e.up.tobytes() == up_all[i].tobytes()
+    assert (up_all[1] == 1.0).all()
+    # an in-place update of an expert is an update of the pack
+    layer.experts[2].down += 1.0
+    assert layer.packed()[0] is down_all and down_all[2].tobytes() == layer.experts[2].down.tobytes()

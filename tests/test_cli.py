@@ -263,3 +263,30 @@ def test_report_prints_numbers_and_nulls(rooted, capsys):
     assert "0.2500" in out and "1.0000" in out and "bank id  : 0.5000" in out
     assert main(["report", a, b]) == 0
     assert "+2" in capsys.readouterr().out
+
+
+def test_report_two_runs_lists_the_files_whose_bytes_differ(rooted, capsys, monkeypatch):
+    cfg = write_config(rooted)
+    for root in ("r1", "r2"):
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(rooted / root))
+        main(["run", str(cfg)])
+    a, b = (rooted / root / "runs" / "cli" for root in ("r1", "r2"))
+    n_files = len(list(a.iterdir()))
+    capsys.readouterr()
+    assert main(["report", str(a), str(b)]) == 0
+    assert f"files: all {n_files} byte-identical (sha256)" in capsys.readouterr().out
+
+    matrix = bytearray((b / "accuracy_matrix.csv").read_bytes())
+    matrix[0] ^= 1  # one byte flipped
+    (b / "accuracy_matrix.csv").write_bytes(bytes(matrix))
+    assert main(["report", str(a), str(b)]) == 0
+    out = capsys.readouterr().out.split(f"files whose bytes differ (sha256), 1 of {n_files}:\n")
+    listed = [line.split() for line in out[1].splitlines()]
+    assert [line[0] for line in listed] == ["accuracy_matrix.csv"]
+    assert listed[0][2] != listed[0][4]
+
+    (b / "extra.txt").write_text("x")  # a file only one run has
+    assert main(["report", str(a), str(b)]) == 0
+    out = capsys.readouterr().out.split("files whose bytes differ (sha256), 2 of")
+    listed = [line.split() for line in out[1].splitlines()[1:]]
+    assert [(line[0], line[2]) for line in listed][1] == ("extra.txt", "absent")

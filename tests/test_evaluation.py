@@ -327,7 +327,7 @@ def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
         for j, (d, dec) in enumerate(zip(stream, decisions)):
             preds, records = routed(model, bank, d, window)
             assert row[j] == float((preds == d.eval_y).mean())
-            assert dec.task_id == d.task_id and dec.window == window
+            assert dec.task_id == d.task_id
             assert records == [(m, t if m else None, dist) for t, dist, m in zip(
                 dec.nearest.tolist(), dec.distance.tolist(), dec.matched.tolist())]
         # the reuse task keeps task 0's label rows: the pooled table has duplicates

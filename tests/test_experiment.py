@@ -356,3 +356,56 @@ def test_dense_audit_at_window_1_is_pinned(tmp_path):
     dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                     for rec in read_audit(tmp_path / "run"))
     assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST_W1
+
+
+def dim64_raw() -> dict:
+    """Dim 64, three orthogonal tasks of three candidates per layer and
+    task-free evaluation in windows of 3: a 192-row routing snapshot or
+    evaluation batch fills a stacked chunk with one expert, and a 48-row
+    training batch with five, so both cross chunk boundaries."""
+    return {
+        "seed": 7,
+        "output_dir": "runs/pinned64",
+        "model": {"feature_dim": 64, "depth": 3, "adapter_layers": [1, 2], "rank": 2},
+        "schedule": {"identify_steps": 6, "finetune_steps": 3, "num_candidates": 3,
+                     "batch_size": 48, "snapshot_interval": 3, "top_k": 64},
+        "optimizer": {"learning_rate": 5.0, "penalty": 0.01},
+        "contrastive": {"temperature": 0.4},
+        "task_bank": {"match_threshold": 8.0, "enroll_batch": 32, "query_window": 3},
+        "evaluation": {"protocol": "id_free", "cil": True},
+        "stream": [{"task_id": i, "classes": 3, "samples_per_class": 16, "eval_per_class": 64,
+                    "seed": i, "alignment": {"mode": "orthogonal"}} for i in range(3)],
+    }
+
+
+# sha256 of every run-directory file, recorded with the loop over experts,
+# before the layer stacked its per-expert products
+DIM64_DIGESTS = {
+    AUDIT_FILE: "7187f4434012127c42968fb706f7b5e37c7c779ca5e526e949c8d78d6047ee0a",
+    CHECKPOINT_FILE: "7a5d0064a606ecea362c92fae7ca6ae061a9d6b95445c797ea7fd997f55e9f15",
+    CONFIG_FILE: "cd733d7628cce3bd9d6981601283f47464ab953afe97afd7278e2787a0a91e07",
+    KL_FILE: "a3f1727e2558b1df28220a957bee79f79ef4ff1f71c3f67e023c1bb6e987aeb9",
+    MATRIX_FILE: "1d3d778865988413b63197876302874d06699880fa1be87dececf67d8f8c520b",
+    METRICS_FILE: "d17b9ae9319c703f213cba5dbfb31a8dee1cd161bb585b6997abbaf44cb6ba4b",
+    PRUNE_FILE: "af2c50f95e0a128955b1ac84694c0b72158a704f62fc2d90c153fae3f0083703",
+    SUMMARY_FILE: "b59f333bcf2b760e28f6d80959e085195aac0a4817ab347af6a34c35b1014988",
+    TRACE_FILE: "0d919b84a63ef48f42a8b139cf11ed74f78bc3fc6ea642589f0e6723f3dfea58",
+}
+
+
+def test_dim64_run_directory_is_pinned(tmp_path):
+    run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "run").iterdir()}
+    assert got == DIM64_DIGESTS
+
+
+def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):
+    run_dir = tmp_path / "run"
+    run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
+    lines = [json.loads(line) for line in (run_dir / AUDIT_FILE).read_text().splitlines()]
+    lines[0]["distance"]["f64"] = "AAA"
+    (run_dir / AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    with pytest.raises(DataError, match="cannot read the audit") as info:
+        read_audit(run_dir)
+    assert "not base64" in str(info.value) and "checkpoint" not in str(info.value)

@@ -116,14 +116,17 @@ def test_loss_and_grads_equal_the_full_backward_bitwise():
     attach_task(model, 0, n_experts=2, seed=20)
     attach_task(model, 1, n_experts=3, seed=21)
     x, labels, text = batch(np.random.default_rng(22))
-    for task in (0, 1):
-        loss, grads = model.loss_and_grads(x, labels, text, task=task)
+    for task, router_grad in ((0, True), (1, True), (0, False), (1, False)):
+        loss, grads = model.loss_and_grads(x, labels, text, task=task, router_grad=router_grad)
         ref_loss, ref_layers = full_loss_and_grads(model, x, labels, text, task)
         assert loss == ref_loss
         assert [lg.layer_index for lg in grads] == sorted(ref_layers)
         for lg in grads:
             ref_experts, ref_router = ref_layers[lg.layer_index]
-            assert lg.router_grad.tobytes() == ref_router.tobytes()
+            if router_grad:
+                assert lg.router_grad.tobytes() == ref_router.tobytes()
+            else:  # a frozen router: no router gradient, the rest unchanged
+                assert lg.router_grad is None
             layer = model.adapters[lg.layer_index]
             assert len(lg.expert_grads) == len(ref_experts)
             for j, got in enumerate(lg.expert_grads):

@@ -167,3 +167,26 @@ def test_rowwise_matmul_equals_stacked_one_row_products(n, k, m):
     for block in (2, 3, 5, n, n + 3):
         ref = np.vstack([a[s:s + block] @ b for s in range(0, n, block)])
         assert np.array_equal(rowwise_matmul(a, b, block), ref)
+
+
+# (lead of a, lead of b): a 2-d against stacked experts, stacked against
+# stacked, stacked against 2-d, and a broadcast lead
+STACKED_LEADS = [((), (5,)), ((5,), (5,)), ((5,), ()), ((3, 1), (1, 4))]
+
+
+@pytest.mark.parametrize("lead_a,lead_b", STACKED_LEADS)
+@pytest.mark.parametrize("n,k,m", [(192, 64, 2), (192, 2, 64), (7, 8, 3), (1, 8, 8)])
+def test_rowwise_matmul_with_stacked_operands_equals_per_item_block_products(
+        lead_a, lead_b, n, k, m):
+    rng = np.random.default_rng(n * k + m + len(lead_a) + 3 * len(lead_b))
+    a = rng.standard_normal(lead_a + (n, k))
+    b = rng.standard_normal(lead_b + (m, k)).swapaxes(-1, -2)  # as `down_all[s].transpose(0, 2, 1)`
+    lead = np.broadcast_shapes(lead_a, lead_b)
+    ai = np.broadcast_to(a, lead + (n, k))
+    bi = np.broadcast_to(b, lead + (k, m))
+    for block in (1, 2, 3, 7, n, n + 3):
+        got = rowwise_matmul(a, b, block)
+        assert got.shape == lead + (n, m)
+        for idx in np.ndindex(*lead):
+            want = np.vstack([ai[idx][s:s + block] @ bi[idx] for s in range(0, n, block)])
+            assert got[idx].tobytes() == want.tobytes()
