@@ -12,11 +12,13 @@ The layer packs its experts' arrays into `down_all [E, rank, dim]` and
 pass makes one stacked product per stage over a chunk of experts.  A stacked
 product makes, per expert, the BLAS call of that expert's 2-d product, and
 the weighted outputs are summed in expert order, so every value is bit for
-bit that of a loop over the experts.
+bit that of a loop over the experts.  An inference pass keeps no expert
+outputs: it mixes each chunk into the layer's output and drops it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
@@ -79,11 +81,13 @@ class RoutingDistribution:
     top_k_mask: np.ndarray  # [B, n_visible] bool
     weights: np.ndarray     # [B, n_visible], zero outside the mask, rows sum to 1
 
+    # np.add.reduce over the rows divided by their count is what np.mean
+    # computes, without its Python wrapper
     def mean_weights(self) -> np.ndarray:
-        return self.weights.mean(axis=0)
+        return np.add.reduce(self.weights, axis=0) / len(self.weights)
 
     def mean_probs(self) -> np.ndarray:
-        return self.probs.mean(axis=0)
+        return np.add.reduce(self.probs, axis=0) / len(self.probs)
 
 
 class StackedViews(Sequence):
@@ -109,14 +113,15 @@ class StackedViews(Sequence):
 class ForwardCache:
     """Everything backward() needs; `version` pins the cache to the layer
     structure it was computed against.  forward() stores the per-expert
-    arrays as `StackedViews` of its chunks; backward() stacks any other
-    sequence itself."""
+    arrays as `StackedViews` of its chunks, or None for an inference pass
+    that keeps no expert outputs; backward() stacks any other sequence
+    itself."""
 
     x: np.ndarray
     task: int
     dist: RoutingDistribution
-    down_acts: Sequence[np.ndarray]  # per expert, [B, rank]
-    outputs: Sequence[np.ndarray]    # per expert, [B, dim]
+    down_acts: Sequence[np.ndarray] | None  # per expert, [B, rank]
+    outputs: Sequence[np.ndarray] | None    # per expert, [B, dim]
     n_visible: int
     version: int
 
@@ -130,6 +135,15 @@ def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray, buf: np.ndarray) -> 
     np.multiply(w.T[:, :, None], terms, out=buf)
     buf[0] += acc
     np.add.reduce(buf, axis=0, out=acc)
+
+
+@functools.lru_cache(maxsize=1024)
+def _chunk_slices(n: int, rows: int, width: int) -> tuple[slice, ...]:
+    """Consecutive slices of the first `n` experts, each small enough that a
+    stacked [experts, rows, width] array fits in `CHUNK_BYTES`.  A learning
+    phase asks for the same few shapes at every step, so they are kept."""
+    per = max(1, CHUNK_BYTES // max(1, 8 * rows * width))
+    return tuple(slice(s, min(s + per, n)) for s in range(0, n, per))
 
 
 def top_k_select(probs: np.ndarray, k: int) -> np.ndarray:
@@ -186,16 +200,15 @@ class MixtureAdapterLayer:
             self._repack()
         return self.down_all, self.up_all
 
-    def _chunks(self, n: int, rows: int) -> tuple[list[slice], np.ndarray]:
-        """Consecutive slices of the first `n` experts, each small enough
-        that a stacked [experts, rows, max(dim, rank)] array fits in
-        `CHUNK_BYTES`, and one scratch array of the largest chunk's
-        [experts, rows, dim].  A pass reuses the scratch array for its
-        temporaries: one new array per chunk would be freed at the top of
-        the heap, which malloc then trims and faults in again."""
-        per = max(1, CHUNK_BYTES // max(1, 8 * rows * max(self.dim, self.rank)))
-        slices = [slice(s, min(s + per, n)) for s in range(0, n, per)]
-        return slices, np.empty((min(per, n), rows, self.dim))
+    def _chunks(self, n: int, rows: int) -> tuple[slice, ...]:
+        return _chunk_slices(n, rows, max(self.dim, self.rank))
+
+    def _scratch(self, slices: Sequence[slice], rows: int) -> np.ndarray:
+        """One scratch array of the largest chunk's [experts, rows, dim].  A
+        training pass reuses it for its temporaries: one new array per chunk
+        would be freed at the top of the heap, which malloc then trims and
+        faults in again."""
+        return np.empty((slices[0].stop if slices else 0, rows, self.dim))
 
     def router_for(self, task: int) -> Router:
         try:
@@ -269,31 +282,42 @@ class MixtureAdapterLayer:
             return RoutingDistribution(
                 probs=empty, top_k_mask=empty.astype(bool), weights=empty.copy()
             )
-        logits = matmul(xm, router.weight.T)
-        probs = softmax_rows(logits)
+        probs = softmax_rows(matmul(xm, router.weight.T))
         mask = top_k_select(probs, router.top_k)
-        masked = np.where(mask, probs, 0.0)
-        weights = masked / masked.sum(axis=1, keepdims=True)
+        # a router that mixes every visible expert masks nothing
+        masked = probs if router.top_k >= router.n_visible else np.where(mask, probs, 0.0)
+        weights = masked / np.add.reduce(masked, axis=1, keepdims=True)
         return RoutingDistribution(probs=probs, top_k_mask=mask, weights=weights)
 
-    def forward(self, task: int, x, matmul: MatMul = np.matmul):
+    def forward(self, task: int, x, matmul: MatMul = np.matmul, keep_outputs: bool = True):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
         top-k experts, every product done by `matmul` (one stacked call per
-        chunk of experts).  Returns (y, dist, cache)."""
+        chunk of experts).  Returns (y, dist, cache).  With `keep_outputs`
+        false (an inference pass), each chunk is mixed into `y` in place of
+        its outputs and dropped, and the cache keeps no expert outputs:
+        `y` and `dist` are the same, but backward() refuses the cache."""
         xm = as_matrix(x)
         dist = self.route(task, xm, matmul)
-        n_vis = self.router_for(task).n_visible
+        w = dist.weights
+        n_vis = w.shape[1]
         down_all, up_all = self.packed(n_vis)
         acts, outs = [], []
         y = xm.copy()
-        slices, buf = self._chunks(n_vis, xm.shape[0])
+        slices = self._chunks(n_vis, xm.shape[0])
+        buf = self._scratch(slices, xm.shape[0]) if keep_outputs else None
         for s in slices:
-            acts.append(matmul(xm, down_all[s].transpose(0, 2, 1)))
-            outs.append(matmul(acts[-1], up_all[s].transpose(0, 2, 1)))
-            _mix(y, dist.weights[:, s], outs[-1], buf[:len(outs[-1])])
+            a = matmul(xm, down_all[s].transpose(0, 2, 1))
+            u = matmul(a, up_all[s].transpose(0, 2, 1))
+            # an inference pass weights the outputs in place: nothing reads them again
+            _mix(y, w[:, s], u, buf[:len(u)] if keep_outputs else u)
+            if keep_outputs:
+                acts.append(a)
+                outs.append(u)
         cache = ForwardCache(
-            x=xm, task=task, dist=dist, down_acts=StackedViews(acts),
-            outputs=StackedViews(outs), n_visible=n_vis, version=self.version,
+            x=xm, task=task, dist=dist,
+            down_acts=StackedViews(acts) if keep_outputs else None,
+            outputs=StackedViews(outs) if keep_outputs else None,
+            n_visible=n_vis, version=self.version,
         )
         return y, dist, cache
 
@@ -314,11 +338,12 @@ class MixtureAdapterLayer:
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
+        if cache.outputs is None or cache.down_acts is None:
+            raise StateError("forward cache keeps no expert outputs (an inference pass)")
         g = as_matrix(grad_y)
         if g.shape != cache.x.shape:
             raise DimensionError(f"grad shape {g.shape} does not match input {cache.x.shape}")
         require_finite("upstream gradient", g)
-        router = self.router_for(cache.task)
         w = cache.dist.weights
         x = cache.x
         down_all, up_all = self.packed(cache.n_visible)
@@ -332,7 +357,8 @@ class MixtureAdapterLayer:
                 expert_grads[j] = (grad_down, grad_up)
         if not (input_grad or router_grad):
             return None, expert_grads, None
-        slices, buf = self._chunks(cache.n_visible, x.shape[0])
+        slices = self._chunks(cache.n_visible, x.shape[0])
+        buf = self._scratch(slices, x.shape[0])
         grad_x = g.copy() if input_grad else None
         outputs = (cache.outputs.chunks if isinstance(cache.outputs, StackedViews)
                    else [np.stack(cache.outputs[s]) for s in slices])
@@ -343,10 +369,12 @@ class MixtureAdapterLayer:
                 np.matmul(g @ up_all[s], down_all[s], out=t)
                 _mix(grad_x, w[:, s], t, t)
             np.multiply(g, u, out=t)
-            dmix[:, s] = t.sum(axis=2).T
+            dmix[:, s] = np.add.reduce(t, axis=2).T
         # softmax Jacobian on the renormalised support: rows outside the
-        # top-k have w == 0 and so receive exactly zero
-        dz = w * (dmix - (w * dmix).sum(axis=1, keepdims=True))
+        # top-k have w == 0 and so receive exactly zero.  dz is
+        # w * (dmix - sum(w * dmix)), formed in dmix.
+        dmix -= np.add.reduce(w * dmix, axis=1, keepdims=True)
+        dz = np.multiply(dmix, w, out=dmix)
         if input_grad:
-            grad_x += dz @ router.weight
+            grad_x += dz @ self.router_for(cache.task).weight
         return grad_x, expert_grads, dz.T @ x if router_grad else None

@@ -100,6 +100,13 @@ def _cmd_report(args) -> int:
     first = Path(args.dirs[0])
     metrics, summary = _read_run(first)
     if len(args.dirs) == 1:
+        matrix_path = first / MATRIX_FILE
+        matrix = None
+        if matrix_path.is_file():
+            try:
+                matrix = matrix_path.read_text().rstrip()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataError(f"cannot read {matrix_path}: {exc}") from exc
         print(f"run: {first}")
         for key in METRIC_KEYS:
             print(f"  {key:>9}: {_fmt(metrics.get(key))}")
@@ -108,10 +115,9 @@ def _cmd_report(args) -> int:
             bank_acc = summary.get("bank_id_accuracy")
             if bank_acc is not None:
                 print(f"  bank id  : {bank_acc:.4f}")
-        matrix_path = first / MATRIX_FILE
-        if matrix_path.is_file():
+        if matrix is not None:
             print("accuracy matrix:")
-            print(matrix_path.read_text().rstrip())
+            print(matrix)
         return 0
     second = Path(args.dirs[1])
     metrics2, summary2 = _read_run(second)

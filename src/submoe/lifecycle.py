@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .adapter import MixtureAdapterLayer
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import AdapterModel, trainable_stage1_params
 from .numerics import kl_divergence
@@ -155,24 +156,42 @@ class _BatchCursor:
         return out
 
 
-_StepStates = dict[int, tuple[PenaltyState, AdamWState | None]]
+@dataclass
+class _LayerStep:
+    """What a phase's steps share in one adapter layer.  Nothing adds or
+    removes an expert or a router row within a phase, so the candidates'
+    positions and the router's weight stay fixed; the experts' arrays are
+    read at each step, since a pass may repack them (after a checkpoint
+    load, for one)."""
+
+    layer: MixtureAdapterLayer
+    cand_idx: list[int]      # the task's candidates among the layer's experts
+    plain: list[np.ndarray]  # the router's weight when it trains
+    penalty: PenaltyState
+    adam: AdamWState | None  # moments of the candidates' arrays, then of plain
+
+    def cand_params(self) -> list[list[np.ndarray]]:
+        return [self.layer.experts[j].params() for j in self.cand_idx]
+
+
+_StepStates = dict[int, _LayerStep]
 
 
 def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
                  router_trainable: bool) -> _StepStates:
-    """Per adapter layer, the penalty state of the task's candidates and, for
-    AdamW, the moments of every array a phase steps (candidates, then the
-    router when it trains)."""
+    """Per adapter layer, the task's candidates, the arrays a phase steps
+    (candidates, then the router when it trains), the penalty state of the
+    candidates and, for AdamW, the moments of every stepped array."""
     states: _StepStates = {}
     for layer in model.adapter_layers():
-        cand_params = [e.params() for e in layer.candidates(task)]
+        cand_idx = layer.candidate_indices(task)
+        cand_params = [layer.experts[j].params() for j in cand_idx]
+        plain = [layer.router_for(task).weight] if router_trainable else []
         adam = None
         if cfg.method == "adamw":
-            params = [p for group in cand_params for p in group]
-            if router_trainable:
-                params.append(layer.router_for(task).weight)
-            adam = init_adamw_state(params)
-        states[layer.layer_index] = (init_penalty_state(cand_params), adam)
+            adam = init_adamw_state([p for group in cand_params for p in group] + plain)
+        states[layer.layer_index] = _LayerStep(
+            layer, cand_idx, plain, init_penalty_state(cand_params), adam)
     return states
 
 
@@ -187,18 +206,14 @@ def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
         raise NumericError(f"step {step_no}: training loss became non-finite")
     aux = 0.0
     for lg in grads:
-        layer = model.adapters[lg.layer_index]
-        cand_idx = layer.candidate_indices(task)
-        mean_w = lg.dist.mean_weights()
-        pis = [float(mean_w[j]) for j in cand_idx]
-        cand_params = [e.params() for e in layer.candidates(task)]
-        cand_grads = [list(lg.expert_grads[j]) for j in cand_idx]
-        plain, plain_grads = [], []
-        if router_trainable:
-            plain, plain_grads = [layer.router_for(task).weight], [lg.router_grad]
-        state, adam = states[lg.layer_index]
-        apply_step(cand_params, cand_grads, pis, plain, plain_grads, state, cfg, adam)
-        aux += penalty_value(pis, cand_params, state)
+        st = states[lg.layer_index]
+        mean_w = lg.dist.mean_weights().tolist()
+        pis = [mean_w[j] for j in st.cand_idx]
+        cand_params = st.cand_params()
+        cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
+        plain_grads = [lg.router_grad] if router_trainable else []
+        apply_step(cand_params, cand_grads, pis, st.plain, plain_grads, st.penalty, cfg, st.adam)
+        aux += penalty_value(pis, cand_params, st.penalty)
     return loss, aux
 
 

@@ -83,7 +83,13 @@ class AdapterModel:
     def adapter_layers(self) -> list[MixtureAdapterLayer]:
         return [self.adapters[i] for i in sorted(self.adapters)]
 
-    def _forward(self, x, task: int | None, keep_tape: bool, matmul: MatMul = np.matmul):
+    def _forward(self, x, task: int | None, keep_tape: bool, matmul: MatMul = np.matmul,
+                 dists: list[RoutingDistribution] | None = None):
+        """(embeddings, tape).  With `keep_tape`, the tape holds per backbone
+        layer its pre-adapter activations and the adapter's cache (None
+        where no adapter ran) for backward; otherwise it is None and the
+        adapters keep no expert outputs.  Each adapter's routing
+        distribution is appended to `dists` when given."""
         h = as_matrix(x)
         if h.shape[1] != self.dim:
             raise DimensionError(f"input width {h.shape[1]}, backbone dim {self.dim}")
@@ -93,7 +99,9 @@ class AdapterModel:
             t = self.backbone.layer_forward(i, h, matmul)
             cache: ForwardCache | None = None
             if task is not None and i in self.adapters:
-                h, _, cache = self.adapters[i].forward(task, t, matmul)
+                h, dist, cache = self.adapters[i].forward(task, t, matmul, keep_outputs=keep_tape)
+                if dists is not None:
+                    dists.append(dist)
             else:
                 h = t
             if keep_tape:
@@ -143,9 +151,9 @@ class AdapterModel:
 
     def routing_snapshot(self, x, labels, text_emb, task: int):
         """Eval-batch loss plus per-adapter-layer mean routing distributions."""
-        emb, tape = self._forward(x, task, keep_tape=True)
+        dists: list[RoutingDistribution] = []
+        emb, _ = self._forward(x, task, keep_tape=False, dists=dists)
         loss, _ = contrastive_loss(emb, text_emb, labels, self.temperature)
-        dists = [cache.dist for _, cache in tape if cache is not None]
         return loss, [d.mean_weights() for d in dists], [d.mean_probs() for d in dists]
 
     def expert_counts(self) -> dict[int, int]:

@@ -69,8 +69,10 @@ def softmax_rows(logits) -> np.ndarray:
     if m.shape[1] == 0:
         raise DimensionError("softmax needs at least one column")
     require_finite("logits", m)
-    e = np.exp(m - m.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def kl_divergence(p, q) -> float:
@@ -87,6 +89,12 @@ def kl_divergence(p, q) -> float:
     val = float(np.sum(pa[mask] * np.log(pa[mask] / qf[mask])))
     # exact p == q can land a few ulp below zero; the quantity itself is >= 0
     return max(val, 0.0)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: what `np.linalg.norm(x, axis=1)` computes
+    for real input, without its conjugate copy."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
@@ -112,31 +120,40 @@ def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != img.shape[0]:
         raise DimensionError(f"{img.shape[0]} image rows but {y.shape[0]} labels")
-    if y.min(initial=0) < 0 or y.max(initial=-1) >= txt.shape[0]:
+    if np.minimum.reduce(y, initial=0) < 0 or np.maximum.reduce(y, initial=-1) >= txt.shape[0]:
         raise LabelError(f"labels must lie in [0, {txt.shape[0]})")
 
-    img_norm = np.linalg.norm(img, axis=1)
-    txt_norm = np.linalg.norm(txt, axis=1)
-    if np.any(img_norm == 0.0):
+    img_norm = _row_norms(img)
+    txt_norm = _row_norms(txt)
+    if not img_norm.all():
         raise NumericError("zero-norm image embedding row")
-    if np.any(txt_norm == 0.0):
+    if not txt_norm.all():
         raise NumericError("zero-norm text embedding row")
     ih = img / img_norm[:, None]
     th = txt / txt_norm[:, None]
 
-    logits = ih @ th.T / temperature
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    logp = logits - lse
+    # every temporary below is fresh, so it is scaled and shifted in place
+    logits = ih @ th.T
+    logits /= temperature
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = logits - m
+    np.exp(shifted, out=shifted)
+    lse = np.log(np.add.reduce(shifted, axis=1, keepdims=True))
+    lse += m
+    logp = logits
+    logp -= lse
     b = img.shape[0]
     rows = np.arange(b)
-    loss = float(-logp[rows, y].mean())
+    loss = float(-(np.add.reduce(logp[rows, y]) / b))
 
-    ds = np.exp(logp)
+    ds = np.exp(logp, out=logp)
     ds[rows, y] -= 1.0
     ds /= b
-    dih = ds @ th / temperature
+    dih = ds @ th
+    dih /= temperature
     # back through the row normalisation of the image embeddings
-    proj = (dih * ih).sum(axis=1, keepdims=True)
-    grad = (dih - proj * ih) / img_norm[:, None]
+    proj = np.add.reduce(dih * ih, axis=1, keepdims=True)
+    grad = dih
+    grad -= proj * ih
+    grad /= img_norm[:, None]
     return loss, grad

@@ -1,7 +1,9 @@
 """Independent checks the test suite compares the engine against: a generic
 quadratic solve for the damped step, its diagonal projection form, central
-finite differences, byte fingerprints of frozen state, and the version 2
-checkpoint writer.  None of this is used by the engine itself."""
+finite differences, byte fingerprints of frozen state, the version 2
+checkpoint writer, and the contrastive loss and routing as first written,
+with NumPy's convenience wrappers and fresh temporaries.  None of this is
+used by the engine itself."""
 
 from __future__ import annotations
 
@@ -12,7 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from submoe.errors import DimensionError, NumericError
+from submoe.adapter import RoutingDistribution, top_k_select
+from submoe.errors import DimensionError, LabelError, NumericError
+from submoe.numerics import as_matrix, require_finite
 from submoe.optim import OptimConfig, step_scale
 
 
@@ -183,3 +187,63 @@ def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
     path = Path(path)
     path.write_text(json.dumps(doc) + "\n")
     return path
+
+
+def reference_contrastive_loss(img_emb, txt_emb, labels, temperature: float):
+    """`numerics.contrastive_loss` as first written: every check in the same
+    order with the same message, `np.linalg.norm`, and a fresh array per
+    operation.  The engine must match it bit for bit."""
+    img = as_matrix(img_emb)
+    txt = as_matrix(txt_emb)
+    if img.shape[0] == 0 or txt.shape[0] == 0:
+        raise DimensionError("contrastive loss needs at least one image and one label row")
+    if img.shape[1] != txt.shape[1]:
+        raise DimensionError(
+            f"embedding widths differ: image {img.shape[1]} vs text {txt.shape[1]}"
+        )
+    if not np.isfinite(temperature) or temperature <= 0.0:
+        raise NumericError(f"temperature must be positive, got {temperature}")
+    require_finite("image embeddings", img)
+    require_finite("text embeddings", txt)
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    if y.shape[0] != img.shape[0]:
+        raise DimensionError(f"{img.shape[0]} image rows but {y.shape[0]} labels")
+    if y.min(initial=0) < 0 or y.max(initial=-1) >= txt.shape[0]:
+        raise LabelError(f"labels must lie in [0, {txt.shape[0]})")
+
+    img_norm = np.linalg.norm(img, axis=1)
+    txt_norm = np.linalg.norm(txt, axis=1)
+    if np.any(img_norm == 0.0):
+        raise NumericError("zero-norm image embedding row")
+    if np.any(txt_norm == 0.0):
+        raise NumericError("zero-norm text embedding row")
+    ih = img / img_norm[:, None]
+    th = txt / txt_norm[:, None]
+
+    logits = ih @ th.T / temperature
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    logp = logits - lse
+    b = img.shape[0]
+    rows = np.arange(b)
+    loss = float(-logp[rows, y].mean())
+
+    ds = np.exp(logp)
+    ds[rows, y] -= 1.0
+    ds /= b
+    dih = ds @ th / temperature
+    proj = (dih * ih).sum(axis=1, keepdims=True)
+    grad = (dih - proj * ih) / img_norm[:, None]
+    return loss, grad
+
+
+def reference_route(weight: np.ndarray, top_k: int, x) -> RoutingDistribution:
+    """A router's distribution as first written: a fresh-array softmax, and
+    the top-k mask applied with `np.where` whatever `top_k` is."""
+    logits = as_matrix(x) @ weight.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    mask = top_k_select(probs, top_k)
+    masked = np.where(mask, probs, 0.0)
+    return RoutingDistribution(probs=probs, top_k_mask=mask,
+                               weights=masked / masked.sum(axis=1, keepdims=True))

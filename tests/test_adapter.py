@@ -15,7 +15,7 @@ from submoe.checkpoint import layer_from_payload, layer_to_payload
 from submoe.errors import DimensionError, MissingRouterError, StateError
 from submoe.numerics import rowwise_matmul, softmax_rows
 
-from oracles import expert_gradient_norm, finite_diff_grad
+from oracles import expert_gradient_norm, finite_diff_grad, reference_route
 from reference_grads import blockwise_matmul, full_backward, loop_forward
 
 
@@ -425,6 +425,59 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
                         assert got[1].tobytes() == ref_experts[j][1].tobytes()
                     else:
                         assert got is None
+
+
+@pytest.mark.parametrize("n_visible", [1, 4, 9])
+@pytest.mark.parametrize("k_offset", [-3, -1, 0, 1, 50])
+@pytest.mark.parametrize("scale", [0.0, 0.5, 40.0])
+def test_route_is_bit_exact_against_its_first_form(n_visible, k_offset, scale):
+    # top_k below, at and above the visible count; a zero router ties every
+    # expert and a large one saturates the softmax
+    top_k = max(1, n_visible + k_offset)
+    layer = make_layer(dim=7, top_k=top_k, n_experts=n_visible, seed=n_visible)
+    router = layer.router_for(0)
+    router.weight = router.weight * scale
+    x = np.random.default_rng(5).standard_normal((33, 7))
+    dist = layer.route(0, x)
+    want = reference_route(router.weight, top_k, x)
+    for name in ("probs", "top_k_mask", "weights"):
+        got, ref = getattr(dist, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    for rows in (1, 2, 33):
+        part = layer.route(0, x[:rows])
+        assert part.mean_weights().tobytes() == np.mean(part.weights, axis=0).tobytes()
+        assert part.mean_probs().tobytes() == np.mean(part.probs, axis=0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_experts=st.integers(0, 24),
+    shape=st.sampled_from(STACK_SHAPES),
+    block=st.sampled_from([None, 1, 3, 7]),
+    top_k=st.integers(1, 30),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_a_forward_that_keeps_no_outputs_gives_the_same_values(
+        n_experts, shape, block, top_k, seed):
+    dim, rows = shape
+    rng = np.random.default_rng(seed)
+    layer = MixtureAdapterLayer(layer_index=0, dim=dim, rank=2, top_k=top_k)
+    for _ in range(n_experts):
+        layer.add_expert(0, rng).up[...] = rng.standard_normal((dim, 2))
+    layer.add_router(0).weight[...] = rng.standard_normal((n_experts, dim))
+    engine = np.matmul if block is None else partial(rowwise_matmul, block=block)
+    x = rng.standard_normal((rows, dim))
+    y, dist, cache = layer.forward(0, x, engine)
+    y2, dist2, lean = layer.forward(0, x, engine, keep_outputs=False)
+    assert y2.tobytes() == y.tobytes()
+    for name in ("probs", "top_k_mask", "weights"):
+        assert getattr(dist2, name).tobytes() == getattr(dist, name).tobytes()
+    assert lean.dist is dist2 and lean.x.tobytes() == cache.x.tobytes()
+    assert (lean.task, lean.n_visible, lean.version) == (0, n_experts, layer.version)
+    assert lean.down_acts is None and lean.outputs is None
+    with pytest.raises(StateError, match="keeps no expert outputs"):
+        layer.backward(lean, np.ones_like(x))
 
 
 def test_experts_are_views_of_the_packed_arrays():

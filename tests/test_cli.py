@@ -88,6 +88,18 @@ def test_report_single_run(rooted, capsys):
     assert "accuracy matrix" in out and "transfer" in out
 
 
+def test_report_on_an_accuracy_matrix_that_is_not_utf8_exits_2(rooted, capsys):
+    main(["run", str(write_config(rooted))])
+    capsys.readouterr()
+    run_dir = rooted / "out" / "runs" / "cli"
+    matrix = run_dir / "accuracy_matrix.csv"
+    matrix.write_bytes(b"\xff\xfe" + matrix.read_bytes()[2:])
+    assert main(["report", str(run_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot read") and "accuracy_matrix.csv" in err
+    assert out == ""
+
+
 def test_report_two_runs_prints_delta(rooted, capsys):
     cfg_a = write_config(rooted, name="a.json", output_dir="runs/a")
     cfg_b = write_config(rooted, name="b.json", output_dir="runs/b", seed=6)

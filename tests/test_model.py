@@ -152,6 +152,26 @@ def test_routing_snapshot_matches_direct_loss():
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("top_k", [1, 2, 64])
+def test_inference_passes_equal_a_forward_that_keeps_its_tape(top_k):
+    # embed and routing_snapshot keep no expert outputs; their values are
+    # those of the training forward
+    model = make_model(top_k=top_k)
+    attach_task(model, 0, n_experts=3, seed=30)
+    attach_task(model, 1, n_experts=2, seed=31)
+    x, labels, text = batch(np.random.default_rng(32), n=9)
+    for task in (0, 1):
+        emb, tape = model._forward(x, task, keep_tape=True)
+        dists = [cache.dist for _, cache in tape if cache is not None]
+        loss, weights, probs = model.routing_snapshot(x, labels, text, task)
+        assert loss == contrastive_loss(emb, text, labels, model.temperature)[0]
+        assert [w.tobytes() for w in weights] == [
+            np.mean(d.weights, axis=0).tobytes() for d in dists]
+        assert [p.tobytes() for p in probs] == [
+            np.mean(d.probs, axis=0).tobytes() for d in dists]
+        assert model.embed(x, task).tobytes() == emb.tobytes()
+
+
 def test_predict_shapes_and_range():
     model = make_model()
     attach_task(model, 0, n_experts=2, seed=8)

@@ -15,7 +15,7 @@ from submoe.numerics import (
     contrastive_loss, kl_divergence, rowwise_matmul, softmax, softmax_rows,
 )
 
-from oracles import finite_diff_grad, is_prob_vector
+from oracles import finite_diff_grad, is_prob_vector, reference_contrastive_loss
 
 # Hand-evaluated expectations, frozen before the implementations were run.
 SOFTMAX_LN2_LN1 = (2.0 / 3.0, 1.0 / 3.0)          # softmax([ln 2, ln 1])
@@ -136,6 +136,78 @@ def test_contrastive_errors():
         contrastive_loss(img, txt, [0, 1], -1.0)
     with pytest.raises(DimensionError):
         contrastive_loss(img, np.eye(4), [0, 1], 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 64),
+    d=st.integers(1, 70),
+    c=st.integers(1, 12),
+    log_temp=st.floats(-3.0, 0.0),
+    img_exp=st.integers(-170, 170),
+    txt_exp=st.integers(-170, 170),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_contrastive_loss_is_bit_exact_against_its_first_form(
+        b, d, c, log_temp, img_exp, txt_exp, seed):
+    # tiny norms underflow to zero rows and huge ones overflow to infinity
+    # in both; either way both must give the same bytes or the same error
+    rng = np.random.default_rng(seed)
+    img = rng.standard_normal((b, d)) * 10.0 ** img_exp
+    txt = rng.standard_normal((c, d)) * 10.0 ** txt_exp
+    labels = rng.integers(0, c, size=b)
+    temp = 10.0 ** log_temp
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_contrastive_loss(img, txt, labels, temp)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as got:
+                contrastive_loss(img, txt, labels, temp)
+            assert str(got.value) == str(exc)
+            return
+        loss, grad = contrastive_loss(img, txt, labels, temp)
+    assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+    assert grad.shape == want[1].shape and grad.tobytes() == want[1].tobytes()
+
+
+def _zero_row(a, i):
+    a = a.copy()
+    a[i] = 0.0
+    return a
+
+
+def _poison(a, value):
+    a = a.copy()
+    a.flat[a.size // 2] = value
+    return a
+
+
+IMG, TXT = np.random.default_rng(3).standard_normal((4, 5)), np.eye(3, 5)
+REJECTED = {
+    "zero image row": (_zero_row(IMG, 2), TXT, [0, 1, 2, 0], 0.5),
+    "zero text row": (IMG, _zero_row(TXT, 1), [0, 1, 2, 0], 0.5),
+    "label too large": (IMG, TXT, [0, 1, 3, 0], 0.5),
+    "label negative": (IMG, TXT, [0, -1, 2, 0], 0.5),
+    "nan image": (_poison(IMG, np.nan), TXT, [0, 1, 2, 0], 0.5),
+    "inf text": (IMG, _poison(TXT, -np.inf), [0, 1, 2, 0], 0.5),
+    "zero temperature": (IMG, TXT, [0, 1, 2, 0], 0.0),
+    "negative temperature": (IMG, TXT, [0, 1, 2, 0], -1.0),
+    "nan temperature": (IMG, TXT, [0, 1, 2, 0], np.nan),
+    "inf temperature": (IMG, TXT, [0, 1, 2, 0], np.inf),
+    "label count": (IMG, TXT, [0, 1, 2], 0.5),
+    "widths": (IMG, np.eye(3, 4), [0, 1, 2, 0], 0.5),
+    "no images": (np.zeros((0, 5)), TXT, [], 0.5),
+    "not a matrix": (IMG[0], TXT, [0], 0.5),
+}
+
+
+@pytest.mark.parametrize("args", REJECTED.values(), ids=REJECTED.keys())
+def test_contrastive_loss_rejects_what_its_first_form_rejects(args):
+    with pytest.raises(Exception) as want:
+        reference_contrastive_loss(*args)
+    with pytest.raises(type(want.value)) as got:
+        contrastive_loss(*args)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_finite_diff_on_known_quadratic():
