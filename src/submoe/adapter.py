@@ -114,14 +114,13 @@ class ForwardCache:
     """Everything backward() needs; `version` pins the cache to the layer
     structure it was computed against.  forward() stores the per-expert
     arrays as `StackedViews` of its chunks, or None for an inference pass
-    that keeps no expert outputs; backward() stacks any other sequence
-    itself."""
+    that keeps no expert outputs; backward() takes no other cache."""
 
     x: np.ndarray
     task: int
     dist: RoutingDistribution
-    down_acts: Sequence[np.ndarray] | None  # per expert, [B, rank]
-    outputs: Sequence[np.ndarray] | None    # per expert, [B, dim]
+    down_acts: StackedViews | None  # per expert, [B, rank]
+    outputs: StackedViews | None    # per expert, [B, dim]
     n_visible: int
     version: int
 
@@ -338,8 +337,10 @@ class MixtureAdapterLayer:
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
-        if cache.outputs is None or cache.down_acts is None:
-            raise StateError("forward cache keeps no expert outputs (an inference pass)")
+        if not (isinstance(cache.outputs, StackedViews)
+                and isinstance(cache.down_acts, StackedViews)):
+            raise StateError("forward cache keeps no expert outputs of a training "
+                             "forward() (an inference pass, or a foreign cache)")
         g = as_matrix(grad_y)
         if g.shape != cache.x.shape:
             raise DimensionError(f"grad shape {g.shape} does not match input {cache.x.shape}")
@@ -360,10 +361,8 @@ class MixtureAdapterLayer:
         slices = self._chunks(cache.n_visible, x.shape[0])
         buf = self._scratch(slices, x.shape[0])
         grad_x = g.copy() if input_grad else None
-        outputs = (cache.outputs.chunks if isinstance(cache.outputs, StackedViews)
-                   else [np.stack(cache.outputs[s]) for s in slices])
         dmix = np.empty_like(w)
-        for s, u in zip(slices, outputs):
+        for s, u in zip(slices, cache.outputs.chunks):
             t = buf[:len(u)]
             if input_grad:
                 np.matmul(g @ up_all[s], down_all[s], out=t)

@@ -148,32 +148,8 @@ def _check(kind: type, val, path: str):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Parse a raw JSON config.  `schedule.identify_epochs`/`finetune_epochs`
-    are the only keys outside the dataclasses: each becomes its `*_steps`,
-    a whole number of batches of the smallest task per epoch."""
-    epochs = {}
-    if isinstance(raw, dict) and isinstance(raw.get("schedule"), dict):
-        sched = dict(raw["schedule"])
-        for which in ("identify", "finetune"):
-            given = sched.pop(f"{which}_epochs", None)
-            if given is None:
-                continue
-            if sched.get(f"{which}_steps") is not None:
-                raise ConfigError(f"schedule.{which}_epochs: give steps or epochs, not both")
-            epochs[which] = _check(int, given, f"schedule.{which}_epochs")
-        raw = {**raw, "schedule": sched}
-    cfg = _parse(ExperimentConfig, raw, "", ExperimentConfig())
-    steps = {}
-    for which, count in epochs.items():
-        if count < 1:
-            raise ConfigError(f"schedule.{which}_epochs: must be >= 1, got {count}")
-        if not cfg.stream:
-            raise ConfigError(f"schedule.{which}_epochs: epoch units need a stream")
-        rows = min(s.classes * s.samples_per_class for s in cfg.stream)
-        steps[f"{which}_steps"] = count * max(1, rows // min(cfg.schedule.batch_size, rows))
-    if steps:
-        cfg.schedule = dataclasses.replace(cfg.schedule, **steps)
-    return cfg
+    """Parse a raw JSON config: every key is a dataclass field."""
+    return _parse(ExperimentConfig, raw, "", ExperimentConfig())
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

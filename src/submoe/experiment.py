@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .evaluation import EvalState, evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
 from .streams import export_task, generate_stream
-from .task_bank import TaskBank
+from .task_bank import TaskBank, nearest
 
 OUTPUT_ROOT_ENV = "SUBMOE_OUTPUT_ROOT"
 
@@ -34,6 +35,7 @@ PRUNE_FILE = "truncation_reports.jsonl"
 KL_FILE = "kl_curves.csv"
 AUDIT_FILE = "ifer_audit.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
+STREAM_DIR = "stream"
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
@@ -81,9 +83,8 @@ def read_audit(run_dir: str | Path) -> list[dict]:
     distances to every final bank signature, ids ascending, as a
     [windows, tasks] matrix.  A signature never changes after enrolment, so
     column k is what the bank measured when task k was enrolled: at row i a
-    window's nearest task is the argmin over the columns of the first i + 1
-    stream tasks, the lowest id winning ties as in `TaskBank.match`, and it
-    is matched iff that distance is <= `match_threshold`.  The row order,
+    window's nearest task over the columns of the first i + 1 stream tasks
+    follows the bank's rule, `task_bank.nearest`.  The row order,
     threshold and window come from `effective_config.json`.  The run must
     have finished: its `summary.json` (written after the audit) must exist
     and count the records as `bank_queries`.  A missing, malformed or
@@ -115,17 +116,14 @@ def read_audit(run_dir: str | Path) -> list[dict]:
             learned = stream[:i + 1]
             cols = np.isin(ids, learned)
             for task, dist in zip(stream, dists):
-                d = dist[:, cols]
-                best = d.argmin(axis=1)  # the first minimum: the lowest id
-                distance = d[np.arange(d.shape[0]), best]
+                near, distance, hit = nearest(ids[cols], dist[:, cols], threshold)
                 head = {"after_task": after, "enrolled": task in learned}
                 records.extend({
-                    **head, "distance": dist_w, "matched": hit,
-                    "routed_task": near if hit else None,
+                    **head, "distance": dist_w, "matched": hit_w,
+                    "routed_task": near_w if hit_w else None,
                     "true_task": task, "window_start": w * window,
-                } for w, (dist_w, hit, near) in enumerate(zip(
-                    distance.tolist(), (distance <= threshold).tolist(),
-                    ids[cols][best].tolist())))
+                } for w, (dist_w, hit_w, near_w) in enumerate(zip(
+                    distance.tolist(), hit.tolist(), near.tolist())))
         if not (run_dir / SUMMARY_FILE).is_file():
             raise ValueError(f"no {SUMMARY_FILE}: the run did not finish")
         queries = json.loads((run_dir / SUMMARY_FILE).read_text())["bank_queries"]
@@ -153,40 +151,32 @@ def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
 
 @dataclass
 class _Run:
-    """What a run accumulates for its artifacts."""
+    """What a run accumulates for its artifacts; the writers derive every
+    record from it."""
 
+    cfg: ExperimentConfig
     model: AdapterModel
     bank: TaskBank
     matrix: np.ndarray
     cil_trace: list[float] = field(default_factory=list)
-    trace_records: list[dict] = field(default_factory=list)
-    prune_records: list[dict] = field(default_factory=list)
-    kl_rows: list[tuple] = field(default_factory=list)
     count_rows: list[dict] = field(default_factory=list)
-    per_task: list[dict] = field(default_factory=list)
     reports: list = field(default_factory=list)
     traces: list = field(default_factory=list)
     bank_queries: int = 0
     bank_known: int = 0  # windows of enrolled tasks
     bank_hits: int = 0   # ... routed to their own task
-    audit: bool = False  # task-free evaluation audits the bank's decisions
     state: EvalState = field(default_factory=EvalState)
     metrics: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
 
-def _learn(run: _Run, cfg: ExperimentConfig, data) -> None:
+def _learn(run: _Run, data) -> None:
     """Learn one task, enroll it in the bank and log its records."""
-    model = run.model
+    cfg, model = run.cfg, run.model
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17, data.task_id]))
     report, trace = learn_task(model, data.task_id, data, cfg.schedule, cfg.optimizer, rng)
     run.reports.append(report)
     run.traces.append(trace)
-    run.trace_records.extend(trace_records(trace))
-    run.prune_records.extend(prune_records(report))
-    for step, kl in kl_to_final(trace):
-        loss = next(s.loss for s in trace.snapshots if s.step == step)
-        run.kl_rows.append((data.task_id, step, kl, loss))
 
     take = min(cfg.task_bank.enroll_batch, data.train_x.shape[0])
     run.bank.enroll(data.task_id, model.embed(data.train_x[:take], None), data.text_emb)
@@ -194,19 +184,12 @@ def _learn(run: _Run, cfg: ExperimentConfig, data) -> None:
     counts = model.expert_counts()
     run.count_rows.append({"after_task": data.task_id, **{
         f"layer_{k}": v for k, v in counts.items()}, "total": sum(counts.values())})
-    run.per_task.append({
-        "task_id": data.task_id,
-        "stage1_trainable_params": report.stage1_trainable_params,
-        "candidates_added": cfg.schedule.num_candidates * len(model.adapters),
-        "candidates_pruned": report.removed_total,
-        "final_eval_loss": trace.snapshots[-1].loss,
-    })
 
 
-def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int,
-              learned: set[int]) -> None:
+def _evaluate(run: _Run, tasks: list, i: int, learned: set[int]) -> None:
     """Matrix row `i` (and the CIL pass); the row's bank decisions go to the
     summary counts."""
+    cfg = run.cfg
     window = cfg.task_bank.query_window
     row, decisions = evaluate_row(
         run.model, run.bank, tasks, learned, cfg.evaluation.protocol, window,
@@ -223,8 +206,15 @@ def _evaluate(run: _Run, cfg: ExperimentConfig, tasks: list, i: int,
 
 
 def _summary(run: _Run) -> dict:
+    added = run.cfg.schedule.num_candidates * len(run.model.adapters)
     return {
-        "tasks": run.per_task,
+        "tasks": [{
+            "task_id": report.task,
+            "stage1_trainable_params": report.stage1_trainable_params,
+            "candidates_added": added,
+            "candidates_pruned": report.removed_total,
+            "final_eval_loss": trace.snapshots[-1].loss,
+        } for report, trace in zip(run.reports, run.traces)],
         "expert_counts": run.count_rows,
         "final_expert_total": run.count_rows[-1]["total"] if run.count_rows else 0,
         "cil_trace": run.cil_trace,
@@ -237,15 +227,16 @@ def _write_kl_csv(path: Path, run: _Run) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "step", "mean_kl", "eval_loss"])
-        for row in run.kl_rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+        for trace in run.traces:
+            for snap, (step, kl) in zip(trace.snapshots, kl_to_final(trace)):
+                writer.writerow([trace.task, step, repr(kl), repr(snap.loss)])
 
 
 def _write_audit(path: Path, run: _Run) -> None:
     """Under task-free evaluation, each eval task's window distances to every
     final bank signature (see `read_audit`).  The first row evaluates every
     task, so `run.state.windows` holds them in stream order."""
-    if run.audit:
+    if run.cfg.evaluation.protocol == "id_free":
         _write_jsonl(path, [
             {"true_task": task, "distance": encode_array(run.bank.distances(w.queries)[1])}
             for task, w in run.state.windows.items()])
@@ -259,8 +250,10 @@ ARTIFACT_WRITERS = (
     (MATRIX_FILE, lambda path, run: _write_matrix_csv(path, run.matrix)),
     (AUDIT_FILE, _write_audit),
     (SUMMARY_FILE, lambda path, run: _write_json(path, run.summary)),
-    (TRACE_FILE, lambda path, run: _write_jsonl(path, run.trace_records)),
-    (PRUNE_FILE, lambda path, run: _write_jsonl(path, run.prune_records)),
+    (TRACE_FILE, lambda path, run: _write_jsonl(
+        path, [rec for trace in run.traces for rec in trace_records(trace)])),
+    (PRUNE_FILE, lambda path, run: _write_jsonl(
+        path, [rec for report in run.reports for rec in prune_records(report)])),
     (KL_FILE, _write_kl_csv),
     (CHECKPOINT_FILE, lambda path, run: save_checkpoint(path, run.model, run.bank)),
 )
@@ -272,15 +265,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / CONFIG_FILE, config_to_dict(cfg))
-    # an earlier run's audit must not outlive this run, nor its summary (the
-    # mark of a finished run to `read_audit`) vouch for this run's audit
+    # an earlier run's audit and exported stream must not outlive this run,
+    # nor its summary (the mark of a finished run to `read_audit`) vouch for
+    # this run's audit
     (out / AUDIT_FILE).unlink(missing_ok=True)
     (out / SUMMARY_FILE).unlink(missing_ok=True)
+    if (out / STREAM_DIR).exists():
+        shutil.rmtree(out / STREAM_DIR)
 
     tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
     if cfg.export_stream:
         for data in tasks:
-            export_task(data, out / "stream")
+            export_task(data, out / STREAM_DIR)
 
     model = build_model(
         dim=cfg.model.feature_dim, depth=cfg.model.depth,
@@ -289,13 +285,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         seed=cfg.seed,
     )
     bank = TaskBank(threshold=cfg.task_bank.match_threshold, metric=cfg.task_bank.metric)
-    run = _Run(model=model, bank=bank, matrix=np.full((len(tasks), len(tasks)), np.nan),
-               audit=cfg.evaluation.protocol == "id_free")
+    run = _Run(cfg=cfg, model=model, bank=bank,
+               matrix=np.full((len(tasks), len(tasks)), np.nan))
     learned: set[int] = set()
     for i, data in enumerate(tasks):
-        _learn(run, cfg, data)
+        _learn(run, data)
         learned.add(data.task_id)
-        _evaluate(run, cfg, tasks, i, learned)
+        _evaluate(run, tasks, i, learned)
 
     run.metrics = compute_metrics(run.matrix, run.cil_trace)
     run.summary = _summary(run)

@@ -221,7 +221,8 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
                 schedule: PhaseSchedule, cfg: OptimConfig,
                 rng: np.random.Generator) -> RoutingTrace:
     """Phase 1: train the task's routers plus candidate experts under the
-    damped step, recording routing snapshots on a fixed eval batch."""
+    damped step, recording routing snapshots on a fixed eval batch: at step
+    0, every `snapshot_interval` steps and at the step where it stops."""
     if model.phase.get(task) != "expanded":
         raise StateError(f"task {task}: routing fit requires begin_task first")
     if data.train_x.shape[0] == 0:
@@ -238,11 +239,9 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
 
     snap(0)
     plateau_hits = 0
-    done_steps = 0
     for s in range(1, schedule.identify_steps + 1):
         idx = cursor.next()
         _phase_step(model, task, data, idx, cfg, True, states, s)
-        done_steps = s
         if s % schedule.snapshot_interval == 0 or s == schedule.identify_steps:
             snap(s)
             if schedule.kl_plateau_stop is not None and len(snapshots) >= 2:
@@ -251,8 +250,6 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
                 plateau_hits = plateau_hits + 1 if drift < schedule.kl_plateau_stop else 0
                 if plateau_hits >= 2 and s < schedule.identify_steps:
                     break
-    if snapshots[-1].step != done_steps:
-        snap(done_steps)
     model.phase[task] = "identified"
     return RoutingTrace(task=task, snapshots=snapshots)
 

@@ -63,6 +63,20 @@ def window_queries(img_emb, txt_emb, window: int) -> np.ndarray:
     return np.hstack([img_means, txt_mean])
 
 
+def nearest(ids: np.ndarray, dist: np.ndarray, threshold: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bank's rule on a [windows, tasks] distance matrix whose columns
+    are `ids` ascending: each row's nearest task, the first minimum so the
+    lower id wins ties, matched iff its distance is <= threshold.
+
+    Returns (tasks, distances, matched), one entry per row; `tasks` holds
+    the nearest id even where the row is unmatched.
+    """
+    best = dist.argmin(axis=1)
+    best_dist = dist[np.arange(dist.shape[0]), best]
+    return ids[best], best_dist, best_dist <= threshold
+
+
 @dataclass
 class TaskBank:
     threshold: float
@@ -112,18 +126,9 @@ class TaskBank:
         return np.asarray(ids, dtype=np.int64), self._distances(q, signatures)
 
     def match(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest enrolled task of every row of a [windows, 2 * dim] query
-        matrix; a row is matched iff its distance is <= threshold, and ties
-        go to the lower task id.
-
-        Returns (tasks, distances, matched), one entry per row; `tasks` holds
-        the nearest id even where the row is unmatched.
-        """
-        ids, dist = self.distances(queries)
-        # argmin keeps the first minimum, i.e. the lowest id in sorted order
-        best = dist.argmin(axis=1)
-        best_dist = dist[np.arange(dist.shape[0]), best]
-        return ids[best], best_dist, best_dist <= self.threshold
+        """`nearest` enrolled task of every row of a [windows, 2 * dim]
+        query matrix."""
+        return nearest(*self.distances(queries), self.threshold)
 
     def rematch(self, queries: np.ndarray, tasks: np.ndarray, distances: np.ndarray,
                 task: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

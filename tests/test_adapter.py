@@ -401,30 +401,40 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
         min(per_chunk, cache.n_visible - s) for s in range(0, cache.n_visible, per_chunk)]
 
     ref_x, ref_experts, ref_router = full_backward(layer, ref_cache, g)
-    # a cache of plain per-expert lists gives the same gradients
-    bare = ForwardCache(x=cache.x, task=cache.task, dist=cache.dist,
-                        down_acts=list(cache.down_acts), outputs=list(cache.outputs),
-                        n_visible=cache.n_visible, version=cache.version)
-    for c in (cache, bare):
-        for input_grad in (True, False):
-            for router_grad in (True, False):
-                grad_x, expert_grads, rgrad = layer.backward(
-                    c, g, input_grad=input_grad, router_grad=router_grad)
-                if input_grad:
-                    assert grad_x.tobytes() == ref_x.tobytes()
+    for input_grad in (True, False):
+        for router_grad in (True, False):
+            grad_x, expert_grads, rgrad = layer.backward(
+                cache, g, input_grad=input_grad, router_grad=router_grad)
+            if input_grad:
+                assert grad_x.tobytes() == ref_x.tobytes()
+            else:
+                assert grad_x is None
+            if router_grad:
+                assert rgrad.tobytes() == ref_router.tobytes()
+            else:
+                assert rgrad is None
+            assert len(expert_grads) == cache.n_visible
+            for j, got in enumerate(expert_grads):
+                if layer.experts[j].owner_task == task:
+                    assert got[0].tobytes() == ref_experts[j][0].tobytes()
+                    assert got[1].tobytes() == ref_experts[j][1].tobytes()
                 else:
-                    assert grad_x is None
-                if router_grad:
-                    assert rgrad.tobytes() == ref_router.tobytes()
-                else:
-                    assert rgrad is None
-                assert len(expert_grads) == cache.n_visible
-                for j, got in enumerate(expert_grads):
-                    if layer.experts[j].owner_task == task:
-                        assert got[0].tobytes() == ref_experts[j][0].tobytes()
-                        assert got[1].tobytes() == ref_experts[j][1].tobytes()
-                    else:
-                        assert got is None
+                    assert got is None
+
+
+@pytest.mark.parametrize("stack", [list, np.stack], ids=["lists", "arrays"])
+def test_backward_refuses_a_cache_its_forward_did_not_make(stack):
+    # the loop oracle's cache holds plain per-expert lists; stacked, arrays
+    layer = make_layer(n_experts=3, seed=31)
+    x = np.random.default_rng(32).standard_normal((5, 6))
+    _, _, cache = layer.forward(0, x)
+    _, _, ref_cache = loop_forward(layer, 0, x)
+    foreign = ForwardCache(
+        x=cache.x, task=cache.task, dist=cache.dist,
+        down_acts=stack(ref_cache.down_acts), outputs=stack(ref_cache.outputs),
+        n_visible=cache.n_visible, version=cache.version)
+    with pytest.raises(StateError, match="a foreign cache"):
+        layer.backward(foreign, np.ones_like(x))
 
 
 @pytest.mark.parametrize("n_visible", [1, 4, 9])

@@ -210,9 +210,11 @@ def test_run_demo_script_narrates_its_run_directory(tmp_path, extra):
     assert proc.stdout.startswith(f"penalty={penalty}  ")
 
 
-def test_export_stream_script_round_trips(tmp_path):
-    proc = run_script("export_stream.py", tmp_path, "--out", str(tmp_path / "stream"))
-    assert proc.stdout.count("round trip ok") == 6
+def test_run_config_with_an_epoch_key_exits_1(rooted, capsys):
+    cfg = write_config(rooted, schedule={"identify_epochs": 3})
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == "config error: schedule.identify_epochs: unknown field\n"
+    assert not (rooted / "out").exists()
 
 
 def test_run_config_that_is_not_utf8_exits_1(rooted, capsys):

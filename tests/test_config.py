@@ -71,28 +71,13 @@ def test_validation_errors_carry_field_paths():
         config_from_dict({"evaluation": {"protocol": "oracle"}})
 
 
-def test_epoch_units_resolve_against_smallest_task():
-    raw = {
-        "schedule": {"identify_epochs": 3, "batch_size": 10},
-        "stream": [
-            {"task_id": 0, "classes": 4, "samples_per_class": 10},  # 40 rows
-            {"task_id": 1, "classes": 2, "samples_per_class": 15},  # 30 rows
-        ],
-    }
-    cfg = config_from_dict(raw)
-    # smallest task has 30 rows -> 3 batches of 10 per epoch
-    assert cfg.schedule.identify_steps == 9
-    assert cfg.schedule.finetune_steps == 100  # untouched default
-
-
-def test_epochs_and_steps_are_mutually_exclusive():
-    with pytest.raises(ConfigError, match="steps or epochs"):
-        config_from_dict({
-            "schedule": {"identify_steps": 5, "identify_epochs": 1},
-            "stream": minimal()["stream"],
-        })
-    with pytest.raises(ConfigError, match="need a stream"):
-        config_from_dict({"schedule": {"identify_epochs": 2}})
+@pytest.mark.parametrize("key", ["identify_epochs", "finetune_epochs"])
+def test_epoch_keys_are_unknown_fields(key):
+    # schedule lengths are given in steps only
+    with pytest.raises(ConfigError, match=rf"^schedule\.{key}: unknown field$"):
+        config_from_dict({"schedule": {key: 3}})
+    with pytest.raises(ConfigError, match=rf"^schedule\.{key}: unknown field$"):
+        config_from_dict({**minimal(), "schedule": {"identify_steps": 5, key: 1}})
 
 
 def test_effective_config_round_trip():

@@ -14,10 +14,10 @@ from submoe.errors import DataError
 from submoe.evaluation import evaluate_row
 from submoe.experiment import (
     AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE,
-    OUTPUT_ROOT_ENV, PRUNE_FILE, SUMMARY_FILE, TRACE_FILE, compute_metrics, read_audit,
-    resolve_output_dir, run_experiment,
+    OUTPUT_ROOT_ENV, PRUNE_FILE, STREAM_DIR, SUMMARY_FILE, TRACE_FILE, compute_metrics,
+    read_audit, resolve_output_dir, run_experiment,
 )
-from submoe.streams import load_task
+from submoe.streams import generate_stream, load_task
 
 from oracles import save_checkpoint_v2
 
@@ -226,11 +226,42 @@ def test_id_given_protocol_has_no_audits(tmp_path):
 def test_export_stream_round_trips(tmp_path):
     raw = base_raw()
     raw["export_stream"] = True
-    result = run_experiment(config_from_dict(raw), tmp_path / "run")
-    for i in range(2):
-        data = load_task(tmp_path / "run" / "stream" / f"task_{i}.json")
-        assert data.task_id == i and data.dim == 8
+    cfg = config_from_dict(raw)
+    result = run_experiment(cfg, tmp_path / "run")
     assert result.out_dir == tmp_path / "run"
+    stream = tmp_path / "run" / STREAM_DIR
+    tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
+    assert sorted(p.name for p in stream.iterdir()) == sorted(
+        f"task_{data.task_id}{ext}" for data in tasks for ext in (".bin", ".json"))
+    for data in tasks:
+        back = load_task(stream / f"task_{data.task_id}.json")
+        assert back.task_id == data.task_id
+        for name in ("train_x", "train_y", "eval_x", "eval_y", "text_emb", "prototypes"):
+            got, want = getattr(back, name), getattr(data, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def _tree_digests(root) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("n_tasks, export", [(6, False), (2, True)],
+                         ids=["no export", "fewer tasks"])
+def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
+    def raw_of(n_tasks, export):
+        raw = base_raw(n_tasks=n_tasks)
+        raw["model"]["feature_dim"] = 18  # room for six orthogonal 3-class tasks
+        raw["export_stream"] = export
+        return raw
+
+    run_experiment(config_from_dict(raw_of(6, True)), tmp_path / "run")
+    assert len(list((tmp_path / "run" / STREAM_DIR).iterdir())) == 12
+    raw = raw_of(n_tasks, export)
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    run_experiment(config_from_dict(raw), tmp_path / "fresh")
+    assert _tree_digests(tmp_path / "run") == _tree_digests(tmp_path / "fresh")
 
 
 def test_single_task_stream_has_no_transfer(tmp_path):
