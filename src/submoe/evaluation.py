@@ -11,8 +11,13 @@ only when its route does:
 - `id_free`: each eval task's bare-backbone window queries are embedded and
   matched once; after an enrolment every window is measured against the new
   signature alone (`TaskBank.rematch`), and only windows whose route changed
-  are embedded and classified again.  The state keeps each window's nearest
-  task, distance and route, and each row's routed embedding and prediction.
+  are embedded and classified again.  The state keeps each task's window
+  image means and text mean (the query matrix is joined from them for the
+  time of a bank call), each window's nearest task, distance and route, and
+  each row's routed embedding and prediction, but no bare embeddings: a
+  window that falls back after its first evaluation (a new threshold or
+  metric, or a replaced signature) is embedded through the bare backbone
+  again.
 - `id_given`: accuracy is kept per (task, route), so a run makes 2n predicts.
 - the CIL pass reuses the row's routed embeddings and computes only the
   cosine against the grown pooled label table.
@@ -36,7 +41,7 @@ from .errors import DimensionError, DomainError, NumericError
 from .model import AdapterModel, cosine_logits
 from .numerics import rowwise_matmul
 from .streams import TaskData
-from .task_bank import TaskBank, window_queries
+from .task_bank import TaskBank, fused_queries, window_means
 
 
 def _check_matrix(matrix) -> np.ndarray:
@@ -92,22 +97,23 @@ def task_accuracy(model: AdapterModel, data: TaskData, route_task: int | None) -
     return float((pred == data.eval_y).mean())
 
 
-def _embed_routes(model: AdapterModel, x: np.ndarray, bare: np.ndarray,
-                  tasks: np.ndarray, matched: np.ndarray, todo: np.ndarray,
-                  window: int, out: np.ndarray) -> np.ndarray:
+def _embed_routes(model: AdapterModel, x: np.ndarray, tasks: np.ndarray,
+                  matched: np.ndarray, todo: np.ndarray, window: int,
+                  out: np.ndarray) -> None:
     """Write into `out` the routed embedding of every row of the windows in
-    the mask `todo`, and return those rows' mask.  An unmatched window keeps
-    its bare-backbone rows, and each matched task gets one embed of its
-    windows' rows: whole windows in stream order, so `rowwise_matmul`'s
-    blocks stay windows."""
+    the mask `todo`: one embed per route of its windows' rows, the bare
+    backbone for the unmatched ones.  Rows go in as whole windows in stream
+    order, so `rowwise_matmul`'s blocks stay windows and each window's rows
+    equal those of any other embed of it, bit for bit."""
     row_window = np.arange(x.shape[0]) // window
-    fallback = (todo & ~matched)[row_window]
-    out[fallback] = bare[fallback]
     matmul = partial(rowwise_matmul, block=window)
-    for route in sorted(set(tasks[todo & matched].tolist())):
-        rows = (todo & matched & (tasks == route))[row_window]
-        out[rows] = model.embed(x[rows], route, matmul)
-    return todo[row_window]
+    groups = [(None, todo & ~matched)] + [
+        (route, todo & matched & (tasks == route))
+        for route in sorted(set(tasks[todo & matched].tolist()))]
+    for route, windows in groups:
+        if windows.any():
+            rows = windows[row_window]
+            out[rows] = model.embed(x[rows], route, matmul)
 
 
 class WindowDecisions(NamedTuple):
@@ -124,12 +130,15 @@ class WindowDecisions(NamedTuple):
 @dataclass
 class _TaskWindows:
     """One eval task's cached task-free evaluation.  The decision arrays are
-    replaced, never written in place, so a `WindowDecisions` stays valid."""
+    replaced, never written in place, so a `WindowDecisions` stays valid.
+    The query matrix is built only for the time of a bank call, and no bare
+    embeddings are kept: `emb` starts as them, and a window that later falls
+    back is embedded through the bare backbone again."""
 
     data: TaskData
     window: int
-    queries: np.ndarray    # [windows, 2 * dim], bare-backbone window queries
-    bare: np.ndarray       # [rows, dim], bare-backbone embeddings
+    img_means: np.ndarray  # [windows, dim], bare-backbone window image means
+    txt_mean: np.ndarray   # [dim], the task's label-text mean
     nearest: np.ndarray
     distance: np.ndarray
     matched: np.ndarray
@@ -137,6 +146,10 @@ class _TaskWindows:
     preds: np.ndarray      # [rows], predictions against the task's own labels
     signatures: dict[int, np.ndarray]  # the bank entries `nearest` reflects
     rule: tuple[str, float]            # the bank's (metric, threshold)
+
+    def queries(self) -> np.ndarray:
+        """The [windows, 2 * dim] bank queries of the task's windows."""
+        return fused_queries(self.img_means, self.txt_mean)
 
 
 @dataclass
@@ -164,31 +177,32 @@ class EvalState:
         rule = (bank.metric, bank.threshold)
         w = self.windows.get(data.task_id)
         if w is None or w.data is not data or w.window != window:
-            bare = model.embed(data.eval_x, None, matmul)
-            queries = window_queries(bare, data.text_emb, window)
-            nearest, distance, matched = bank.match(queries)
+            emb = model.embed(data.eval_x, None, matmul)
+            img_means, txt_mean = window_means(emb, data.text_emb, window)
+            nearest, distance, matched = bank.match(fused_queries(img_means, txt_mean))
             w = _TaskWindows(
-                data=data, window=window, queries=queries, bare=bare, nearest=nearest,
-                distance=distance, matched=matched, emb=np.empty_like(bare),
-                preds=np.empty(bare.shape[0], dtype=np.int64),
+                data=data, window=window, img_means=img_means, txt_mean=txt_mean,
+                nearest=nearest, distance=distance, matched=matched, emb=emb,
+                preds=np.empty(emb.shape[0], dtype=np.int64),
                 signatures=dict(bank.entries), rule=rule,
             )
             self.windows[data.task_id] = w
+            moved = matched  # `emb` holds the bare rows the rest fall back to
             todo = np.ones_like(matched)
         else:
             old_nearest, old_matched = w.nearest, w.matched
             if rule != w.rule or any(
                     bank.entries.get(t) is not sig for t, sig in w.signatures.items()):
-                w.nearest, w.distance, w.matched = bank.match(w.queries)
+                w.nearest, w.distance, w.matched = bank.match(w.queries())
             else:
                 for task in sorted(bank.entries.keys() - w.signatures.keys()):
                     w.nearest, w.distance, w.matched = bank.rematch(
-                        w.queries, w.nearest, w.distance, task)
+                        w.queries(), w.nearest, w.distance, task)
             w.signatures, w.rule = dict(bank.entries), rule
-            todo = (w.matched != old_matched) | (w.matched & (w.nearest != old_nearest))
+            moved = todo = (w.matched != old_matched) | (w.matched & (w.nearest != old_nearest))
+        _embed_routes(model, data.eval_x, w.nearest, w.matched, moved, window, w.emb)
         if todo.any():
-            rows = _embed_routes(model, data.eval_x, w.bare, w.nearest, w.matched, todo,
-                                 window, w.emb)
+            rows = todo[np.arange(data.eval_x.shape[0]) // window]
             w.preds[rows] = cosine_logits(w.emb[rows], data.text_emb, matmul).argmax(axis=1)
         return w
 

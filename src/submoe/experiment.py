@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import shutil
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +62,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -237,9 +238,9 @@ def _write_audit(path: Path, run: _Run) -> None:
     final bank signature (see `read_audit`).  The first row evaluates every
     task, so `run.state.windows` holds them in stream order."""
     if run.cfg.evaluation.protocol == "id_free":
-        _write_jsonl(path, [
-            {"true_task": task, "distance": encode_array(run.bank.distances(w.queries)[1])}
-            for task, w in run.state.windows.items()])
+        _write_jsonl(path, (
+            {"true_task": task, "distance": encode_array(run.bank.distances(w.queries())[1])}
+            for task, w in run.state.windows.items()))
 
 
 # Every artifact but the config (written first), in write order; the summary

@@ -42,12 +42,14 @@ def fused_embedding(img_emb, txt_emb) -> np.ndarray:
     return np.concatenate([img.mean(axis=0), txt.mean(axis=0)])
 
 
-def window_queries(img_emb, txt_emb, window: int) -> np.ndarray:
-    """One fused query per `window` consecutive image rows (the last window
-    may be shorter), all sharing the text mean: [windows, 2 * dim].
+def window_means(img_emb, txt_emb, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of the fused query of every `window` consecutive image
+    rows (the last window may be shorter): the window image means
+    [windows, dim] and the text mean [dim] they all share.
 
-    Row w equals `fused_embedding(img[w * window:(w + 1) * window], txt)`
-    bit for bit; the reshaped mean adds each window's rows in the same order
+    Row w of their `fused_queries` equals
+    `fused_embedding(img[w * window:(w + 1) * window], txt)` bit for bit; the
+    reshaped mean adds each window's rows in the same order
     (`np.add.reduceat` does not, for windows of 3 or more rows).
     """
     if window < 1:
@@ -58,9 +60,14 @@ def window_queries(img_emb, txt_emb, window: int) -> np.ndarray:
     means = [img[:full].reshape(-1, window, dim).mean(axis=1)]
     if full < n:
         means.append(img[full:].mean(axis=0, keepdims=True))
-    img_means = np.vstack(means)
-    txt_mean = np.broadcast_to(txt.mean(axis=0), (img_means.shape[0], txt.shape[1]))
-    return np.hstack([img_means, txt_mean])
+    return np.vstack(means), txt.mean(axis=0)
+
+
+def fused_queries(img_means: np.ndarray, txt_mean: np.ndarray) -> np.ndarray:
+    """The [windows, 2 * dim] query matrix of `window_means`' halves: each
+    window's image mean beside the shared text mean."""
+    txt = np.broadcast_to(txt_mean, (img_means.shape[0], txt_mean.shape[0]))
+    return np.hstack([img_means, txt])
 
 
 def nearest(ids: np.ndarray, dist: np.ndarray, threshold: float
@@ -89,13 +96,20 @@ class TaskBank:
         if self.metric not in _METRICS:
             raise ConfigError(f"task_bank.metric: unknown metric {self.metric!r}")
 
-    def _distances(self, queries: np.ndarray, signatures: np.ndarray) -> np.ndarray:
-        """[queries, signatures] distances; each entry equals the 1-d
+    def _distances(self, queries: np.ndarray, signatures) -> np.ndarray:
+        """[queries, signatures] distances of a [windows, width] query matrix
+        to each 1-d signature in `signatures`, measured one signature at a
+        time through one [windows, width] buffer; each entry equals the 1-d
         `np.abs(q - s).sum()` or `np.linalg.norm(q - s)` bit for bit."""
-        diff = queries[:, None, :] - signatures[None, :, :]
-        if self.metric == "manhattan":
-            return np.abs(diff, out=diff).sum(axis=2)
-        return np.sqrt(np.vecdot(diff, diff))
+        out = np.empty((queries.shape[0], len(signatures)))
+        diff = np.empty(queries.shape)
+        for k, signature in enumerate(signatures):
+            np.subtract(queries, signature, out=diff)
+            if self.metric == "manhattan":
+                out[:, k] = np.abs(diff, out=diff).sum(axis=1)
+            else:
+                out[:, k] = np.sqrt(np.vecdot(diff, diff))
+        return out
 
     def enroll(self, task: int, img_emb, txt_emb) -> np.ndarray:
         """Store (or deterministically overwrite) the task's signature."""
@@ -118,10 +132,10 @@ class TaskBank:
             raise StateError("task bank is empty; enroll at least one task first")
         q = as_matrix(queries)
         ids = sorted(self.entries)
-        signatures = np.stack([self.entries[t] for t in ids])
-        if q.shape[1] != signatures.shape[1]:
+        signatures = [self.entries[t] for t in ids]
+        if q.shape[1] != signatures[0].shape[0]:
             raise DimensionError(
-                f"query width {q.shape[1]} does not match bank width {signatures.shape[1]}"
+                f"query width {q.shape[1]} does not match bank width {signatures[0].shape[0]}"
             )
         return np.asarray(ids, dtype=np.int64), self._distances(q, signatures)
 
@@ -138,7 +152,7 @@ class TaskBank:
         is `match`'s argmin rule; each distance equals its column of `match`'s
         distance matrix bit for bit.  Returns new arrays, as `match` does.
         """
-        dist = self._distances(queries, self.entries[task][None])[:, 0]
+        dist = self._distances(queries, [self.entries[task]])[:, 0]
         moved = (dist < distances) | ((dist == distances) & (task < tasks))
         best_dist = np.where(moved, dist, distances)
         return np.where(moved, task, tasks), best_dist, best_dist <= self.threshold

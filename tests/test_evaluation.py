@@ -349,3 +349,49 @@ def test_eval_state_reevaluates_when_a_signature_is_replaced(trained_three):
     for got, want in zip(decisions, fresh):
         assert got.nearest.tolist() == want.nearest.tolist()
         assert got.distance.tolist() == want.distance.tolist()
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_eval_state_re_embeds_windows_that_fall_back_after_a_threshold_drop(
+        trained_three, window):
+    # the state keeps no bare embeddings: a window matched before the drop
+    # and unmatched after it goes through the bare backbone again
+    model, stream, signatures, _ = trained_three
+    bank = TaskBank(threshold=1e300, entries={t: s.copy() for t, s in signatures.items()})
+    learned = set(signatures)
+    state = EvalState()
+    _, before = evaluate_row(model, bank, stream, learned, "id_free", window, state=state)
+    pooled_accuracy(model, bank, stream, window, state=state)
+    distances = np.concatenate([d.distance for d in before])
+    bank.threshold = float(np.median(distances))
+    row, decisions = evaluate_row(model, bank, stream, learned, "id_free", window, state=state)
+    fresh = EvalState()
+    fresh_row, fresh_decisions = evaluate_row(model, bank, stream, learned, "id_free",
+                                              window, state=fresh)
+    assert 0 < sum(int((~d.matched).sum()) for d in decisions) < distances.size
+    assert row.tolist() == fresh_row.tolist()
+    for got, want in zip(decisions, fresh_decisions, strict=True):
+        assert got.task_id == want.task_id
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for data in stream:
+        got, want = state.windows[data.task_id], fresh.windows[data.task_id]
+        assert got.emb.tobytes() == want.emb.tobytes()
+        assert got.preds.tolist() == want.preds.tolist()
+    assert (pooled_accuracy(model, bank, stream, window, state=state)
+            == pooled_accuracy(model, bank, stream, window, state=fresh))
+
+
+@pytest.mark.parametrize("window", [3, 7])
+def test_eval_state_keeps_no_bare_embeddings_or_query_matrix(trained_three, window):
+    model, stream, signatures, middle = trained_three
+    bank = TaskBank(threshold=middle["manhattan"], entries=dict(signatures))
+    state = EvalState()
+    evaluate_row(model, bank, stream, set(signatures), "id_free", window, state=state)
+    for data in stream:
+        rows, dim = data.eval_x.shape
+        w = state.windows[data.task_id]
+        shapes = [v.shape for v in vars(w).values() if isinstance(v, np.ndarray)]
+        assert shapes.count((rows, dim)) == 1  # the routed embeddings
+        assert (-(-rows // window), 2 * dim) not in shapes
+        assert w.queries().shape == (-(-rows // window), 2 * dim)

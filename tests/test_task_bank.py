@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,10 @@ def test_each_distance_column_equals_its_one_signature_call(qs, metric):
     full = bank._distances(q, s)
     for j in range(s.shape[0]):
         assert full[:, j].tobytes() == bank._distances(q, s[j:j + 1])[:, 0].tobytes()
+        for i in range(q.shape[0]):  # the 1-d measure of one pair
+            one = (np.abs(q[i] - s[j]).sum() if metric == "manhattan"
+                   else np.linalg.norm(q[i] - s[j]))
+            assert full[i, j].tobytes() == one.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,3 +194,20 @@ def test_distances_columns_equal_rematch_and_match_is_their_argmin(metric):
     assert 0 < matched.sum() < n
     for r in range(n):
         assert tasks[r] == got_ids[dist[r] == best[r]].min()
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_distances_measure_one_signature_at_a_time_in_bounded_memory(metric):
+    # a [windows, tasks, width] difference array would take 19.7 MB here
+    rng = np.random.default_rng(5)
+    bank = TaskBank(threshold=1.0, metric=metric,
+                    entries={t: rng.standard_normal(128) for t in range(100)})
+    q = rng.standard_normal((192, 128))
+    tracemalloc.start()
+    try:
+        _, dist = bank.distances(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.shape == (192, 100)
+    assert peak < 2**20
