@@ -12,14 +12,17 @@ The layer packs its experts' arrays into `down_all [E, rank, dim]` and
 pass makes one stacked product per stage over a chunk of experts.  A stacked
 product makes, per expert, the BLAS call of that expert's 2-d product, and
 the weighted outputs are summed in expert order, so every value is bit for
-bit that of a loop over the experts.  An inference pass keeps no expert
-outputs: it mixes each chunk into the layer's output and drops it.
+bit that of a loop over the experts.  Training and inference share one
+forward pass: it mixes each chunk's outputs into the layer's output and drops
+them, and its cache keeps only the down activations.  backward() recomputes
+each chunk's outputs from them with the forward's own products, so a cache
+stays small and a learning step does not hold every expert's outputs
+between its forward and its backward.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 
@@ -90,50 +93,31 @@ class RoutingDistribution:
         return np.add.reduce(self.probs, axis=0) / len(self.probs)
 
 
-class StackedViews(Sequence):
-    """The experts stacked in `chunks` ([per, ...] arrays, the last one
-    possibly shorter), one view per expert, made when it is read."""
-
-    def __init__(self, chunks: list[np.ndarray]):
-        self.chunks = chunks
-        self.per = len(chunks[0]) if chunks else 1
-        self.n = sum(len(c) for c in chunks)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        if not -self.n <= j < self.n:
-            raise IndexError(f"expert {j} of {self.n}")
-        j %= self.n
-        return self.chunks[j // self.per][j % self.per]
-
-
 @dataclass
 class ForwardCache:
     """Everything backward() needs; `version` pins the cache to the layer
-    structure it was computed against.  forward() stores the per-expert
-    arrays as `StackedViews` of its chunks, or None for an inference pass
-    that keeps no expert outputs; backward() takes no other cache."""
+    structure it was computed against.  It keeps the down activations and
+    the forward's `matmul`, not the expert outputs: backward() recomputes
+    them with the forward's own calls on the same operands, bit for bit."""
 
     x: np.ndarray
     task: int
     dist: RoutingDistribution
-    down_acts: StackedViews | None  # per expert, [B, rank]
-    outputs: StackedViews | None    # per expert, [B, dim]
+    down_acts: np.ndarray  # [n_visible, B, rank]
     n_visible: int
     version: int
+    matmul: MatMul = np.matmul
 
 
-def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray, buf: np.ndarray) -> None:
+def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray) -> None:
     """acc += w[:, 0:1] * terms[0] + w[:, 1:2] * terms[1] + ..., bit for bit
     as a loop of `acc += w[:, j:j + 1] * terms[j]`: the first weighted term
     takes `acc` in (float addition commutes exactly), and `np.add.reduce`
-    over the leading axis adds the others in order.  The weighted terms go
-    to `buf` (which may be `terms`)."""
-    np.multiply(w.T[:, :, None], terms, out=buf)
-    buf[0] += acc
-    np.add.reduce(buf, axis=0, out=acc)
+    over the leading axis adds the others in order.  The terms are weighted
+    in place."""
+    np.multiply(w.T[:, :, None], terms, out=terms)
+    terms[0] += acc
+    np.add.reduce(terms, axis=0, out=acc)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -172,8 +156,10 @@ class MixtureAdapterLayer:
     down_all: np.ndarray = field(init=False, repr=False, compare=False)  # [E, rank, dim]
     up_all: np.ndarray = field(init=False, repr=False, compare=False)    # [E, dim, rank]
     _packed: tuple = field(init=False, repr=False, compare=False)  # the slots' views
+    _work: np.ndarray = field(init=False, repr=False, compare=False)  # see _scratch
 
     def __post_init__(self):
+        self._work = np.empty(CHUNK_BYTES // 8)
         self._repack()
 
     def _repack(self) -> None:
@@ -202,12 +188,18 @@ class MixtureAdapterLayer:
     def _chunks(self, n: int, rows: int) -> tuple[slice, ...]:
         return _chunk_slices(n, rows, max(self.dim, self.rank))
 
-    def _scratch(self, slices: Sequence[slice], rows: int) -> np.ndarray:
-        """One scratch array of the largest chunk's [experts, rows, dim].  A
-        training pass reuses it for its temporaries: one new array per chunk
-        would be freed at the top of the heap, which malloc then trims and
-        faults in again."""
-        return np.empty((slices[0].stop if slices else 0, rows, self.dim))
+    def _scratch(self, slices: tuple[slice, ...], rows: int) -> np.ndarray:
+        """The layer's workspace as the largest chunk's [experts, rows, dim].
+        Every pass writes its chunks' outputs and temporaries there, and no
+        cache refers to it.  It is made with the layer at `CHUNK_BYTES`,
+        which holds any chunk but one expert wider than that, and grows for
+        such a one: a new array per pass would be freed at the top of the
+        heap, which malloc then trims and faults in again at the next
+        learning step."""
+        per = slices[0].stop if slices else 0
+        if self._work.size < per * rows * self.dim:
+            self._work = np.empty(per * rows * self.dim)
+        return self._work[:per * rows * self.dim].reshape(per, rows, self.dim)
 
     def router_for(self, task: int) -> Router:
         try:
@@ -288,36 +280,26 @@ class MixtureAdapterLayer:
         weights = masked / np.add.reduce(masked, axis=1, keepdims=True)
         return RoutingDistribution(probs=probs, top_k_mask=mask, weights=weights)
 
-    def forward(self, task: int, x, matmul: MatMul = np.matmul, keep_outputs: bool = True):
+    def forward(self, task: int, x, matmul: MatMul = np.matmul):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
         top-k experts, every product done by `matmul` (one stacked call per
-        chunk of experts).  Returns (y, dist, cache).  With `keep_outputs`
-        false (an inference pass), each chunk is mixed into `y` in place of
-        its outputs and dropped, and the cache keeps no expert outputs:
-        `y` and `dist` are the same, but backward() refuses the cache."""
+        chunk of experts).  Returns (y, dist, cache).  Each chunk's outputs
+        go to the layer's workspace and are mixed into `y` there; the cache
+        keeps the down activations, from which backward() recomputes them."""
         xm = as_matrix(x)
         dist = self.route(task, xm, matmul)
         w = dist.weights
         n_vis = w.shape[1]
         down_all, up_all = self.packed(n_vis)
-        acts, outs = [], []
+        acts = np.empty((n_vis, xm.shape[0], self.rank))
         y = xm.copy()
         slices = self._chunks(n_vis, xm.shape[0])
-        buf = self._scratch(slices, xm.shape[0]) if keep_outputs else None
+        buf = self._scratch(slices, xm.shape[0])
         for s in slices:
-            a = matmul(xm, down_all[s].transpose(0, 2, 1))
-            u = matmul(a, up_all[s].transpose(0, 2, 1))
-            # an inference pass weights the outputs in place: nothing reads them again
-            _mix(y, w[:, s], u, buf[:len(u)] if keep_outputs else u)
-            if keep_outputs:
-                acts.append(a)
-                outs.append(u)
-        cache = ForwardCache(
-            x=xm, task=task, dist=dist,
-            down_acts=StackedViews(acts) if keep_outputs else None,
-            outputs=StackedViews(outs) if keep_outputs else None,
-            n_visible=n_vis, version=self.version,
-        )
+            a = matmul(xm, down_all[s].transpose(0, 2, 1), out=acts[s])
+            _mix(y, w[:, s], matmul(a, up_all[s].transpose(0, 2, 1), out=buf[:s.stop - s.start]))
+        cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=acts,
+                             n_visible=n_vis, version=self.version, matmul=matmul)
         return y, dist, cache
 
     def backward(self, cache: ForwardCache, grad_y, input_grad: bool = True,
@@ -337,23 +319,23 @@ class MixtureAdapterLayer:
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
-        if not (isinstance(cache.outputs, StackedViews)
-                and isinstance(cache.down_acts, StackedViews)):
-            raise StateError("forward cache keeps no expert outputs of a training "
-                             "forward() (an inference pass, or a foreign cache)")
-        g = as_matrix(grad_y)
-        if g.shape != cache.x.shape:
-            raise DimensionError(f"grad shape {g.shape} does not match input {cache.x.shape}")
-        require_finite("upstream gradient", g)
         w = cache.dist.weights
         x = cache.x
+        acts = cache.down_acts
+        if getattr(acts, "shape", None) != (cache.n_visible, x.shape[0], self.rank):
+            raise StateError("forward cache's down activations are not "
+                             "[n_visible, rows, rank]: a foreign cache")
+        g = as_matrix(grad_y)
+        if g.shape != x.shape:
+            raise DimensionError(f"grad shape {g.shape} does not match input {x.shape}")
+        require_finite("upstream gradient", g)
         down_all, up_all = self.packed(cache.n_visible)
 
         expert_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cache.n_visible
         for j, e in enumerate(self.experts[:cache.n_visible]):
             if e.owner_task == cache.task:
                 wg = g * w[:, j:j + 1]
-                grad_up = wg.T @ cache.down_acts[j]
+                grad_up = wg.T @ acts[j]
                 grad_down = (wg @ e.up).T @ x
                 expert_grads[j] = (grad_down, grad_up)
         if not (input_grad or router_grad):
@@ -362,12 +344,14 @@ class MixtureAdapterLayer:
         buf = self._scratch(slices, x.shape[0])
         grad_x = g.copy() if input_grad else None
         dmix = np.empty_like(w)
-        for s, u in zip(slices, cache.outputs.chunks):
-            t = buf[:len(u)]
+        for s in slices:
+            t = buf[:s.stop - s.start]
             if input_grad:
                 np.matmul(g @ up_all[s], down_all[s], out=t)
-                _mix(grad_x, w[:, s], t, t)
-            np.multiply(g, u, out=t)
+                _mix(grad_x, w[:, s], t)
+            # the chunk's outputs, by the forward's own call on its operands
+            cache.matmul(acts[s], up_all[s].transpose(0, 2, 1), out=t)
+            np.multiply(g, t, out=t)
             dmix[:, s] = np.add.reduce(t, axis=2).T
         # softmax Jacobian on the renormalised support: rows outside the
         # top-k have w == 0 and so receive exactly zero.  dz is

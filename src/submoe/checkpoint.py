@@ -202,7 +202,9 @@ def save_checkpoint(path: str | Path, model: AdapterModel,
         "meta": meta or {},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc) + "\n")
+    with path.open("w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
     return path
 
 

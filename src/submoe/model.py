@@ -87,9 +87,8 @@ class AdapterModel:
                  dists: list[RoutingDistribution] | None = None):
         """(embeddings, tape).  With `keep_tape`, the tape holds per backbone
         layer its pre-adapter activations and the adapter's cache (None
-        where no adapter ran) for backward; otherwise it is None and the
-        adapters keep no expert outputs.  Each adapter's routing
-        distribution is appended to `dists` when given."""
+        where no adapter ran) for backward; otherwise it is None.  Each
+        adapter's routing distribution is appended to `dists` when given."""
         h = as_matrix(x)
         if h.shape[1] != self.dim:
             raise DimensionError(f"input width {h.shape[1]}, backbone dim {self.dim}")
@@ -99,7 +98,7 @@ class AdapterModel:
             t = self.backbone.layer_forward(i, h, matmul)
             cache: ForwardCache | None = None
             if task is not None and i in self.adapters:
-                h, dist, cache = self.adapters[i].forward(task, t, matmul, keep_outputs=keep_tape)
+                h, dist, cache = self.adapters[i].forward(task, t, matmul)
                 if dists is not None:
                     dists.append(dist)
             else:

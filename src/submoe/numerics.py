@@ -27,13 +27,16 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"{name} contains non-finite entries")
 
 
-MatMul = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# `matmul(a, b, out=None)`: `a @ b`, written to `out` when given
+MatMul = Callable[..., np.ndarray]
 
 
-def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1) -> np.ndarray:
+def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """`a @ b` as one BLAS call per block of `block` consecutive rows of `a`
     (the last block may be shorter) and per matrix of the leading stacked
-    axes of `a` and `b`, which broadcast as they do in `np.matmul`.
+    axes of `a` and `b`, which broadcast as they do in `np.matmul`.  The
+    result goes to `out` when given, as with `np.matmul`.
 
     The result equals the products of each block of each matrix,
     ``a[..., s:s + block, :] @ b``, stacked back in row order, bit for bit:
@@ -45,12 +48,17 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1) -> np.ndarray:
     batches through this instead of `a @ b`.
     """
     *lead, n, k = a.shape
+    if out is None:
+        out = np.empty((*np.broadcast_shapes(tuple(lead), b.shape[:-2]), n, b.shape[-1]),
+                       np.result_type(a, b))
     full = n - n % block
-    head = a[..., :full, :].reshape(*lead, full // block, block, k) @ b[..., None, :, :]
-    head = head.reshape(*head.shape[:-3], full, head.shape[-1])
-    if full == n:
-        return head
-    return np.concatenate([head, a[..., full:, :] @ b], axis=-2)
+    head = out[..., :full, :]
+    # splitting the row axis of `head` into blocks is a view of `out`
+    np.matmul(a[..., :full, :].reshape(*lead, full // block, block, k), b[..., None, :, :],
+              out=head.reshape(*head.shape[:-2], full // block, block, head.shape[-1]))
+    if full < n:
+        np.matmul(a[..., full:, :], b, out=out[..., full:, :])
+    return out
 
 
 def softmax(logits) -> np.ndarray:

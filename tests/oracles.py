@@ -2,11 +2,14 @@
 quadratic solve for the damped step, its diagonal projection form, central
 finite differences, byte fingerprints of frozen state, the version 2
 checkpoint writer, and the contrastive loss and routing as first written,
-with NumPy's convenience wrappers and fresh temporaries.  None of this is
-used by the engine itself."""
+with NumPy's convenience wrappers and fresh temporaries; plus the name of
+the BLAS kernel, for the failure messages of pinned digests.  None of this
+is used by the engine itself."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +21,21 @@ from submoe.adapter import RoutingDistribution, top_k_select
 from submoe.errors import DimensionError, LabelError, NumericError
 from submoe.numerics import as_matrix, require_finite
 from submoe.optim import OptimConfig, step_scale
+
+
+@functools.cache
+def blas_kernel() -> str:
+    """The CPU kernel NumPy's bundled OpenBLAS chose when it loaded
+    (`Haswell`, `SkylakeX`, ...), or `unknown`.  A pinned digest of float64
+    results holds for one BLAS build and kernel, so its failure names it."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def proximal_argmin(g: np.ndarray, w_prev: np.ndarray, pi: float, n: int,

@@ -22,27 +22,28 @@ def blockwise_matmul(a, b, block: int):
 
 def loop_forward(layer, task: int, x, matmul=np.matmul):
     """(y, dist, cache) of the layer's forward, one expert at a time:
-    y = x, then y += w_j * up_j @ down_j @ x for each visible expert j."""
+    y = x, then y += w_j * up_j @ down_j @ x for each visible expert j.  The
+    cache's `down_acts` is the list of each expert's down activations."""
     xm = as_matrix(x)
     dist = layer.route(task, xm, matmul)
     n_vis = layer.router_for(task).n_visible
-    down_acts, outputs = [], []
+    down_acts = []
     y = xm.copy()
     for j in range(n_vis):
         e = layer.experts[j]
         a = matmul(xm, e.down.T)
-        u = matmul(a, e.up.T)
         down_acts.append(a)
-        outputs.append(u)
-        y += dist.weights[:, j:j + 1] * u
-    cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=down_acts, outputs=outputs,
-                         n_visible=n_vis, version=layer.version)
+        y += dist.weights[:, j:j + 1] * matmul(a, e.up.T)
+    cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=down_acts,
+                         n_visible=n_vis, version=layer.version, matmul=matmul)
     return y, dist, cache
 
 
 def full_backward(layer, cache, grad_y):
     """(grad_x, expert_grads, router_grad) with (grad_down, grad_up) for
-    every visible expert, frozen ones included."""
+    every visible expert, frozen ones included.  Each expert's output is
+    recomputed from its down activations with the cache's own per-expert
+    product."""
     g = as_matrix(grad_y)
     router = layer.router_for(cache.task)
     w = cache.dist.weights
@@ -58,7 +59,8 @@ def full_backward(layer, cache, grad_y):
         grad_down = (wg @ e.up).T @ x
         expert_grads.append((grad_down, grad_up))
         grad_x += w[:, j:j + 1] * (g @ e.up @ e.down)
-        dmix[:, j] = (g * cache.outputs[j]).sum(axis=1)
+        u = cache.matmul(cache.down_acts[j], e.up.T)
+        dmix[:, j] = (g * u).sum(axis=1)
     dz = w * (dmix - (w * dmix).sum(axis=1, keepdims=True))
     router_grad = dz.T @ x
     grad_x += dz @ router.weight

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submoe.adapter import CHUNK_BYTES, ForwardCache, MixtureAdapterLayer, Router, top_k_select
+from submoe.adapter import ForwardCache, MixtureAdapterLayer, Router, top_k_select
 from submoe.checkpoint import layer_from_payload, layer_to_payload
 from submoe.errors import DimensionError, MissingRouterError, StateError
 from submoe.numerics import rowwise_matmul, softmax_rows
@@ -197,8 +198,7 @@ def test_expert_grad_equals_routing_mass_times_sole_expert_grad():
             sole[0, j] = 1.0
             sole_dist = type(dist)(probs=dist.probs, top_k_mask=dist.top_k_mask, weights=sole)
             sole_cache = type(cache)(
-                x=cache.x, task=cache.task, dist=sole_dist,
-                down_acts=cache.down_acts, outputs=cache.outputs,
+                x=cache.x, task=cache.task, dist=sole_dist, down_acts=cache.down_acts,
                 n_visible=cache.n_visible, version=cache.version,
             )
             _, sole_grads, _ = layer.backward(sole_cache, g)
@@ -314,7 +314,8 @@ def test_serialisation_round_trip_is_bit_exact():
 
 def test_prune_output_shift_bounded_by_cached_quantities():
     # removing low-mass experts perturbs outputs by at most
-    # sum_j |w_before - w_after| * ||u_j|| per sample, all cache-computable
+    # sum_j |w_before - w_after| * ||u_j|| per sample, all cache-computable:
+    # u_j = a_j @ up_j.T from the cached down activations
     layer = make_layer(dim=6, rank=2, top_k=3, n_experts=2, task=0, seed=17)
     rng = np.random.default_rng(18)
     for _ in range(2):
@@ -324,7 +325,8 @@ def test_prune_output_shift_bounded_by_cached_quantities():
     layer.router_for(1).weight = rng.standard_normal((4, 6))
     x = rng.standard_normal((5, 6))
     y_before, dist_before, cache = layer.forward(1, x)
-    out_norms = np.stack([np.linalg.norm(u, axis=1) for u in cache.outputs], axis=1)
+    out_norms = np.stack([np.linalg.norm(a @ e.up.T, axis=1)
+                          for a, e in zip(cache.down_acts, layer.experts)], axis=1)
     doomed = {layer.experts[3].expert_id}
     keep_cols = [0, 1, 2]
     layer.remove_experts(doomed, 1)
@@ -392,13 +394,9 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
     assert (cache.task, cache.n_visible, cache.version) == (
         ref_cache.task, ref_cache.n_visible, ref_cache.version)
     assert cache.x.tobytes() == ref_cache.x.tobytes()
-    assert len(cache.down_acts) == len(cache.outputs) == cache.n_visible
-    for name in ("down_acts", "outputs"):
-        for got, want in zip(getattr(cache, name), getattr(ref_cache, name)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    per_chunk = max(1, CHUNK_BYTES // (8 * rows * dim))
-    assert [len(u) for u in cache.outputs.chunks] == [
-        min(per_chunk, cache.n_visible - s) for s in range(0, cache.n_visible, per_chunk)]
+    assert cache.down_acts.shape == (cache.n_visible, rows, 2)
+    for got, want in zip(cache.down_acts, ref_cache.down_acts):
+        assert got.tobytes() == want.tobytes()
 
     ref_x, ref_experts, ref_router = full_backward(layer, ref_cache, g)
     for input_grad in (True, False):
@@ -422,16 +420,18 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
                     assert got is None
 
 
-@pytest.mark.parametrize("stack", [list, np.stack], ids=["lists", "arrays"])
-def test_backward_refuses_a_cache_its_forward_did_not_make(stack):
-    # the loop oracle's cache holds plain per-expert lists; stacked, arrays
+@pytest.mark.parametrize("acts", [
+    lambda acts: list(acts),                  # the loop oracle's per-expert list
+    lambda acts: acts[:-1],                   # one expert short
+    lambda acts: acts.transpose(1, 0, 2),     # [rows, n_visible, rank]
+    lambda acts: None,                        # no activations at all
+], ids=["list", "short", "transposed", "none"])
+def test_backward_refuses_a_cache_its_forward_did_not_make(acts):
     layer = make_layer(n_experts=3, seed=31)
     x = np.random.default_rng(32).standard_normal((5, 6))
     _, _, cache = layer.forward(0, x)
-    _, _, ref_cache = loop_forward(layer, 0, x)
     foreign = ForwardCache(
-        x=cache.x, task=cache.task, dist=cache.dist,
-        down_acts=stack(ref_cache.down_acts), outputs=stack(ref_cache.outputs),
+        x=cache.x, task=cache.task, dist=cache.dist, down_acts=acts(cache.down_acts),
         n_visible=cache.n_visible, version=cache.version)
     with pytest.raises(StateError, match="a foreign cache"):
         layer.backward(foreign, np.ones_like(x))
@@ -460,36 +460,6 @@ def test_route_is_bit_exact_against_its_first_form(n_visible, k_offset, scale):
         assert part.mean_probs().tobytes() == np.mean(part.probs, axis=0).tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n_experts=st.integers(0, 24),
-    shape=st.sampled_from(STACK_SHAPES),
-    block=st.sampled_from([None, 1, 3, 7]),
-    top_k=st.integers(1, 30),
-    seed=st.integers(0, 2 ** 31 - 1),
-)
-def test_a_forward_that_keeps_no_outputs_gives_the_same_values(
-        n_experts, shape, block, top_k, seed):
-    dim, rows = shape
-    rng = np.random.default_rng(seed)
-    layer = MixtureAdapterLayer(layer_index=0, dim=dim, rank=2, top_k=top_k)
-    for _ in range(n_experts):
-        layer.add_expert(0, rng).up[...] = rng.standard_normal((dim, 2))
-    layer.add_router(0).weight[...] = rng.standard_normal((n_experts, dim))
-    engine = np.matmul if block is None else partial(rowwise_matmul, block=block)
-    x = rng.standard_normal((rows, dim))
-    y, dist, cache = layer.forward(0, x, engine)
-    y2, dist2, lean = layer.forward(0, x, engine, keep_outputs=False)
-    assert y2.tobytes() == y.tobytes()
-    for name in ("probs", "top_k_mask", "weights"):
-        assert getattr(dist2, name).tobytes() == getattr(dist, name).tobytes()
-    assert lean.dist is dist2 and lean.x.tobytes() == cache.x.tobytes()
-    assert (lean.task, lean.n_visible, lean.version) == (0, n_experts, layer.version)
-    assert lean.down_acts is None and lean.outputs is None
-    with pytest.raises(StateError, match="keeps no expert outputs"):
-        layer.backward(lean, np.ones_like(x))
-
-
 def test_experts_are_views_of_the_packed_arrays():
     layer = make_layer(n_experts=3, seed=23)
     layer.experts[1].up = np.ones((6, 2))  # rebound: no longer a slot
@@ -503,3 +473,52 @@ def test_experts_are_views_of_the_packed_arrays():
     # an in-place update of an expert is an update of the pack
     layer.experts[2].down += 1.0
     assert layer.packed()[0] is down_all and down_all[2].tobytes() == layer.experts[2].down.tobytes()
+
+
+def test_a_training_cache_holds_only_the_down_activations_and_routing():
+    # dim 64, 48 rows and 29 experts: their outputs alone would be 696 KiB
+    layer = make_layer(dim=64, n_experts=29, top_k=29, seed=41)
+    x = np.random.default_rng(42).standard_normal((48, 64))
+    layer.forward(0, x)  # packs the layer and keeps its chunk shapes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = layer.forward(0, x)[2]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.down_acts.shape == (29, 48, 2)
+    assert held < 64 * 1024
+
+
+def test_a_layer_whose_candidates_were_all_pruned_passes_forward_and_backward():
+    layer = make_layer(dim=64, n_experts=2, seed=43)
+    layer.remove_experts({e.expert_id for e in layer.experts}, 0)
+    rng = np.random.default_rng(44)
+    x, g = rng.standard_normal((48, 64)), rng.standard_normal((48, 64))
+    y, dist, cache = layer.forward(0, x)
+    assert y.tobytes() == x.tobytes() and dist.weights.shape == (48, 0)
+    assert cache.n_visible == 0 and cache.down_acts.shape == (0, 48, 2)
+    grad_x, expert_grads, rgrad = layer.backward(cache, g)
+    assert np.array_equal(grad_x, g)
+    assert expert_grads == [] and rgrad.shape == (0, 64)
+
+
+def test_backward_after_later_passes_on_the_layer_gives_the_same_grads():
+    # a cache holds everything its backward reads, not the layer's
+    # workspace, so other forwards and backwards may run on the layer in
+    # between (the benchmark sweeps do)
+    layer = make_layer(dim=64, n_experts=29, top_k=5, seed=45)
+    rng = np.random.default_rng(46)
+    x, x2, g = (rng.standard_normal((48, 64)) for _ in range(3))
+    want_x, want_experts, want_router = layer.backward(layer.forward(0, x)[2], g)
+    cache = layer.forward(0, x)[2]
+    layer.backward(layer.forward(0, x2)[2], g)
+    layer.forward(0, x2[:7])
+    layer.forward(0, rng.standard_normal((300, 64)))  # grows the layer's workspace
+    grad_x, expert_grads, rgrad = layer.backward(cache, g)
+    assert grad_x.tobytes() == want_x.tobytes()
+    assert rgrad.tobytes() == want_router.tobytes()
+    for got, want in zip(expert_grads, want_experts, strict=True):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

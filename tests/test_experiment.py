@@ -19,7 +19,7 @@ from submoe.experiment import (
 )
 from submoe.streams import generate_stream, load_task
 
-from oracles import save_checkpoint_v2
+from oracles import blas_kernel, save_checkpoint_v2
 
 
 def base_raw(n_tasks=2, protocol="id_free", cil=True) -> dict:
@@ -372,21 +372,24 @@ def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
     run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
-    assert got == PINNED_DIGESTS[protocol]
+    assert got == PINNED_DIGESTS[protocol], f"BLAS kernel {blas_kernel()}"
     model, bank, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
     v2 = save_checkpoint_v2(tmp_path / "v2.json", model, bank, meta)
-    assert hashlib.sha256(v2.read_bytes()).hexdigest() == V2_CHECKPOINT_DIGEST
+    assert hashlib.sha256(v2.read_bytes()).hexdigest() == V2_CHECKPOINT_DIGEST, \
+        f"BLAS kernel {blas_kernel()}"
     if protocol == "id_free":
         dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                         for rec in read_audit(tmp_path / "run"))
-        assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST
+        assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST, \
+            f"BLAS kernel {blas_kernel()}"
 
 
 def test_dense_audit_at_window_1_is_pinned(tmp_path):
     run_experiment(config_from_dict(pinned_raw("id_free", True, 1)), tmp_path / "run")
     dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                     for rec in read_audit(tmp_path / "run"))
-    assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST_W1
+    assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST_W1, \
+        f"BLAS kernel {blas_kernel()}"
 
 
 def dim64_raw() -> dict:
@@ -428,7 +431,7 @@ def test_dim64_run_directory_is_pinned(tmp_path):
     run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
-    assert got == DIM64_DIGESTS
+    assert got == DIM64_DIGESTS, f"BLAS kernel {blas_kernel()}"
 
 
 def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):

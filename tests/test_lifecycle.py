@@ -18,7 +18,7 @@ from submoe.model import build_model, trainable_stage1_params
 from submoe.optim import OptimConfig
 from submoe.streams import Alignment, TaskSpec, generate_stream
 
-from oracles import frozen_fingerprint
+from oracles import blas_kernel, frozen_fingerprint
 
 DIM = 8
 
@@ -345,4 +345,4 @@ def test_adamw_learning_path_is_pinned():
         for t in sorted(layer.routers):
             h.update(layer.routers[t].weight.tobytes())
     assert model.expert_counts() == {1: 3, 2: 4}  # pruning ran on one layer
-    assert h.hexdigest() == ADAMW_TWO_TASK_DIGEST
+    assert h.hexdigest() == ADAMW_TWO_TASK_DIGEST, f"BLAS kernel {blas_kernel()}"

@@ -3,6 +3,8 @@ backward pass checked against finite differences."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,8 +156,8 @@ def test_routing_snapshot_matches_direct_loss():
 
 @pytest.mark.parametrize("top_k", [1, 2, 64])
 def test_inference_passes_equal_a_forward_that_keeps_its_tape(top_k):
-    # embed and routing_snapshot keep no expert outputs; their values are
-    # those of the training forward
+    # embed and routing_snapshot keep no tape; their values are those of
+    # the training forward
     model = make_model(top_k=top_k)
     attach_task(model, 0, n_experts=3, seed=30)
     attach_task(model, 1, n_experts=2, seed=31)
@@ -170,6 +172,27 @@ def test_inference_passes_equal_a_forward_that_keeps_its_tape(top_k):
         assert [p.tobytes() for p in probs] == [
             np.mean(d.probs, axis=0).tobytes() for d in dists]
         assert model.embed(x, task).tobytes() == emb.tobytes()
+
+
+def test_a_learning_step_peaks_under_one_mib():
+    # dim 64, 48 rows and 29 experts per layer: the forward keeps no expert
+    # outputs for the backward, which recomputes them chunk by chunk
+    model = build_model(dim=64, depth=3, adapter_layers=[1, 2], rank=2, top_k=64,
+                        temperature=0.4, seed=0)
+    attach_task(model, 0, n_experts=14, seed=50)
+    attach_task(model, 1, n_experts=15, seed=51)
+    rng = np.random.default_rng(52)
+    x, labels = rng.standard_normal((48, 64)), rng.integers(0, 3, size=48)
+    text = rng.standard_normal((3, 64))
+    model.loss_and_grads(x, labels, text, task=1)  # packs the layers
+    tracemalloc.start()
+    try:
+        _, grads = model.loss_and_grads(x, labels, text, task=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(lg.expert_grads) for lg in grads] == [29, 29]
+    assert peak < 2**20
 
 
 def test_predict_shapes_and_range():

@@ -239,6 +239,9 @@ def test_rowwise_matmul_equals_stacked_one_row_products(n, k, m):
     for block in (2, 3, 5, n, n + 3):
         ref = np.vstack([a[s:s + block] @ b for s in range(0, n, block)])
         assert np.array_equal(rowwise_matmul(a, b, block), ref)
+        out = np.empty((n, m))
+        assert rowwise_matmul(a, b, block, out=out) is out
+        assert out.tobytes() == ref.tobytes()
 
 
 # (lead of a, lead of b): a 2-d against stacked experts, stacked against
@@ -259,6 +262,11 @@ def test_rowwise_matmul_with_stacked_operands_equals_per_item_block_products(
     for block in (1, 2, 3, 7, n, n + 3):
         got = rowwise_matmul(a, b, block)
         assert got.shape == lead + (n, m)
+        # into a view of a larger array, as the adapter fills its activations
+        out = np.full((2,) + lead + (n, m), np.nan)
+        view = out[1]
+        assert rowwise_matmul(a, b, block, out=view) is view
+        assert view.tobytes() == got.tobytes() and np.isnan(out[0]).all()
         for idx in np.ndindex(*lead):
             want = np.vstack([ai[idx][s:s + block] @ bi[idx] for s in range(0, n, block)])
             assert got[idx].tobytes() == want.tobytes()
