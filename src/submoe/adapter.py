@@ -77,12 +77,11 @@ class Router:
 
 @dataclass
 class RoutingDistribution:
-    """Per-row full softmax plus the top-k mask and the renormalised mixture
-    weights actually used to combine expert outputs."""
+    """Per-row full softmax plus the renormalised mixture weights actually
+    used to combine expert outputs."""
 
-    probs: np.ndarray       # [B, n_visible]
-    top_k_mask: np.ndarray  # [B, n_visible] bool
-    weights: np.ndarray     # [B, n_visible], zero outside the mask, rows sum to 1
+    probs: np.ndarray    # [B, n_visible]
+    weights: np.ndarray  # [B, n_visible], zero outside the top k, rows sum to 1
 
     # np.add.reduce over the rows divided by their count is what np.mean
     # computes, without its Python wrapper
@@ -270,15 +269,13 @@ class MixtureAdapterLayer:
         if router.n_visible == 0:
             # every candidate was pruned; the layer degenerates to identity
             empty = np.zeros((xm.shape[0], 0))
-            return RoutingDistribution(
-                probs=empty, top_k_mask=empty.astype(bool), weights=empty.copy()
-            )
+            return RoutingDistribution(probs=empty, weights=empty.copy())
         probs = softmax_rows(matmul(xm, router.weight.T))
-        mask = top_k_select(probs, router.top_k)
         # a router that mixes every visible expert masks nothing
-        masked = probs if router.top_k >= router.n_visible else np.where(mask, probs, 0.0)
+        masked = probs if router.top_k >= router.n_visible else np.where(
+            top_k_select(probs, router.top_k), probs, 0.0)
         weights = masked / np.add.reduce(masked, axis=1, keepdims=True)
-        return RoutingDistribution(probs=probs, top_k_mask=mask, weights=weights)
+        return RoutingDistribution(probs=probs, weights=weights)
 
     def forward(self, task: int, x, matmul: MatMul = np.matmul):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the

@@ -1,9 +1,11 @@
 """Command-line entry points.
 
   submoe run <config.json>                 learn the stream, write artifacts
-  submoe report <dir> [<dir2>]             summarise one run, or diff two:
-                                           metrics, then the files whose
-                                           bytes differ (sha256 per file)
+  submoe report <dir> [<dir2>]             summarise one run (metrics, what
+                                           each task kept of its candidates,
+                                           the final experts per layer), or
+                                           diff two: metrics, then the files
+                                           whose bytes differ (sha256 per file)
   submoe sweep <config.json> --param K --values a,b,c
                                            one run per value, plus a summary
 
@@ -67,6 +69,34 @@ def _read_object(path: Path, numbers: tuple[str, ...]) -> dict:
     return payload
 
 
+def _count(val) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+        raise ValueError(f"{val!r} is not a count")
+    return val
+
+
+def _story(path: Path, summary: dict) -> list[str]:
+    """What each task kept of the candidates it added, and the final experts
+    per adapter layer, from `summary`'s `tasks` and `expert_counts`."""
+    try:
+        lines = []
+        for rec in summary["tasks"]:
+            added, pruned = _count(rec["candidates_added"]), _count(rec["candidates_pruned"])
+            if pruned > added:
+                raise ValueError(f"{pruned} of {added} candidates pruned")
+            lines.append(f"  task {_count(rec['task_id'])}: kept {added - pruned} of "
+                         f"{added} candidates")
+        layers = sorted((int(key.removeprefix("layer_")), _count(val)) for key, val
+                        in summary["expert_counts"][-1].items() if key.startswith("layer_"))
+        if not layers:
+            raise ValueError("no layer counts")
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed tasks or expert_counts: {exc!r}") from None
+    per_layer = ", ".join(f"layer {k}: {n}" for k, n in layers)
+    return lines + [f"final experts per adapter layer: {per_layer} "
+                    f"(total {sum(n for _, n in layers)})"]
+
+
 def _fmt(val) -> str:
     return "-" if val is None else f"{val:.4f}"
 
@@ -115,6 +145,7 @@ def _cmd_report(args) -> int:
             bank_acc = summary.get("bank_id_accuracy")
             if bank_acc is not None:
                 print(f"  bank id  : {bank_acc:.4f}")
+            print("\n".join(_story(first / SUMMARY_FILE, summary)))
         if matrix is not None:
             print("accuracy matrix:")
             print(matrix)

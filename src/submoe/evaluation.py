@@ -8,16 +8,16 @@ protocol, through the bank, which cannot match an unenrolled task.
 A run evaluates incrementally through one `EvalState`.  A learned task's
 adapters are frozen and the bank only grows, so a window's output changes
 only when its route does:
-- `id_free`: each eval task's bare-backbone window queries are embedded and
-  matched once; after an enrolment every window is measured against the new
-  signature alone (`TaskBank.rematch`), and only windows whose route changed
-  are embedded and classified again.  The state keeps each task's window
-  image means and text mean (the query matrix is joined from them for the
-  time of a bank call), each window's nearest task, distance and route, and
-  each row's routed embedding and prediction, but no bare embeddings: a
-  window that falls back after its first evaluation (a new threshold or
-  metric, or a replaced signature) is embedded through the bare backbone
-  again.
+- `id_free`: each eval task's windows are embedded through the bare
+  backbone once and start with no decisions; every bank entry the task has
+  not yet measured is then measured alone, in ascending id order
+  (`TaskBank.rematch`), so a window only gains a route or changes it, and
+  only windows whose route changed are embedded and classified again.  The
+  state keeps each task's window image means and text mean (the query
+  matrix is joined from them for the time of a call), each window's
+  nearest task, distance and route, and each row's routed embedding and
+  prediction, but no bare embeddings: a new metric or threshold, or a
+  replaced or removed signature, starts the task afresh.
 - `id_given`: accuracy is kept per (task, route), so a run makes 2n predicts.
 - the CIL pass reuses the row's routed embeddings and computes only the
   cosine against the grown pooled label table.
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError
+from .errors import DimensionError, DomainError, NumericError, StateError
 from .model import AdapterModel, cosine_logits
 from .numerics import rowwise_matmul
 from .streams import TaskData
@@ -98,22 +98,17 @@ def task_accuracy(model: AdapterModel, data: TaskData, route_task: int | None) -
 
 
 def _embed_routes(model: AdapterModel, x: np.ndarray, tasks: np.ndarray,
-                  matched: np.ndarray, todo: np.ndarray, window: int,
-                  out: np.ndarray) -> None:
-    """Write into `out` the routed embedding of every row of the windows in
-    the mask `todo`: one embed per route of its windows' rows, the bare
-    backbone for the unmatched ones.  Rows go in as whole windows in stream
-    order, so `rowwise_matmul`'s blocks stay windows and each window's rows
-    equal those of any other embed of it, bit for bit."""
+                  todo: np.ndarray, window: int, out: np.ndarray) -> None:
+    """Write into `out` the embedding of every row of the windows in the mask
+    `todo` through its window's route in `tasks`: one embed per route.  Rows
+    go in as whole windows in stream order, so `rowwise_matmul`'s blocks stay
+    windows and each window's rows equal those of any other embed of it, bit
+    for bit."""
     row_window = np.arange(x.shape[0]) // window
     matmul = partial(rowwise_matmul, block=window)
-    groups = [(None, todo & ~matched)] + [
-        (route, todo & matched & (tasks == route))
-        for route in sorted(set(tasks[todo & matched].tolist()))]
-    for route, windows in groups:
-        if windows.any():
-            rows = windows[row_window]
-            out[rows] = model.embed(x[rows], route, matmul)
+    for route in sorted(set(tasks[todo].tolist())):
+        rows = (todo & (tasks == route))[row_window]
+        out[rows] = model.embed(x[rows], route, matmul)
 
 
 class WindowDecisions(NamedTuple):
@@ -129,23 +124,33 @@ class WindowDecisions(NamedTuple):
 
 @dataclass
 class _TaskWindows:
-    """One eval task's cached task-free evaluation.  The decision arrays are
-    replaced, never written in place, so a `WindowDecisions` stays valid.
-    The query matrix is built only for the time of a bank call, and no bare
-    embeddings are kept: `emb` starts as them, and a window that later falls
-    back is embedded through the bare backbone again."""
+    """One eval task's cached task-free evaluation under one bank rule.  It
+    starts with no decisions (every window unmatched at distance +inf, no
+    signature measured) and `emb` holding the bare-backbone embeddings;
+    `EvalState.task_windows` measures the bank's entries into it.  The
+    decision arrays are replaced, never written in place, so a
+    `WindowDecisions` stays valid.  The query matrix is built only for the
+    time of a call."""
 
     data: TaskData
     window: int
     img_means: np.ndarray  # [windows, dim], bare-backbone window image means
     txt_mean: np.ndarray   # [dim], the task's label-text mean
-    nearest: np.ndarray
-    distance: np.ndarray
-    matched: np.ndarray
     emb: np.ndarray        # [rows, dim], embeddings through each row's route
-    preds: np.ndarray      # [rows], predictions against the task's own labels
-    signatures: dict[int, np.ndarray]  # the bank entries `nearest` reflects
-    rule: tuple[str, float]            # the bank's (metric, threshold)
+    rule: tuple[str, float]  # the bank's (metric, threshold)
+    nearest: np.ndarray = field(init=False)
+    distance: np.ndarray = field(init=False)
+    matched: np.ndarray = field(init=False)
+    preds: np.ndarray = field(init=False)  # [rows], against the task's own labels
+    signatures: dict[int, np.ndarray] = field(default_factory=dict)  # those measured
+
+    def __post_init__(self):
+        n = self.img_means.shape[0]
+        # the largest id, so that at distance +inf any enrolled id wins the tie
+        self.nearest = np.full(n, np.iinfo(np.int64).max)
+        self.distance = np.full(n, np.inf)
+        self.matched = np.zeros(n, dtype=bool)
+        self.preds = np.empty(self.emb.shape[0], dtype=np.int64)
 
     def queries(self) -> np.ndarray:
         """The [windows, 2 * dim] bank queries of the task's windows."""
@@ -158,9 +163,9 @@ class EvalState:
 
     Valid while learned tasks stay frozen (criterion 05) and while the bank
     only gains entries; a bank entry that is replaced or removed, or a new
-    metric or threshold, makes a task's windows match the whole bank again.
-    Entries are keyed by task id and hold their `TaskData`, so another task
-    object under the same id, or another window, starts afresh.
+    metric or threshold, starts a task afresh.  Entries are keyed by task id
+    and hold their `TaskData`, so another task object under the same id, or
+    another window, starts afresh too.
     """
 
     windows: dict[int, _TaskWindows] = field(default_factory=dict)
@@ -173,34 +178,30 @@ class EvalState:
         embeddings and own-table predictions brought up to date."""
         if window < 1:
             raise DimensionError(f"query window must be >= 1, got {window}")
+        if not bank.entries:
+            raise StateError("task bank is empty; enroll at least one task first")
         matmul = partial(rowwise_matmul, block=window)
         rule = (bank.metric, bank.threshold)
         w = self.windows.get(data.task_id)
-        if w is None or w.data is not data or w.window != window:
+        fresh = (w is None or w.data is not data or w.window != window or w.rule != rule
+                 or any(bank.entries.get(t) is not sig for t, sig in w.signatures.items()))
+        if fresh:
             emb = model.embed(data.eval_x, None, matmul)
             img_means, txt_mean = window_means(emb, data.text_emb, window)
-            nearest, distance, matched = bank.match(fused_queries(img_means, txt_mean))
-            w = _TaskWindows(
+            w = self.windows[data.task_id] = _TaskWindows(
                 data=data, window=window, img_means=img_means, txt_mean=txt_mean,
-                nearest=nearest, distance=distance, matched=matched, emb=emb,
-                preds=np.empty(emb.shape[0], dtype=np.int64),
-                signatures=dict(bank.entries), rule=rule,
-            )
-            self.windows[data.task_id] = w
-            moved = matched  # `emb` holds the bare rows the rest fall back to
-            todo = np.ones_like(matched)
-        else:
-            old_nearest, old_matched = w.nearest, w.matched
-            if rule != w.rule or any(
-                    bank.entries.get(t) is not sig for t, sig in w.signatures.items()):
-                w.nearest, w.distance, w.matched = bank.match(w.queries())
-            else:
-                for task in sorted(bank.entries.keys() - w.signatures.keys()):
-                    w.nearest, w.distance, w.matched = bank.rematch(
-                        w.queries(), w.nearest, w.distance, task)
-            w.signatures, w.rule = dict(bank.entries), rule
-            moved = todo = (w.matched != old_matched) | (w.matched & (w.nearest != old_nearest))
-        _embed_routes(model, data.eval_x, w.nearest, w.matched, moved, window, w.emb)
+                emb=emb, rule=rule)
+        old_nearest, old_matched = w.nearest, w.matched
+        new = sorted(bank.entries.keys() - w.signatures.keys())
+        if new:
+            queries = w.queries()
+            for task in new:
+                w.nearest, w.distance, w.matched = bank.rematch(
+                    queries, w.nearest, w.distance, task)
+            w.signatures = dict(bank.entries)
+        moved = w.matched & (~old_matched | (w.nearest != old_nearest))
+        _embed_routes(model, data.eval_x, w.nearest, moved, window, w.emb)
+        todo = np.ones_like(moved) if fresh else moved
         if todo.any():
             rows = todo[np.arange(data.eval_x.shape[0]) // window]
             w.preds[rows] = cosine_logits(w.emb[rows], data.text_emb, matmul).argmax(axis=1)

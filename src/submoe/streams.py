@@ -113,7 +113,11 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
     `prior_text` lists their label embeddings so reuse/mixed tasks keep the
     source task's label set instead of drawing a fresh one."""
     if spec.data_path is not None:
-        return load_task(spec.data_path)
+        data = load_task(spec.data_path)
+        if data.task_id != spec.task_id:
+            raise DataError(f"stream task {spec.task_id}: {spec.data_path} holds task "
+                            f"{data.task_id}")
+        return data
     rng = np.random.default_rng(np.random.SeedSequence([7, spec.seed]))
     align = spec.alignment
 

@@ -101,6 +101,10 @@ class TaskBank:
         to each 1-d signature in `signatures`, measured one signature at a
         time through one [windows, width] buffer; each entry equals the 1-d
         `np.abs(q - s).sum()` or `np.linalg.norm(q - s)` bit for bit."""
+        if queries.shape[1] != signatures[0].shape[0]:
+            raise DimensionError(
+                f"query width {queries.shape[1]} does not match bank width {signatures[0].shape[0]}"
+            )
         out = np.empty((queries.shape[0], len(signatures)))
         diff = np.empty(queries.shape)
         for k, signature in enumerate(signatures):
@@ -132,12 +136,8 @@ class TaskBank:
             raise StateError("task bank is empty; enroll at least one task first")
         q = as_matrix(queries)
         ids = sorted(self.entries)
-        signatures = [self.entries[t] for t in ids]
-        if q.shape[1] != signatures[0].shape[0]:
-            raise DimensionError(
-                f"query width {q.shape[1]} does not match bank width {signatures[0].shape[0]}"
-            )
-        return np.asarray(ids, dtype=np.int64), self._distances(q, signatures)
+        return np.asarray(ids, dtype=np.int64), self._distances(
+            q, [self.entries[t] for t in ids])
 
     def match(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`nearest` enrolled task of every row of a [windows, 2 * dim]

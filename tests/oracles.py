@@ -261,7 +261,5 @@ def reference_route(weight: np.ndarray, top_k: int, x) -> RoutingDistribution:
     logits = as_matrix(x) @ weight.T
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    mask = top_k_select(probs, top_k)
-    masked = np.where(mask, probs, 0.0)
-    return RoutingDistribution(probs=probs, top_k_mask=mask,
-                               weights=masked / masked.sum(axis=1, keepdims=True))
+    masked = np.where(top_k_select(probs, top_k), probs, 0.0)
+    return RoutingDistribution(probs=probs, weights=masked / masked.sum(axis=1, keepdims=True))

@@ -217,11 +217,9 @@ def test_criterion_04_expert_gradients_scale_with_routing_weight():
         _, _, cache = layer.forward(0, x)
 
         w_vec = rng.dirichlet(np.ones(n_exp))
-        full = np.ones((5, n_exp), dtype=bool)
 
         def with_weights(w_rows):
-            cache.dist = RoutingDistribution(
-                probs=w_rows.copy(), top_k_mask=full, weights=w_rows)
+            cache.dist = RoutingDistribution(probs=w_rows.copy(), weights=w_rows)
             return layer.backward(cache, gout)[1]
 
         mix_grads = with_weights(np.tile(w_vec, (5, 1)))

@@ -53,8 +53,9 @@ def test_route_equal_rows_renormalises_to_half():
     layer = make_layer(n_experts=4, random_router=False)  # zero router -> uniform probs
     dist = layer.route(0, np.random.default_rng(1).standard_normal((3, 6)))
     np.testing.assert_allclose(dist.probs, 0.25)
-    np.testing.assert_array_equal(dist.top_k_mask[:, :2], True)
-    np.testing.assert_array_equal(dist.top_k_mask[:, 2:], False)
+    mask = top_k_select(dist.probs, 2)
+    np.testing.assert_array_equal(mask[:, :2], True)
+    np.testing.assert_array_equal(mask[:, 2:], False)
     np.testing.assert_allclose(dist.weights[:, :2], 0.5, atol=1e-15)
     np.testing.assert_array_equal(dist.weights[:, 2:], 0.0)
 
@@ -81,9 +82,10 @@ def test_route_weights_are_valid(k, n_experts, seed):
     x = np.random.default_rng(seed + 1).standard_normal((3, 6))
     dist = layer.route(0, x)
     k_eff = min(k, n_experts)
-    assert (dist.top_k_mask.sum(axis=1) == k_eff).all()
+    mask = top_k_select(dist.probs, k)
+    assert (mask.sum(axis=1) == k_eff).all()
     np.testing.assert_allclose(dist.weights.sum(axis=1), 1.0, atol=1e-12)
-    assert (dist.weights[~dist.top_k_mask] == 0.0).all()
+    assert (dist.weights[~mask] == 0.0).all()
     assert (dist.weights >= 0.0).all()
 
 
@@ -196,7 +198,7 @@ def test_expert_grad_equals_routing_mass_times_sole_expert_grad():
             sole = dist.weights.copy()
             sole[:] = 0.0
             sole[0, j] = 1.0
-            sole_dist = type(dist)(probs=dist.probs, top_k_mask=dist.top_k_mask, weights=sole)
+            sole_dist = type(dist)(probs=dist.probs, weights=sole)
             sole_cache = type(cache)(
                 x=cache.x, task=cache.task, dist=sole_dist, down_acts=cache.down_acts,
                 n_visible=cache.n_visible, version=cache.version,
@@ -290,8 +292,8 @@ def test_router_top_k_is_its_own():
     layer = make_layer(n_experts=3, top_k=1, seed=21)
     layer.add_router(1, top_k=3).weight = layer.router_for(0).weight.copy()
     x = np.random.default_rng(22).standard_normal((4, 6))
-    assert (layer.route(0, x).top_k_mask.sum(axis=1) == 1).all()
-    assert (layer.route(1, x).top_k_mask.sum(axis=1) == 3).all()
+    assert (np.count_nonzero(layer.route(0, x).weights, axis=1) == 1).all()
+    assert (np.count_nonzero(layer.route(1, x).weights, axis=1) == 3).all()
     assert layer.add_router(2).top_k == layer.top_k == 1
 
 
@@ -389,7 +391,7 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
     y, dist, cache = layer.forward(task, x, engine)
     ref_y, ref_dist, ref_cache = loop_forward(layer, task, x, ref)
     assert y.tobytes() == ref_y.tobytes()
-    for name in ("probs", "top_k_mask", "weights"):
+    for name in ("probs", "weights"):
         assert getattr(dist, name).tobytes() == getattr(ref_dist, name).tobytes()
     assert (cache.task, cache.n_visible, cache.version) == (
         ref_cache.task, ref_cache.n_visible, ref_cache.version)
@@ -450,7 +452,7 @@ def test_route_is_bit_exact_against_its_first_form(n_visible, k_offset, scale):
     x = np.random.default_rng(5).standard_normal((33, 7))
     dist = layer.route(0, x)
     want = reference_route(router.weight, top_k, x)
-    for name in ("probs", "top_k_mask", "weights"):
+    for name in ("probs", "weights"):
         got, ref = getattr(dist, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()

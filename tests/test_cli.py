@@ -190,24 +190,27 @@ REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo.json"
 
 
-def run_script(name: str, tmp_path: Path, *args: str) -> subprocess.CompletedProcess:
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), "--config", str(DEMO_CONFIG), *args],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
-@pytest.mark.parametrize("extra", [[], ["--penalty", "0.02"]])
-def test_run_demo_script_narrates_its_run_directory(tmp_path, extra):
-    proc = run_script("run_demo.py", tmp_path, *extra)
-    cfg = json.loads(DEMO_CONFIG.read_text())
-    summary = json.loads((tmp_path / cfg["output_dir"] / SUMMARY_FILE).read_text())
-    total = int(proc.stdout.rsplit("(total ", 1)[1].rstrip(")\n"))
-    assert total == summary["final_expert_total"]
-    penalty = float(extra[1]) if extra else cfg["optimizer"]["penalty"]
-    assert proc.stdout.startswith(f"penalty={penalty}  ")
+def test_readme_demo_commands_tell_each_task_and_layer_as_the_summary_does(tmp_path):
+    # `submoe run configs/demo.json && submoe report runs/demo`, from a
+    # directory where runs/demo is where the run lands
+    cli = [sys.executable, "-m", "submoe.cli"]
+    for args in (["run", str(DEMO_CONFIG)], ["report", "runs/demo"]):
+        proc = subprocess.run(cli + args, capture_output=True, text=True, cwd=tmp_path,
+                              env=child_env(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "runs" / "demo" / SUMMARY_FILE).read_text())
+    lines = proc.stdout.splitlines()
+    told = [line.strip() for line in lines if line.startswith("  task ")]
+    assert told == [f"task {t['task_id']}: kept "
+                    f"{t['candidates_added'] - t['candidates_pruned']} of "
+                    f"{t['candidates_added']} candidates" for t in summary["tasks"]]
+    final = summary["expert_counts"][-1]
+    assert (f"final experts per adapter layer: layer 1: {final['layer_1']}, "
+            f"layer 2: {final['layer_2']} (total {final['total']})") in lines
+    # the demo's story: only the replay of task 0 sheds candidates
+    assert told[3] == "task 3: kept 2 of 4 candidates"
+    assert sum("kept 4 of 4" in line for line in told) == 5
+    assert (final["layer_1"], final["layer_2"]) == (12, 10)
 
 
 def test_run_config_with_an_epoch_key_exits_1(rooted, capsys):
@@ -224,9 +227,26 @@ def test_run_config_that_is_not_utf8_exits_1(rooted, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+STORY = {"tasks": [{"task_id": 0, "candidates_added": 4, "candidates_pruned": 1}],
+         "expert_counts": [{"after_task": 0, "layer_1": 2, "layer_2": 1, "total": 3}]}
+
+
+def _story(**fields) -> str:
+    return json.dumps({**STORY, **fields})
+
+
 @pytest.mark.parametrize("metrics, summary", [
     ("{", None), ("[1]", None), ("{}", "{"), ("{}", "[1]"),
-], ids=["metrics malformed", "metrics a list", "summary malformed", "summary a list"])
+    ("{}", _story(tasks=3)), ("{}", _story(tasks=[{"task_id": 0}])),
+    ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": "1"}])),
+    ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": 5}])),
+    ("{}", _story(expert_counts=[])), ("{}", _story(expert_counts=[{"total": 3}])),
+    ("{}", _story(expert_counts=[{"layer_1": True}])),
+    ("{}", _story(expert_counts=[{"layer_x": 2}])), ("{}", _story(expert_counts=None)),
+], ids=["metrics malformed", "metrics a list", "summary malformed", "summary a list",
+        "tasks a number", "task without counts", "pruned a string",
+        "more pruned than added", "expert counts empty", "no layer counts",
+        "layer count a bool", "layer without index", "expert counts null"])
 def test_report_on_a_malformed_run_file_exits_2(rooted, capsys, metrics, summary):
     run_dir = rooted / "run"
     run_dir.mkdir()
@@ -245,7 +265,7 @@ def _fake_run(root, name, metrics, summary):
     return str(run_dir)
 
 
-GOOD_SUMMARY = {"final_expert_total": 4, "bank_id_accuracy": 0.5}
+GOOD_SUMMARY = {"final_expert_total": 4, "bank_id_accuracy": 0.5, **STORY}
 
 
 @pytest.mark.parametrize("metrics, summary", [
@@ -275,6 +295,8 @@ def test_report_prints_numbers_and_nulls(rooted, capsys):
     assert main(["report", a]) == 0
     out = capsys.readouterr().out
     assert "0.2500" in out and "1.0000" in out and "bank id  : 0.5000" in out
+    assert "  task 0: kept 3 of 4 candidates\n" in out
+    assert "final experts per adapter layer: layer 1: 2, layer 2: 1 (total 3)\n" in out
     assert main(["report", a, b]) == 0
     assert "+2" in capsys.readouterr().out
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submoe.errors import DimensionError, DomainError, NumericError
+from submoe.errors import DimensionError, DomainError, NumericError, StateError
 from submoe.evaluation import (
     EvalState, average_score, cil_scores, evaluate_row, last_score, pooled_accuracy,
     task_accuracy, transfer_score,
@@ -336,6 +336,12 @@ def test_incremental_rows_equal_full_re_evaluation(trained_three, data):
                 == _pooled_reference(model, bank, seen, window))
 
 
+def test_task_free_evaluation_on_an_empty_bank_raises_state_error(trained_three):
+    model, stream, _, _ = trained_three
+    with pytest.raises(StateError, match="empty"):
+        evaluate_row(model, TaskBank(threshold=1e300), stream, set(), "id_free", 1)
+
+
 def test_eval_state_reevaluates_when_a_signature_is_replaced(trained_three):
     model, stream, signatures, _ = trained_three
     bank = TaskBank(threshold=1e300, entries={0: signatures[0].copy()})
@@ -351,24 +357,33 @@ def test_eval_state_reevaluates_when_a_signature_is_replaced(trained_three):
         assert got.distance.tolist() == want.distance.tolist()
 
 
+@pytest.mark.parametrize("change", ["threshold", "metric"])
 @pytest.mark.parametrize("window", [1, 3, 7])
-def test_eval_state_re_embeds_windows_that_fall_back_after_a_threshold_drop(
-        trained_three, window):
-    # the state keeps no bare embeddings: a window matched before the drop
-    # and unmatched after it goes through the bare backbone again
+def test_eval_state_re_embeds_windows_that_fall_back_after_a_rule_change(
+        trained_three, window, change):
+    # a new threshold or metric starts each task afresh, and the state keeps
+    # no bare embeddings: a window matched before the change and unmatched
+    # after it goes through the bare backbone again
     model, stream, signatures, _ = trained_three
-    bank = TaskBank(threshold=1e300, entries={t: s.copy() for t, s in signatures.items()})
+    entries = {t: s.copy() for t, s in signatures.items()}
     learned = set(signatures)
+    _, manhattan = evaluate_row(model, TaskBank(threshold=0.0, entries=entries), stream,
+                                learned, "id_free", window)
+    median = float(np.median(np.concatenate([d.distance for d in manhattan])))
+    # a euclidean distance is at most the manhattan one, so it matches more
+    bank = (TaskBank(threshold=1e300, entries=entries) if change == "threshold"
+            else TaskBank(threshold=median, metric="euclidean", entries=entries))
     state = EvalState()
     _, before = evaluate_row(model, bank, stream, learned, "id_free", window, state=state)
     pooled_accuracy(model, bank, stream, window, state=state)
-    distances = np.concatenate([d.distance for d in before])
-    bank.threshold = float(np.median(distances))
+    bank.threshold, bank.metric = median, "manhattan"
     row, decisions = evaluate_row(model, bank, stream, learned, "id_free", window, state=state)
     fresh = EvalState()
     fresh_row, fresh_decisions = evaluate_row(model, bank, stream, learned, "id_free",
                                               window, state=fresh)
-    assert 0 < sum(int((~d.matched).sum()) for d in decisions) < distances.size
+    unmatched = sum(int((~d.matched).sum()) for d in decisions)
+    assert 0 < unmatched < sum(d.matched.size for d in decisions)
+    assert any((b.matched & ~d.matched).any() for b, d in zip(before, decisions, strict=True))
     assert row.tolist() == fresh_row.tolist()
     for got, want in zip(decisions, fresh_decisions, strict=True):
         assert got.task_id == want.task_id

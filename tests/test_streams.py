@@ -172,6 +172,14 @@ def test_spec_data_path_loads_instead_of_generating(tmp_path):
     assert loaded.train_x.tobytes() == data.train_x.tobytes()
 
 
+def test_spec_data_path_holding_another_task_id_is_refused(tmp_path):
+    # the task would otherwise run under the file's id, and its run's audit
+    # would no longer match the stream the effective config lists
+    manifest = export_task(generate_task(spec(task_id=7), DIM, []), tmp_path)
+    with pytest.raises(DataError, match=r"stream task 1: .* holds task 7"):
+        generate_task(spec(task_id=1, data_path=str(manifest)), DIM, [])
+
+
 def test_load_rejects_corrupt_files(tmp_path):
     data = generate_task(spec(), DIM, [])
     manifest = export_task(data, tmp_path)
