@@ -12,12 +12,15 @@ The layer packs its experts' arrays into `down_all [E, rank, dim]` and
 pass makes one stacked product per stage over a chunk of experts.  A stacked
 product makes, per expert, the BLAS call of that expert's 2-d product, and
 the weighted outputs are summed in expert order, so every value is bit for
-bit that of a loop over the experts.  Training and inference share one
-forward pass: it mixes each chunk's outputs into the layer's output and drops
-them, and its cache keeps only the down activations.  backward() recomputes
-each chunk's outputs from them with the forward's own products, so a cache
-stays small and a learning step does not hold every expert's outputs
-between its forward and its backward.
+bit that of a loop over the experts, whatever the chunk size.  A chunk holds
+up to `CHUNK_BYTES` of outputs (42 experts at 48 rows and dim 64), so a
+training pass over a few dozen experts makes one stacked product per stage,
+and every layer writes its chunks to the one workspace of the process.
+Training and inference share one forward pass: it mixes each chunk's outputs
+into the layer's output and drops them, and its cache keeps only the down
+activations.  backward() recomputes each chunk's outputs from them with the
+forward's own products, so a cache stays small and a learning step does not
+hold every expert's outputs between its forward and its backward.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ _DOWN, _UP = attrgetter("down"), attrgetter("up")
 
 # No stacked temporary of a pass exceeds this many bytes: a chunk holds as
 # many experts as fit, and at least one.
-CHUNK_BYTES = 128 * 1024
+CHUNK_BYTES = 1024 * 1024
+
+# The workspace of every layer's passes (see `_scratch`), made once per process
+_work = np.empty(CHUNK_BYTES // 8)
 
 
 @dataclass
@@ -128,6 +134,22 @@ def _chunk_slices(n: int, rows: int, width: int) -> tuple[slice, ...]:
     return tuple(slice(s, min(s + per, n)) for s in range(0, n, per))
 
 
+def _scratch(slices: tuple[slice, ...], rows: int, dim: int) -> np.ndarray:
+    """The process's workspace as the largest chunk's [experts, rows, dim].
+    Every pass of every layer writes its chunks' outputs and temporaries
+    there, and no cache refers to it, so a pass needs it only while it runs
+    (passes in one process must not run concurrently).  It is made at import
+    at `CHUNK_BYTES`, which holds any chunk but one expert wider than that,
+    and grows for such a one: a new array per pass would be freed at the top
+    of the heap, which malloc then trims and faults in again at the next
+    learning step."""
+    global _work
+    per = slices[0].stop if slices else 0
+    if _work.size < per * rows * dim:
+        _work = np.empty(per * rows * dim)
+    return _work[:per * rows * dim].reshape(per, rows, dim)
+
+
 def top_k_select(probs: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest entries per row, ties broken toward the
     lower expert index."""
@@ -155,10 +177,8 @@ class MixtureAdapterLayer:
     down_all: np.ndarray = field(init=False, repr=False, compare=False)  # [E, rank, dim]
     up_all: np.ndarray = field(init=False, repr=False, compare=False)    # [E, dim, rank]
     _packed: tuple = field(init=False, repr=False, compare=False)  # the slots' views
-    _work: np.ndarray = field(init=False, repr=False, compare=False)  # see _scratch
 
     def __post_init__(self):
-        self._work = np.empty(CHUNK_BYTES // 8)
         self._repack()
 
     def _repack(self) -> None:
@@ -186,19 +206,6 @@ class MixtureAdapterLayer:
 
     def _chunks(self, n: int, rows: int) -> tuple[slice, ...]:
         return _chunk_slices(n, rows, max(self.dim, self.rank))
-
-    def _scratch(self, slices: tuple[slice, ...], rows: int) -> np.ndarray:
-        """The layer's workspace as the largest chunk's [experts, rows, dim].
-        Every pass writes its chunks' outputs and temporaries there, and no
-        cache refers to it.  It is made with the layer at `CHUNK_BYTES`,
-        which holds any chunk but one expert wider than that, and grows for
-        such a one: a new array per pass would be freed at the top of the
-        heap, which malloc then trims and faults in again at the next
-        learning step."""
-        per = slices[0].stop if slices else 0
-        if self._work.size < per * rows * self.dim:
-            self._work = np.empty(per * rows * self.dim)
-        return self._work[:per * rows * self.dim].reshape(per, rows, self.dim)
 
     def router_for(self, task: int) -> Router:
         try:
@@ -281,7 +288,7 @@ class MixtureAdapterLayer:
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
         top-k experts, every product done by `matmul` (one stacked call per
         chunk of experts).  Returns (y, dist, cache).  Each chunk's outputs
-        go to the layer's workspace and are mixed into `y` there; the cache
+        go to the process's workspace and are mixed into `y` there; the cache
         keeps the down activations, from which backward() recomputes them."""
         xm = as_matrix(x)
         dist = self.route(task, xm, matmul)
@@ -291,7 +298,7 @@ class MixtureAdapterLayer:
         acts = np.empty((n_vis, xm.shape[0], self.rank))
         y = xm.copy()
         slices = self._chunks(n_vis, xm.shape[0])
-        buf = self._scratch(slices, xm.shape[0])
+        buf = _scratch(slices, xm.shape[0], self.dim)
         for s in slices:
             a = matmul(xm, down_all[s].transpose(0, 2, 1), out=acts[s])
             _mix(y, w[:, s], matmul(a, up_all[s].transpose(0, 2, 1), out=buf[:s.stop - s.start]))
@@ -338,7 +345,7 @@ class MixtureAdapterLayer:
         if not (input_grad or router_grad):
             return None, expert_grads, None
         slices = self._chunks(cache.n_visible, x.shape[0])
-        buf = self._scratch(slices, x.shape[0])
+        buf = _scratch(slices, x.shape[0], self.dim)
         grad_x = g.copy() if input_grad else None
         dmix = np.empty_like(w)
         for s in slices:

@@ -3,7 +3,8 @@
   submoe run <config.json>                 learn the stream, write artifacts
   submoe report <dir> [<dir2>]             summarise one run (metrics, what
                                            each task kept of its candidates,
-                                           the final experts per layer), or
+                                           the final experts per layer, the
+                                           adapter and phase-1 parameters), or
                                            diff two: metrics, then the files
                                            whose bytes differ (sha256 per file)
   submoe sweep <config.json> --param K --values a,b,c
@@ -25,7 +26,7 @@ from pathlib import Path
 from .config import config_from_dict, config_to_dict, load_config
 from .errors import ConfigError, DataError, SubmoeError
 from .experiment import (
-    MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, resolve_output_dir, run_experiment,
+    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, resolve_output_dir, run_experiment,
 )
 
 METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
@@ -75,6 +76,15 @@ def _count(val) -> int:
     return val
 
 
+def _layer_counts(row: dict) -> list[tuple[int, int]]:
+    """(layer index, expert count) of an `expert_counts` row, by index."""
+    layers = sorted((int(key.removeprefix("layer_")), _count(val))
+                    for key, val in row.items() if key.startswith("layer_"))
+    if not layers:
+        raise ValueError("no layer counts")
+    return layers
+
+
 def _story(path: Path, summary: dict) -> list[str]:
     """What each task kept of the candidates it added, and the final experts
     per adapter layer, from `summary`'s `tasks` and `expert_counts`."""
@@ -86,15 +96,32 @@ def _story(path: Path, summary: dict) -> list[str]:
                 raise ValueError(f"{pruned} of {added} candidates pruned")
             lines.append(f"  task {_count(rec['task_id'])}: kept {added - pruned} of "
                          f"{added} candidates")
-        layers = sorted((int(key.removeprefix("layer_")), _count(val)) for key, val
-                        in summary["expert_counts"][-1].items() if key.startswith("layer_"))
-        if not layers:
-            raise ValueError("no layer counts")
+        layers = _layer_counts(summary["expert_counts"][-1])
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed tasks or expert_counts: {exc!r}") from None
     per_layer = ", ".join(f"layer {k}: {n}" for k, n in layers)
     return lines + [f"final experts per adapter layer: {per_layer} "
                     f"(total {sum(n for _, n in layers)})"]
+
+
+def _parameters(directory: Path, summary: dict, config: dict) -> list[str]:
+    """The final adapter parameters as experts + routers, and the mean
+    phase-1 trainable parameters per task.  An expert holds 2·rank·dim
+    parameters, and task t's router a row of dim weights for each expert of
+    that task's `expert_counts` row (the layer after t's pruning)."""
+    try:
+        dim, rank = _count(config["model"]["feature_dim"]), _count(config["model"]["rank"])
+        rows = [sum(n for _, n in _layer_counts(row)) for row in summary["expert_counts"]]
+        trained = [_count(rec["stage1_trainable_params"]) for rec in summary["tasks"]]
+        if not trained:
+            raise ValueError("no tasks")
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{directory}: malformed parameter counts in {SUMMARY_FILE} or "
+                        f"{CONFIG_FILE}: {exc!r}") from None
+    experts, routers = 2 * rank * dim * rows[-1], dim * sum(rows)
+    return [f"adapter parameters: experts {experts:,} + routers {routers:,} = "
+            f"{experts + routers:,}",
+            f"phase-1 trainable parameters per task: mean {sum(trained) / len(trained):,.1f}"]
 
 
 def _fmt(val) -> str:
@@ -145,7 +172,9 @@ def _cmd_report(args) -> int:
             bank_acc = summary.get("bank_id_accuracy")
             if bank_acc is not None:
                 print(f"  bank id  : {bank_acc:.4f}")
-            print("\n".join(_story(first / SUMMARY_FILE, summary)))
+            config = _read_object(first / CONFIG_FILE, ())
+            print("\n".join(_story(first / SUMMARY_FILE, summary)
+                            + _parameters(first, summary, config)))
         if matrix is not None:
             print("accuracy matrix:")
             print(matrix)

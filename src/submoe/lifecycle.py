@@ -20,8 +20,11 @@ from .model import AdapterModel, trainable_stage1_params
 from .numerics import kl_divergence
 from .optim import (
     AdamWState, OptimConfig, PenaltyState, apply_step, init_adamw_state,
-    init_penalty_state, penalty_value,
+    init_penalty_state,
 )
+# Nothing here calls it, but `perfbench/spans.py` wraps the step's functions
+# where this module looks them up (`lifecycle.__dict__`), this one included.
+from .optim import penalty_value  # noqa: F401
 from .streams import TaskData
 
 
@@ -197,14 +200,14 @@ def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
 
 def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
                 cfg: OptimConfig, router_trainable: bool, states: _StepStates,
-                step_no: int) -> tuple[float, float]:
-    """One optimisation step over the batch `idx`; returns (contrastive, aux)."""
+                step_no: int) -> float:
+    """One optimisation step over the batch `idx`; returns the contrastive
+    loss."""
     loss, grads = model.loss_and_grads(
         data.train_x[idx], data.train_y[idx], data.text_emb, task, router_trainable
     )
     if not np.isfinite(loss):
         raise NumericError(f"step {step_no}: training loss became non-finite")
-    aux = 0.0
     for lg in grads:
         st = states[lg.layer_index]
         mean_w = lg.dist.mean_weights().tolist()
@@ -213,8 +216,7 @@ def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
         cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
         plain_grads = [lg.router_grad] if router_trainable else []
         apply_step(cand_params, cand_grads, pis, st.plain, plain_grads, st.penalty, cfg, st.adam)
-        aux += penalty_value(pis, cand_params, st.penalty)
-    return loss, aux
+    return loss
 
 
 def fit_routing(model: AdapterModel, task: int, data: TaskData,

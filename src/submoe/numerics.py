@@ -23,7 +23,8 @@ def as_matrix(x) -> np.ndarray:
 
 
 def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+    # the reduction `ndarray.all` makes, without its Python wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError(f"{name} contains non-finite entries")
 
 

@@ -4,14 +4,38 @@ The forward loops over the visible experts with 2-d products, and the
 backward passes compute every gradient: the adapter layer's for every
 visible expert plus the input, and the model's through every layer down to
 the input.  The engine stacks its per-expert products and computes only what
-a learning step applies; tests compare it with these bit for bit."""
+a learning step applies; tests compare it with these bit for bit, under the
+engine's chunk budget and under `chunk_budget`'s."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from submoe import adapter
 from submoe.adapter import ForwardCache
 from submoe.numerics import as_matrix, contrastive_loss
+
+# One dim-64 expert's outputs over a 48-row batch: as a chunk budget, every
+# pass of the pinned dim-64 configs makes one stacked product per expert.
+ONE_EXPERT_AT_48_ROWS = 8 * 48 * 64
+CHUNK_BUDGETS = {"default": adapter.CHUNK_BYTES, "one_expert": ONE_EXPERT_AT_48_ROWS}
+
+
+@contextlib.contextmanager
+def chunk_budget(nbytes: int):
+    """The engine with `adapter.CHUNK_BYTES` at `nbytes` inside the block.
+    `_chunk_slices` keeps the slices of the budget it last saw, so its cache
+    is cleared on the way in and on the way out."""
+    old = adapter.CHUNK_BYTES
+    adapter.CHUNK_BYTES = nbytes
+    adapter._chunk_slices.cache_clear()
+    try:
+        yield
+    finally:
+        adapter.CHUNK_BYTES = old
+        adapter._chunk_slices.cache_clear()
 
 
 def blockwise_matmul(a, b, block: int):

@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submoe import adapter
 from submoe.adapter import ForwardCache, MixtureAdapterLayer, Router, top_k_select
 from submoe.checkpoint import layer_from_payload, layer_to_payload
 from submoe.errors import DimensionError, MissingRouterError, StateError
+from submoe.model import build_model
 from submoe.numerics import rowwise_matmul, softmax_rows
 
 from oracles import expert_gradient_norm, finite_diff_grad, reference_route
-from reference_grads import blockwise_matmul, full_backward, loop_forward
+from reference_grads import (
+    CHUNK_BUDGETS, blockwise_matmul, chunk_budget, full_backward, loop_forward,
+)
 
 
 def make_layer(dim=6, rank=2, top_k=2, n_experts=3, task=0, seed=0,
@@ -341,12 +345,15 @@ def test_prune_output_shift_bounded_by_cached_quantities():
     assert np.all(shift <= bound + 1e-12)
 
 
-# (dim, rows): at dim 64 and 256 or 300 rows one expert fills a chunk, at 100
-# rows two do, and at dim 16 and 48 rows twenty-one do
+# (dim, rows): under the default budget a chunk holds 20 experts at dim 64 and
+# 100 rows, 8 at 256 rows and 6 at 300 rows; under `ONE_EXPERT_AT_48_ROWS` it
+# holds 6 at dim 64 and 7 rows, 4 at dim 16 and 48 rows, and one at dim 64
+# from 100 rows up.  So the larger layers cross chunks under both.
 STACK_SHAPES = [(5, 1), (5, 6), (64, 1), (64, 7), (64, 100), (64, 256), (64, 300),
                 (16, 48)]
 
 
+@pytest.mark.parametrize("budget", CHUNK_BUDGETS.values(), ids=CHUNK_BUDGETS.keys())
 @settings(max_examples=60, deadline=None)
 @given(
     owners=st.lists(st.integers(0, 2), min_size=1, max_size=24),
@@ -360,7 +367,7 @@ STACK_SHAPES = [(5, 1), (5, 6), (64, 1), (64, 7), (64, 100), (64, 256), (64, 300
     seed=st.integers(0, 2 ** 31 - 1),
 )
 def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
-        owners, visible, task, top_k, shape, block, rebind, event, seed):
+        budget, owners, visible, task, top_k, shape, block, rebind, event, seed):
     # each task's router sees a prefix of the expert list, possibly empty
     dim, rows = shape
     rng = np.random.default_rng(seed)
@@ -388,7 +395,11 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
     x = rng.standard_normal((rows, dim))
     g = rng.standard_normal((rows, dim))
 
-    y, dist, cache = layer.forward(task, x, engine)
+    with chunk_budget(budget):
+        y, dist, cache = layer.forward(task, x, engine)
+        passes = [(input_grad, router_grad,
+                   layer.backward(cache, g, input_grad=input_grad, router_grad=router_grad))
+                  for input_grad in (True, False) for router_grad in (True, False)]
     ref_y, ref_dist, ref_cache = loop_forward(layer, task, x, ref)
     assert y.tobytes() == ref_y.tobytes()
     for name in ("probs", "weights"):
@@ -401,25 +412,22 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
         assert got.tobytes() == want.tobytes()
 
     ref_x, ref_experts, ref_router = full_backward(layer, ref_cache, g)
-    for input_grad in (True, False):
-        for router_grad in (True, False):
-            grad_x, expert_grads, rgrad = layer.backward(
-                cache, g, input_grad=input_grad, router_grad=router_grad)
-            if input_grad:
-                assert grad_x.tobytes() == ref_x.tobytes()
+    for input_grad, router_grad, (grad_x, expert_grads, rgrad) in passes:
+        if input_grad:
+            assert grad_x.tobytes() == ref_x.tobytes()
+        else:
+            assert grad_x is None
+        if router_grad:
+            assert rgrad.tobytes() == ref_router.tobytes()
+        else:
+            assert rgrad is None
+        assert len(expert_grads) == cache.n_visible
+        for j, got in enumerate(expert_grads):
+            if layer.experts[j].owner_task == task:
+                assert got[0].tobytes() == ref_experts[j][0].tobytes()
+                assert got[1].tobytes() == ref_experts[j][1].tobytes()
             else:
-                assert grad_x is None
-            if router_grad:
-                assert rgrad.tobytes() == ref_router.tobytes()
-            else:
-                assert rgrad is None
-            assert len(expert_grads) == cache.n_visible
-            for j, got in enumerate(expert_grads):
-                if layer.experts[j].owner_task == task:
-                    assert got[0].tobytes() == ref_experts[j][0].tobytes()
-                    assert got[1].tobytes() == ref_experts[j][1].tobytes()
-                else:
-                    assert got is None
+                assert got is None
 
 
 @pytest.mark.parametrize("acts", [
@@ -506,21 +514,83 @@ def test_a_layer_whose_candidates_were_all_pruned_passes_forward_and_backward():
     assert expert_grads == [] and rgrad.shape == (0, 64)
 
 
+def assert_same_grads(got, want) -> None:
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    for g, w in zip(got[1], want[1], strict=True):
+        assert g[0].tobytes() == w[0].tobytes() and g[1].tobytes() == w[1].tobytes()
+
+
 def test_backward_after_later_passes_on_the_layer_gives_the_same_grads():
-    # a cache holds everything its backward reads, not the layer's
-    # workspace, so other forwards and backwards may run on the layer in
-    # between (the benchmark sweeps do)
+    # a cache holds everything its backward reads, not the workspace, so
+    # other forwards and backwards may run on the layer in between (the
+    # benchmark sweeps do)
     layer = make_layer(dim=64, n_experts=29, top_k=5, seed=45)
     rng = np.random.default_rng(46)
     x, x2, g = (rng.standard_normal((48, 64)) for _ in range(3))
-    want_x, want_experts, want_router = layer.backward(layer.forward(0, x)[2], g)
+    want = layer.backward(layer.forward(0, x)[2], g)
     cache = layer.forward(0, x)[2]
     layer.backward(layer.forward(0, x2)[2], g)
     layer.forward(0, x2[:7])
-    layer.forward(0, rng.standard_normal((300, 64)))  # grows the layer's workspace
-    grad_x, expert_grads, rgrad = layer.backward(cache, g)
-    assert grad_x.tobytes() == want_x.tobytes()
-    assert rgrad.tobytes() == want_router.tobytes()
-    for got, want in zip(expert_grads, want_experts, strict=True):
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+    layer.forward(0, rng.standard_normal((300, 64)))  # chunks of another shape
+    assert_same_grads(layer.backward(cache, g), want)
+
+
+def model_layers(seed: int) -> list[MixtureAdapterLayer]:
+    """The two dim-64 adapter layers of a model whose task 0 owns 29 live
+    experts per layer and mixes all of them."""
+    model = build_model(dim=64, depth=3, adapter_layers=[1, 2], rank=2, top_k=64,
+                        temperature=0.4, seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in model.adapter_layers():
+        for _ in range(29):
+            layer.add_expert(0, rng).up[...] = 0.5 * rng.standard_normal((64, 2))
+        layer.add_router(0).weight[...] = rng.standard_normal((29, 64))
+    return model.adapter_layers()
+
+
+@pytest.mark.parametrize("pair", ["two layers of one model", "two models"])
+def test_interleaved_passes_share_the_workspace_without_changing_a_result(pair, monkeypatch):
+    # every layer of every model writes its chunks to the process's one
+    # workspace: a model's forward and backward interleave its layers'
+    # passes, and a caller that holds two models (the benchmark worker keeps
+    # the last call's) can interleave the models'
+    monkeypatch.setattr(adapter, "_work", np.empty(adapter.CHUNK_BYTES // 8))
+    first = model_layers(61)
+    a, b = first if pair == "two layers of one model" else (first[0], model_layers(62)[0])
+    rng = np.random.default_rng(63)
+    xa, xb, ga, gb = (rng.standard_normal((48, 64)) for _ in range(4))
+    alone = []
+    for layer, x, g in ((a, xa, ga), (b, xb, gb)):
+        y, _, cache = layer.forward(0, x)
+        alone.append((y, layer.backward(cache, g)))
+
+    ya, _, cache_a = a.forward(0, xa)
+    yb, _, cache_b = b.forward(0, xb)
+    a.forward(0, rng.standard_normal((2100, 64)))
+    assert adapter._work.size == 2100 * 64  # one expert outgrew the budget
+    grads_b = b.backward(cache_b, gb)
+    grads_a = a.backward(cache_a, ga)
+    assert ya.tobytes() == alone[0][0].tobytes() and yb.tobytes() == alone[1][0].tobytes()
+    assert_same_grads(grads_a, alone[0][1])
+    assert_same_grads(grads_b, alone[1][1])
+
+
+def test_a_pass_over_29_experts_makes_one_stacked_product_per_stage():
+    # dim 64 and 48 rows, the shape of every training step of the dim-64
+    # workloads: a chunk of the default budget holds 42 experts
+    layer = make_layer(dim=64, n_experts=29, top_k=29, seed=47)
+    rng = np.random.default_rng(48)
+    x, g = rng.standard_normal((48, 64)), rng.standard_normal((48, 64))
+    calls = []
+
+    def counting(a, b, out=None):
+        calls.append((a.shape, b.shape))
+        return np.matmul(a, b, out=out)
+
+    cache = layer.forward(0, x, counting)[2]
+    # the router's product, then the down and the up stage
+    assert calls == [((48, 64), (64, 29)), ((48, 64), (29, 64, 2)), ((29, 48, 2), (29, 2, 64))]
+    calls.clear()
+    layer.backward(cache, g)
+    assert calls == [((29, 48, 2), (29, 2, 64))]  # the outputs, recomputed

@@ -12,7 +12,10 @@ import pytest
 
 import submoe
 from submoe.cli import main
-from submoe.experiment import METRICS_FILE, OUTPUT_ROOT_ENV, SUMMARY_FILE
+from submoe.checkpoint import load_checkpoint
+from submoe.experiment import (
+    CHECKPOINT_FILE, CONFIG_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, SUMMARY_FILE,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -227,32 +230,51 @@ def test_run_config_that_is_not_utf8_exits_1(rooted, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-STORY = {"tasks": [{"task_id": 0, "candidates_added": 4, "candidates_pruned": 1}],
+STORY = {"tasks": [{"task_id": 0, "stage1_trainable_params": 41, "candidates_added": 4,
+                    "candidates_pruned": 1}],
          "expert_counts": [{"after_task": 0, "layer_1": 2, "layer_2": 1, "total": 3}]}
+CONFIG = {"model": {"feature_dim": 8, "rank": 2}}
 
 
 def _story(**fields) -> str:
     return json.dumps({**STORY, **fields})
 
 
-@pytest.mark.parametrize("metrics, summary", [
-    ("{", None), ("[1]", None), ("{}", "{"), ("{}", "[1]"),
-    ("{}", _story(tasks=3)), ("{}", _story(tasks=[{"task_id": 0}])),
-    ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": "1"}])),
-    ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": 5}])),
-    ("{}", _story(expert_counts=[])), ("{}", _story(expert_counts=[{"total": 3}])),
-    ("{}", _story(expert_counts=[{"layer_1": True}])),
-    ("{}", _story(expert_counts=[{"layer_x": 2}])), ("{}", _story(expert_counts=None)),
+def _config(**model) -> str:
+    return json.dumps({"model": {**CONFIG["model"], **model}})
+
+
+@pytest.mark.parametrize("metrics, summary, config", [
+    *(pair + (json.dumps(CONFIG),) for pair in [
+        ("{", None), ("[1]", None), ("{}", "{"), ("{}", "[1]"),
+        ("{}", _story(tasks=3)), ("{}", _story(tasks=[{"task_id": 0}])),
+        ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": "1"}])),
+        ("{}", _story(tasks=[{**STORY["tasks"][0], "candidates_pruned": 5}])),
+        ("{}", _story(expert_counts=[])), ("{}", _story(expert_counts=[{"total": 3}])),
+        ("{}", _story(expert_counts=[{"layer_1": True}])),
+        ("{}", _story(expert_counts=[{"layer_x": 2}])), ("{}", _story(expert_counts=None)),
+        ("{}", _story(tasks=[])),
+        ("{}", _story(tasks=[{**STORY["tasks"][0], "stage1_trainable_params": 4.5}])),
+        ("{}", _story(expert_counts=[{"layer_1": -1}, STORY["expert_counts"][0]])),
+    ]),
+    ("{}", _story(), None), ("{}", _story(), "{"), ("{}", _story(), "[1]"),
+    ("{}", _story(), "{}"), ("{}", _story(), _config(rank="2")),
+    ("{}", _story(), _config(feature_dim=None)),
 ], ids=["metrics malformed", "metrics a list", "summary malformed", "summary a list",
         "tasks a number", "task without counts", "pruned a string",
         "more pruned than added", "expert counts empty", "no layer counts",
-        "layer count a bool", "layer without index", "expert counts null"])
-def test_report_on_a_malformed_run_file_exits_2(rooted, capsys, metrics, summary):
+        "layer count a bool", "layer without index", "expert counts null", "no tasks",
+        "phase-1 parameters a float", "earlier layer count negative", "config missing",
+        "config malformed", "config a list", "config without model", "rank a string",
+        "dim null"])
+def test_report_on_a_malformed_run_file_exits_2(rooted, capsys, metrics, summary, config):
     run_dir = rooted / "run"
     run_dir.mkdir()
     (run_dir / METRICS_FILE).write_text(metrics)
     if summary is not None:
         (run_dir / SUMMARY_FILE).write_text(summary)
+    if config is not None:
+        (run_dir / CONFIG_FILE).write_text(config)
     assert main(["report", str(run_dir)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -262,6 +284,7 @@ def _fake_run(root, name, metrics, summary):
     run_dir.mkdir()
     (run_dir / METRICS_FILE).write_text(json.dumps(metrics))
     (run_dir / SUMMARY_FILE).write_text(json.dumps(summary))
+    (run_dir / CONFIG_FILE).write_text(json.dumps(CONFIG))
     return str(run_dir)
 
 
@@ -297,8 +320,29 @@ def test_report_prints_numbers_and_nulls(rooted, capsys):
     assert "0.2500" in out and "1.0000" in out and "bank id  : 0.5000" in out
     assert "  task 0: kept 3 of 4 candidates\n" in out
     assert "final experts per adapter layer: layer 1: 2, layer 2: 1 (total 3)\n" in out
+    # three experts of 2 * 2 * 8 and a router row of 8 for each of them
+    assert "adapter parameters: experts 96 + routers 24 = 120\n" in out
+    assert "phase-1 trainable parameters per task: mean 41.0\n" in out
     assert main(["report", a, b]) == 0
     assert "+2" in capsys.readouterr().out
+
+
+def test_report_counts_the_parameters_the_checkpoint_holds(rooted, capsys):
+    assert main(["run", str(write_config(rooted))]) == 0
+    run_dir = rooted / "out" / "runs" / "cli"
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = load_checkpoint(run_dir / CHECKPOINT_FILE)[0]
+    layers = model.adapter_layers()
+    experts = sum(e.down.size + e.up.size for layer in layers for e in layer.experts)
+    routers = sum(r.weight.size for layer in layers for r in layer.routers.values())
+    assert (f"adapter parameters: experts {experts:,} + routers {routers:,} = "
+            f"{experts + routers:,}") in lines
+    trained = [t["stage1_trainable_params"]
+               for t in json.loads((run_dir / SUMMARY_FILE).read_text())["tasks"]]
+    assert (f"phase-1 trainable parameters per task: mean "
+            f"{sum(trained) / len(trained):,.1f}") in lines
 
 
 def test_report_two_runs_lists_the_files_whose_bytes_differ(rooted, capsys, monkeypatch):

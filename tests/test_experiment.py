@@ -20,6 +20,7 @@ from submoe.experiment import (
 from submoe.streams import generate_stream, load_task
 
 from oracles import blas_kernel, save_checkpoint_v2
+from reference_grads import CHUNK_BUDGETS, chunk_budget
 
 
 def base_raw(n_tasks=2, protocol="id_free", cil=True) -> dict:
@@ -394,9 +395,10 @@ def test_dense_audit_at_window_1_is_pinned(tmp_path):
 
 def dim64_raw() -> dict:
     """Dim 64, three orthogonal tasks of three candidates per layer and
-    task-free evaluation in windows of 3: a 192-row routing snapshot or
-    evaluation batch fills a stacked chunk with one expert, and a 48-row
-    training batch with five, so both cross chunk boundaries."""
+    task-free evaluation in windows of 3.  Under the default chunk budget
+    every pass (48 to 192 rows) stacks all its visible experts, nine at most,
+    in one chunk; under `ONE_EXPERT_AT_48_ROWS` a chunk holds one expert, so
+    every pass crosses a chunk boundary at each expert."""
     return {
         "seed": 7,
         "output_dir": "runs/pinned64",
@@ -427,8 +429,10 @@ DIM64_DIGESTS = {
 }
 
 
-def test_dim64_run_directory_is_pinned(tmp_path):
-    run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
+@pytest.mark.parametrize("budget", CHUNK_BUDGETS.values(), ids=CHUNK_BUDGETS.keys())
+def test_dim64_run_directory_is_pinned(tmp_path, budget):
+    with chunk_budget(budget):
+        run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
     assert got == DIM64_DIGESTS, f"BLAS kernel {blas_kernel()}"
