@@ -11,7 +11,8 @@
                                            one run per value, plus a summary
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  The env
-var SUBMOE_OUTPUT_ROOT, when set, re-roots every run directory under it.
+var SUBMOE_OUTPUT_ROOT, when set, re-roots every run directory under it and
+refuses an output_dir that is absolute or has a '..' part (exit 1).
 """
 
 from __future__ import annotations

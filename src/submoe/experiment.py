@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import decode_array, encode_array, save_checkpoint
 from .config import ExperimentConfig, config_to_dict
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .evaluation import EvalState, evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
@@ -40,10 +40,17 @@ STREAM_DIR = "stream"
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
+    """`cfg.output_dir`, under `SUBMOE_OUTPUT_ROOT` when that is set.  The
+    root contains every run directory, so it refuses an absolute path and
+    one with a `..` part."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root:
-        return Path(root) / cfg.output_dir
-    return Path(cfg.output_dir)
+    if not root:
+        return Path(cfg.output_dir)
+    rel = Path(cfg.output_dir)
+    if rel.is_absolute() or ".." in rel.parts:
+        raise ConfigError(f"output_dir: {cfg.output_dir!r} would leave {OUTPUT_ROOT_ENV} "
+                          f"({root}); give a relative path without '..'")
+    return Path(root) / rel
 
 
 @dataclass
@@ -54,8 +61,6 @@ class RunResult:
     summary: dict
     model: AdapterModel
     bank: TaskBank
-    reports: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -264,7 +269,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     if not cfg.stream:
         raise DataError("config has an empty task stream")
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"run directory {out}: cannot create it ({exc.strerror})") from exc
     _write_json(out / CONFIG_FILE, config_to_dict(cfg))
     # an earlier run's audit and exported stream must not outlive this run,
     # nor its summary (the mark of a finished run to `read_audit`) vouch for
@@ -300,5 +308,4 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         write(out / name, run)
 
     return RunResult(out_dir=out, matrix=run.matrix, metrics=run.metrics,
-                     summary=run.summary, model=model, bank=bank,
-                     reports=run.reports, traces=run.traces)
+                     summary=run.summary, model=model, bank=bank)

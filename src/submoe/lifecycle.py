@@ -18,10 +18,7 @@ from .adapter import MixtureAdapterLayer
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import AdapterModel, trainable_stage1_params
 from .numerics import kl_divergence
-from .optim import (
-    AdamWState, OptimConfig, PenaltyState, apply_step, init_adamw_state,
-    init_penalty_state,
-)
+from .optim import AdamWState, OptimConfig, apply_step, init_adamw_state
 # Nothing here calls it, but `perfbench/spans.py` wraps the step's functions
 # where this module looks them up (`lifecycle.__dict__`), this one included.
 from .optim import penalty_value  # noqa: F401
@@ -170,7 +167,6 @@ class _LayerStep:
     layer: MixtureAdapterLayer
     cand_idx: list[int]      # the task's candidates among the layer's experts
     plain: list[np.ndarray]  # the router's weight when it trains
-    penalty: PenaltyState
     adam: AdamWState | None  # moments of the candidates' arrays, then of plain
 
     def cand_params(self) -> list[list[np.ndarray]]:
@@ -183,8 +179,8 @@ _StepStates = dict[int, _LayerStep]
 def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
                  router_trainable: bool) -> _StepStates:
     """Per adapter layer, the task's candidates, the arrays a phase steps
-    (candidates, then the router when it trains), the penalty state of the
-    candidates and, for AdamW, the moments of every stepped array."""
+    (candidates, then the router when it trains) and, for AdamW, the moments
+    of every stepped array."""
     states: _StepStates = {}
     for layer in model.adapter_layers():
         cand_idx = layer.candidate_indices(task)
@@ -193,8 +189,7 @@ def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
         adam = None
         if cfg.method == "adamw":
             adam = init_adamw_state([p for group in cand_params for p in group] + plain)
-        states[layer.layer_index] = _LayerStep(
-            layer, cand_idx, plain, init_penalty_state(cand_params), adam)
+        states[layer.layer_index] = _LayerStep(layer, cand_idx, plain, adam)
     return states
 
 
@@ -215,7 +210,7 @@ def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
         cand_params = st.cand_params()
         cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
         plain_grads = [lg.router_grad] if router_trainable else []
-        apply_step(cand_params, cand_grads, pis, st.plain, plain_grads, st.penalty, cfg, st.adam)
+        apply_step(cand_params, cand_grads, pis, st.plain, plain_grads, cfg, st.adam)
     return loss
 
 

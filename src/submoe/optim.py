@@ -18,6 +18,10 @@ bit for bit.
 `apply_step` also runs an AdamW rule (`method: "adamw"`) that multiplies each
 block's step by the same damping factor; the equivalence claims above are
 only asserted for SGD.
+
+The step applies the penalty only through that closed form: it never
+evaluates the penalty and keeps no snapshot of the candidates.
+`penalty_value` evaluates it, as a pure function of the values it is given.
 """
 
 from __future__ import annotations
@@ -65,31 +69,20 @@ def step_scale(pi: float, n: int, cfg: OptimConfig) -> float:
     return 1.0 / (1.0 + 2.0 * cfg.learning_rate * cfg.penalty * n * pi)
 
 
-@dataclass
-class PenaltyState:
-    """Snapshots of candidate parameters after the previous step, plus the
-    change count of that step; feeds the displacement penalty value."""
-
-    prev: list[list[np.ndarray]]
-    change_count: int = 0
-
-
-def init_penalty_state(candidates: list[list[np.ndarray]]) -> PenaltyState:
-    return PenaltyState(prev=[[p.copy() for p in group] for group in candidates])
-
-
-def penalty_value(pis, live: list[list[np.ndarray]], state: PenaltyState) -> float:
-    """Displacement penalty n * sum_j pi_j * ||w_j - w_j_prev||^2 for one layer."""
-    if len(live) != len(state.prev) or len(live) != len(pis):
-        raise DimensionError("candidate count mismatch between live params, state, and pis")
+def penalty_value(pis, live: list[list[np.ndarray]], prev: list[list[np.ndarray]],
+                  change_count: int) -> float:
+    """Displacement penalty n * sum_j pi_j * ||w_j - w_j_prev||^2 for one
+    layer, with n = `change_count` and `prev` the candidates' earlier values."""
+    if len(live) != len(prev) or len(live) != len(pis):
+        raise DimensionError("candidate count mismatch between live params, prev, and pis")
     total = 0.0
-    for pi, group, prev_group in zip(pis, live, state.prev):
+    for pi, group, prev_group in zip(pis, live, prev):
         sq = 0.0
         for p, q in zip(group, prev_group):
             d = p - q
             sq += float((d * d).sum())
         total += float(pi) * sq
-    return state.change_count * total
+    return change_count * total
 
 
 @dataclass
@@ -142,7 +135,6 @@ def apply_step(candidates: list[list[np.ndarray]],
                pis,
                plain: list[np.ndarray],
                plain_grads: list[np.ndarray],
-               state: PenaltyState,
                cfg: OptimConfig,
                adam: AdamWState | None = None) -> StepReport:
     """One step, in place, by the rule `cfg.method` names: damped on
@@ -151,8 +143,8 @@ def apply_step(candidates: list[list[np.ndarray]],
     The change count n is established before any update: a candidate counts
     as changing when it carries routing mass and a nonzero gradient.  AdamW
     takes its moments from `adam`, which holds one entry per candidate array
-    and then per plain array, in order.  State snapshots are refreshed to the
-    post-step values.
+    and then per plain array, in order.  The step keeps no copy of any
+    array.
     """
     if len(candidates) != len(candidate_grads) or len(candidates) != len(pis):
         raise DimensionError("candidate params, grads, and pis must align")
@@ -178,6 +170,4 @@ def apply_step(candidates: list[list[np.ndarray]],
         if adam is None or len(adam.m) != len(params):
             raise DimensionError("AdamW needs one moment pair per stepped array")
         _adamw_update(params, grads, block_scales, adam, cfg)
-    state.prev = [[p.copy() for p in group] for group in candidates]
-    state.change_count = n
     return StepReport(change_count=n, scales=scales)

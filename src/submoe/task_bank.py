@@ -152,6 +152,8 @@ class TaskBank:
         is `match`'s argmin rule; each distance equals its column of `match`'s
         distance matrix bit for bit.  Returns new arrays, as `match` does.
         """
+        if task not in self.entries:
+            raise StateError(f"task {task} is not enrolled in the bank")
         dist = self._distances(queries, [self.entries[task]])[:, 0]
         moved = (dist < distances) | ((dist == distances) & (task < tasks))
         best_dist = np.where(moved, dist, distances)

@@ -3,7 +3,7 @@ quadratic solve for the damped step, its diagonal projection form, central
 finite differences, byte fingerprints of frozen state, the version 2
 checkpoint writer, and the contrastive loss and routing as first written,
 with NumPy's convenience wrappers and fresh temporaries; plus the name of
-the BLAS kernel, for the failure messages of pinned digests.  None of this
+the BLAS kernel, which keys every table of pinned digests.  None of this
 is used by the engine itself."""
 
 from __future__ import annotations
@@ -36,6 +36,17 @@ def blas_kernel() -> str:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+def for_kernel(table: dict):
+    """The entry of `table`, a dict keyed by BLAS kernel name, recorded under
+    the kernel this process loaded.  A kernel with no entry fails, naming it:
+    its digests have to be recorded, not skipped."""
+    kernel = blas_kernel()
+    if kernel not in table:
+        raise AssertionError(f"no pinned digests for BLAS kernel {kernel}; "
+                             f"tables exist for {sorted(table)}")
+    return table[kernel]
 
 
 def proximal_argmin(g: np.ndarray, w_prev: np.ndarray, pi: float, n: int,

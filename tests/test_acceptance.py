@@ -18,7 +18,7 @@ from submoe.evaluation import (
 from submoe.experiment import METRICS_FILE, run_experiment
 from submoe.lifecycle import PhaseSchedule, kl_to_final, learn_task
 from submoe.model import build_model
-from submoe.optim import OptimConfig, apply_step, init_penalty_state, step_scale
+from submoe.optim import OptimConfig, apply_step, step_scale
 from submoe.streams import Alignment, TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
 
@@ -118,8 +118,7 @@ def test_criterion_02_applied_step_is_projected_gradient():
         plain_g = rng.standard_normal((4, 3))
         live = [[w[0].copy()] for w in cand_w]
         plain = [plain_w.copy()]
-        report = apply_step(live, cand_g, pis, plain, [plain_g],
-                            init_penalty_state(live), c)
+        report = apply_step(live, cand_g, pis, plain, [plain_g], c)
         proj = soft_projection(pis, report.change_count, c)
         proj_plain, proj_new = proj.apply([plain_g], cand_g)
         for j in range(n_cand):
@@ -136,7 +135,7 @@ def test_criterion_02_applied_step_is_projected_gradient():
     w = rng.standard_normal((2, 5))
     g = rng.standard_normal((2, 5))
     live = [[w.copy()]]
-    apply_step(live, [[g]], [0.7], [], [], init_penalty_state(live), c0)
+    apply_step(live, [[g]], [0.7], [], [], c0)
     np.testing.assert_array_equal(live[0][0], w - 0.3 * g)
     print("projected-step identity held on 100 instances; "
           "penalty=0 reproduced plain SGD bitwise")

@@ -160,6 +160,27 @@ def test_sweep_empty_values_exits_1(rooted, capsys):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("escape", ["abs", "../../escape"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1"]])
+def test_output_root_refuses_an_escaping_output_dir_exits_1(rooted, capsys, escape, command):
+    output_dir = str(rooted / "abs_run") if escape == "abs" else escape
+    cfg = write_config(rooted, output_dir=output_dir)
+    assert main([command[0], str(cfg), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir") and OUTPUT_ROOT_ENV in err
+    assert not (rooted / "abs_run").exists() and not (rooted.parent / "escape").exists()
+    assert not (rooted / "out").exists()
+
+
+def test_run_into_a_file_exits_2_naming_the_directory(rooted, capsys):
+    target = rooted / "out" / "runs" / "cli"
+    target.parent.mkdir(parents=True)
+    target.write_text("a file, not a run directory")
+    assert main(["run", str(write_config(rooted))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run directory {target}") and "unexpected" not in err
+
+
 def child_env(output_root: Path) -> dict:
     """Environment for a child Python process.
 

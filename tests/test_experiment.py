@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from submoe.checkpoint import decode_array, encode_array, load_checkpoint
 from submoe.config import config_from_dict
-from submoe.errors import DataError
+from submoe.errors import ConfigError, DataError
 from submoe.evaluation import evaluate_row
 from submoe.experiment import (
     AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE,
@@ -19,7 +20,7 @@ from submoe.experiment import (
 )
 from submoe.streams import generate_stream, load_task
 
-from oracles import blas_kernel, save_checkpoint_v2
+from oracles import blas_kernel, for_kernel, save_checkpoint_v2
 from reference_grads import CHUNK_BUDGETS, chunk_budget
 
 
@@ -282,6 +283,10 @@ def test_output_root_env_reroots_runs(tmp_path, monkeypatch):
     cfg = config_from_dict(base_raw())
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
     assert resolve_output_dir(cfg) == tmp_path / "root" / "runs" / "test"
+    # the root contains every run directory: nothing absolute, no `..` part
+    for escape in (str(tmp_path / "abs_run"), "../../escape", "runs/../../escape"):
+        with pytest.raises(ConfigError, match="output_dir"):
+            resolve_output_dir(replace(cfg, output_dir=escape))
     monkeypatch.delenv(OUTPUT_ROOT_ENV)
     assert str(resolve_output_dir(cfg)) == "runs/test"
 
@@ -338,14 +343,24 @@ def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
 # line each, keep the digest of the full per-row file (DENSE_AUDIT_DIGEST, and
 # DENSE_AUDIT_DIGEST_W1 at query window 1).  The checkpoint is
 # version 3 since; the loaded file, re-serialised as version 2, keeps the
-# digest of the version 2 file (V2_CHECKPOINT_DIGEST).
+# digest of the version 2 file (V2_CHECKPOINT_DIGEST).  Every table is keyed
+# by the BLAS kernel (`oracles.blas_kernel`): the Haswell (AVX2) kernel rounds
+# the learning GEMMs unlike SkylakeX (AVX-512), so the learned weights and every
+# file derived from them move at the ulp level; the accuracy matrix, the
+# config and the metrics do not.
 SHARED_DIGESTS = {
     CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
     KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
     TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
     PRUNE_FILE: "78c560c2f5285ca9b0b26a4078a1cb1e41b05de24848e5098da61ede3d6ef566",
 }
-PINNED_DIGESTS = {
+HASWELL_SHARED_DIGESTS = {
+    CHECKPOINT_FILE: "0f996c67bdce3f3d731fbf6f3fb2a50fd8d735c81371ae4b54f07af40735329a",
+    KL_FILE: "f39e320134a2d47fb9ce84dd24fa665af2ddaf156742fef28b317e8f5b472b8e",
+    TRACE_FILE: "d04d38423599d73795076e71288ad23c0447670840983bd82b8d06a6380e6e00",
+    PRUNE_FILE: "c3cc905b62e27b86b067d5b253e5dbb34e2a45622202dffb41bff6100b6123ec",
+}
+SKYLAKEX_DIGESTS = {
     "id_free": {
         **SHARED_DIGESTS,
         MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
@@ -362,10 +377,33 @@ PINNED_DIGESTS = {
         SUMMARY_FILE: "7ffb0c2623d51460da9a34d88236133f121a002d6952d6be8d399ffec125816e",
     },
 }
+PINNED_DIGESTS = {
+    "SkylakeX": SKYLAKEX_DIGESTS,
+    "Haswell": {
+        "id_free": {
+            **SKYLAKEX_DIGESTS["id_free"], **HASWELL_SHARED_DIGESTS,
+            AUDIT_FILE: "644ad6caa741926419966a8f5c48dc60a1bacd8467fdc0bb7c39e0a9ec19e0f8",
+            SUMMARY_FILE: "7c7982e5c57901984b578a2809fd3df4d543440f569a819c5e158b2772371d96",
+        },
+        "id_given": {
+            **SKYLAKEX_DIGESTS["id_given"], **HASWELL_SHARED_DIGESTS,
+            SUMMARY_FILE: "7840eb8a9dd41e9d485d84f0abf99c9c5f3654d8d1b4a8baf74f9e5d1957bd75",
+        },
+    },
+}
 
-DENSE_AUDIT_DIGEST = "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a"
-DENSE_AUDIT_DIGEST_W1 = "f325fee0ead6d1839b2b3bb73f582dc2c061f2f12f9259034f451f4dacac75ce"
-V2_CHECKPOINT_DIGEST = "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761"
+DENSE_AUDIT_DIGEST = {
+    "SkylakeX": "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a",
+    "Haswell": "8e2e2a407a652122ba63ed4d06451c5ef97bd3bfb3808725126ecaf584b475c6",
+}
+DENSE_AUDIT_DIGEST_W1 = {
+    "SkylakeX": "f325fee0ead6d1839b2b3bb73f582dc2c061f2f12f9259034f451f4dacac75ce",
+    "Haswell": "d08aca5b6bbf8f3dbec0575a0f05d3240935099a9388ee547e30cf551c2f8fec",
+}
+V2_CHECKPOINT_DIGEST = {
+    "SkylakeX": "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
+    "Haswell": "ef3f2b3960766b2af576ab7c9d02d17b2d6b73252fd7f095c99c7b465fe2e81b",
+}
 
 
 @pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
@@ -373,23 +411,28 @@ def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
     run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
-    assert got == PINNED_DIGESTS[protocol], f"BLAS kernel {blas_kernel()}"
+    assert got == for_kernel(PINNED_DIGESTS)[protocol], f"BLAS kernel {blas_kernel()}"
     model, bank, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
     v2 = save_checkpoint_v2(tmp_path / "v2.json", model, bank, meta)
-    assert hashlib.sha256(v2.read_bytes()).hexdigest() == V2_CHECKPOINT_DIGEST, \
+    assert hashlib.sha256(v2.read_bytes()).hexdigest() == for_kernel(V2_CHECKPOINT_DIGEST), \
         f"BLAS kernel {blas_kernel()}"
     if protocol == "id_free":
         dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                         for rec in read_audit(tmp_path / "run"))
-        assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST, \
+        assert hashlib.sha256(dense.encode()).hexdigest() == for_kernel(DENSE_AUDIT_DIGEST), \
             f"BLAS kernel {blas_kernel()}"
+
+
+def test_a_kernel_without_a_table_fails_naming_it():
+    with pytest.raises(AssertionError, match=f"BLAS kernel {blas_kernel()};"):
+        for_kernel({"NoSuchKernel": {}})
 
 
 def test_dense_audit_at_window_1_is_pinned(tmp_path):
     run_experiment(config_from_dict(pinned_raw("id_free", True, 1)), tmp_path / "run")
     dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
                     for rec in read_audit(tmp_path / "run"))
-    assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_AUDIT_DIGEST_W1, \
+    assert hashlib.sha256(dense.encode()).hexdigest() == for_kernel(DENSE_AUDIT_DIGEST_W1), \
         f"BLAS kernel {blas_kernel()}"
 
 
@@ -415,8 +458,8 @@ def dim64_raw() -> dict:
 
 
 # sha256 of every run-directory file, recorded with the loop over experts,
-# before the layer stacked its per-expert products
-DIM64_DIGESTS = {
+# before the layer stacked its per-expert products; keyed by BLAS kernel
+SKYLAKEX_DIM64_DIGESTS = {
     AUDIT_FILE: "7187f4434012127c42968fb706f7b5e37c7c779ca5e526e949c8d78d6047ee0a",
     CHECKPOINT_FILE: "7a5d0064a606ecea362c92fae7ca6ae061a9d6b95445c797ea7fd997f55e9f15",
     CONFIG_FILE: "cd733d7628cce3bd9d6981601283f47464ab953afe97afd7278e2787a0a91e07",
@@ -427,6 +470,18 @@ DIM64_DIGESTS = {
     SUMMARY_FILE: "b59f333bcf2b760e28f6d80959e085195aac0a4817ab347af6a34c35b1014988",
     TRACE_FILE: "0d919b84a63ef48f42a8b139cf11ed74f78bc3fc6ea642589f0e6723f3dfea58",
 }
+DIM64_DIGESTS = {
+    "SkylakeX": SKYLAKEX_DIM64_DIGESTS,
+    "Haswell": {
+        **SKYLAKEX_DIM64_DIGESTS,
+        AUDIT_FILE: "8198ce0d4527e628c4de892e8d59ae81468c9f595ee6cd26ee41746922e75231",
+        CHECKPOINT_FILE: "6ff06412c48ecb4995e6b16628016c14b32e1a04d65f9b83ac50ab3068870d32",
+        KL_FILE: "be1575094d53b126f031b111994141f10cbee702ee69ea7138a3a0c33cad1984",
+        PRUNE_FILE: "2d7ee1bbb37900032c0589d08376ee2aa8bc3c1e88fa86e6c51f6b183a9c80ba",
+        SUMMARY_FILE: "2fe95545a67e380a261bd0b3c151d0faf5c83de3c1464eff2378bf6fd11a7bfa",
+        TRACE_FILE: "2d4ed0c1e2444dc5c2b1b6c044d989272c1d13508f3e7e0737ad7216c16fa0c4",
+    },
+}
 
 
 @pytest.mark.parametrize("budget", CHUNK_BUDGETS.values(), ids=CHUNK_BUDGETS.keys())
@@ -435,7 +490,7 @@ def test_dim64_run_directory_is_pinned(tmp_path, budget):
         run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
-    assert got == DIM64_DIGESTS, f"BLAS kernel {blas_kernel()}"
+    assert got == for_kernel(DIM64_DIGESTS), f"BLAS kernel {blas_kernel()}"
 
 
 def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):

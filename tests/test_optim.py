@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from submoe.errors import ConfigError, DimensionError, NumericError
 from submoe.optim import (
-    OptimConfig, apply_step, init_adamw_state, init_penalty_state, penalty_value,
-    step_scale,
+    OptimConfig, apply_step, init_adamw_state, penalty_value, step_scale,
 )
 
 from oracles import block_dot, proximal_argmin, soft_projection, total_loss
@@ -61,8 +60,7 @@ def test_proximal_oracle_matches_applied_step():
         n = 1 if pi > 0.0 else 0
         oracle = proximal_argmin(g, w, pi, n, c)
         live = [[w.copy()]]
-        state = init_penalty_state(live)
-        apply_step(live, [[g]], [pi], [], [], state, c)
+        apply_step(live, [[g]], [pi], [], [], c)
         np.testing.assert_allclose(live[0][0], oracle, atol=1e-10)
 
 
@@ -75,7 +73,7 @@ def test_proximal_oracle_multi_candidate_change_count():
         pis = [float(rng.uniform(0.05, 1.0)) for _ in range(k)]
         c = cfg(lr=0.3, penalty=float(rng.uniform(0.5, 6.0)))
         live = [[w.copy()] for w in ws]
-        apply_step(live, [[g] for g in gs], pis, [], [], init_penalty_state(live), c)
+        apply_step(live, [[g] for g in gs], pis, [], [], c)
         for j in range(k):
             oracle = proximal_argmin(gs[j], ws[j], pis[j], k, c)
             np.testing.assert_allclose(live[j][0], oracle, atol=1e-10)
@@ -107,7 +105,7 @@ def test_zero_penalty_step_is_bitwise_plain_sgd():
     c = cfg(penalty=0.0, lr=0.025)
     expected = w - c.learning_rate * g
     live = [[w.copy()]]
-    apply_step(live, [[g]], [0.8], [], [], init_penalty_state(live), c)
+    apply_step(live, [[g]], [0.8], [], [], c)
     np.testing.assert_array_equal(live[0][0], expected)
 
 
@@ -116,7 +114,7 @@ def test_zero_routing_mass_candidate_steps_like_plain_sgd():
     w = np.zeros((2, 2))
     c = cfg(penalty=9.0, lr=0.5)
     live = [[w.copy()]]
-    apply_step(live, [[g]], [0.0], [], [], init_penalty_state(live), c)
+    apply_step(live, [[g]], [0.0], [], [], c)
     np.testing.assert_array_equal(live[0][0], -0.5 * g)
 
 
@@ -132,8 +130,7 @@ def test_applied_step_equals_projected_gradient_blockwise():
         router_g = rng.standard_normal((4, 3))
         live = [[w[0].copy()] for w in cand_w]
         plain = [router_w.copy()]
-        report = apply_step(live, cand_g, pis, plain, [router_g],
-                            init_penalty_state(live), c)
+        report = apply_step(live, cand_g, pis, plain, [router_g], c)
         proj = soft_projection(pis, report.change_count, c)
         proj_plain, proj_new = proj.apply([router_g], cand_g)
         for j in range(n_cand):
@@ -156,34 +153,19 @@ def test_block_dot_is_zero():
 def test_penalty_value_hand_example():
     w_prev = np.zeros(4)
     live = [[w_prev + 1.0]]  # displacement norm^2 = 4
-    state = init_penalty_state([[w_prev]])
-    state.change_count = 1
-    assert penalty_value([0.5], live, state) == pytest.approx(2.0, abs=1e-15)
+    assert penalty_value([0.5], live, [[w_prev]], 1) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_penalty_value_zero_without_movement():
     w = np.random.default_rng(5).standard_normal(3)
-    state = init_penalty_state([[w]])
-    state.change_count = 2
-    assert penalty_value([0.9], [[w.copy()]], state) == 0.0
-
-
-def test_state_snapshots_refresh_after_step():
-    rng = np.random.default_rng(6)
-    w = rng.standard_normal((2, 2))
-    live = [[w]]
-    state = init_penalty_state(live)
-    apply_step(live, [[rng.standard_normal((2, 2))]], [0.5], [], [], state, cfg())
-    assert penalty_value([0.5], live, state) == 0.0
-    assert state.change_count == 1
+    assert penalty_value([0.9], [[w.copy()]], [[w]], 2) == 0.0
 
 
 def test_change_count_requires_mass_and_gradient():
     c = cfg()
     live = [[np.zeros(2)], [np.zeros(2)], [np.zeros(2)]]
     grads = [[np.ones(2)], [np.zeros(2)], [np.ones(2)]]
-    state = init_penalty_state(live)
-    report = apply_step(live, grads, [0.5, 0.5, 0.0], [], [], state, c)
+    report = apply_step(live, grads, [0.5, 0.5, 0.0], [], [], c)
     assert report.change_count == 1  # only the first block has mass and gradient
 
 
@@ -206,12 +188,11 @@ def test_config_validation():
 
 def test_apply_step_shape_guards():
     with pytest.raises(DimensionError):
-        apply_step([[np.zeros(2)]], [], [0.5], [], [],
-                   init_penalty_state([[np.zeros(2)]]), cfg())
+        apply_step([[np.zeros(2)]], [], [0.5], [], [], cfg())
     live = [[np.zeros(2)]]
     with pytest.raises(DimensionError):  # AdamW without a moment per array
-        apply_step(live, [[np.ones(2)]], [0.5], [], [], init_penalty_state(live),
-                   cfg(method="adamw"), init_adamw_state([]))
+        apply_step(live, [[np.ones(2)]], [0.5], [], [], cfg(method="adamw"),
+                   init_adamw_state([]))
 
 
 def test_adamw_moves_params_and_respects_scale():
@@ -221,7 +202,7 @@ def test_adamw_moves_params_and_respects_scale():
     base = rng.standard_normal(4)
     a, b = base.copy(), base.copy()
     adam = init_adamw_state([b, a])
-    report = apply_step([[b]], [[g]], [1.0], [a], [g], init_penalty_state([[b]]), c, adam)
+    report = apply_step([[b]], [[g]], [1.0], [a], [g], c, adam)
     assert report.scales == [SCALE_FULL_MASS]
     assert adam.t == 1 and np.abs(base - a).sum() > 0
     # moments depend only on the gradient, so the first damped step is
@@ -233,6 +214,6 @@ def test_adamw_weight_decay_shrinks_params():
     c = OptimConfig(learning_rate=0.1, method="adamw", weight_decay=0.1)
     p = np.full(3, 100.0)
     g = np.zeros(3)
-    apply_step([], [], [], [p], [g], init_penalty_state([]), c, init_adamw_state([p]))
+    apply_step([], [], [], [p], [g], c, init_adamw_state([p]))
     # zero gradient contributes nothing; decoupled decay still shrinks
     np.testing.assert_allclose(p, 100.0 * (1.0 - 0.01), atol=1e-12)

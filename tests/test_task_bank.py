@@ -93,6 +93,14 @@ def test_empty_bank_identify_raises():
         TaskBank(threshold=1.0).identify(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
+def test_rematch_on_a_task_the_bank_does_not_hold_raises_state_error():
+    bank = TaskBank(threshold=1.0)
+    bank.enroll(0, np.ones((1, 2)), np.ones((1, 2)))
+    q = np.zeros((2, 4))
+    with pytest.raises(StateError, match="task 5 is not enrolled"):
+        bank.rematch(q, np.zeros(2, dtype=np.int64), np.full(2, np.inf), 5)
+
+
 def test_bank_validation():
     with pytest.raises(ConfigError):
         TaskBank(threshold=-1.0)
