@@ -20,7 +20,10 @@ Training and inference share one forward pass: it mixes each chunk's outputs
 into the layer's output and drops them, and its cache keeps only the down
 activations.  backward() recomputes each chunk's outputs from them with the
 forward's own products, so a cache stays small and a learning step does not
-hold every expert's outputs between its forward and its backward.
+hold every expert's outputs between its forward and its backward.  While a
+router and the experts before its task's first stay frozen, a forward can
+start from a `FrozenMix`, their mix made once for fixed rows, and run only
+the task's experts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import attrgetter, is_
 import numpy as np
 
 from .errors import DimensionError, MissingRouterError, StateError
-from .numerics import MatMul, as_matrix, require_finite, softmax_rows
+from .numerics import MatMul, as_matrix, by_row_blocks, require_finite, softmax_rows
 
 _DOWN, _UP = attrgetter("down"), attrgetter("up")
 
@@ -108,10 +111,31 @@ class ForwardCache:
     x: np.ndarray
     task: int
     dist: RoutingDistribution
-    down_acts: np.ndarray  # [n_visible, B, rank]
+    down_acts: np.ndarray  # [n_visible - first, B, rank]
     n_visible: int
     version: int
     matmul: MatMul = np.matmul
+    first: int = 0  # the experts before it came mixed in a `FrozenMix`
+
+
+@dataclass
+class FrozenMix:
+    """What a frozen router makes of fixed rows, for a forward that runs
+    only the routed task's experts: each row's routing and the mix
+    `x + sum_j w_j * up_j @ down_j @ x` over the visible experts before
+    `start`, the task's first (later experts are all the task's).  A
+    learning phase with frozen routers makes it once at its lowest adapter
+    layer, whose inputs are fixed, and gathers each step's rows from it."""
+
+    dist: RoutingDistribution
+    partial: np.ndarray  # [B, dim]
+    start: int
+    version: int  # the layer structure it was made against
+
+    def take(self, idx: np.ndarray) -> FrozenMix:
+        """The same for the rows `idx`, gathered."""
+        return FrozenMix(RoutingDistribution(self.dist.probs[idx], self.dist.weights[idx]),
+                         self.partial[idx], self.start, self.version)
 
 
 def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray) -> None:
@@ -126,12 +150,12 @@ def _mix(acc: np.ndarray, w: np.ndarray, terms: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _chunk_slices(n: int, rows: int, width: int) -> tuple[slice, ...]:
-    """Consecutive slices of the first `n` experts, each small enough that a
-    stacked [experts, rows, width] array fits in `CHUNK_BYTES`.  A learning
+def _chunk_slices(lo: int, hi: int, rows: int, width: int) -> tuple[slice, ...]:
+    """Consecutive slices of experts `lo` to `hi - 1`, each small enough that
+    a stacked [experts, rows, width] array fits in `CHUNK_BYTES`.  A learning
     phase asks for the same few shapes at every step, so they are kept."""
     per = max(1, CHUNK_BYTES // max(1, 8 * rows * width))
-    return tuple(slice(s, min(s + per, n)) for s in range(0, n, per))
+    return tuple(slice(s, min(s + per, hi)) for s in range(lo, hi, per))
 
 
 def _scratch(slices: tuple[slice, ...], rows: int, dim: int) -> np.ndarray:
@@ -144,7 +168,7 @@ def _scratch(slices: tuple[slice, ...], rows: int, dim: int) -> np.ndarray:
     of the heap, which malloc then trims and faults in again at the next
     learning step."""
     global _work
-    per = slices[0].stop if slices else 0
+    per = slices[0].stop - slices[0].start if slices else 0
     if _work.size < per * rows * dim:
         _work = np.empty(per * rows * dim)
     return _work[:per * rows * dim].reshape(per, rows, dim)
@@ -204,8 +228,8 @@ class MixtureAdapterLayer:
             self._repack()
         return self.down_all, self.up_all
 
-    def _chunks(self, n: int, rows: int) -> tuple[slice, ...]:
-        return _chunk_slices(n, rows, max(self.dim, self.rank))
+    def _chunks(self, lo: int, hi: int, rows: int) -> tuple[slice, ...]:
+        return _chunk_slices(lo, hi, rows, max(self.dim, self.rank))
 
     def router_for(self, task: int) -> Router:
         try:
@@ -284,27 +308,65 @@ class MixtureAdapterLayer:
         weights = masked / np.add.reduce(masked, axis=1, keepdims=True)
         return RoutingDistribution(probs=probs, weights=weights)
 
-    def forward(self, task: int, x, matmul: MatMul = np.matmul):
+    def _mix_experts(self, y: np.ndarray, x: np.ndarray, w: np.ndarray, lo: int, hi: int,
+                     matmul: MatMul) -> np.ndarray:
+        """y += w_j * up_j @ down_j @ x for experts j = lo .. hi - 1 in order,
+        one stacked product per chunk; returns their down activations
+        [hi - lo, rows, rank].  Each chunk's outputs go to the process's
+        workspace and are mixed into `y` there."""
+        rows = x.shape[0]
+        down_all, up_all = self.packed(hi)
+        acts = np.empty((hi - lo, rows, self.rank))
+        slices = self._chunks(lo, hi, rows)
+        buf = _scratch(slices, rows, self.dim)
+        for s in slices:
+            a = matmul(x, down_all[s].transpose(0, 2, 1), out=acts[s.start - lo:s.stop - lo])
+            _mix(y, w[:, s], matmul(a, up_all[s].transpose(0, 2, 1), out=buf[:s.stop - s.start]))
+        return acts
+
+    def forward(self, task: int, x, matmul: MatMul = np.matmul,
+                frozen: FrozenMix | None = None):
         """Residual mixture: y = x + sum_j w_j(x) * up_j @ down_j @ x over the
         top-k experts, every product done by `matmul` (one stacked call per
-        chunk of experts).  Returns (y, dist, cache).  Each chunk's outputs
-        go to the process's workspace and are mixed into `y` there; the cache
-        keeps the down activations, from which backward() recomputes them."""
+        chunk of experts).  Returns (y, dist, cache); the cache keeps the
+        down activations, from which backward() recomputes the outputs.
+
+        With `frozen`, from `frozen_mix` on the rows `x`, the routing and the
+        mix of the experts before `frozen.start` come from it and only the
+        experts from there on run: the same values, since the mix adds the
+        experts in order either way."""
         xm = as_matrix(x)
-        dist = self.route(task, xm, matmul)
-        w = dist.weights
-        n_vis = w.shape[1]
-        down_all, up_all = self.packed(n_vis)
-        acts = np.empty((n_vis, xm.shape[0], self.rank))
-        y = xm.copy()
-        slices = self._chunks(n_vis, xm.shape[0])
-        buf = _scratch(slices, xm.shape[0], self.dim)
-        for s in slices:
-            a = matmul(xm, down_all[s].transpose(0, 2, 1), out=acts[s])
-            _mix(y, w[:, s], matmul(a, up_all[s].transpose(0, 2, 1), out=buf[:s.stop - s.start]))
-        cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=acts,
-                             n_visible=n_vis, version=self.version, matmul=matmul)
+        if frozen is None:
+            dist, y, first = self.route(task, xm, matmul), xm.copy(), 0
+        else:
+            if frozen.version != self.version:
+                raise StateError("frozen mix is stale: layer structure changed since frozen_mix()")
+            dist, y, first = frozen.dist, frozen.partial.copy(), frozen.start
+        n_vis = dist.weights.shape[1]
+        acts = self._mix_experts(y, xm, dist.weights, first, n_vis, matmul)
+        cache = ForwardCache(x=xm, task=task, dist=dist, down_acts=acts, n_visible=n_vis,
+                             version=self.version, matmul=matmul, first=first)
         return y, dist, cache
+
+    def frozen_mix(self, task: int, x, block: int, matmul: MatMul = np.matmul) -> FrozenMix:
+        """`task`'s routing of the rows `x` and the mix of the visible experts
+        before its first (all of them if it owns none), which forward()
+        continues from while the router and those experts stay frozen.  Both
+        are computed in blocks of `block` rows (see `numerics.by_row_blocks`)."""
+        xm = as_matrix(x)
+        n_vis = self.router_for(task).n_visible
+        owned = self.candidate_indices(task)
+        start = min(owned[0], n_vis) if owned else n_vis
+
+        def mix(rows: slice):
+            xb = xm[rows]
+            dist = self.route(task, xb, matmul)
+            partial = xb.copy()
+            self._mix_experts(partial, xb, dist.weights, 0, start, matmul)
+            return dist.probs, dist.weights, partial
+
+        probs, weights, partial = by_row_blocks(mix, xm.shape[0], block)
+        return FrozenMix(RoutingDistribution(probs, weights), partial, start, self.version)
 
     def backward(self, cache: ForwardCache, grad_y, input_grad: bool = True,
                  router_grad: bool = True):
@@ -319,16 +381,19 @@ class MixtureAdapterLayer:
         `input_grad` false, grad_x is None and is not computed (the lowest
         adapter layer has nothing trainable below it); with `router_grad`
         false, the router gradient is None and is not computed (a frozen
-        router).  Neither flag changes the values that are returned.
+        router).  Neither flag changes the values that are returned.  A
+        cache of a forward from a `FrozenMix` (`first` > 0) holds the
+        activations of the experts from `first` on only: it gives their
+        gradients, and neither flag may be set.
         """
         if cache.version != self.version:
             raise StateError("forward cache is stale: layer structure changed since forward()")
         w = cache.dist.weights
         x = cache.x
-        acts = cache.down_acts
-        if getattr(acts, "shape", None) != (cache.n_visible, x.shape[0], self.rank):
+        acts, first = cache.down_acts, cache.first
+        if getattr(acts, "shape", None) != (cache.n_visible - first, x.shape[0], self.rank):
             raise StateError("forward cache's down activations are not "
-                             "[n_visible, rows, rank]: a foreign cache")
+                             "[n_visible - first, rows, rank]: a foreign cache")
         g = as_matrix(grad_y)
         if g.shape != x.shape:
             raise DimensionError(f"grad shape {g.shape} does not match input {x.shape}")
@@ -336,15 +401,19 @@ class MixtureAdapterLayer:
         down_all, up_all = self.packed(cache.n_visible)
 
         expert_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cache.n_visible
-        for j, e in enumerate(self.experts[:cache.n_visible]):
+        for j in range(first, cache.n_visible):
+            e = self.experts[j]
             if e.owner_task == cache.task:
                 wg = g * w[:, j:j + 1]
-                grad_up = wg.T @ acts[j]
+                grad_up = wg.T @ acts[j - first]
                 grad_down = (wg @ e.up).T @ x
                 expert_grads[j] = (grad_down, grad_up)
         if not (input_grad or router_grad):
             return None, expert_grads, None
-        slices = self._chunks(cache.n_visible, x.shape[0])
+        if first:
+            raise StateError("a forward from a frozen mix keeps no activations of the "
+                             "experts mixed in it: it has no input or router gradient")
+        slices = self._chunks(0, cache.n_visible, x.shape[0])
         buf = _scratch(slices, x.shape[0], self.dim)
         grad_x = g.copy() if input_grad else None
         dmix = np.empty_like(w)

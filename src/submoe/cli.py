@@ -221,13 +221,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values: need at least one value")
     base_raw = config_to_dict(base_cfg)
     base_out = resolve_output_dir(base_cfg)
-    rows = []
+    cfgs = []  # every value is parsed before the first run
     for text in values:
         raw = json.loads(json.dumps(base_raw))  # deep copy
         _set_by_path(raw, args.param, _parse_value(text))
         label = text.replace("/", "_")
         raw["output_dir"] = str(Path(base_cfg.output_dir) / f"{args.param}={label}")
-        cfg = config_from_dict(raw)
+        cfgs.append(config_from_dict(raw))
+    rows = []
+    for text, cfg in zip(values, cfgs):
         result = run_experiment(cfg)
         row = {"value": text, "dir": str(result.out_dir),
                "final_expert_total": result.summary["final_expert_total"]}

@@ -87,6 +87,10 @@ class ExperimentConfig:
     stream: list[TaskSpec] = field(default_factory=list)
     export_stream: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+
 
 @functools.cache
 def _schema(cls) -> dict:

@@ -6,6 +6,13 @@ step while logging routing snapshots.  Between phases, candidates whose mean
 routing mass stayed below the threshold are removed along with their router
 rows.  Phase 2 (expert fit): router frozen, damping off, only the surviving
 candidates train.  Everything learned earlier stays bit-identical.
+
+Each phase starts by making what its steps share (`AdapterModel.step_rows`):
+every training row's input to the lowest adapter layer, the checked label
+table and, in phase 2, the lowest adapter layer's routing and its mix of the
+experts the task does not own.  It computes them in blocks of the steps'
+batch size, so a step reads, bit for bit, what it would have computed from
+its own batch (see `model`).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .adapter import MixtureAdapterLayer
 from .errors import ConfigError, DataError, NumericError, StateError
-from .model import AdapterModel, trainable_stage1_params
+from .model import AdapterModel, StepRows, trainable_stage1_params
 from .numerics import kl_divergence
 from .optim import AdamWState, OptimConfig, apply_step, init_adamw_state
 # Nothing here calls it, but `perfbench/spans.py` wraps the step's functions
@@ -193,14 +200,11 @@ def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
     return states
 
 
-def _phase_step(model: AdapterModel, task: int, data: TaskData, idx: np.ndarray,
-                cfg: OptimConfig, router_trainable: bool, states: _StepStates,
-                step_no: int) -> float:
-    """One optimisation step over the batch `idx`; returns the contrastive
-    loss."""
-    loss, grads = model.loss_and_grads(
-        data.train_x[idx], data.train_y[idx], data.text_emb, task, router_trainable
-    )
+def _phase_step(model: AdapterModel, rows: StepRows, idx: np.ndarray, cfg: OptimConfig,
+                router_trainable: bool, states: _StepStates, step_no: int) -> float:
+    """One optimisation step over the batch `idx` of the phase's rows;
+    returns the contrastive loss."""
+    loss, grads = model.loss_and_grads(rows, idx)
     if not np.isfinite(loss):
         raise NumericError(f"step {step_no}: training loss became non-finite")
     for lg in grads:
@@ -227,6 +231,8 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     eval_x, eval_y = _eval_batch(data, schedule, task)
     cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
 
+    rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
+                           cursor.batch_size, router_grad=True)
     states = _step_states(model, task, cfg, router_trainable=True)
     snapshots: list[RoutingSnapshot] = []
 
@@ -238,7 +244,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     plateau_hits = 0
     for s in range(1, schedule.identify_steps + 1):
         idx = cursor.next()
-        _phase_step(model, task, data, idx, cfg, True, states, s)
+        _phase_step(model, rows, idx, cfg, True, states, s)
         if s % schedule.snapshot_interval == 0 or s == schedule.identify_steps:
             snap(s)
             if schedule.kl_plateau_stop is not None and len(snapshots) >= 2:
@@ -310,10 +316,12 @@ def finetune_experts(model: AdapterModel, task: int, data: TaskData,
         raise StateError(f"task {task}: fine-tune requires prune_candidates first")
     plain_cfg = replace(cfg, penalty=0.0)
     cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
+    rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
+                           cursor.batch_size, router_grad=False)
     states = _step_states(model, task, cfg, router_trainable=False)
     for s in range(1, schedule.finetune_steps + 1):
         idx = cursor.next()
-        _phase_step(model, task, data, idx, plain_cfg, False, states, s)
+        _phase_step(model, rows, idx, plain_cfg, False, states, s)
     model.phase[task] = "done"
     model.learned_tasks.append(task)
     model.current_task = None

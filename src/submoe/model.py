@@ -4,6 +4,21 @@ The image tower is a stack of frozen affine+tanh layers; selected layers get
 a residual mixture adapter appended.  Text embeddings are frozen per-task
 label tables carried with the data.  `task=None` routes nothing and replays
 the bare backbone (the fallback path for unrecognised inputs).
+
+A learning step (`loss_and_grads`) reads `StepRows`: what every step of a
+phase shares, made once for the phase's training rows.  The frozen layers
+up to the lowest adapter layer give each row the same input at every step,
+the label table stays the same, and with frozen routers so do the lowest
+adapter layer's routing and its mix of the experts before the task's
+(`adapter.FrozenMix`).  A step gathers its batch's rows of these and runs
+the rest.  Each is computed in blocks of the step's own row count, so a
+row's value comes from a product of the step's own shape.  It is the value
+the step would compute wherever the BLAS kernel rounds a row of a product
+the same whichever rows share the product with it, which
+`tests/test_kernel_guard.py` checks at the batch sizes the configs use.  An
+odd batch (47 rows, say) can put a row in a partial tile of the kernel,
+whose rounding depends on the row's position: there a run can differ from
+one that recomputes every step in the last ulp.
 """
 
 from __future__ import annotations
@@ -12,9 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import ForwardCache, MixtureAdapterLayer, RoutingDistribution
+from .adapter import ForwardCache, FrozenMix, MixtureAdapterLayer, RoutingDistribution
 from .errors import ConfigError, DimensionError
-from .numerics import MatMul, as_matrix, contrastive_loss, require_finite
+from .numerics import (
+    MatMul, as_matrix, by_row_blocks, contrastive_loss, label_ids, label_table,
+    require_finite, table_loss,
+)
 
 
 @dataclass
@@ -68,6 +86,18 @@ class LayerGrads:
 
 
 @dataclass
+class StepRows:
+    """What the learning steps of a phase share, per training row; see
+    `AdapterModel.step_rows`."""
+
+    task: int
+    inputs: np.ndarray  # [n, dim]: each row's input to the lowest adapter layer
+    labels: np.ndarray  # [n] int64 label ids, in range of `table`
+    table: np.ndarray   # [classes, dim] the label rows, checked and of unit norm
+    frozen: FrozenMix | None  # frozen routers: the lowest adapter layer's mix
+
+
+@dataclass
 class AdapterModel:
     backbone: FrozenBackbone
     adapters: dict[int, MixtureAdapterLayer]
@@ -83,22 +113,36 @@ class AdapterModel:
     def adapter_layers(self) -> list[MixtureAdapterLayer]:
         return [self.adapters[i] for i in sorted(self.adapters)]
 
-    def _forward(self, x, task: int | None, keep_tape: bool, matmul: MatMul = np.matmul,
-                 dists: list[RoutingDistribution] | None = None):
-        """(embeddings, tape).  With `keep_tape`, the tape holds per backbone
-        layer its pre-adapter activations and the adapter's cache (None
-        where no adapter ran) for backward; otherwise it is None.  Each
-        adapter's routing distribution is appended to `dists` when given."""
+    def _input(self, x) -> np.ndarray:
         h = as_matrix(x)
         if h.shape[1] != self.dim:
             raise DimensionError(f"input width {h.shape[1]}, backbone dim {self.dim}")
         require_finite("model input", h)
+        return h
+
+    def _forward(self, x, task: int | None, keep_tape: bool, matmul: MatMul = np.matmul,
+                 dists: list[RoutingDistribution] | None = None):
+        """(embeddings, tape) of the model input `x`; see `_layers`."""
+        t = self.backbone.layer_forward(0, self._input(x), matmul)
+        return self._layers(0, t, task, keep_tape, matmul, dists)
+
+    def _layers(self, start: int, t: np.ndarray, task: int | None, keep_tape: bool,
+                matmul: MatMul = np.matmul, dists: list[RoutingDistribution] | None = None,
+                frozen: FrozenMix | None = None):
+        """(embeddings, tape) of the layers from `start` on, given `t`, the
+        output of backbone layer `start`.  With `keep_tape`, the tape holds
+        per layer its pre-adapter activations and the adapter's cache (None
+        where no adapter ran) for backward; otherwise it is None.  Each
+        adapter's routing distribution is appended to `dists` when given.
+        `frozen` is the mix the adapter at `start` continues from."""
         tape = [] if keep_tape else None
-        for i in range(self.backbone.depth):
-            t = self.backbone.layer_forward(i, h, matmul)
+        for i in range(start, self.backbone.depth):
+            if i > start:
+                t = self.backbone.layer_forward(i, h, matmul)
             cache: ForwardCache | None = None
             if task is not None and i in self.adapters:
-                h, dist, cache = self.adapters[i].forward(task, t, matmul)
+                h, dist, cache = self.adapters[i].forward(
+                    task, t, matmul, frozen if i == start else None)
                 if dists is not None:
                     dists.append(dist)
             else:
@@ -120,8 +164,41 @@ class AdapterModel:
     def predict(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
         return self.logits(x, text_emb, task, matmul).argmax(axis=1)
 
-    def loss_and_grads(self, x, labels, text_emb, task: int, router_grad: bool = True):
-        """Contrastive loss plus analytic gradients for every adapter layer.
+    def step_rows(self, x, labels, text_emb, task: int, block: int,
+                  router_grad: bool) -> StepRows:
+        """What learning steps over batches of `block` of the rows `x` (with
+        `labels`, against the label rows `text_emb`) share while nothing
+        below the lowest adapter layer trains, nor, unless `router_grad`,
+        any router.  It checks, over every row, what a step would check of
+        its batch's rows: `x` is finite and as wide as the backbone, the
+        label rows are finite and none has zero norm, every label indexes
+        one.  Every value is computed in blocks of `block` rows (see
+        `numerics.by_row_blocks`)."""
+        h = self._input(x)
+        table = label_table(text_emb, self.dim, self.temperature)
+        y = label_ids(labels, h.shape[0], table.shape[0])
+        lowest = min(self.adapters)
+
+        def prefix(rows: slice):
+            t = h[rows]
+            for i in range(lowest + 1):
+                t = self.backbone.layer_forward(i, t)
+            return (t,)
+
+        (inputs,) = by_row_blocks(prefix, h.shape[0], block)
+        frozen = None if router_grad else self.adapters[lowest].frozen_mix(task, inputs, block)
+        return StepRows(task=task, inputs=inputs, labels=y, table=table, frozen=frozen)
+
+    def loss_and_grads(self, x, labels, text_emb=None, task: int | None = None,
+                       router_grad: bool = True):
+        """Contrastive loss plus analytic gradients for every adapter layer:
+        one learning step.
+
+        A learning phase calls `loss_and_grads(rows, idx)` with the
+        `StepRows` it made once and the indices of the step's batch in
+        them.  `loss_and_grads(x, labels, text_emb, task, router_grad)` makes
+        StepRows over its own rows, in one block, and runs the same step
+        over all of them.
 
         Returns (loss, grads) with one LayerGrads per adapter layer in layer
         order.  Each holds the router gradient (None when `router_grad` is
@@ -130,16 +207,23 @@ class AdapterModel:
         frozen.  The backward pass stops at the lowest adapter layer:
         nothing below it trains.
         """
-        emb, tape = self._forward(x, task, keep_tape=True)
-        loss, g = contrastive_loss(emb, text_emb, labels, self.temperature)
+        if isinstance(x, StepRows):
+            rows, idx = x, labels
+        else:
+            h = as_matrix(x)
+            rows = self.step_rows(h, labels, text_emb, task, h.shape[0], router_grad)
+            idx = np.arange(h.shape[0])
+        frozen = None if rows.frozen is None else rows.frozen.take(idx)
         lowest = min(self.adapters)
+        emb, tape = self._layers(lowest, rows.inputs[idx], rows.task, True, frozen=frozen)
+        loss, g = table_loss(emb, rows.table, rows.labels[idx], self.temperature)
         per_layer: dict[int, LayerGrads] = {}
         for i in range(self.backbone.depth - 1, lowest - 1, -1):
-            t, cache = tape[i]
+            t, cache = tape[i - lowest]
             if cache is not None:
                 layer = self.adapters[i]
                 g, expert_grads, rgrad = layer.backward(
-                    cache, g, input_grad=i > lowest, router_grad=router_grad)
+                    cache, g, input_grad=i > lowest, router_grad=frozen is None)
                 per_layer[i] = LayerGrads(
                     layer_index=i, expert_grads=expert_grads,
                     router_grad=rgrad, dist=cache.dist,

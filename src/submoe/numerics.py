@@ -62,6 +62,25 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray, block: int = 1,
     return out
 
 
+def by_row_blocks(fn: Callable[[slice], tuple[np.ndarray, ...]], n: int,
+                  block: int) -> tuple[np.ndarray, ...]:
+    """The arrays `fn(rows)` returns for each slice `rows` of `block`
+    consecutive rows out of `n`, stitched back by row.  The blocks run from
+    row 0, and the last is the last `block` rows, which may repeat rows of
+    the one before it: every call sees exactly `block` rows, so each row's
+    values come from products of that one shape."""
+    if not 1 <= block <= n:
+        raise DimensionError(f"blocks of {block} rows need 1 to {n} of them")
+    out: tuple[np.ndarray, ...] = ()
+    for s in (*range(0, n - block, block), n - block):
+        part = fn(slice(s, s + block))
+        if not out:
+            out = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in part)
+        for o, p in zip(out, part):
+            o[s:s + block] = p
+    return out
+
+
 def softmax(logits) -> np.ndarray:
     """Stable softmax of a 1-d logit vector."""
     v = np.asarray(logits, dtype=np.float64)
@@ -106,13 +125,59 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _check_temperature(temperature: float) -> None:
+    if not np.isfinite(temperature) or temperature <= 0.0:
+        raise NumericError(f"temperature must be positive, got {temperature}")
+
+
+def _unit_rows(txt: np.ndarray) -> np.ndarray:
+    norm = _row_norms(txt)
+    if not norm.all():
+        raise NumericError("zero-norm text embedding row")
+    return txt / norm[:, None]
+
+
+def _image_norms(img: np.ndarray) -> np.ndarray:
+    img_norm = _row_norms(img)
+    if not img_norm.all():
+        raise NumericError("zero-norm image embedding row")
+    return img_norm
+
+
+def label_table(txt_emb, width: int, temperature: float) -> np.ndarray:
+    """The per-task part of `contrastive_loss`: the label rows checked
+    (non-empty, `width` wide, finite, none of zero norm), with `temperature`,
+    and scaled to unit norm.  A learning phase makes it once for every
+    `table_loss` of its steps."""
+    txt = as_matrix(txt_emb)
+    if txt.shape[0] == 0:
+        raise DimensionError("contrastive loss needs at least one image and one label row")
+    if txt.shape[1] != width:
+        raise DimensionError(f"embedding widths differ: image {width} vs text {txt.shape[1]}")
+    _check_temperature(temperature)
+    require_finite("text embeddings", txt)
+    return _unit_rows(txt)
+
+
+def label_ids(labels, rows: int, classes: int) -> np.ndarray:
+    """`labels` as int64 ids, one per row, each in [0, classes)."""
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    if y.shape[0] != rows:
+        raise DimensionError(f"{rows} image rows but {y.shape[0]} labels")
+    if np.minimum.reduce(y, initial=0) < 0 or np.maximum.reduce(y, initial=-1) >= classes:
+        raise LabelError(f"labels must lie in [0, {classes})")
+    return y
+
+
 def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
     """Cross-entropy over temperature-scaled cosine similarities, image rows
     against the label-embedding table.
 
     Returns (loss, grad) where grad is the analytic gradient with respect to
     the unnormalised image embeddings (the cosine normalisation is part of
-    the op and is differentiated through).
+    the op and is differentiated through).  It is `table_loss` against the
+    table `label_table` makes, with every check of both, in the order of
+    the loss as first written.
     """
     img = as_matrix(img_emb)
     txt = as_matrix(txt_emb)
@@ -122,24 +187,25 @@ def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
         raise DimensionError(
             f"embedding widths differ: image {img.shape[1]} vs text {txt.shape[1]}"
         )
-    if not np.isfinite(temperature) or temperature <= 0.0:
-        raise NumericError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     require_finite("image embeddings", img)
     require_finite("text embeddings", txt)
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    if y.shape[0] != img.shape[0]:
-        raise DimensionError(f"{img.shape[0]} image rows but {y.shape[0]} labels")
-    if np.minimum.reduce(y, initial=0) < 0 or np.maximum.reduce(y, initial=-1) >= txt.shape[0]:
-        raise LabelError(f"labels must lie in [0, {txt.shape[0]})")
+    y = label_ids(labels, img.shape[0], txt.shape[0])
+    img_norm = _image_norms(img)
+    return _table_loss(img, img_norm, _unit_rows(txt), y, temperature)
 
-    img_norm = _row_norms(img)
-    txt_norm = _row_norms(txt)
-    if not img_norm.all():
-        raise NumericError("zero-norm image embedding row")
-    if not txt_norm.all():
-        raise NumericError("zero-norm text embedding row")
+
+def table_loss(img: np.ndarray, table: np.ndarray, y: np.ndarray, temperature: float):
+    """The per-step part of `contrastive_loss`: (loss, grad) of the image
+    rows `img` against `table` and `temperature`, which `label_table`
+    checked, with `y` from `label_ids`.  It checks what changes per step:
+    the image rows are finite and none has zero norm."""
+    require_finite("image embeddings", img)
+    return _table_loss(img, _image_norms(img), table, y, temperature)
+
+
+def _table_loss(img, img_norm, th, y, temperature):
     ih = img / img_norm[:, None]
-    th = txt / txt_norm[:, None]
 
     # every temporary below is fresh, so it is scaled and shifted in place
     logits = ih @ th.T

@@ -56,6 +56,10 @@ class TaskSpec:
     data_path: str | None = None
 
     def __post_init__(self):
+        if self.task_id < 0:
+            raise ConfigError(f"stream.task_id: must be >= 0, got {self.task_id}")
+        if self.seed < 0:
+            raise ConfigError(f"stream.seed: must be >= 0, got {self.seed}")
         if self.classes < 2:
             raise ConfigError(f"stream.classes: need at least 2 classes, got {self.classes}")
         if self.samples_per_class < 1:

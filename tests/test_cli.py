@@ -160,6 +160,39 @@ def test_sweep_empty_values_exits_1(rooted, capsys):
     assert "--values" in capsys.readouterr().err
 
 
+NEGATIVE = {
+    "seed": ("seed", -1, "seed: must be >= 0, got -1"),
+    "task seed": ("stream", {"seed": -3}, "stream[0]: stream.seed: must be >= 0, got -3"),
+    "task id": ("stream", {"task_id": -1}, "stream[0]: stream.task_id: must be >= 0, got -1"),
+}
+
+
+def _with_negative(key: str, value) -> dict:
+    if key == "seed":
+        return {"seed": value}
+    return {"stream": [{"task_id": i, "classes": 3, "samples_per_class": 8, "eval_per_class": 4,
+                        "seed": i, **(value if i == 0 else {})} for i in range(2)]}
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "optimizer.penalty",
+                                               "--values", "0.01"]])
+@pytest.mark.parametrize("key,value,message", NEGATIVE.values(), ids=NEGATIVE.keys())
+def test_a_negative_seed_or_task_id_exits_1_naming_the_field(rooted, capsys, command, key,
+                                                             value, message):
+    cfg = write_config(rooted, **_with_negative(key, value))
+    assert main([command[0], str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (rooted / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["-1,0", "0,-1"])
+def test_sweep_refuses_a_negative_seed_value_before_any_run_exits_1(rooted, capsys, values):
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", "seed", f"--values={values}"]) == 1
+    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+    assert not (rooted / "out").exists()
+
+
 @pytest.mark.parametrize("escape", ["abs", "../../escape"])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1"]])
 def test_output_root_refuses_an_escaping_output_dir_exits_1(rooted, capsys, escape, command):

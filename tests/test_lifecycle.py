@@ -14,11 +14,12 @@ from submoe.lifecycle import (
     fit_routing, kl_to_final, learn_task, prune_candidates, prune_records,
     trace_records,
 )
-from submoe.model import build_model, trainable_stage1_params
+from submoe.model import AdapterModel, build_model, trainable_stage1_params
 from submoe.optim import OptimConfig
 from submoe.streams import Alignment, TaskSpec, generate_stream
 
 from oracles import blas_kernel, for_kernel, frozen_fingerprint
+from reference_grads import full_loss_and_grads
 
 DIM = 8
 
@@ -349,3 +350,97 @@ def test_adamw_learning_path_is_pinned():
             h.update(layer.routers[t].weight.tobytes())
     assert model.expert_counts() == {1: 3, 2: 4}  # pruning ran on one layer
     assert h.hexdigest() == for_kernel(ADAMW_TWO_TASK_DIGEST), f"BLAS kernel {blas_kernel()}"
+
+
+# A phase's steps read what `AdapterModel.step_rows` made once for every
+# training row.  These cases run whole phases at dim 64 over 96 training
+# rows, with 14 frozen experts below the candidates: each step must equal,
+# bit for bit, a step computed from scratch on its batch's own rows.  On
+# the SkylakeX kernel a cache made from one product over all 96 rows fails
+# every case, through the frozen routing of 14-16 experts at K 64 or, at
+# 16 rows, the prefix (the Haswell kernel rounds those products alike).
+PHASE_CASES = {
+    "48 of 96 rows": dict(batch_size=48),
+    "a tail block": dict(batch_size=40),
+    "top_k masking": dict(batch_size=48, top_k=3),
+    "adamw": dict(batch_size=16, method="adamw"),
+    "no survivor at the lowest layer": dict(batch_size=48, clear_lowest=True),
+}
+
+
+def _grown_model(top_k: int, old_tasks: int = 7):
+    """A dim-64 model whose adapter layers hold two live experts and a
+    router for each of `old_tasks` earlier tasks, as if learned."""
+    model = build_model(dim=64, depth=3, adapter_layers=[1, 2], rank=2, top_k=top_k,
+                        temperature=0.4, seed=0)
+    rng = np.random.default_rng(60)
+    for t in range(old_tasks):
+        for layer in model.adapter_layers():
+            for _ in range(2):
+                e = layer.add_expert(t, rng)
+                e.up[...] = 0.3 * rng.standard_normal(e.up.shape)
+            layer.add_router(t).weight[...] = rng.standard_normal((len(layer.experts), 64))
+        model.phase[t] = "done"
+        model.learned_tasks.append(t)
+    return model
+
+
+def _reference_step(model, x, labels, text, task):
+    """(loss, {layer: (expert_grads, router_grad)}, {layer: dist}) of a step
+    computed from scratch on the rows `x`."""
+    loss, layers = full_loss_and_grads(model, x, labels, text, task)
+    _, tape = model._forward(x, task, keep_tape=True)
+    return loss, layers, {i: cache.dist for i, (_, cache) in enumerate(tape) if cache}
+
+
+@pytest.mark.parametrize("case", PHASE_CASES.values(), ids=PHASE_CASES.keys())
+def test_every_phase_step_equals_a_step_from_scratch(monkeypatch, case):
+    case = dict(case)
+    clear_lowest = case.pop("clear_lowest", False)
+    method = case.pop("method", "sgd")
+    model = _grown_model(case.pop("top_k", 64))
+    task = 7
+    data = generate_stream([TaskSpec(task_id=task, classes=3, samples_per_class=32,
+                                     eval_per_class=8, seed=3)], 64)[0]
+    assert data.train_x.shape[0] == 96
+    sched = make_schedule(identify_steps=12, finetune_steps=12, snapshot_interval=6,
+                          prune_threshold=0.0, **case)
+    cfg = make_cfg(learning_rate=1.0, method=method)
+    real = AdapterModel.loss_and_grads
+    frozen = []
+
+    def checked_step(self, rows, idx):
+        x, y = data.train_x[idx], data.train_y[idx]
+        ref_loss, ref_layers, ref_dists = _reference_step(self, x, y, data.text_emb, task)
+        loss, grads = real(self, rows, idx)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        for lg in grads:
+            ref_experts, ref_router = ref_layers[lg.layer_index]
+            ref_dist = ref_dists[lg.layer_index]
+            assert lg.dist.probs.tobytes() == ref_dist.probs.tobytes()
+            assert lg.dist.weights.tobytes() == ref_dist.weights.tobytes()
+            if rows.frozen is None:
+                assert lg.router_grad.tobytes() == ref_router.tobytes()
+            else:
+                assert lg.router_grad is None
+            owner = [e.owner_task for e in self.adapters[lg.layer_index].experts]
+            for j, got in enumerate(lg.expert_grads):
+                if owner[j] == task:
+                    assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_experts[j]]
+                else:
+                    assert got is None
+        frozen.append(rows.frozen is not None)
+        return loss, grads
+
+    monkeypatch.setattr(AdapterModel, "loss_and_grads", checked_step)
+    rng = np.random.default_rng(61)
+    begin_task(model, task, sched, rng)
+    trace = fit_routing(model, task, data, sched, cfg, rng)
+    prune_candidates(model, task, trace, sched.prune_threshold)
+    lowest = model.adapters[1]
+    if clear_lowest:
+        lowest.remove_experts({e.expert_id for e in lowest.candidates(task)}, task)
+    finetune_experts(model, task, data, sched, cfg, rng)
+    assert frozen == [False] * 12 + [True] * 12
+    assert 13 <= lowest.router_for(task).n_visible <= 16
+    assert len(lowest.candidates(task)) == (0 if clear_lowest else 2)
