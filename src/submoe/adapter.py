@@ -7,15 +7,17 @@ computation it was trained with.  The backward pass is hand-derived and
 returns gradients only for the visible experts the routed task owns (the
 only ones a learning step updates) plus, on request, the router.
 
-The layer packs its experts' arrays into `down_all [E, rank, dim]` and
-`up_all [E, dim, rank]`, whose slices are the experts' `down` and `up`, so a
-pass makes one stacked product per stage over a chunk of experts.  A stacked
-product makes, per expert, the BLAS call of that expert's 2-d product, and
-the weighted outputs are summed in expert order, so every value is bit for
-bit that of a loop over the experts, whatever the chunk size.  A chunk holds
-up to `CHUNK_BYTES` of outputs (42 experts at 48 rows and dim 64), so a
-training pass over a few dozen experts makes one stacked product per stage,
-and every layer writes its chunks to the one workspace of the process.
+The layer keeps its experts' arrays only in `down_all [E, rank, dim]` and
+`up_all [E, dim, rank]`: an expert's `down` and `up` are views of its slot,
+assigning one writes into the slot, and only a change of the expert list
+rebuilds the packs, so a pass reads them as they are and makes one stacked
+product per stage over a chunk of experts.  A stacked product makes, per
+expert, the BLAS call of that expert's 2-d product, and the weighted outputs
+are summed in expert order, so every value is bit for bit that of a loop
+over the experts, whatever the chunk size.  A chunk holds up to
+`CHUNK_BYTES` of outputs (42 experts at 48 rows and dim 64), so a training
+pass over a few dozen experts makes one stacked product per stage, and
+every layer writes its chunks to the one workspace of the process.
 Training and inference share one forward pass: it mixes each chunk's outputs
 into the layer's output and drops them, and its cache keeps only the down
 activations.  backward() recomputes each chunk's outputs from them with the
@@ -30,14 +32,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
 
 import numpy as np
 
 from .errors import DimensionError, MissingRouterError, StateError
 from .numerics import MatMul, as_matrix, by_row_blocks, require_finite, softmax_rows
-
-_DOWN, _UP = attrgetter("down"), attrgetter("up")
 
 # No stacked temporary of a pass exceeds this many bytes: a chunk holds as
 # many experts as fit, and at least one.
@@ -50,14 +49,26 @@ _work = np.empty(CHUNK_BYTES // 8)
 @dataclass
 class LoraExpert:
     """Rank-r residual map x -> up @ (down @ x); `up` starts at zero so a
-    fresh expert is exactly the zero map.  In a layer, `down` and `up` are
-    views of the layer's packed arrays; an array bound in their place is
-    copied into a new pack at the layer's next pass."""
+    fresh expert is exactly the zero map.  Once in a layer, `down` and `up`
+    are views of the expert's slot in the layer's packs, and assigning one
+    writes the values into the slot (`e.up = X` and `e.down += 1.0` both
+    update the layer); the shape must be the slot's."""
 
     down: np.ndarray  # [rank, dim]
     up: np.ndarray    # [dim, rank]
     owner_task: int
     expert_id: int
+    _slotted: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        slot = self.__dict__.get(name) if self._slotted and name in ("down", "up") else None
+        if slot is None:
+            object.__setattr__(self, name, value)
+        elif np.shape(value) != slot.shape:
+            raise DimensionError(f"expert {self.expert_id} {name}: shape {np.shape(value)}, "
+                                 f"slot {slot.shape}")
+        else:
+            slot[...] = value
 
     def params(self) -> list[np.ndarray]:
         return [self.down, self.up]
@@ -194,39 +205,37 @@ class MixtureAdapterLayer:
     dim: int
     rank: int
     top_k: int  # the k of a router added without one
-    experts: list[LoraExpert] = field(default_factory=list)
+    experts: tuple[LoraExpert, ...] = ()  # only the layer replaces it
     routers: dict[int, Router] = field(default_factory=dict)
     version: int = 0
     next_expert_id: int = 0
     down_all: np.ndarray = field(init=False, repr=False, compare=False)  # [E, rank, dim]
     up_all: np.ndarray = field(init=False, repr=False, compare=False)    # [E, dim, rank]
-    _packed: tuple = field(init=False, repr=False, compare=False)  # the slots' views
 
     def __post_init__(self):
-        self._repack()
+        if any(e._slotted for e in self.experts):
+            raise StateError("an expert already in a layer cannot join another")
+        self._pack(self.experts)
 
-    def _repack(self) -> None:
-        """Copy every expert's arrays into fresh `down_all`/`up_all` and make
-        them views of their slots."""
-        n = len(self.experts)
-        self.down_all = np.empty((n, self.rank, self.dim))
-        self.up_all = np.empty((n, self.dim, self.rank))
-        for i, e in enumerate(self.experts):
-            self.down_all[i], self.up_all[i] = e.down, e.up
-            e.down, e.up = self.down_all[i], self.up_all[i]
-        self._packed = (list(map(_DOWN, self.experts)), list(map(_UP, self.experts)))
+    def __setstate__(self, state: dict) -> None:
+        # unpickled or deep-copied experts hold copies of their slots
+        self.__dict__.update(state)
+        self._pack(self.experts)
 
-    def packed(self, visible: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(down_all, up_all), repacked first if the expert count changed or
-        an array of the first `visible` experts (default: all) is no longer
-        its slot (a checkpoint load or an `e.up = ...` rebinds it)."""
-        experts = self.experts if visible is None else self.experts[:visible]
-        downs, ups = self._packed
-        if not (len(self.experts) == len(downs)
-                and all(map(is_, map(_DOWN, experts), downs))
-                and all(map(is_, map(_UP, experts), ups))):
-            self._repack()
-        return self.down_all, self.up_all
+    def _pack(self, experts) -> None:
+        """Make `experts` the layer's experts: copy their arrays into fresh
+        `down_all`/`up_all` and bind each expert's `down` and `up` to its
+        slot.  An array of the wrong shape raises `DimensionError` first."""
+        want = (self.rank, self.dim), (self.dim, self.rank)
+        for e in experts:
+            if (e.down.shape, e.up.shape) != want:
+                raise DimensionError(f"layer {self.layer_index} expert {e.expert_id}: down "
+                                     f"{e.down.shape}, up {e.up.shape}, expected {want}")
+        down_all, up_all = np.empty((len(experts), *want[0])), np.empty((len(experts), *want[1]))
+        for i, e in enumerate(experts):
+            down_all[i], up_all[i] = e.down, e.up
+            e.__dict__.update(down=down_all[i], up=up_all[i], _slotted=True)
+        self.experts, self.down_all, self.up_all = tuple(experts), down_all, up_all
 
     def _chunks(self, lo: int, hi: int, rows: int) -> tuple[slice, ...]:
         return _chunk_slices(lo, hi, rows, max(self.dim, self.rank))
@@ -251,8 +260,7 @@ class MixtureAdapterLayer:
     def add_expert(self, owner_task: int, rng: np.random.Generator) -> LoraExpert:
         expert = new_expert(self.dim, self.rank, owner_task, self.next_expert_id, rng)
         self.next_expert_id += 1
-        self.experts.append(expert)
-        self._repack()
+        self._pack(self.experts + (expert,))
         self.version += 1
         return expert
 
@@ -286,8 +294,7 @@ class MixtureAdapterLayer:
                 )
         gone = set(doomed)
         keep_rows = [i for i in range(router.n_visible) if i not in gone]
-        self.experts = [e for i, e in enumerate(self.experts) if i not in gone]
-        self._repack()
+        self._pack([e for i, e in enumerate(self.experts) if i not in gone])
         router.weight = router.weight[keep_rows, :]
         self.version += 1
 
@@ -315,7 +322,7 @@ class MixtureAdapterLayer:
         [hi - lo, rows, rank].  Each chunk's outputs go to the process's
         workspace and are mixed into `y` there."""
         rows = x.shape[0]
-        down_all, up_all = self.packed(hi)
+        down_all, up_all = self.down_all, self.up_all
         acts = np.empty((hi - lo, rows, self.rank))
         slices = self._chunks(lo, hi, rows)
         buf = _scratch(slices, rows, self.dim)
@@ -398,7 +405,7 @@ class MixtureAdapterLayer:
         if g.shape != x.shape:
             raise DimensionError(f"grad shape {g.shape} does not match input {x.shape}")
         require_finite("upstream gradient", g)
-        down_all, up_all = self.packed(cache.n_visible)
+        down_all, up_all = self.down_all, self.up_all
 
         expert_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cache.n_visible
         for j in range(first, cache.n_visible):

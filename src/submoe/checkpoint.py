@@ -119,16 +119,12 @@ def layer_from_payload(payload: dict, version: int = VERSION) -> MixtureAdapterL
         dim=payload["dim"],
         rank=payload["rank"],
         top_k=payload["top_k"],
+        experts=[LoraExpert(down=decode(e["down"]), up=decode(e["up"]),
+                            owner_task=e["owner_task"], expert_id=e["expert_id"])
+                 for e in payload["experts"]],
         version=payload["version"],
         next_expert_id=payload["next_expert_id"],
     )
-    for e in payload["experts"]:
-        layer.experts.append(LoraExpert(
-            down=decode(e["down"]),
-            up=decode(e["up"]),
-            owner_task=e["owner_task"],
-            expert_id=e["expert_id"],
-        ))
     for r in payload["routers"]:
         weight = decode(r["weight"])
         if weight.shape == (0,):  # a version 1 or 2 router with no rows saved as []

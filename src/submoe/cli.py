@@ -27,7 +27,8 @@ from pathlib import Path
 from .config import config_from_dict, config_to_dict, load_config
 from .errors import ConfigError, DataError, SubmoeError
 from .experiment import (
-    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, resolve_output_dir, run_experiment,
+    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, prepare_run, resolve_output_dir,
+    run_experiment,
 )
 
 METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
@@ -228,6 +229,8 @@ def _cmd_sweep(args) -> int:
         label = text.replace("/", "_")
         raw["output_dir"] = str(Path(base_cfg.output_dir) / f"{args.param}={label}")
         cfgs.append(config_from_dict(raw))
+    for cfg in cfgs:  # and prepared, so that no value is refused after a run
+        prepare_run(cfg)
     rows = []
     for text, cfg in zip(values, cfgs):
         result = run_experiment(cfg)

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .evaluation import EvalState, evaluate_row, pooled_accuracy
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
-from .streams import export_task, generate_stream
+from .streams import TaskData, export_task, generate_stream
 from .task_bank import TaskBank, nearest
 
 OUTPUT_ROOT_ENV = "SUBMOE_OUTPUT_ROOT"
@@ -265,10 +265,27 @@ ARTIFACT_WRITERS = (
 )
 
 
+def prepare_run(cfg: ExperimentConfig) -> tuple[list[TaskData], AdapterModel, TaskBank]:
+    """The stream, the model and the bank of a run of `cfg`.  Every check of
+    the configuration that the parser leaves to them fails here, before a
+    run writes anything."""
+    tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
+    model = build_model(
+        dim=cfg.model.feature_dim, depth=cfg.model.depth,
+        adapter_layers=list(cfg.model.adapter_layers), rank=cfg.model.rank,
+        top_k=cfg.schedule.top_k, temperature=cfg.contrastive.temperature,
+        seed=cfg.seed,
+    )
+    return tasks, model, TaskBank(threshold=cfg.task_bank.match_threshold,
+                                  metric=cfg.task_bank.metric)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    if not cfg.stream:
-        raise DataError("config has an empty task stream")
+    """Learn and evaluate `cfg`'s stream and write every artifact to `out_dir`
+    (default: `resolve_output_dir(cfg)`).  A configuration that the stream,
+    the model or the bank refuses raises before the directory is touched."""
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
+    tasks, model, bank = prepare_run(cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -282,18 +299,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     if (out / STREAM_DIR).exists():
         shutil.rmtree(out / STREAM_DIR)
 
-    tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
     if cfg.export_stream:
         for data in tasks:
             export_task(data, out / STREAM_DIR)
 
-    model = build_model(
-        dim=cfg.model.feature_dim, depth=cfg.model.depth,
-        adapter_layers=list(cfg.model.adapter_layers), rank=cfg.model.rank,
-        top_k=cfg.schedule.top_k, temperature=cfg.contrastive.temperature,
-        seed=cfg.seed,
-    )
-    bank = TaskBank(threshold=cfg.task_bank.match_threshold, metric=cfg.task_bank.metric)
     run = _Run(cfg=cfg, model=model, bank=bank,
                matrix=np.full((len(tasks), len(tasks)), np.nan))
     learned: set[int] = set()

@@ -12,7 +12,10 @@ every training row's input to the lowest adapter layer, the checked label
 table and, in phase 2, the lowest adapter layer's routing and its mix of the
 experts the task does not own.  It computes them in blocks of the steps'
 batch size, so a step reads, bit for bit, what it would have computed from
-its own batch (see `model`).
+its own batch (see `model`).  It also binds each candidate's `down` and `up`
+once: they are views of the layer's packs, which nothing rebuilds within a
+phase, and a step updates them in place.  A task whose candidates were all
+pruned takes no phase-2 step.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import MixtureAdapterLayer
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import AdapterModel, StepRows, trainable_stage1_params
 from .numerics import kl_divergence
@@ -167,17 +169,13 @@ class _BatchCursor:
 class _LayerStep:
     """What a phase's steps share in one adapter layer.  Nothing adds or
     removes an expert or a router row within a phase, so the candidates'
-    positions and the router's weight stay fixed; the experts' arrays are
-    read at each step, since a pass may repack them (after a checkpoint
-    load, for one)."""
+    positions, their arrays (views of the layer's packs, which only such a
+    change rebuilds) and the router's weight stay fixed."""
 
-    layer: MixtureAdapterLayer
-    cand_idx: list[int]      # the task's candidates among the layer's experts
-    plain: list[np.ndarray]  # the router's weight when it trains
-    adam: AdamWState | None  # moments of the candidates' arrays, then of plain
-
-    def cand_params(self) -> list[list[np.ndarray]]:
-        return [self.layer.experts[j].params() for j in self.cand_idx]
+    cand_idx: list[int]                  # the task's candidates among the layer's experts
+    cand_params: list[list[np.ndarray]]  # each candidate's (down, up), stepped in place
+    plain: list[np.ndarray]              # the router's weight when it trains
+    adam: AdamWState | None              # moments of the candidates' arrays, then of plain
 
 
 _StepStates = dict[int, _LayerStep]
@@ -196,7 +194,7 @@ def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
         adam = None
         if cfg.method == "adamw":
             adam = init_adamw_state([p for group in cand_params for p in group] + plain)
-        states[layer.layer_index] = _LayerStep(layer, cand_idx, plain, adam)
+        states[layer.layer_index] = _LayerStep(cand_idx, cand_params, plain, adam)
     return states
 
 
@@ -211,10 +209,9 @@ def _phase_step(model: AdapterModel, rows: StepRows, idx: np.ndarray, cfg: Optim
         st = states[lg.layer_index]
         mean_w = lg.dist.mean_weights().tolist()
         pis = [mean_w[j] for j in st.cand_idx]
-        cand_params = st.cand_params()
         cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
         plain_grads = [lg.router_grad] if router_trainable else []
-        apply_step(cand_params, cand_grads, pis, st.plain, plain_grads, cfg, st.adam)
+        apply_step(st.cand_params, cand_grads, pis, st.plain, plain_grads, cfg, st.adam)
     return loss
 
 
@@ -311,17 +308,17 @@ def finetune_experts(model: AdapterModel, task: int, data: TaskData,
                      schedule: PhaseSchedule, cfg: OptimConfig,
                      rng: np.random.Generator) -> None:
     """Phase 2: freeze the task's routers, drop the damping, and train only
-    the surviving candidates.  A task with no survivors is a no-op."""
+    the surviving candidates.  A task with no survivors takes no step."""
     if model.phase.get(task) != "pruned":
         raise StateError(f"task {task}: fine-tune requires prune_candidates first")
-    plain_cfg = replace(cfg, penalty=0.0)
-    cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
-    rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
-                           cursor.batch_size, router_grad=False)
-    states = _step_states(model, task, cfg, router_trainable=False)
-    for s in range(1, schedule.finetune_steps + 1):
-        idx = cursor.next()
-        _phase_step(model, rows, idx, plain_cfg, False, states, s)
+    if any(layer.candidate_indices(task) for layer in model.adapter_layers()):
+        plain_cfg = replace(cfg, penalty=0.0)
+        cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
+        rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
+                               cursor.batch_size, router_grad=False)
+        states = _step_states(model, task, cfg, router_trainable=False)
+        for s in range(1, schedule.finetune_steps + 1):
+            _phase_step(model, rows, cursor.next(), plain_cfg, False, states, s)
     model.phase[task] = "done"
     model.learned_tasks.append(task)
     model.current_task = None

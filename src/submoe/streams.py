@@ -100,7 +100,10 @@ def _orthonormal_complement_draw(rng: np.random.Generator, dim: int, count: int,
         )
     raw = rng.standard_normal((dim, count))
     if prior is not None and prior.size:
-        q, _ = np.linalg.qr(prior.T)  # columns span the prior space
+        if used == prior.shape[0]:
+            q, _ = np.linalg.qr(prior.T)  # columns span the prior space
+        else:  # repeated rows (a reuse task): QR would add spurious columns
+            q = np.linalg.svd(prior, full_matrices=False)[2][:used].T
         raw = raw - q @ (q.T @ raw)
     q2, r2 = np.linalg.qr(raw)
     # fix the sign convention so the draw is deterministic under QR variants
@@ -179,7 +182,7 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
 def generate_stream(specs: list[TaskSpec], dim: int,
                     prototype_scale: float = 1.0) -> list[TaskData]:
     if not specs:
-        raise DataError("empty task stream")
+        raise ConfigError("stream: empty task stream")
     seen = set()
     for pos, spec in enumerate(specs):
         if spec.task_id in seen:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -472,17 +474,94 @@ def test_route_is_bit_exact_against_its_first_form(n_visible, k_offset, scale):
 
 def test_experts_are_views_of_the_packed_arrays():
     layer = make_layer(n_experts=3, seed=23)
-    layer.experts[1].up = np.ones((6, 2))  # rebound: no longer a slot
-    down_all, up_all = layer.packed()
+    down_all, up_all = layer.down_all, layer.up_all
     assert down_all.shape == (3, 2, 6) and up_all.shape == (3, 6, 2)
     for i, e in enumerate(layer.experts):
-        assert np.shares_memory(e.down, down_all) and np.shares_memory(e.up, up_all)
+        assert np.shares_memory(e.down, down_all[i]) and np.shares_memory(e.up, up_all[i])
         assert e.down.tobytes() == down_all[i].tobytes()
         assert e.up.tobytes() == up_all[i].tobytes()
-    assert (up_all[1] == 1.0).all()
+    # assignment writes the values into the slot: the expert stays its view
+    layer.experts[1].up = np.ones((6, 2))
+    assert (up_all[1] == 1.0).all() and np.shares_memory(layer.experts[1].up, up_all[1])
     # an in-place update of an expert is an update of the pack
     layer.experts[2].down += 1.0
-    assert layer.packed()[0] is down_all and down_all[2].tobytes() == layer.experts[2].down.tobytes()
+    assert layer.down_all is down_all
+    assert down_all[2].tobytes() == layer.experts[2].down.tobytes()
+    with pytest.raises(DimensionError):
+        layer.experts[0].down = np.ones((2, 5))
+    assert layer.experts[0].down.shape == (2, 6)
+    assert np.shares_memory(layer.experts[0].down, down_all[0])
+
+
+def test_assignment_reaches_the_pass():
+    layer = make_layer(n_experts=3, seed=29)
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((5, 6))
+    layer.experts[0].up = rng.standard_normal((6, 2))
+    layer.experts[1].down += 0.25
+    layer.experts[2].up *= -2.0
+    y, _, _ = layer.forward(0, x)
+    ref, _, _ = loop_forward(layer, 0, x)
+    assert y.tobytes() == ref.tobytes()
+    # the same values through a layer packed from fresh copies of the arrays
+    assert y.tobytes() == rebuilt(layer).forward(0, x)[0].tobytes()
+
+
+def test_passes_never_reallocate_the_packs():
+    layer = make_layer(dim=8, n_experts=5, top_k=3, seed=37)
+    packs = layer.down_all, layer.up_all
+    rng = np.random.default_rng(38)
+    for rows in (1, 4, 48):
+        x = rng.standard_normal((rows, 8))
+        y, _, cache = layer.forward(0, x)
+        layer.backward(cache, np.ones_like(y))
+        layer.experts[rows % 5].up += 0.5  # a learning step's in-place write
+    frozen = layer.frozen_mix(0, x, block=48)
+    layer.backward(layer.forward(0, x, frozen=frozen)[2], np.ones_like(y),
+                   input_grad=False, router_grad=False)
+    assert layer.down_all is packs[0] and layer.up_all is packs[1]
+    for i, e in enumerate(layer.experts):
+        assert np.shares_memory(e.down, packs[0][i]) and np.shares_memory(e.up, packs[1][i])
+
+
+def test_only_the_layer_changes_its_expert_list():
+    layer = make_layer(n_experts=2, seed=39)
+    assert isinstance(layer.experts, tuple)
+    with pytest.raises(AttributeError):
+        layer.experts.append(layer.experts[0])
+    # an expert belongs to one layer: a second layer would take its slot
+    with pytest.raises(StateError):
+        MixtureAdapterLayer(layer_index=1, dim=6, rank=2, top_k=2, experts=[layer.experts[0]])
+    added = layer.add_expert(0, np.random.default_rng(40))
+    assert layer.experts[-1] is added and layer.down_all.shape[0] == 3
+    assert np.shares_memory(added.up, layer.up_all[2])
+
+
+def rebuilt(layer: MixtureAdapterLayer) -> MixtureAdapterLayer:
+    """A layer packed from fresh copies of `layer`'s expert and router arrays."""
+    return MixtureAdapterLayer(
+        layer_index=layer.layer_index, dim=layer.dim, rank=layer.rank, top_k=layer.top_k,
+        experts=[adapter.LoraExpert(e.down.copy(), e.up.copy(), e.owner_task, e.expert_id)
+                 for e in layer.experts],
+        routers={t: Router(r.weight.copy(), r.top_k) for t, r in layer.routers.items()},
+        version=layer.version, next_expert_id=layer.next_expert_id)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_layer_stays_consistent_after_an_in_place_write(how):
+    layer = make_layer(dim=8, n_experts=4, top_k=4, seed=41)
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((6, 8))
+    layer.forward(0, x)  # a layer in use, as a model mid-training is
+    twin = copy.deepcopy(layer) if how == "deepcopy" else pickle.loads(pickle.dumps(layer))
+    for e in twin.experts:  # what a learning step does to a candidate
+        e.up += rng.standard_normal(e.up.shape)
+        e.down -= 0.1 * rng.standard_normal(e.down.shape)
+    got = twin.forward(0, x)[0]
+    assert got.tobytes() == rebuilt(twin).forward(0, x)[0].tobytes()
+    assert got.tobytes() != layer.forward(0, x)[0].tobytes()  # the original kept its own
+    for i, e in enumerate(twin.experts):
+        assert np.shares_memory(e.up, twin.up_all[i]) and np.shares_memory(e.down, twin.down_all[i])
 
 
 def test_a_training_cache_holds_only_the_down_activations_and_routing():

@@ -103,10 +103,15 @@ def test_loaded_model_takes_learning_steps(tmp_path):
     model, bank, stream = trained_model(learned=(0,))
     begin_task(model, 1, SCHEDULE, np.random.default_rng(1))
     loaded, _, _ = load_checkpoint(save_checkpoint(tmp_path / "ck.json", model, bank))
-    arrays = [a for layer in loaded.adapter_layers()
-              for a in [p for e in layer.experts for p in e.params()]
-              + [r.weight for r in layer.routers.values()]]
-    assert all(a.flags.writeable and a.flags.owndata for a in arrays)
+    for layer in loaded.adapter_layers():
+        # before any pass, every expert's arrays are writable views of its slot
+        for i, e in enumerate(layer.experts):
+            assert e.down.base is layer.down_all and e.up.base is layer.up_all
+            assert np.shares_memory(e.down, layer.down_all[i])
+            assert np.shares_memory(e.up, layer.up_all[i])
+            assert e.down.flags.writeable and e.up.flags.writeable
+        assert all(r.weight.flags.writeable and r.weight.flags.owndata
+                   for r in layer.routers.values())
     for m in (model, loaded):
         rng = np.random.default_rng(7)
         trace = fit_routing(m, 1, stream[1], SCHEDULE, OPTIM, rng)

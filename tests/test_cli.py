@@ -193,6 +193,55 @@ def test_sweep_refuses_a_negative_seed_value_before_any_run_exits_1(rooted, caps
     assert not (rooted / "out").exists()
 
 
+def _stream(*specs: dict) -> list[dict]:
+    return [{"task_id": i, "classes": 3, "samples_per_class": 8, "eval_per_class": 4,
+             "seed": i, **spec} for i, spec in enumerate(specs)]
+
+
+MODEL = {"feature_dim": 8, "depth": 3, "adapter_layers": [1, 2], "rank": 2}
+# configurations the parser accepts and the stream, the model or the bank refuses
+REFUSED = {
+    "rank 0": ({"model": {**MODEL, "rank": 0}}, "model.rank"),
+    "no adapter layer": ({"model": {**MODEL, "adapter_layers": []}}, "model.adapter_layers"),
+    "a layer twice": ({"model": {**MODEL, "adapter_layers": [1, 1]}}, "model.adapter_layers"),
+    "cosine metric": ({"task_bank": {"metric": "cosine"}}, "task_bank.metric"),
+    "negative threshold": ({"task_bank": {"match_threshold": -1.0}},
+                           "task_bank.match_threshold"),
+    "duplicate task id": ({"stream": _stream({}, {"task_id": 0})}, "duplicate task id"),
+    "source not earlier": ({"stream": _stream({}, {"alignment": {"mode": "reuse", "source": 1}})},
+                           "stream[1].alignment.source"),
+    "empty stream": ({"stream": []}, "stream: empty task stream"),
+}
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("overrides,message", REFUSED.values(), ids=REFUSED.keys())
+def test_a_refused_configuration_exits_1_and_touches_no_run_directory(rooted, capsys,
+                                                                      overrides, message):
+    bad = write_config(rooted, "bad.json", **overrides)
+    for command in (["run"], ["sweep", "--param", "optimizer.penalty", "--values", "0.01,0.02"]):
+        assert main([command[0], str(bad), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (rooted / "out").exists()
+    # over an existing run, every file stays as it was
+    assert main(["run", str(write_config(rooted))]) == 0
+    before = _tree(rooted / "out")
+    assert main(["run", str(bad)]) == 1
+    assert _tree(rooted / "out") == before
+
+
+def test_sweep_refuses_a_bad_value_before_running_the_good_one(rooted, capsys):
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", "model.rank", "--values", "2,0"]) == 1
+    assert "model.rank" in capsys.readouterr().err
+    assert not (rooted / "out").exists()
+
+
 @pytest.mark.parametrize("escape", ["abs", "../../escape"])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1"]])
 def test_output_root_refuses_an_escaping_output_dir_exits_1(rooted, capsys, escape, command):

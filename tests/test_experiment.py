@@ -275,8 +275,9 @@ def test_single_task_stream_has_no_transfer(tmp_path):
 
 def test_empty_stream_is_rejected(tmp_path):
     cfg = config_from_dict({})
-    with pytest.raises(DataError, match="empty task stream"):
+    with pytest.raises(ConfigError, match="stream: empty task stream"):
         run_experiment(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_output_root_env_reroots_runs(tmp_path, monkeypatch):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from submoe.config import config_from_dict
 from submoe.errors import ConfigError, NumericError, StateError
+from submoe.experiment import prepare_run
 from submoe.lifecycle import (
     PhaseSchedule, RoutingSnapshot, RoutingTrace, begin_task, finetune_experts,
     fit_routing, kl_to_final, learn_task, prune_candidates, prune_records,
@@ -215,6 +218,29 @@ def test_prune_threshold_extremes():
     # three candidates cannot all hold 0.99 of the mass; at least two go
     assert report2.removed_total >= 2 * len(model2.adapters)
     assert model2.phase[0] == "done"  # no-survivor layers still finish
+
+
+def test_finetune_without_survivors_takes_no_step(monkeypatch):
+    # the demo's task 0 at prune_threshold 0.99 prunes every candidate
+    raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json").read_text())
+    raw["schedule"]["prune_threshold"] = 0.99
+    raw["stream"] = raw["stream"][:1]
+    cfg = config_from_dict(raw)
+    (data,), model, _ = prepare_run(cfg)
+    rng = np.random.default_rng(0)
+    begin_task(model, 0, cfg.schedule, rng)
+    trace = fit_routing(model, 0, data, cfg.schedule, cfg.optimizer, rng)
+    prune_candidates(model, 0, trace, cfg.schedule.prune_threshold)
+    assert sum(model.expert_counts().values()) == 0
+    calls = []
+    real = AdapterModel.loss_and_grads
+    monkeypatch.setattr(AdapterModel, "loss_and_grads",
+                        lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    before = frozen_fingerprint(model)
+    finetune_experts(model, 0, data, cfg.schedule, cfg.optimizer, rng)
+    assert calls == []
+    assert model.phase[0] == "done" and model.learned_tasks == [0] and model.current_task is None
+    assert frozen_fingerprint(model) == before
 
 
 def test_plateau_stop_cuts_the_fit_short():

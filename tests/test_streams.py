@@ -47,6 +47,20 @@ def test_orthogonal_mode_avoids_prior_span():
     np.testing.assert_allclose(cross, 0.0, atol=1e-10)
 
 
+def test_orthogonal_mode_avoids_a_prior_span_with_repeated_rows():
+    # dim 12: three orthogonal tasks span 9 directions, an exact reuse of task 0
+    # repeats 3 of them, and the last orthogonal task fits in the 3 left
+    specs = [spec(task_id=t, seed=t) for t in range(3)]
+    specs += [spec(task_id=3, seed=3, alignment=Alignment(mode="reuse", source=0)),
+              spec(task_id=4, seed=4)]
+    tasks = generate_stream(specs, 12)
+    prior = np.vstack([t.prototypes for t in tasks[:4]])
+    assert np.linalg.matrix_rank(prior) == 9
+    assert np.abs(tasks[4].prototypes @ prior.T).max() <= 1e-12
+    gram = tasks[4].prototypes @ tasks[4].prototypes.T
+    np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+
+
 def test_reuse_with_zero_perturbation_copies_exactly():
     src = generate_task(spec(task_id=0), DIM, [])
     again = generate_task(
