@@ -30,6 +30,7 @@ the task's experts.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -216,6 +217,11 @@ class MixtureAdapterLayer:
         if any(e._slotted for e in self.experts):
             raise StateError("an expert already in a layer cannot join another")
         self._pack(self.experts)
+
+    def __copy__(self) -> MixtureAdapterLayer:
+        # a shallow copy would share the experts, which are views of one
+        # layer's packs, and the routers, whose rows follow those experts
+        return copy.deepcopy(self)
 
     def __setstate__(self, state: dict) -> None:
         # unpickled or deep-copied experts hold copies of their slots

@@ -126,6 +126,8 @@ def layer_from_payload(payload: dict, version: int = VERSION) -> MixtureAdapterL
         next_expert_id=payload["next_expert_id"],
     )
     for r in payload["routers"]:
+        if r["task"] in layer.routers:
+            raise DataError(f"adapter layer {layer.layer_index}: two routers for task {r['task']!r}")
         weight = decode(r["weight"])
         if weight.shape == (0,):  # a version 1 or 2 router with no rows saved as []
             weight = weight.reshape(0, layer.dim)
@@ -149,6 +151,8 @@ def bank_from_payload(payload: dict, version: int = VERSION) -> TaskBank:
     decode = _decoder(version)
     bank = TaskBank(threshold=payload["threshold"], metric=payload["metric"])
     for item in payload["entries"]:
+        if item["task"] in bank.entries:
+            raise DataError(f"bank: two entries for task {item['task']!r}")
         bank.entries[item["task"]] = decode(item["embedding"])
     return bank
 

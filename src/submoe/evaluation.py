@@ -15,9 +15,11 @@ only when its route does:
   only windows whose route changed are embedded and classified again.  The
   state keeps each task's window image means and text mean (the query
   matrix is joined from them for the time of a call), each window's
-  nearest task, distance and route, and each row's routed embedding and
-  prediction, but no bare embeddings: a new metric or threshold, or a
-  replaced or removed signature, starts the task afresh.
+  nearest task, distance and route, and each row's prediction, but no bare
+  embeddings: a new metric or threshold, or a replaced or removed
+  signature, starts the task afresh.  Each row's routed embedding is kept
+  only for the CIL pass (`EvalState(keep_emb=True)`); without it, a call
+  embeds what it classifies into a temporary.
 - `id_given`: accuracy is kept per (task, route), so a run makes 2n predicts.
 - the CIL pass reuses the row's routed embeddings and computes only the
   cosine against the grown pooled label table.
@@ -126,17 +128,17 @@ class WindowDecisions(NamedTuple):
 class _TaskWindows:
     """One eval task's cached task-free evaluation under one bank rule.  It
     starts with no decisions (every window unmatched at distance +inf, no
-    signature measured) and `emb` holding the bare-backbone embeddings;
-    `EvalState.task_windows` measures the bank's entries into it.  The
-    decision arrays are replaced, never written in place, so a
-    `WindowDecisions` stays valid.  The query matrix is built only for the
-    time of a call."""
+    signature measured) and `emb` holding the bare-backbone embeddings, or
+    None when its state keeps no embeddings; `EvalState.task_windows`
+    measures the bank's entries into it.  The decision arrays are replaced,
+    never written in place, so a `WindowDecisions` stays valid.  The query
+    matrix is built only for the time of a call."""
 
     data: TaskData
     window: int
     img_means: np.ndarray  # [windows, dim], bare-backbone window image means
     txt_mean: np.ndarray   # [dim], the task's label-text mean
-    emb: np.ndarray        # [rows, dim], embeddings through each row's route
+    emb: np.ndarray | None  # [rows, dim], embeddings through each row's route
     rule: tuple[str, float]  # the bank's (metric, threshold)
     nearest: np.ndarray = field(init=False)
     distance: np.ndarray = field(init=False)
@@ -150,7 +152,7 @@ class _TaskWindows:
         self.nearest = np.full(n, np.iinfo(np.int64).max)
         self.distance = np.full(n, np.inf)
         self.matched = np.zeros(n, dtype=bool)
-        self.preds = np.empty(self.emb.shape[0], dtype=np.int64)
+        self.preds = np.empty(self.data.eval_x.shape[0], dtype=np.int64)
 
     def queries(self) -> np.ndarray:
         """The [windows, 2 * dim] bank queries of the task's windows."""
@@ -166,16 +168,22 @@ class EvalState:
     metric or threshold, starts a task afresh.  Entries are keyed by task id
     and hold their `TaskData`, so another task object under the same id, or
     another window, starts afresh too.
+
+    Each task's routed embeddings are kept only under `keep_emb`, which the
+    CIL pass (`pooled_accuracy`) needs; a run without that pass keeps the
+    window decisions and the predictions alone.
     """
 
+    keep_emb: bool = True
     windows: dict[int, _TaskWindows] = field(default_factory=dict)
     given: dict[tuple[int, int | None], tuple[TaskData, float]] = field(
         default_factory=dict)
 
     def task_windows(self, model: AdapterModel, bank: TaskBank, data: TaskData,
                      window: int) -> _TaskWindows:
-        """`data`'s windows routed by the current bank, with their routed
-        embeddings and own-table predictions brought up to date."""
+        """`data`'s windows routed by the current bank, with their own-table
+        predictions (and, under `keep_emb`, their routed embeddings) brought
+        up to date."""
         if window < 1:
             raise DimensionError(f"query window must be >= 1, got {window}")
         if not bank.entries:
@@ -190,7 +198,9 @@ class EvalState:
             img_means, txt_mean = window_means(emb, data.text_emb, window)
             w = self.windows[data.task_id] = _TaskWindows(
                 data=data, window=window, img_means=img_means, txt_mean=txt_mean,
-                emb=emb, rule=rule)
+                emb=emb if self.keep_emb else None, rule=rule)
+        else:
+            emb = w.emb
         old_nearest, old_matched = w.nearest, w.matched
         new = sorted(bank.entries.keys() - w.signatures.keys())
         if new:
@@ -200,11 +210,20 @@ class EvalState:
                     queries, w.nearest, w.distance, task)
             w.signatures = dict(bank.entries)
         moved = w.matched & (~old_matched | (w.nearest != old_nearest))
-        _embed_routes(model, data.eval_x, w.nearest, moved, window, w.emb)
         todo = np.ones_like(moved) if fresh else moved
-        if todo.any():
-            rows = todo[np.arange(data.eval_x.shape[0]) // window]
-            w.preds[rows] = cosine_logits(w.emb[rows], data.text_emb, matmul).argmax(axis=1)
+        if not todo.any():
+            return w
+        rows = todo[np.arange(data.eval_x.shape[0]) // window]
+        if emb is None:
+            # nothing kept: the moved windows alone go into a temporary, still
+            # whole windows in stream order, as `_embed_routes` needs
+            emb = np.empty((int(rows.sum()), w.txt_mean.shape[0]))
+            _embed_routes(model, data.eval_x[rows], w.nearest[moved],
+                          np.ones(int(moved.sum()), dtype=bool), window, emb)
+        else:
+            _embed_routes(model, data.eval_x, w.nearest, moved, window, emb)
+            emb = emb[rows]
+        w.preds[rows] = cosine_logits(emb, data.text_emb, matmul).argmax(axis=1)
         return w
 
     def given_accuracy(self, model: AdapterModel, data: TaskData,
@@ -222,10 +241,13 @@ def pooled_accuracy(model: AdapterModel, bank: TaskBank,
                     state: EvalState | None = None) -> float:
     """Class-incremental accuracy over every class seen so far: one pooled
     label table, task identity inferred per query window.  Reuses the routed
-    embeddings `state` holds (a new state evaluates from scratch)."""
+    embeddings `state` holds (a new state evaluates from scratch); a state
+    that keeps none raises `StateError`."""
     if not tasks:
         raise DomainError("pooled accuracy needs at least one task")
     state = EvalState() if state is None else state
+    if not state.keep_emb:
+        raise StateError("pooled accuracy needs an EvalState that keeps its embeddings")
     table = np.vstack([t.text_emb for t in tasks])
     matmul = partial(rowwise_matmul, block=window)
     hits = 0

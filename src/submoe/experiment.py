@@ -164,6 +164,7 @@ class _Run:
     model: AdapterModel
     bank: TaskBank
     matrix: np.ndarray
+    state: EvalState  # keeps routed embeddings only for the CIL pass
     cil_trace: list[float] = field(default_factory=list)
     count_rows: list[dict] = field(default_factory=list)
     reports: list = field(default_factory=list)
@@ -171,7 +172,6 @@ class _Run:
     bank_queries: int = 0
     bank_known: int = 0  # windows of enrolled tasks
     bank_hits: int = 0   # ... routed to their own task
-    state: EvalState = field(default_factory=EvalState)
     metrics: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
@@ -304,7 +304,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             export_task(data, out / STREAM_DIR)
 
     run = _Run(cfg=cfg, model=model, bank=bank,
-               matrix=np.full((len(tasks), len(tasks)), np.nan))
+               matrix=np.full((len(tasks), len(tasks)), np.nan),
+               state=EvalState(keep_emb=cfg.evaluation.cil))
     learned: set[int] = set()
     for i, data in enumerate(tasks):
         _learn(run, data)

@@ -547,21 +547,34 @@ def rebuilt(layer: MixtureAdapterLayer) -> MixtureAdapterLayer:
         version=layer.version, next_expert_id=layer.next_expert_id)
 
 
-@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda layer: pickle.loads(pickle.dumps(layer))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
 def test_a_copied_layer_stays_consistent_after_an_in_place_write(how):
     layer = make_layer(dim=8, n_experts=4, top_k=4, seed=41)
     rng = np.random.default_rng(42)
     x = rng.standard_normal((6, 8))
     layer.forward(0, x)  # a layer in use, as a model mid-training is
-    twin = copy.deepcopy(layer) if how == "deepcopy" else pickle.loads(pickle.dumps(layer))
-    for e in twin.experts:  # what a learning step does to a candidate
-        e.up += rng.standard_normal(e.up.shape)
-        e.down -= 0.1 * rng.standard_normal(e.down.shape)
-    got = twin.forward(0, x)[0]
-    assert got.tobytes() == rebuilt(twin).forward(0, x)[0].tobytes()
-    assert got.tobytes() != layer.forward(0, x)[0].tobytes()  # the original kept its own
-    for i, e in enumerate(twin.experts):
-        assert np.shares_memory(e.up, twin.up_all[i]) and np.shares_memory(e.down, twin.down_all[i])
+    twin = COPIES[how](layer)
+    # the copy first, then the original: each write reaches only its own layer
+    for written, other in ((twin, layer), (layer, twin)):
+        kept = other.forward(0, x)[0].tobytes()
+        for e in written.experts:  # what a learning step does to a candidate
+            e.up += rng.standard_normal(e.up.shape)
+            e.down -= 0.1 * rng.standard_normal(e.down.shape)
+        written.router_for(0).weight += 0.1 * rng.standard_normal((4, 8))
+        got = written.forward(0, x)[0]
+        assert got.tobytes() == rebuilt(written).forward(0, x)[0].tobytes()
+        assert got.tobytes() != kept
+        assert other.forward(0, x)[0].tobytes() == kept
+        for i, e in enumerate(written.experts):
+            assert np.shares_memory(e.up, written.up_all[i])
+            assert np.shares_memory(e.down, written.down_all[i])
+    kept = layer.forward(0, x)[0].tobytes()
+    twin.remove_experts({twin.experts[-1].expert_id}, 0)  # pruning drops a router row
+    assert layer.forward(0, x)[0].tobytes() == kept
 
 
 def test_a_training_cache_holds_only_the_down_activations_and_routing():

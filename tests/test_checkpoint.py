@@ -186,6 +186,18 @@ def _drop(path_keys):
     return mutate
 
 
+def _duplicate(list_keys, index, task):
+    """Append to the list at `list_keys` a copy of its item `index` that
+    claims `task`."""
+    def mutate(doc):
+        node = doc
+        for k in list_keys:
+            node = node[k]
+        node.append({**node[index], "task": task})
+        return doc
+    return mutate
+
+
 LAYER = ["model", "adapters", 0]
 EXPERT = LAYER + ["experts", 0]
 ROUTER = LAYER + ["routers", 0]
@@ -220,6 +232,8 @@ BAD_DOCUMENTS = {
     "duplicate expert id": _set(LAYER + ["experts", 1, "expert_id"], 0),
     "bank entry width": _set(["bank", "entries", 0, "embedding"], [0.0] * DIM),
     "bank metric": _set(["bank", "metric"], "cosine"),
+    "two routers for one task": _duplicate(LAYER + ["routers"], 1, 0),
+    "two bank entries for one task": _duplicate(["bank", "entries"], 1, 0),
 }
 
 
@@ -266,6 +280,11 @@ BAD_V3_DOCUMENTS = {
     "router top_k missing": (_drop(ROUTER + ["top_k"]), "malformed"),
     "router top_k zero": (_set(ROUTER + ["top_k"], 0), "bad top_k"),
     "router top_k bool": (_set(ROUTER + ["top_k"], True), "bad top_k"),
+    # the last entry used to win: task 1's router or signature loaded as task 0's
+    "two routers for one task": (_duplicate(LAYER + ["routers"], 1, 0),
+                                 "adapter layer 1: two routers for task 0"),
+    "two bank entries for one task": (_duplicate(["bank", "entries"], 1, 0),
+                                      "bank: two entries for task 0"),
 }
 
 

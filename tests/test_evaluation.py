@@ -410,3 +410,36 @@ def test_eval_state_keeps_no_bare_embeddings_or_query_matrix(trained_three, wind
         assert shapes.count((rows, dim)) == 1  # the routed embeddings
         assert (-(-rows // window), 2 * dim) not in shapes
         assert w.queries().shape == (-(-rows // window), 2 * dim)
+
+
+@pytest.mark.parametrize("window", [1, 3, 7])  # 7: the last window is shorter
+def test_a_state_without_embeddings_decides_and_predicts_the_same(trained_three, window):
+    # a run without the CIL pass keeps no routed embeddings: it embeds a fresh
+    # task, and each call's moved windows, into a temporary
+    model, stream, signatures, middle = trained_three
+    bank = TaskBank(threshold=middle["manhattan"])
+    kept, lean = EvalState(), EvalState(keep_emb=False)
+    learned, moved = set(), 0
+    for task_id, signature in signatures.items():
+        bank.entries[task_id] = signature
+        learned.add(task_id)
+        before = {t: w.preds.copy() for t, w in lean.windows.items()}
+        want_row, want = evaluate_row(model, bank, stream, learned, "id_free", window,
+                                      state=kept)
+        row, got = evaluate_row(model, bank, stream, learned, "id_free", window, state=lean)
+        assert row.tobytes() == want_row.tobytes()
+        for g, d in zip(got, want, strict=True):
+            assert g.task_id == d.task_id
+            for a, b in zip(g[1:], d[1:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for data in stream:
+            w = lean.windows[data.task_id]
+            assert w.emb is None and kept.windows[data.task_id].emb is not None
+            assert w.preds.tobytes() == kept.windows[data.task_id].preds.tobytes()
+            if data.task_id in before:
+                moved += int((w.preds != before[data.task_id]).sum())
+    assert moved > 0  # later rows reclassified moved windows through the temporary
+    with pytest.raises(StateError, match="keeps its embeddings"):
+        pooled_accuracy(model, bank, stream, window, state=lean)
+    assert (pooled_accuracy(model, bank, stream, window, state=kept)
+            == pooled_accuracy(model, bank, stream, window))
