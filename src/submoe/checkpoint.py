@@ -1,18 +1,25 @@
-"""Self-describing JSON checkpoints for the model and task bank.
+"""Checkpoints of the model and task bank, and the container file that
+holds them and the task-free audit.
 
-Version 3 writes every float64 array (backbone weights and biases, each
-expert's `down` and `up`, each router's `weight`, each bank signature) as
-one object `{"shape": [...], "f64": "<base64>"}`, where the text is
-the base64 of the array's little-endian, C-order IEEE-754 bytes.  base64 is
-a one-to-one map between byte strings and text, so a load returns every
-value bit for bit (`-0.0` included) with no decimal conversion either way,
-and a float costs 32/3 characters rather than the ~22 of its shortest
-decimal repr.  Each router also stores its own `top_k`.  Scalars such as the
-temperature and the bank threshold stay JSON numbers, whose shortest
-round-trip repr is exact too.
+A container is one line of JSON, the header, followed by a raw body.  The
+header is a JSON document in which each float64 array is an object
+`{"shape": [...], "offset": n}`; the body holds the arrays' little-endian,
+C-order IEEE-754 bytes in header order, each starting where the one before
+it ends.  A float costs its 8 bytes (base64 text took 32/3 characters), and
+a read returns every value bit for bit (`-0.0` included) with no conversion
+either way.  `write_container` and `read_container` are the one writer and
+reader; `experiment` stores its audit with them too.
 
-Versions 1 and 2 wrote arrays as nested lists of numbers and had every
-router of a layer mix the layer's `top_k`; the loader reads both.  Version 2
+A checkpoint is a container with format `submoe-checkpoint`, version 4:
+the model (backbone weights and biases, each expert's `down` and `up`, each
+router's `weight` and its own `top_k`) and the bank (signatures, threshold,
+metric).  Scalars such as the temperature and the bank threshold stay JSON
+numbers, whose shortest round-trip repr is exact too.
+
+Versions 1 to 3 were one line of JSON text and no body; the loader reads
+them.  Version 3 wrote each array as `{"shape": [...], "f64": "<base64>"}`
+of the same bytes.  Versions 1 and 2 wrote arrays as nested lists of
+numbers and had every router of a layer mix the layer's `top_k`.  Version 2
 dropped the per-expert and per-router `frozen` flags that version 1 wrote;
 the loader ignores them.
 """
@@ -23,6 +30,7 @@ import base64
 import json
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,11 +40,15 @@ from .model import AdapterModel, FrozenBackbone
 from .task_bank import TaskBank
 
 FORMAT = "submoe-checkpoint"
-VERSION = 3
+VERSION = 4
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape)
 
 
 def _require(ok: bool, what: str) -> None:
@@ -44,11 +56,113 @@ def _require(ok: bool, what: str) -> None:
         raise DataError(f"checkpoint {what}")
 
 
-def encode_array(a: np.ndarray) -> dict:
-    """The version 3 form of a float64 array: its shape and the base64 of its
-    little-endian C-order bytes."""
-    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+class Deferred(NamedTuple):
+    """An array that `write_container` makes only when it writes it, so a
+    container of computed arrays never holds them all at once: `shape` goes
+    into the header, and `make()` returns the float64 array of that shape."""
+
+    shape: tuple[int, ...]
+    make: Callable[[], np.ndarray]
+
+
+def _with_entries(node, placed: list):
+    """`node` with each array in it (an ndarray or a `Deferred`) replaced by
+    a new header entry `{"shape", "offset"}`; appends (entry, array) to
+    `placed` in header order."""
+    if isinstance(node, (np.ndarray, Deferred)):
+        entry = {"shape": list(node.shape), "offset": None}
+        placed.append((entry, node))
+        return entry
+    if isinstance(node, dict):
+        return {key: _with_entries(value, placed) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_with_entries(value, placed) for value in node]
+    return node
+
+
+def write_container(path: str | Path, doc: dict) -> Path:
+    """Write `doc`, a JSON document whose float64 arrays are ndarrays or
+    `Deferred`, to `path` as a container: the header, whose offsets follow
+    from the shapes alone, then each array's bytes straight from the array.
+    Returns the path."""
+    placed = []
+    header = _with_entries(doc, placed)
+    end = 0
+    for entry, _ in placed:
+        entry["offset"] = end
+        end += 8 * math.prod(entry["shape"])
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as fh:
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for entry, node in placed:
+            a = node.make() if isinstance(node, Deferred) else node
+            if list(a.shape) != entry["shape"]:
+                raise ValueError(f"{path}: made an array of shape {a.shape}, "
+                                 f"declared {entry['shape']}")
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+    return path
+
+
+def _array_slots(node, slots: list) -> None:
+    """Append (parent, key) of every `{"shape", "offset"}` object below
+    `node`, in document order."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if isinstance(value, dict) and value.keys() == {"shape", "offset"}:
+            slots.append((node, key))
+        else:
+            _array_slots(value, slots)
+
+
+def read_container(path: str | Path) -> dict:
+    """The document `write_container` wrote to `path`, each `{"shape",
+    "offset"}` object replaced by an owned, writable, native float64 array.
+    The offsets must tile the body exactly: the first array starts at 0,
+    each later one where the one before it ends, and the last ends with the
+    body.  An unreadable file, a first line that is not a JSON object, or
+    arrays that do not tile the body raise `DataError`, worded by the file
+    alone: the checkpoint and the audit both use it."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    newline = raw.find(b"\n")
+    if newline < 0:
+        newline = len(raw)  # a header and no body, as JSON text without a final newline
+    try:
+        doc = json.loads(raw[:newline].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"cannot read {path}: no JSON header line: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: the header is not a JSON object")
+    body = memoryview(raw)[newline + 1:]
+    slots = []
+    _array_slots(doc, slots)
+    end = 0
+    for parent, key in slots:
+        shape, offset = parent[key]["shape"], parent[key]["offset"]
+        if not _is_shape(shape):
+            raise DataError(f"{path}: array shape {shape!r}: not a list of non-negative ints")
+        if not _is_int(offset) or offset != end:
+            raise DataError(f"{path}: array at offset {offset!r}, where the previous "
+                            f"array ends at {end}")
+        count = math.prod(shape)
+        if end + 8 * count > len(body):
+            raise DataError(f"{path}: array of shape {shape} at offset {end} overruns "
+                            f"the {len(body)}-byte body")
+        # frombuffer is a read-only view of the file's bytes; astype makes the owned copy
+        arr = np.frombuffer(body, dtype="<f8", count=count, offset=end)
+        try:
+            parent[key] = arr.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # a shape numpy cannot make, such as [0, 10 ** 30]
+            raise DataError(f"{path}: array shape {shape}: {exc}") from exc
+        end += 8 * count
+    if end != len(body):
+        raise DataError(f"{path}: {len(body) - end} trailing bytes after the arrays")
+    return doc
 
 
 def _array_check(ok: bool, message: str) -> None:
@@ -57,15 +171,15 @@ def _array_check(ok: bool, message: str) -> None:
 
 
 def decode_array(obj) -> np.ndarray:
-    """Inverse of `encode_array`: an owned, writable, native float64 array.
-    A malformed object raises `DataError`, worded by the array alone: the
-    checkpoint and the audit both store their arrays this way, and their
-    readers name the file."""
+    """A version 3 array `{"shape": [...], "f64": "<base64>"}` (the base64 of
+    its little-endian C-order bytes) as an owned, writable, native float64
+    array.  A malformed object raises `DataError`, worded by the array alone:
+    version 3 checkpoints and the audits of `ifer_audit.jsonl` both store
+    their arrays this way, and their readers name the file."""
     _array_check(isinstance(obj, dict) and obj.keys() == {"shape", "f64"},
                  "array: not a {shape, f64} object")
     shape = obj["shape"]
-    _array_check(isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape),
-                 "array shape: not a list of non-negative ints")
+    _array_check(_is_shape(shape), "array shape: not a list of non-negative ints")
     _array_check(isinstance(obj["f64"], str), "array f64: not a string")
     try:
         data = base64.b64decode(obj["f64"], validate=True)
@@ -77,10 +191,18 @@ def decode_array(obj) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def _placed(obj) -> np.ndarray:
+    """A version 4 array, which `read_container` has already read."""
+    _array_check(isinstance(obj, np.ndarray), "array: not a {shape, offset} object")
+    return obj
+
+
 def _decoder(version: int):
-    """The array reader of a checkpoint version: versions 1 and 2 wrote
-    nested lists."""
-    if version >= 3:
+    """The array reader of a checkpoint version: version 3 wrote base64 text,
+    versions 1 and 2 nested lists."""
+    if version >= 4:
+        return _placed
+    if version == 3:
         return decode_array
     return lambda obj: np.asarray(obj, dtype=np.float64)
 
@@ -95,15 +217,15 @@ def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
         "next_expert_id": layer.next_expert_id,
         "experts": [
             {
-                "down": encode_array(e.down),
-                "up": encode_array(e.up),
+                "down": e.down,
+                "up": e.up,
                 "owner_task": e.owner_task,
                 "expert_id": e.expert_id,
             }
             for e in layer.experts
         ],
         "routers": [
-            {"task": task, "top_k": r.top_k, "weight": encode_array(r.weight)}
+            {"task": task, "top_k": r.top_k, "weight": r.weight}
             for task, r in layer.routers.items()
         ],
     }
@@ -141,7 +263,7 @@ def bank_to_payload(bank: TaskBank) -> dict:
         "threshold": bank.threshold,
         "metric": bank.metric,
         "entries": [
-            {"task": task, "embedding": encode_array(bank.entries[task])}
+            {"task": task, "embedding": bank.entries[task]}
             for task in sorted(bank.entries)
         ],
     }
@@ -164,8 +286,8 @@ def model_to_payload(model: AdapterModel) -> dict:
         "phase": {str(k): v for k, v in model.phase.items()},
         "current_task": model.current_task,
         "backbone": {
-            "weights": [encode_array(w) for w in model.backbone.weights],
-            "biases": [encode_array(b) for b in model.backbone.biases],
+            "weights": list(model.backbone.weights),
+            "biases": list(model.backbone.biases),
         },
         "adapters": [layer_to_payload(model.adapters[i]) for i in sorted(model.adapters)],
     }
@@ -193,19 +315,15 @@ def model_from_payload(payload: dict, version: int = VERSION) -> AdapterModel:
 
 def save_checkpoint(path: str | Path, model: AdapterModel,
                     bank: TaskBank | None = None, meta: dict | None = None) -> Path:
-    path = Path(path)
-    doc = {
+    """Write (model, bank, meta) to `path` as a version 4 container; returns
+    the path."""
+    return write_container(path, {
         "format": FORMAT,
         "version": VERSION,
         "model": model_to_payload(model),
         "bank": bank_to_payload(bank) if bank is not None else None,
         "meta": meta or {},
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    return path
+    })
 
 
 _PHASES = ("expanded", "identified", "pruned", "done")
@@ -264,17 +382,14 @@ def _check_bank(bank: TaskBank, dim: int) -> None:
 
 
 def load_checkpoint(path: str | Path):
-    """(model, bank or None, meta) from a checkpoint file; any fault in the
-    file raises `DataError`."""
+    """(model, bank or None, meta) from a checkpoint file of any version; any
+    fault in the file raises `DataError`."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+    doc = read_container(path)
+    if doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a checkpoint file")
     version = doc.get("version")
-    if not _is_int(version) or version not in (1, 2, VERSION):
+    if not _is_int(version) or version not in (1, 2, 3, VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     # the converters trust their payload, so a missing key, a wrong type or a
     # ragged or non-numeric array surfaces as one of these

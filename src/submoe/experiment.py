@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import decode_array, encode_array, save_checkpoint
+from .checkpoint import (
+    Deferred, decode_array, read_container, save_checkpoint, write_container,
+)
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, DataError
 from .evaluation import EvalState, evaluate_row, pooled_accuracy
@@ -34,9 +36,14 @@ CONFIG_FILE = "effective_config.json"
 TRACE_FILE = "routing_traces.jsonl"
 PRUNE_FILE = "truncation_reports.jsonl"
 KL_FILE = "kl_curves.csv"
-AUDIT_FILE = "ifer_audit.jsonl"
-CHECKPOINT_FILE = "checkpoint.json"
+AUDIT_FILE = "ifer_audit.bin"
+CHECKPOINT_FILE = "checkpoint.bin"
 STREAM_DIR = "stream"
+AUDIT_FORMAT = "submoe-audit"
+AUDIT_VERSION = 1
+# the audit and the checkpoint as JSON text, before they became containers
+JSONL_AUDIT_FILE = "ifer_audit.jsonl"
+JSON_CHECKPOINT_FILE = "checkpoint.json"
 
 
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
@@ -84,10 +91,14 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 def read_audit(run_dir: str | Path) -> list[dict]:
     """Every window's audit record in every matrix row, in row order, then
-    stream order, then window order, replayed from `ifer_audit.jsonl`.  The
-    file holds one line per eval task, in stream order: the task's window
-    distances to every final bank signature, ids ascending, as a
-    [windows, tasks] matrix.  A signature never changes after enrolment, so
+    stream order, then window order, replayed from `ifer_audit.bin`.  The
+    file is a container (`checkpoint.write_container`) whose header lists
+    one `{"true_task", "distance"}` record per eval task, in stream order:
+    the task's window distances to every final bank signature, ids
+    ascending, as a [windows, tasks] array.  A run directory written before
+    the container holds `ifer_audit.jsonl` instead, one such record per line
+    with the array in base64 (`checkpoint.decode_array`); it is read the
+    same way.  A signature never changes after enrolment, so
     column k is what the bank measured when task k was enrolled: at row i a
     window's nearest task over the columns of the first i + 1 stream tasks
     follows the bank's rule, `task_bank.nearest`.  The row order,
@@ -102,19 +113,27 @@ def read_audit(run_dir: str | Path) -> list[dict]:
         threshold = cfg["task_bank"]["match_threshold"]
         window = cfg["task_bank"]["query_window"]
         ids = np.array(sorted(stream), dtype=np.int64)
-        lines = (run_dir / AUDIT_FILE).read_text().splitlines()
-        if len(lines) != len(stream):
-            raise ValueError(f"{len(lines)} task lines for {len(stream)} stream tasks")
+        jsonl = not (run_dir / AUDIT_FILE).exists() and (run_dir / JSONL_AUDIT_FILE).exists()
+        if jsonl:
+            tasks = [json.loads(line)
+                     for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
+        else:
+            doc = read_container(run_dir / AUDIT_FILE)
+            if doc.get("format") != AUDIT_FORMAT or doc.get("version") != AUDIT_VERSION:
+                raise ValueError(f"not an audit of format {AUDIT_FORMAT!r}, "
+                                 f"version {AUDIT_VERSION}")
+            tasks = doc["tasks"]
+        if len(tasks) != len(stream):
+            raise ValueError(f"{len(tasks)} task records for {len(stream)} stream tasks")
         dists = []
-        for n, (task, line) in enumerate(zip(stream, lines), 1):
-            rec = json.loads(line)
+        for n, (task, rec) in enumerate(zip(stream, tasks), 1):
             if (not isinstance(rec, dict) or rec.keys() != {"true_task", "distance"}
                     or rec["true_task"] != task):
-                raise ValueError(f"line {n} is not the {{true_task, distance}} "
-                                 f"line of task {task}")
-            dist = decode_array(rec["distance"])
-            if dist.ndim != 2 or dist.shape[1] != len(ids):
-                raise ValueError(f"task {task}: distance shape {dist.shape}, "
+                raise ValueError(f"record {n} is not the {{true_task, distance}} "
+                                 f"record of task {task}")
+            dist = decode_array(rec["distance"]) if jsonl else rec["distance"]
+            if not isinstance(dist, np.ndarray) or dist.ndim != 2 or dist.shape[1] != len(ids):
+                raise ValueError(f"task {task}: distance shape {np.shape(dist)}, "
                                  f"want [windows, {len(ids)}]")
             dists.append(dist)
         records = []
@@ -240,12 +259,15 @@ def _write_kl_csv(path: Path, run: _Run) -> None:
 
 def _write_audit(path: Path, run: _Run) -> None:
     """Under task-free evaluation, each eval task's window distances to every
-    final bank signature (see `read_audit`).  The first row evaluates every
-    task, so `run.state.windows` holds them in stream order."""
+    final bank signature (see `read_audit`), each measured as it is written.
+    The first row evaluates every task, so `run.state.windows` holds them in
+    stream order."""
     if run.cfg.evaluation.protocol == "id_free":
-        _write_jsonl(path, (
-            {"true_task": task, "distance": encode_array(run.bank.distances(w.queries())[1])}
-            for task, w in run.state.windows.items()))
+        enrolled = len(run.bank.entries)
+        write_container(path, {"format": AUDIT_FORMAT, "version": AUDIT_VERSION, "tasks": [
+            {"true_task": task, "distance": Deferred(
+                (w.img_means.shape[0], enrolled), lambda w=w: run.bank.distances(w.queries())[1])}
+            for task, w in run.state.windows.items()]})
 
 
 # Every artifact but the config (written first), in write order; the summary
@@ -293,9 +315,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     _write_json(out / CONFIG_FILE, config_to_dict(cfg))
     # an earlier run's audit and exported stream must not outlive this run,
     # nor its summary (the mark of a finished run to `read_audit`) vouch for
-    # this run's audit
-    (out / AUDIT_FILE).unlink(missing_ok=True)
-    (out / SUMMARY_FILE).unlink(missing_ok=True)
+    # this run's audit, nor files of the formats before the containers
+    for name in (AUDIT_FILE, SUMMARY_FILE, JSONL_AUDIT_FILE, JSON_CHECKPOINT_FILE):
+        (out / name).unlink(missing_ok=True)
     if (out / STREAM_DIR).exists():
         shutil.rmtree(out / STREAM_DIR)
 

@@ -1,13 +1,14 @@
 """Independent checks the test suite compares the engine against: a generic
 quadratic solve for the damped step, its diagonal projection form, central
-finite differences, byte fingerprints of frozen state, the version 2
-checkpoint writer, and the contrastive loss and routing as first written,
+finite differences, byte fingerprints of frozen state, the version 2 and 3
+checkpoint writers and the JSON-lines audit writer, and the contrastive loss and routing as first written,
 with NumPy's convenience wrappers and fresh temporaries; plus the name of
 the BLAS kernel, which keys every table of pinned digests.  None of this
 is used by the engine itself."""
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import functools
 import json
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from submoe.adapter import RoutingDistribution, top_k_select
+from submoe.checkpoint import bank_to_payload, model_to_payload
 from submoe.errors import DimensionError, LabelError, NumericError
 from submoe.numerics import as_matrix, require_finite
 from submoe.optim import OptimConfig, step_scale
@@ -215,6 +217,49 @@ def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
            "bank": bank_payload, "meta": meta or {}}
     path = Path(path)
     path.write_text(json.dumps(doc) + "\n")
+    return path
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """The version 3 form of a float64 array, which `checkpoint.decode_array`
+    reads: its shape and the base64 of its little-endian C-order bytes."""
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
+
+
+def _base64_arrays(node):
+    """`node` with every ndarray in it replaced by `encode_array` of it."""
+    if isinstance(node, np.ndarray):
+        return encode_array(node)
+    if isinstance(node, dict):
+        return {key: _base64_arrays(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_base64_arrays(value) for value in node]
+    return node
+
+
+def save_checkpoint_v3(path, model, bank=None, meta=None) -> Path:
+    """Write (model, bank, meta) as a version 3 checkpoint, the format before
+    the container: one line of JSON, the version 4 document with each array
+    as `encode_array` of it.  `load_checkpoint` must keep reading these
+    files, and re-serialising a loaded version 4 file this way must give the
+    bytes the version 3 writer gave."""
+    doc = {"format": "submoe-checkpoint", "version": 3, "model": model_to_payload(model),
+           "bank": None if bank is None else bank_to_payload(bank), "meta": meta or {}}
+    path = Path(path)
+    path.write_text(json.dumps(_base64_arrays(doc)) + "\n")
+    return path
+
+
+def save_audit_jsonl(path, records) -> Path:
+    """Write an audit's `{"true_task", "distance"}` records as
+    `ifer_audit.jsonl`, the form before the container: a line each, keys
+    sorted, the distance as `encode_array` of it.  `read_audit` must keep
+    reading these files, and re-serialising an `ifer_audit.bin` this way must
+    give the bytes the JSON-lines writer gave."""
+    path = Path(path)
+    path.write_text("".join(json.dumps(_base64_arrays(rec), sort_keys=True) + "\n"
+                            for rec in records))
     return path
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import json
 import pickle
 import tracemalloc
 from functools import partial
@@ -15,7 +14,9 @@ from hypothesis import strategies as st
 
 from submoe import adapter
 from submoe.adapter import ForwardCache, MixtureAdapterLayer, Router, top_k_select
-from submoe.checkpoint import layer_from_payload, layer_to_payload
+from submoe.checkpoint import (
+    layer_from_payload, layer_to_payload, read_container, write_container,
+)
 from submoe.errors import DimensionError, MissingRouterError, StateError
 from submoe.model import build_model
 from submoe.numerics import rowwise_matmul, softmax_rows
@@ -303,12 +304,11 @@ def test_router_top_k_is_its_own():
     assert layer.add_router(2).top_k == layer.top_k == 1
 
 
-def test_serialisation_round_trip_is_bit_exact():
+def test_serialisation_round_trip_is_bit_exact(tmp_path):
     layer = make_layer(seed=16)
     layer.experts[0].down[0, 0] = 0.1 + 0.2  # classic non-representable decimal
-    payload = layer_to_payload(layer)
-    import json
-    restored = layer_from_payload(json.loads(json.dumps(payload)))
+    path = write_container(tmp_path / "layer.bin", layer_to_payload(layer))
+    restored = layer_from_payload(read_container(path))
     assert restored.top_k == layer.top_k and restored.rank == layer.rank
     for a, b in zip(layer.experts, restored.experts):
         np.testing.assert_array_equal(a.down, b.down)
@@ -391,7 +391,8 @@ def test_stacked_layer_is_bit_exact_against_a_loop_over_experts(
         layer.remove_experts({layer.experts[-2 + seed % 2].expert_id}, 3)
         task = 3
     elif event == "checkpoint":
-        layer = layer_from_payload(json.loads(json.dumps(layer_to_payload(layer))))
+        # a loaded layer's arrays are owned copies, as `read_container` makes
+        layer = layer_from_payload(copy.deepcopy(layer_to_payload(layer)))
     engine = np.matmul if block is None else partial(rowwise_matmul, block=block)
     ref = np.matmul if block is None else partial(blockwise_matmul, block=block)
     x = rng.standard_normal((rows, dim))

@@ -8,7 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from submoe.checkpoint import decode_array, encode_array, load_checkpoint, save_checkpoint
+from submoe.checkpoint import (
+    Deferred, decode_array, load_checkpoint, read_container, save_checkpoint, write_container,
+)
 from submoe.errors import DataError
 from submoe.lifecycle import (
     PhaseSchedule, begin_task, finetune_experts, fit_routing, learn_task, prune_candidates,
@@ -18,14 +20,14 @@ from submoe.optim import OptimConfig
 from submoe.streams import TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
 
-from oracles import frozen_fingerprint, save_checkpoint_v2
+from oracles import encode_array, frozen_fingerprint, save_checkpoint_v2, save_checkpoint_v3
 
 DIM = 8
 SCHEDULE = PhaseSchedule(identify_steps=15, finetune_steps=10, num_candidates=2,
                          batch_size=16, snapshot_interval=5)
 OPTIM = OptimConfig(learning_rate=0.5, penalty=0.01)
-# the current writer and the version 2 one the loader must keep reading
-WRITERS = {"v3": save_checkpoint, "v2": save_checkpoint_v2}
+# the current writer and the version 3 and 2 ones the loader must keep reading
+WRITERS = {"v4": save_checkpoint, "v3": save_checkpoint_v3, "v2": save_checkpoint_v2}
 
 
 def trained_model(learned=(0, 1)):
@@ -63,10 +65,10 @@ def test_round_trip_preserves_all_state_bitwise(tmp_path):
 
 def test_double_round_trip_is_stable(tmp_path):
     model, bank, _ = trained_model()
-    p1 = save_checkpoint(tmp_path / "a.json", model, bank)
+    p1 = save_checkpoint(tmp_path / "a.bin", model, bank)
     m2, b2, _ = load_checkpoint(p1)
-    p2 = save_checkpoint(tmp_path / "b.json", m2, b2)
-    assert p1.read_text() == p2.read_text()
+    p2 = save_checkpoint(tmp_path / "b.bin", m2, b2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_without_bank(tmp_path):
@@ -80,10 +82,12 @@ def test_awkward_floats_survive(tmp_path):
     model, bank, _ = trained_model()
     model.adapter_layers()[0].experts[0].up[0, 0] = 0.1 + 0.2  # not 0.3
     model.adapter_layers()[0].experts[0].down[0, 0] = 1e-308   # subnormal range
-    path = save_checkpoint(tmp_path / "f.json", model, bank)
+    model.adapter_layers()[0].experts[0].down[0, 1] = -0.0
+    path = save_checkpoint(tmp_path / "f.bin", model, bank)
     loaded, _, _ = load_checkpoint(path)
     assert loaded.adapter_layers()[0].experts[0].up[0, 0] == 0.1 + 0.2
     assert loaded.adapter_layers()[0].experts[0].down[0, 0] == 1e-308
+    assert np.signbit(loaded.adapter_layers()[0].experts[0].down[0, 1])
 
 
 def test_array_encoding_is_the_exact_bytes():
@@ -96,6 +100,37 @@ def test_array_encoding_is_the_exact_bytes():
     # owned, writable, native: a later learning step updates it in place
     assert back.dtype == np.float64 and back.flags.owndata and back.flags.writeable
     assert decode_array(encode_array(np.zeros((0, DIM)))).shape == (0, DIM)
+
+
+def test_container_body_is_the_exact_bytes(tmp_path):
+    a = np.array([[0.1 + 0.2, -0.0, 5e-324], [np.nextafter(1.0, 2.0), -1e308, 3.0]])
+    b = np.arange(4.0)[::2]  # not contiguous
+    made = []
+    c = Deferred((1, 2), lambda: made.append(None) or np.array([[-0.0, 2.5]]))
+    doc = {"note": "x", "arrays": [a, np.zeros((0, DIM)), {"b": b, "c": c}], "n": 3}
+    path = write_container(tmp_path / "c.bin", doc)
+    assert len(made) == 1 and doc["arrays"][2]["c"] is c  # the document is left as it was
+    raw = path.read_bytes()
+    header, body = raw.split(b"\n", 1)
+    assert json.loads(header) == {
+        "note": "x", "n": 3, "arrays": [{"shape": [2, 3], "offset": 0},
+                                        {"shape": [0, DIM], "offset": 48},
+                                        {"b": {"shape": [2], "offset": 48},
+                                         "c": {"shape": [1, 2], "offset": 64}}]}
+    assert body == a.astype("<f8").tobytes() + b.astype("<f8").tobytes() \
+        + np.array([-0.0, 2.5]).tobytes()
+    back = read_container(path)
+    assert back["note"] == "x" and back["n"] == 3
+    got = back["arrays"][0]
+    assert got.tobytes() == a.tobytes() and got.shape == a.shape
+    assert back["arrays"][1].shape == (0, DIM)
+    assert back["arrays"][2]["b"].tobytes() == b.tobytes()
+    assert back["arrays"][2]["c"].tobytes() == np.array([[-0.0, 2.5]]).tobytes()
+    # owned, writable, native: a later learning step updates it in place
+    assert got.dtype == np.float64 and got.flags.owndata and got.flags.writeable
+    # a deferred array must have the shape its header entry declared
+    with pytest.raises(ValueError, match=r"shape \(2,\), declared \[3\]"):
+        write_container(tmp_path / "d.bin", {"d": Deferred((3,), lambda: np.zeros(2))})
 
 
 def test_loaded_model_takes_learning_steps(tmp_path):
@@ -138,8 +173,19 @@ def test_version_2_routers_take_the_layer_top_k(tmp_path):
     loaded, _, _ = load_checkpoint(save_checkpoint_v2(tmp_path / "v2.json", model, bank))
     for layer in loaded.adapter_layers():
         assert all(r.top_k == layer.top_k == 2 for r in layer.routers.values())
-    assert save_checkpoint(tmp_path / "v3.json", loaded, bank).read_bytes() \
-        == save_checkpoint(tmp_path / "orig.json", model, bank).read_bytes()
+    assert save_checkpoint(tmp_path / "v4.bin", loaded, bank).read_bytes() \
+        == save_checkpoint(tmp_path / "orig.bin", model, bank).read_bytes()
+
+
+def test_version_3_files_load_to_the_same_model(tmp_path):
+    model, bank, _ = trained_model()
+    for layer in model.adapter_layers():
+        layer.router_for(1).top_k = 3
+    loaded, loaded_bank, meta = load_checkpoint(
+        save_checkpoint_v3(tmp_path / "v3.json", model, bank, meta={"note": "x"}))
+    assert frozen_fingerprint(loaded) == frozen_fingerprint(model) and meta == {"note": "x"}
+    assert save_checkpoint(tmp_path / "v4.bin", loaded, loaded_bank).read_bytes() \
+        == save_checkpoint(tmp_path / "orig.bin", model, bank).read_bytes()
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -158,7 +204,7 @@ def test_load_rejects_bad_files(tmp_path):
         load_checkpoint(wrong_format)
 
     model, bank, _ = trained_model()
-    path = save_checkpoint(tmp_path / "v.json", model, bank)
+    path = save_checkpoint_v3(tmp_path / "v.json", model, bank)
     doc = json.loads(path.read_text())
     doc["version"] = 99
     path.write_text(json.dumps(doc))
@@ -292,8 +338,67 @@ BAD_V3_DOCUMENTS = {
 def test_load_rejects_malformed_version_3_arrays(tmp_path, name):
     mutate, message = BAD_V3_DOCUMENTS[name]
     model, bank, _ = trained_model()
-    path = save_checkpoint(tmp_path / "ck.json", model, bank)
+    path = save_checkpoint_v3(tmp_path / "ck.json", model, bank)
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+def _split(raw: bytes) -> tuple:
+    header, body = raw.split(b"\n", 1)
+    return json.loads(header), body
+
+
+def _header(mutate):
+    """A change to a container's header: `mutate` takes and returns it."""
+    def apply(raw: bytes) -> bytes:
+        header, body = _split(raw)
+        return json.dumps(mutate(header)).encode() + b"\n" + body
+    return apply
+
+
+def _base64_last_array(raw: bytes) -> bytes:
+    """The bank's last signature moved from the body into the header as
+    version 3 base64 text."""
+    header, body = _split(raw)
+    last = header["bank"]["entries"][-1]
+    last["embedding"] = encode_array(np.zeros(last["embedding"]["shape"]))
+    return json.dumps(header).encode() + b"\n" + body[:-8 * 2 * DIM]
+
+
+def _nan_first_float(raw: bytes) -> bytes:
+    start = raw.index(b"\n") + 1
+    return raw[:start] + np.array([np.nan]).tobytes() + raw[start + 8:]
+
+
+FIRST = ["model", "backbone", "weights", 0]
+LAST = ["bank", "entries", -1, "embedding"]
+BAD_CONTAINERS = {
+    "no header line": (lambda raw: _split(raw)[1], "cannot read .*no JSON header line"),
+    "header not an object": (_header(lambda header: [header]), "not a JSON object"),
+    "wrong format": (_header(_set(["format"], "submoe-audit")), "not a checkpoint"),
+    "wrong version": (_header(_set(["version"], 5)), "unsupported checkpoint version 5"),
+    "version 3 with a body": (_header(_set(["version"], 3)), r"not a \{shape, f64\}"),
+    "offset after a gap": (_header(_set(FIRST + ["offset"], 8)),
+                           "offset 8, where the previous array ends at 0"),
+    "offset as a float": (_header(_set(FIRST + ["offset"], 0.0)), "offset 0.0"),
+    "shape overruns the body": (_header(_set(LAST + ["shape"], [4 * DIM])), "overruns"),
+    "body one float short": (lambda raw: raw[:-8], "overruns"),
+    "trailing bytes": (lambda raw: raw + bytes(8), "8 trailing bytes"),
+    "negative shape": (_header(_set(FIRST + ["shape"], [-DIM, -DIM])), "array shape"),
+    "base64 array in version 4": (_base64_last_array, r"not a \{shape, offset\}"),
+    "shape numpy cannot make": (_header(_set(LAST + ["shape"], [0, 10 ** 30])),
+                                "array shape \\[0, 10+\\]"),
+    "NaN bits": (_nan_first_float, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONTAINERS))
+def test_load_rejects_malformed_containers(tmp_path, name):
+    mutate, message = BAD_CONTAINERS[name]
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "ck.bin", model, bank)
+    path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 

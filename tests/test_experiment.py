@@ -9,18 +9,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from submoe.checkpoint import decode_array, encode_array, load_checkpoint
+from submoe.checkpoint import load_checkpoint, read_container, write_container
 from submoe.config import config_from_dict
 from submoe.errors import ConfigError, DataError
-from submoe.evaluation import evaluate_row
+from submoe.evaluation import EvalState, evaluate_row
 from submoe.experiment import (
-    AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE,
-    OUTPUT_ROOT_ENV, PRUNE_FILE, STREAM_DIR, SUMMARY_FILE, TRACE_FILE, compute_metrics,
-    read_audit, resolve_output_dir, run_experiment,
+    AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, JSON_CHECKPOINT_FILE, JSONL_AUDIT_FILE, KL_FILE,
+    MATRIX_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE, STREAM_DIR, SUMMARY_FILE,
+    TRACE_FILE, compute_metrics, read_audit, resolve_output_dir, run_experiment,
 )
 from submoe.streams import generate_stream, load_task
 
-from oracles import blas_kernel, for_kernel, save_checkpoint_v2
+from oracles import (
+    blas_kernel, encode_array, for_kernel, save_audit_jsonl, save_checkpoint_v2,
+    save_checkpoint_v3,
+)
 from reference_grads import CHUNK_BUDGETS, chunk_budget
 
 
@@ -149,47 +152,70 @@ def test_read_audit_rejects_a_malformed_line(tmp_path):
 def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
-    audit = (run_dir / AUDIT_FILE).read_text()
+    audit = (run_dir / AUDIT_FILE).read_bytes()
     summary = (run_dir / SUMMARY_FILE).read_text()
     assert len(read_audit(run_dir)) == json.loads(summary)["bank_queries"]
-    lines = [json.loads(line) for line in audit.splitlines()]
-    assert [rec["distance"]["shape"] for rec in lines] == [[5, 3]] * 3
+    doc = read_container(run_dir / AUDIT_FILE)
+    tasks = doc["tasks"]
+    assert [rec["distance"].shape for rec in tasks] == [(5, 3)] * 3
 
-    def rejected(records: list[dict], summary_text: str | None, match: str) -> None:
-        (run_dir / AUDIT_FILE).write_text(
-            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    def rejected(audit_file: bytes | dict, summary_text: str | None, match: str) -> None:
+        """`audit_file` as the bytes of the file, or as a document to write."""
+        if isinstance(audit_file, bytes):
+            (run_dir / AUDIT_FILE).write_bytes(audit_file)
+        else:
+            write_container(run_dir / AUDIT_FILE, audit_file)
         (run_dir / SUMMARY_FILE).unlink(missing_ok=True)
         if summary_text is not None:
             (run_dir / SUMMARY_FILE).write_text(summary_text)
         with pytest.raises(DataError, match=match):
             read_audit(run_dir)
 
+    def with_tasks(records: list[dict]) -> dict:
+        return {**doc, "tasks": records}
+
     # no summary: the run never finished
-    rejected(lines, None, "summary.json")
-    # a missing or an extra task line
-    rejected(lines[:2], summary, "2 task lines for 3 stream tasks")
-    rejected(lines + lines[:1], summary, "4 task lines for 3 stream tasks")
-    # the lines out of stream order
-    rejected(lines[::-1], summary, "line 1 is not the .* line of task 2")
-    # task 2's matrix replaced: a column short, flattened to 1-d, or with fewer
-    # windows than bank queries made
-    first = decode_array(lines[0]["distance"])
+    rejected(doc, None, "summary.json")
+    # a missing or an extra task record
+    rejected(with_tasks(tasks[:2]), summary, "2 task records for 3 stream tasks")
+    rejected(with_tasks(tasks + tasks[:1]), summary, "4 task records for 3 stream tasks")
+    # the records out of stream order
+    rejected(with_tasks(tasks[::-1]), summary, "record 1 is not the .* record of task 2")
+    # task 2's matrix replaced: a column short, flattened to 1-d, with fewer
+    # windows than bank queries made, or as base64 text
+    first = tasks[0]["distance"]
 
-    def with_first(distance: dict) -> list[dict]:
-        return [{**lines[0], "distance": distance}] + lines[1:]
+    def with_first(distance) -> dict:
+        return with_tasks([{**tasks[0], "distance": distance}] + tasks[1:])
 
-    rejected(with_first(encode_array(first[:, :2])), summary, r"want \[windows, 3\]")
-    rejected(with_first(encode_array(first.ravel())), summary, r"want \[windows, 3\]")
-    rejected(with_first(encode_array(first[:4])), summary, "bank queries")
-    # f64 text that is not base64, or whose bytes do not fill the shape
-    rejected(with_first({**lines[0]["distance"], "f64": "not base64!"}), summary,
-             "not base64")
-    rejected(with_first({**lines[0]["distance"], "shape": [6, 3]}), summary,
-             "bytes for shape")
+    rejected(with_first(first[:, :2]), summary, r"want \[windows, 3\]")
+    rejected(with_first(first.ravel()), summary, r"want \[windows, 3\]")
+    rejected(with_first(first[:4]), summary, "bank queries")
+    rejected(with_first(encode_array(first)), summary, r"shape \(\), want \[windows, 3\]")
+    # the container: its header line, format and version, and offsets that
+    # tile the body
+    header, body = audit.split(b"\n", 1)
+    head = json.loads(header)
+
+    def headed(mutate) -> bytes:
+        changed = json.loads(header)
+        mutate(changed)
+        return json.dumps(changed).encode() + b"\n" + body
+
+    rejected(body, summary, "no JSON header line")
+    rejected(json.dumps([head]).encode() + b"\n" + body, summary, "not a JSON object")
+    rejected(headed(lambda h: h.update(format="submoe-checkpoint")), summary,
+             "not an audit of format 'submoe-audit'")
+    rejected(headed(lambda h: h.update(version=2)), summary, "version 1")
+    rejected(headed(lambda h: h["tasks"][1]["distance"].update(offset=128)), summary,
+             "offset 128, where the previous array ends at 120")
+    rejected(headed(lambda h: h["tasks"][2]["distance"].update(shape=[6, 3])), summary,
+             "overruns the 360-byte body")
+    rejected(audit + bytes(8), summary, "8 trailing bytes")
 
     # a run that raises after its first row, into the directory of a finished
     # run, leaves neither the old audit nor a summary
-    (run_dir / AUDIT_FILE).write_text(audit)
+    (run_dir / AUDIT_FILE).write_bytes(audit)
     (run_dir / SUMMARY_FILE).write_text(summary)
     calls = []
 
@@ -205,6 +231,41 @@ def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch
     assert not (run_dir / AUDIT_FILE).exists() and not (run_dir / SUMMARY_FILE).exists()
     with pytest.raises(DataError, match="cannot read the audit"):
         read_audit(run_dir)
+
+
+def _write_json_files(run_dir) -> None:
+    """Replace a run's checkpoint and audit by the JSON files a run wrote
+    before they became containers."""
+    model, bank, meta = load_checkpoint(run_dir / CHECKPOINT_FILE)
+    save_checkpoint_v3(run_dir / JSON_CHECKPOINT_FILE, model, bank, meta)
+    save_audit_jsonl(run_dir / JSONL_AUDIT_FILE, read_container(run_dir / AUDIT_FILE)["tasks"])
+    (run_dir / CHECKPOINT_FILE).unlink()
+    (run_dir / AUDIT_FILE).unlink()
+
+
+def test_read_audit_reads_an_ifer_audit_jsonl(tmp_path):
+    run_dir = tmp_path / "run"
+    run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
+    records = read_audit(run_dir)
+    _write_json_files(run_dir)
+    assert read_audit(run_dir) == records
+    # its arrays are base64 text, whose faults are named as before
+    lines = [json.loads(line) for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
+    for key, value, match in (("f64", "not base64!", "not base64"),
+                              ("shape", [6, 3], "bytes for shape")):
+        bad = [{**lines[0], "distance": {**lines[0]["distance"], key: value}}] + lines[1:]
+        (run_dir / JSONL_AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in bad))
+        with pytest.raises(DataError, match=match):
+            read_audit(run_dir)
+
+
+def test_rerun_deletes_the_json_checkpoint_and_audit(tmp_path):
+    raw = pinned_raw("id_free", True, 3)
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    _write_json_files(tmp_path / "run")
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    run_experiment(config_from_dict(raw), tmp_path / "fresh")
+    assert _tree_digests(tmp_path / "run") == _tree_digests(tmp_path / "fresh")
 
 
 def test_id_given_run_removes_an_earlier_audit(tmp_path):
@@ -344,19 +405,22 @@ def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
 # line each, keep the digest of the full per-row file (DENSE_AUDIT_DIGEST, and
 # DENSE_AUDIT_DIGEST_W1 at query window 1).  The checkpoint is
 # version 3 since; the loaded file, re-serialised as version 2, keeps the
-# digest of the version 2 file (V2_CHECKPOINT_DIGEST).  Every table is keyed
+# digest of the version 2 file (V2_CHECKPOINT_DIGEST).  The checkpoint and
+# the audit are containers since; re-serialised as version 3 and as JSON
+# lines, they keep the digests of `checkpoint.json` and `ifer_audit.jsonl`
+# (JSON_DIGESTS).  Every table is keyed
 # by the BLAS kernel (`oracles.blas_kernel`): the Haswell (AVX2) kernel rounds
 # the learning GEMMs unlike SkylakeX (AVX-512), so the learned weights and every
 # file derived from them move at the ulp level; the accuracy matrix, the
 # config and the metrics do not.
 SHARED_DIGESTS = {
-    CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
+    CHECKPOINT_FILE: "881bcf3942c26f2bf8c4ebe082633f6bd98107d870956ddbd2ac03975330a697",
     KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
     TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
     PRUNE_FILE: "78c560c2f5285ca9b0b26a4078a1cb1e41b05de24848e5098da61ede3d6ef566",
 }
 HASWELL_SHARED_DIGESTS = {
-    CHECKPOINT_FILE: "0f996c67bdce3f3d731fbf6f3fb2a50fd8d735c81371ae4b54f07af40735329a",
+    CHECKPOINT_FILE: "a275b7af68755aef2846afbea4c803e43e57138f7a5cf5a03a7a84df7432e9c9",
     KL_FILE: "f39e320134a2d47fb9ce84dd24fa665af2ddaf156742fef28b317e8f5b472b8e",
     TRACE_FILE: "d04d38423599d73795076e71288ad23c0447670840983bd82b8d06a6380e6e00",
     PRUNE_FILE: "c3cc905b62e27b86b067d5b253e5dbb34e2a45622202dffb41bff6100b6123ec",
@@ -366,7 +430,7 @@ SKYLAKEX_DIGESTS = {
         **SHARED_DIGESTS,
         MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
         CONFIG_FILE: "1cfb31def31fb50bb09e12a1da3b8321cbe9d57f0c3a6bbf76373675ca87f0de",
-        AUDIT_FILE: "6b78ee7e837afa9bbff0cca5468e893136b923c13f1af887b4e6551732a3e79b",
+        AUDIT_FILE: "46cf1577fde546229443c840126e136fb7f9f6c31efaf739c21e5ae23c605b36",
         METRICS_FILE: "ffdb1433d423ab2d54854a3a93ec8737e1263dba28126b5c4452d985dd50c690",
         SUMMARY_FILE: "6a0e9401880bc03b3c50b2319fb74e7543e91c4392225adcf3036eead24b745b",
     },
@@ -383,7 +447,7 @@ PINNED_DIGESTS = {
     "Haswell": {
         "id_free": {
             **SKYLAKEX_DIGESTS["id_free"], **HASWELL_SHARED_DIGESTS,
-            AUDIT_FILE: "644ad6caa741926419966a8f5c48dc60a1bacd8467fdc0bb7c39e0a9ec19e0f8",
+            AUDIT_FILE: "9d6fe233507bcd00b3b4a57a1fba167b7c8c7f636f9fc803e77a9c65db3d1c42",
             SUMMARY_FILE: "7c7982e5c57901984b578a2809fd3df4d543440f569a819c5e158b2772371d96",
         },
         "id_given": {
@@ -405,14 +469,68 @@ V2_CHECKPOINT_DIGEST = {
     "SkylakeX": "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
     "Haswell": "ef3f2b3960766b2af576ab7c9d02d17b2d6b73252fd7f095c99c7b465fe2e81b",
 }
+JSON_DIGESTS = {
+    "SkylakeX": {
+        JSON_CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
+        JSONL_AUDIT_FILE: "6b78ee7e837afa9bbff0cca5468e893136b923c13f1af887b4e6551732a3e79b",
+    },
+    "Haswell": {
+        JSON_CHECKPOINT_FILE: "0f996c67bdce3f3d731fbf6f3fb2a50fd8d735c81371ae4b54f07af40735329a",
+        JSONL_AUDIT_FILE: "644ad6caa741926419966a8f5c48dc60a1bacd8467fdc0bb7c39e0a9ec19e0f8",
+    },
+}
+
+
+def capture_eval_state(monkeypatch) -> list[EvalState]:
+    """The `EvalState` of each later `run_experiment` call, in call order."""
+    states = []
+    monkeypatch.setattr("submoe.experiment.EvalState",
+                        lambda **kwargs: states.append(EvalState(**kwargs)) or states[-1])
+    return states
+
+
+def assert_stored_arrays_are_the_runs(run_dir, result, state: EvalState,
+                                      json_digests: dict) -> None:
+    """Every array in the run's checkpoint equals its model's or bank's, and
+    every audit matrix equals `bank.distances` over the state's windows, by
+    `tobytes`, so `-0.0` and `0.0` differ; and re-serialised as version 3
+    and as JSON lines, they are the files written before the containers,
+    whose digests `json_digests` keeps per kernel."""
+    doc = read_container(run_dir / CHECKPOINT_FILE)
+    model, bank = result.model, result.bank
+    stored = doc["model"]["backbone"]["weights"] + doc["model"]["backbone"]["biases"]
+    live = list(model.backbone.weights) + list(model.backbone.biases)
+    for entry, index in zip(doc["model"]["adapters"], sorted(model.adapters)):
+        layer = model.adapters[index]
+        stored += [a for e in entry["experts"] for a in (e["down"], e["up"])]
+        stored += [r["weight"] for r in entry["routers"]]
+        live += [a for e in layer.experts for a in (e.down, e.up)]
+        live += [r.weight for r in layer.routers.values()]
+    stored += [item["embedding"] for item in doc["bank"]["entries"]]
+    live += [bank.entries[task] for task in sorted(bank.entries)]
+    assert [(a.shape, a.tobytes()) for a in stored] == [(a.shape, a.tobytes()) for a in live]
+    json_files = {JSON_CHECKPOINT_FILE: save_checkpoint_v3(
+        run_dir.parent / JSON_CHECKPOINT_FILE, *load_checkpoint(run_dir / CHECKPOINT_FILE))}
+    if (run_dir / AUDIT_FILE).exists():
+        tasks = read_container(run_dir / AUDIT_FILE)["tasks"]
+        assert [rec["true_task"] for rec in tasks] == list(state.windows)
+        assert [(rec["distance"].shape, rec["distance"].tobytes()) for rec in tasks] == [
+            (want.shape, want.tobytes()) for want in (
+                bank.distances(w.queries())[1] for w in state.windows.values())]
+        json_files[JSONL_AUDIT_FILE] = save_audit_jsonl(run_dir.parent / JSONL_AUDIT_FILE, tasks)
+    want = for_kernel(json_digests)
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in json_files.items()} == {name: want[name] for name in json_files}
 
 
 @pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
-def test_run_directory_is_pinned(tmp_path, protocol, cil, window):
-    run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
+def test_run_directory_is_pinned(tmp_path, monkeypatch, protocol, cil, window):
+    states = capture_eval_state(monkeypatch)
+    result = run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
     assert got == for_kernel(PINNED_DIGESTS)[protocol], f"BLAS kernel {blas_kernel()}"
+    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0], JSON_DIGESTS)
     model, bank, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
     v2 = save_checkpoint_v2(tmp_path / "v2.json", model, bank, meta)
     assert hashlib.sha256(v2.read_bytes()).hexdigest() == for_kernel(V2_CHECKPOINT_DIGEST), \
@@ -461,8 +579,8 @@ def dim64_raw() -> dict:
 # sha256 of every run-directory file, recorded with the loop over experts,
 # before the layer stacked its per-expert products; keyed by BLAS kernel
 SKYLAKEX_DIM64_DIGESTS = {
-    AUDIT_FILE: "7187f4434012127c42968fb706f7b5e37c7c779ca5e526e949c8d78d6047ee0a",
-    CHECKPOINT_FILE: "7a5d0064a606ecea362c92fae7ca6ae061a9d6b95445c797ea7fd997f55e9f15",
+    AUDIT_FILE: "84aa0e9247f32e7346929ca92023594f024aefe5dfe2e1b0f06c2eb8c8c10a66",
+    CHECKPOINT_FILE: "f9335ccf2a6d5a8cc66c321223a7d07a391b2ff447b0828fa02170ff9c3be60c",
     CONFIG_FILE: "cd733d7628cce3bd9d6981601283f47464ab953afe97afd7278e2787a0a91e07",
     KL_FILE: "a3f1727e2558b1df28220a957bee79f79ef4ff1f71c3f67e023c1bb6e987aeb9",
     MATRIX_FILE: "1d3d778865988413b63197876302874d06699880fa1be87dececf67d8f8c520b",
@@ -475,8 +593,8 @@ DIM64_DIGESTS = {
     "SkylakeX": SKYLAKEX_DIM64_DIGESTS,
     "Haswell": {
         **SKYLAKEX_DIM64_DIGESTS,
-        AUDIT_FILE: "8198ce0d4527e628c4de892e8d59ae81468c9f595ee6cd26ee41746922e75231",
-        CHECKPOINT_FILE: "6ff06412c48ecb4995e6b16628016c14b32e1a04d65f9b83ac50ab3068870d32",
+        AUDIT_FILE: "d9c7344753c80ea91220b1097418dd92b6d50c1c5dbce9078611a980decd0810",
+        CHECKPOINT_FILE: "5b2f823973bfb9ea5984f79eb4ffe445c8f3dc96ab5b64d8c3c6c410e1b44cbb",
         KL_FILE: "be1575094d53b126f031b111994141f10cbee702ee69ea7138a3a0c33cad1984",
         PRUNE_FILE: "2d7ee1bbb37900032c0589d08376ee2aa8bc3c1e88fa86e6c51f6b183a9c80ba",
         SUMMARY_FILE: "2fe95545a67e380a261bd0b3c151d0faf5c83de3c1464eff2378bf6fd11a7bfa",
@@ -485,21 +603,42 @@ DIM64_DIGESTS = {
 }
 
 
+DIM64_JSON_DIGESTS = {
+    "SkylakeX": {
+        JSON_CHECKPOINT_FILE: "7a5d0064a606ecea362c92fae7ca6ae061a9d6b95445c797ea7fd997f55e9f15",
+        JSONL_AUDIT_FILE: "7187f4434012127c42968fb706f7b5e37c7c779ca5e526e949c8d78d6047ee0a",
+    },
+    "Haswell": {
+        JSON_CHECKPOINT_FILE: "6ff06412c48ecb4995e6b16628016c14b32e1a04d65f9b83ac50ab3068870d32",
+        JSONL_AUDIT_FILE: "8198ce0d4527e628c4de892e8d59ae81468c9f595ee6cd26ee41746922e75231",
+    },
+}
+
+
 @pytest.mark.parametrize("budget", CHUNK_BUDGETS.values(), ids=CHUNK_BUDGETS.keys())
-def test_dim64_run_directory_is_pinned(tmp_path, budget):
+def test_dim64_run_directory_is_pinned(tmp_path, monkeypatch, budget):
+    states = capture_eval_state(monkeypatch)
     with chunk_budget(budget):
-        run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
+        result = run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in (tmp_path / "run").iterdir()}
     assert got == for_kernel(DIM64_DIGESTS), f"BLAS kernel {blas_kernel()}"
+    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0], DIM64_JSON_DIGESTS)
 
 
 def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):
     run_dir = tmp_path / "run"
     run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
-    lines = [json.loads(line) for line in (run_dir / AUDIT_FILE).read_text().splitlines()]
+    audit = (run_dir / AUDIT_FILE).read_bytes()
+    (run_dir / AUDIT_FILE).write_bytes(audit[:-8])
+    with pytest.raises(DataError, match="cannot read the audit") as info:
+        read_audit(run_dir)
+    assert "overruns" in str(info.value) and "checkpoint" not in str(info.value)
+    (run_dir / AUDIT_FILE).write_bytes(audit)
+    _write_json_files(run_dir)
+    lines = [json.loads(line) for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
     lines[0]["distance"]["f64"] = "AAA"
-    (run_dir / AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    (run_dir / JSONL_AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in lines))
     with pytest.raises(DataError, match="cannot read the audit") as info:
         read_audit(run_dir)
     assert "not base64" in str(info.value) and "checkpoint" not in str(info.value)

@@ -18,7 +18,8 @@ A float64 digest holds for one BLAS build and kernel, so `identity.json`
 keeps one table per kernel, keyed by `tests/oracles.py::blas_kernel()`
 (`OPENBLAS_CORETYPE` forces one).  `check` fails when a file differs, is
 missing or is new, and when the running kernel has no table, naming it.
-`record` rewrites the running kernel's table only: use it when a change
+`record` rewrites the running kernel's table only, after printing the lines
+of `check` between the old table and the new one: use it when a change
 moves artifacts on purpose, and say which files moved.  The matrix takes
 about 20 s on 2 vCPU, so it is not part of the test suite.
 """
@@ -105,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         got = run_matrix(Path(tmp))
     files = sum(map(len, got.values()))
     if args.mode == "record":
+        for line in compare(tables.get(kernel, {}), got):
+            print(f"identity: {line}")
         tables[kernel] = got
         MANIFEST.write_text(json.dumps(tables, indent=1, sort_keys=True) + "\n")
         print(f"identity: recorded {files} files of {len(got)} configurations "
