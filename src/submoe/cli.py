@@ -199,12 +199,16 @@ def _cmd_report(args) -> int:
 
 
 def _set_by_path(raw: dict, dotted: str, value) -> None:
+    """Set the key `dotted` names, making the sections on its way that do not
+    exist (the config parser refuses those).  A path through a list or a
+    value is refused, naming the part that holds it."""
     parts = dotted.split(".")
     node = raw
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
+    for i, part in enumerate(parts[:-1]):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--param {dotted}: {'.'.join(parts[:i + 1])} is not a section "
+                              f"of keys (it holds a value of type {type(node).__name__})")
     node[parts[-1]] = value
 
 
@@ -222,12 +226,17 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--values: need at least one value")
     base_raw = config_to_dict(base_cfg)
     base_out = resolve_output_dir(base_cfg)
+    outs = [Path(base_cfg.output_dir) / f"{args.param}={text.replace('/', '_')}"
+            for text in values]
+    for i, out in enumerate(outs):
+        if out in outs[:i]:
+            raise ConfigError(f"--values: {values[outs.index(out)]!r} and {values[i]!r} "
+                              f"share the run directory {out}")
     cfgs = []  # every value is parsed before the first run
-    for text in values:
+    for text, out in zip(values, outs):
         raw = json.loads(json.dumps(base_raw))  # deep copy
         _set_by_path(raw, args.param, _parse_value(text))
-        label = text.replace("/", "_")
-        raw["output_dir"] = str(Path(base_cfg.output_dir) / f"{args.param}={label}")
+        raw["output_dir"] = str(out)
         cfgs.append(config_from_dict(raw))
     for cfg in cfgs:  # and prepared, so that no value is refused after a run
         prepare_run(cfg)

@@ -1,10 +1,13 @@
 """Independent checks the test suite compares the engine against: a generic
 quadratic solve for the damped step, its diagonal projection form, central
 finite differences, byte fingerprints of frozen state, the version 2 and 3
-checkpoint writers and the JSON-lines audit writer, and the contrastive loss and routing as first written,
-with NumPy's convenience wrappers and fresh temporaries; plus the name of
-the BLAS kernel, which keys every table of pinned digests.  None of this
-is used by the engine itself."""
+checkpoint writers and the JSON-lines audit writer, and the contrastive loss
+and routing as first written, with NumPy's convenience wrappers and fresh
+temporaries; plus the name of the BLAS kernel.  The kernel keys the one table
+of pinned digests, `tools/identity.json` (see `tests/pinned.py`), and
+`for_kernel` reads it, naming the `tools/identity.py record` command when
+the running kernel has no table.  None of this is used by the engine
+itself."""
 
 from __future__ import annotations
 
@@ -40,14 +43,21 @@ def blas_kernel() -> str:
     return "unknown"
 
 
+def record_command() -> str:
+    """The command that records the running kernel's table of digests."""
+    return f"OPENBLAS_CORETYPE={blas_kernel()} python3 tools/identity.py record"
+
+
 def for_kernel(table: dict):
     """The entry of `table`, a dict keyed by BLAS kernel name, recorded under
-    the kernel this process loaded.  A kernel with no entry fails, naming it:
-    its digests have to be recorded, not skipped."""
+    the kernel this process loaded.  A kernel with no entry fails, naming it
+    and the command that records it: its digests have to be recorded, not
+    skipped."""
     kernel = blas_kernel()
     if kernel not in table:
         raise AssertionError(f"no pinned digests for BLAS kernel {kernel}; "
-                             f"tables exist for {sorted(table)}")
+                             f"tables exist for {sorted(table)}; record them with: "
+                             f"{record_command()}")
     return table[kernel]
 
 

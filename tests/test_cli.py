@@ -242,6 +242,29 @@ def test_sweep_refuses_a_bad_value_before_running_the_good_one(rooted, capsys):
     assert not (rooted / "out").exists()
 
 
+@pytest.mark.parametrize("values,first,second", [("0.01,0.02,0.01", "0.01", "0.01"),
+                                                  ("a/b,a_b", "a/b", "a_b")])
+def test_sweep_refuses_values_that_share_a_run_directory_exits_1(rooted, capsys, values,
+                                                                 first, second):
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", "optimizer.penalty", f"--values={values}"]) == 1
+    out = Path("runs/cli") / f"optimizer.penalty={second.replace('/', '_')}"
+    assert capsys.readouterr().err == (f"config error: --values: {first!r} and {second!r} "
+                                       f"share the run directory {out}\n")
+    assert not (rooted / "out").exists()
+
+
+@pytest.mark.parametrize("param,held,kind", [("stream.0.noise", "stream", "list"),
+                                             ("model.rank.x", "model.rank", "int")])
+def test_sweep_refuses_a_param_through_a_list_or_a_value_exits_1(rooted, capsys, param, held,
+                                                                 kind):
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", param, "--values", "1"]) == 1
+    assert capsys.readouterr().err == (f"config error: --param {param}: {held} is not a "
+                                       f"section of keys (it holds a value of type {kind})\n")
+    assert not (rooted / "out").exists()
+
+
 @pytest.mark.parametrize("escape", ["abs", "../../escape"])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1"]])
 def test_output_root_refuses_an_escaping_output_dir_exits_1(rooted, capsys, escape, command):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
 
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 from submoe.checkpoint import load_checkpoint, read_container, write_container
+from submoe.cli import _file_digests
 from submoe.config import config_from_dict
 from submoe.errors import ConfigError, DataError
 from submoe.evaluation import EvalState, evaluate_row
@@ -20,10 +20,8 @@ from submoe.experiment import (
 )
 from submoe.streams import generate_stream, load_task
 
-from oracles import (
-    blas_kernel, encode_array, for_kernel, save_audit_jsonl, save_checkpoint_v2,
-    save_checkpoint_v3,
-)
+from oracles import blas_kernel, encode_array, for_kernel, save_audit_jsonl, save_checkpoint_v3
+from pinned import pinned_raw, recorded, run_entry
 from reference_grads import CHUNK_BUDGETS, chunk_budget
 
 
@@ -265,7 +263,7 @@ def test_rerun_deletes_the_json_checkpoint_and_audit(tmp_path):
     _write_json_files(tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "fresh")
-    assert _tree_digests(tmp_path / "run") == _tree_digests(tmp_path / "fresh")
+    assert _file_digests(tmp_path / "run") == _file_digests(tmp_path / "fresh")
 
 
 def test_id_given_run_removes_an_earlier_audit(tmp_path):
@@ -305,11 +303,6 @@ def test_export_stream_round_trips(tmp_path):
             assert got.tobytes() == want.tobytes(), name
 
 
-def _tree_digests(root) -> dict[str, str]:
-    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 @pytest.mark.parametrize("n_tasks, export", [(6, False), (2, True)],
                          ids=["no export", "fewer tasks"])
 def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
@@ -324,7 +317,7 @@ def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
     raw = raw_of(n_tasks, export)
     run_experiment(config_from_dict(raw), tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "fresh")
-    assert _tree_digests(tmp_path / "run") == _tree_digests(tmp_path / "fresh")
+    assert _file_digests(tmp_path / "run") == _file_digests(tmp_path / "fresh")
 
 
 def test_single_task_stream_has_no_transfer(tmp_path):
@@ -375,110 +368,15 @@ def test_compute_metrics_shapes():
     assert out2["cil_avg"] == pytest.approx(0.8)
 
 
-def pinned_raw(protocol: str, cil: bool, window: int) -> dict:
-    """Three tasks with non-monotonic ids, a reuse task (duplicate pooled label
-    rows) and a threshold that leaves some windows on the fallback."""
-    return {
-        "seed": 5,
-        "output_dir": "runs/pinned",
-        "model": {"feature_dim": 8, "depth": 3, "adapter_layers": [1, 2], "rank": 2},
-        "schedule": {"identify_steps": 8, "finetune_steps": 4, "num_candidates": 2,
-                     "batch_size": 8, "snapshot_interval": 4},
-        "optimizer": {"learning_rate": 0.5, "penalty": 0.01},
-        "contrastive": {"temperature": 0.2},
-        "task_bank": {"match_threshold": 1.3, "enroll_batch": 16, "query_window": window},
-        "evaluation": {"protocol": protocol, "cil": cil},
-        "stream": [
-            {"task_id": 2, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
-             "seed": 2},
-            {"task_id": 0, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
-             "seed": 0},
-            {"task_id": 1, "classes": 3, "samples_per_class": 8, "eval_per_class": 5,
-             "seed": 1, "alignment": {"mode": "reuse", "source": 0, "perturbation": 0.3}},
-        ],
-    }
-
-
-# sha256 of every run-directory file, recorded before stream evaluation became
-# incremental; the evaluation rewrite must not move a byte.  The audit file is
-# each eval task's distance matrix since; its dense records, re-serialised a
-# line each, keep the digest of the full per-row file (DENSE_AUDIT_DIGEST, and
-# DENSE_AUDIT_DIGEST_W1 at query window 1).  The checkpoint is
-# version 3 since; the loaded file, re-serialised as version 2, keeps the
-# digest of the version 2 file (V2_CHECKPOINT_DIGEST).  The checkpoint and
-# the audit are containers since; re-serialised as version 3 and as JSON
-# lines, they keep the digests of `checkpoint.json` and `ifer_audit.jsonl`
-# (JSON_DIGESTS).  Every table is keyed
-# by the BLAS kernel (`oracles.blas_kernel`): the Haswell (AVX2) kernel rounds
-# the learning GEMMs unlike SkylakeX (AVX-512), so the learned weights and every
+# The digests of every pinned computation (`tests/pinned.py`) live in
+# `tools/identity.json`, one table per BLAS kernel (`oracles.blas_kernel`),
+# written by `tools/identity.py record`: the Haswell (AVX2) kernel rounds the
+# learning GEMMs unlike SkylakeX (AVX-512), so the learned weights and every
 # file derived from them move at the ulp level; the accuracy matrix, the
-# config and the metrics do not.
-SHARED_DIGESTS = {
-    CHECKPOINT_FILE: "881bcf3942c26f2bf8c4ebe082633f6bd98107d870956ddbd2ac03975330a697",
-    KL_FILE: "a08cfc5009c9f8187197f6139332359b6d9332a7cad6831921dd6b6c7a2679b6",
-    TRACE_FILE: "b4570c6eba7cc334d9d3da5cd117268371e6a1134b29b219673cc162231b5252",
-    PRUNE_FILE: "78c560c2f5285ca9b0b26a4078a1cb1e41b05de24848e5098da61ede3d6ef566",
-}
-HASWELL_SHARED_DIGESTS = {
-    CHECKPOINT_FILE: "a275b7af68755aef2846afbea4c803e43e57138f7a5cf5a03a7a84df7432e9c9",
-    KL_FILE: "f39e320134a2d47fb9ce84dd24fa665af2ddaf156742fef28b317e8f5b472b8e",
-    TRACE_FILE: "d04d38423599d73795076e71288ad23c0447670840983bd82b8d06a6380e6e00",
-    PRUNE_FILE: "c3cc905b62e27b86b067d5b253e5dbb34e2a45622202dffb41bff6100b6123ec",
-}
-SKYLAKEX_DIGESTS = {
-    "id_free": {
-        **SHARED_DIGESTS,
-        MATRIX_FILE: "d08cbaf35968585767d6a3f64361c48e9e105de571d7c02334fdc0f4a947a5a1",
-        CONFIG_FILE: "1cfb31def31fb50bb09e12a1da3b8321cbe9d57f0c3a6bbf76373675ca87f0de",
-        AUDIT_FILE: "46cf1577fde546229443c840126e136fb7f9f6c31efaf739c21e5ae23c605b36",
-        METRICS_FILE: "ffdb1433d423ab2d54854a3a93ec8737e1263dba28126b5c4452d985dd50c690",
-        SUMMARY_FILE: "6a0e9401880bc03b3c50b2319fb74e7543e91c4392225adcf3036eead24b745b",
-    },
-    "id_given": {
-        **SHARED_DIGESTS,
-        MATRIX_FILE: "6f04daca2601d82141b75bb69295f740aa5edf7dcd577e5127ec8946c93d335d",
-        CONFIG_FILE: "4767ad704106d312c0ad892235fa746208bfa32626fcf3ff8b27e70cb92a7801",
-        METRICS_FILE: "3154225ba8af9e4d1be8360fe1a66df776f6675cb79b52a6e591fd766ba68e76",
-        SUMMARY_FILE: "7ffb0c2623d51460da9a34d88236133f121a002d6952d6be8d399ffec125816e",
-    },
-}
-PINNED_DIGESTS = {
-    "SkylakeX": SKYLAKEX_DIGESTS,
-    "Haswell": {
-        "id_free": {
-            **SKYLAKEX_DIGESTS["id_free"], **HASWELL_SHARED_DIGESTS,
-            AUDIT_FILE: "9d6fe233507bcd00b3b4a57a1fba167b7c8c7f636f9fc803e77a9c65db3d1c42",
-            SUMMARY_FILE: "7c7982e5c57901984b578a2809fd3df4d543440f569a819c5e158b2772371d96",
-        },
-        "id_given": {
-            **SKYLAKEX_DIGESTS["id_given"], **HASWELL_SHARED_DIGESTS,
-            SUMMARY_FILE: "7840eb8a9dd41e9d485d84f0abf99c9c5f3654d8d1b4a8baf74f9e5d1957bd75",
-        },
-    },
-}
-
-DENSE_AUDIT_DIGEST = {
-    "SkylakeX": "4ab074f75aae1b101cde7ac8fcd6a040e9f270764bf688bbfdd750c3337e964a",
-    "Haswell": "8e2e2a407a652122ba63ed4d06451c5ef97bd3bfb3808725126ecaf584b475c6",
-}
-DENSE_AUDIT_DIGEST_W1 = {
-    "SkylakeX": "f325fee0ead6d1839b2b3bb73f582dc2c061f2f12f9259034f451f4dacac75ce",
-    "Haswell": "d08aca5b6bbf8f3dbec0575a0f05d3240935099a9388ee547e30cf551c2f8fec",
-}
-V2_CHECKPOINT_DIGEST = {
-    "SkylakeX": "64365dafbdb3bc05bb94f1135052b277b401ae552c20e365e3ab4fd8e0716761",
-    "Haswell": "ef3f2b3960766b2af576ab7c9d02d17b2d6b73252fd7f095c99c7b465fe2e81b",
-}
-JSON_DIGESTS = {
-    "SkylakeX": {
-        JSON_CHECKPOINT_FILE: "a2384523874049ad655a3fe06f31119b5bf8eef1a7bc9f98d3ddc2481f088ffe",
-        JSONL_AUDIT_FILE: "6b78ee7e837afa9bbff0cca5468e893136b923c13f1af887b4e6551732a3e79b",
-    },
-    "Haswell": {
-        JSON_CHECKPOINT_FILE: "0f996c67bdce3f3d731fbf6f3fb2a50fd8d735c81371ae4b54f07af40735329a",
-        JSONL_AUDIT_FILE: "644ad6caa741926419966a8f5c48dc60a1bacd8467fdc0bb7c39e0a9ec19e0f8",
-    },
-}
+# config and the metrics do not.  The re-serialised checkpoints and audits
+# must keep the bytes the version 2 and 3 and the JSON-lines writers gave.
+def assert_pinned(got: dict[str, str], entry: str) -> None:
+    assert got == for_kernel(recorded())[entry], f"BLAS kernel {blas_kernel()}, entry {entry}"
 
 
 def capture_eval_state(monkeypatch) -> list[EvalState]:
@@ -489,13 +387,10 @@ def capture_eval_state(monkeypatch) -> list[EvalState]:
     return states
 
 
-def assert_stored_arrays_are_the_runs(run_dir, result, state: EvalState,
-                                      json_digests: dict) -> None:
+def assert_stored_arrays_are_the_runs(run_dir, result, state: EvalState) -> None:
     """Every array in the run's checkpoint equals its model's or bank's, and
     every audit matrix equals `bank.distances` over the state's windows, by
-    `tobytes`, so `-0.0` and `0.0` differ; and re-serialised as version 3
-    and as JSON lines, they are the files written before the containers,
-    whose digests `json_digests` keeps per kernel."""
+    `tobytes`, so `-0.0` and `0.0` differ."""
     doc = read_container(run_dir / CHECKPOINT_FILE)
     model, bank = result.model, result.bank
     stored = doc["model"]["backbone"]["weights"] + doc["model"]["backbone"]["biases"]
@@ -509,121 +404,45 @@ def assert_stored_arrays_are_the_runs(run_dir, result, state: EvalState,
     stored += [item["embedding"] for item in doc["bank"]["entries"]]
     live += [bank.entries[task] for task in sorted(bank.entries)]
     assert [(a.shape, a.tobytes()) for a in stored] == [(a.shape, a.tobytes()) for a in live]
-    json_files = {JSON_CHECKPOINT_FILE: save_checkpoint_v3(
-        run_dir.parent / JSON_CHECKPOINT_FILE, *load_checkpoint(run_dir / CHECKPOINT_FILE))}
     if (run_dir / AUDIT_FILE).exists():
         tasks = read_container(run_dir / AUDIT_FILE)["tasks"]
         assert [rec["true_task"] for rec in tasks] == list(state.windows)
         assert [(rec["distance"].shape, rec["distance"].tobytes()) for rec in tasks] == [
             (want.shape, want.tobytes()) for want in (
                 bank.distances(w.queries())[1] for w in state.windows.values())]
-        json_files[JSONL_AUDIT_FILE] = save_audit_jsonl(run_dir.parent / JSONL_AUDIT_FILE, tasks)
-    want = for_kernel(json_digests)
-    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for name, path in json_files.items()} == {name: want[name] for name in json_files}
 
 
-@pytest.mark.parametrize("protocol,cil,window", [("id_free", True, 3), ("id_given", False, 1)])
-def test_run_directory_is_pinned(tmp_path, monkeypatch, protocol, cil, window):
+@pytest.mark.parametrize("protocol", ["id_free", "id_given"])
+def test_run_directory_is_pinned(tmp_path, monkeypatch, protocol):
+    """Every run-directory file, and the checkpoint re-serialised as version
+    2 and 3; under `id_free` also the audit as JSON lines and as its dense
+    records, a line each."""
     states = capture_eval_state(monkeypatch)
-    result = run_experiment(config_from_dict(pinned_raw(protocol, cil, window)), tmp_path / "run")
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in (tmp_path / "run").iterdir()}
-    assert got == for_kernel(PINNED_DIGESTS)[protocol], f"BLAS kernel {blas_kernel()}"
-    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0], JSON_DIGESTS)
-    model, bank, meta = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
-    v2 = save_checkpoint_v2(tmp_path / "v2.json", model, bank, meta)
-    assert hashlib.sha256(v2.read_bytes()).hexdigest() == for_kernel(V2_CHECKPOINT_DIGEST), \
-        f"BLAS kernel {blas_kernel()}"
-    if protocol == "id_free":
-        dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
-                        for rec in read_audit(tmp_path / "run"))
-        assert hashlib.sha256(dense.encode()).hexdigest() == for_kernel(DENSE_AUDIT_DIGEST), \
-            f"BLAS kernel {blas_kernel()}"
+    entry = f"tier1:pinned[{protocol}]"
+    result, got = run_entry(entry, tmp_path)
+    assert_pinned(got, entry)
+    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0])
 
 
 def test_a_kernel_without_a_table_fails_naming_it():
-    with pytest.raises(AssertionError, match=f"BLAS kernel {blas_kernel()};"):
+    with pytest.raises(AssertionError, match=f"BLAS kernel {blas_kernel()};") as info:
         for_kernel({"NoSuchKernel": {}})
+    assert str(info.value).endswith(
+        f"record them with: OPENBLAS_CORETYPE={blas_kernel()} python3 tools/identity.py record")
 
 
 def test_dense_audit_at_window_1_is_pinned(tmp_path):
-    run_experiment(config_from_dict(pinned_raw("id_free", True, 1)), tmp_path / "run")
-    dense = "".join(json.dumps(rec, sort_keys=True) + "\n"
-                    for rec in read_audit(tmp_path / "run"))
-    assert hashlib.sha256(dense.encode()).hexdigest() == for_kernel(DENSE_AUDIT_DIGEST_W1), \
-        f"BLAS kernel {blas_kernel()}"
-
-
-def dim64_raw() -> dict:
-    """Dim 64, three orthogonal tasks of three candidates per layer and
-    task-free evaluation in windows of 3.  Under the default chunk budget
-    every pass (48 to 192 rows) stacks all its visible experts, nine at most,
-    in one chunk; under `ONE_EXPERT_AT_48_ROWS` a chunk holds one expert, so
-    every pass crosses a chunk boundary at each expert."""
-    return {
-        "seed": 7,
-        "output_dir": "runs/pinned64",
-        "model": {"feature_dim": 64, "depth": 3, "adapter_layers": [1, 2], "rank": 2},
-        "schedule": {"identify_steps": 6, "finetune_steps": 3, "num_candidates": 3,
-                     "batch_size": 48, "snapshot_interval": 3, "top_k": 64},
-        "optimizer": {"learning_rate": 5.0, "penalty": 0.01},
-        "contrastive": {"temperature": 0.4},
-        "task_bank": {"match_threshold": 8.0, "enroll_batch": 32, "query_window": 3},
-        "evaluation": {"protocol": "id_free", "cil": True},
-        "stream": [{"task_id": i, "classes": 3, "samples_per_class": 16, "eval_per_class": 64,
-                    "seed": i, "alignment": {"mode": "orthogonal"}} for i in range(3)],
-    }
-
-
-# sha256 of every run-directory file, recorded with the loop over experts,
-# before the layer stacked its per-expert products; keyed by BLAS kernel
-SKYLAKEX_DIM64_DIGESTS = {
-    AUDIT_FILE: "84aa0e9247f32e7346929ca92023594f024aefe5dfe2e1b0f06c2eb8c8c10a66",
-    CHECKPOINT_FILE: "f9335ccf2a6d5a8cc66c321223a7d07a391b2ff447b0828fa02170ff9c3be60c",
-    CONFIG_FILE: "cd733d7628cce3bd9d6981601283f47464ab953afe97afd7278e2787a0a91e07",
-    KL_FILE: "a3f1727e2558b1df28220a957bee79f79ef4ff1f71c3f67e023c1bb6e987aeb9",
-    MATRIX_FILE: "1d3d778865988413b63197876302874d06699880fa1be87dececf67d8f8c520b",
-    METRICS_FILE: "d17b9ae9319c703f213cba5dbfb31a8dee1cd161bb585b6997abbaf44cb6ba4b",
-    PRUNE_FILE: "af2c50f95e0a128955b1ac84694c0b72158a704f62fc2d90c153fae3f0083703",
-    SUMMARY_FILE: "b59f333bcf2b760e28f6d80959e085195aac0a4817ab347af6a34c35b1014988",
-    TRACE_FILE: "0d919b84a63ef48f42a8b139cf11ed74f78bc3fc6ea642589f0e6723f3dfea58",
-}
-DIM64_DIGESTS = {
-    "SkylakeX": SKYLAKEX_DIM64_DIGESTS,
-    "Haswell": {
-        **SKYLAKEX_DIM64_DIGESTS,
-        AUDIT_FILE: "d9c7344753c80ea91220b1097418dd92b6d50c1c5dbce9078611a980decd0810",
-        CHECKPOINT_FILE: "5b2f823973bfb9ea5984f79eb4ffe445c8f3dc96ab5b64d8c3c6c410e1b44cbb",
-        KL_FILE: "be1575094d53b126f031b111994141f10cbee702ee69ea7138a3a0c33cad1984",
-        PRUNE_FILE: "2d7ee1bbb37900032c0589d08376ee2aa8bc3c1e88fa86e6c51f6b183a9c80ba",
-        SUMMARY_FILE: "2fe95545a67e380a261bd0b3c151d0faf5c83de3c1464eff2378bf6fd11a7bfa",
-        TRACE_FILE: "2d4ed0c1e2444dc5c2b1b6c044d989272c1d13508f3e7e0737ad7216c16fa0c4",
-    },
-}
-
-
-DIM64_JSON_DIGESTS = {
-    "SkylakeX": {
-        JSON_CHECKPOINT_FILE: "7a5d0064a606ecea362c92fae7ca6ae061a9d6b95445c797ea7fd997f55e9f15",
-        JSONL_AUDIT_FILE: "7187f4434012127c42968fb706f7b5e37c7c779ca5e526e949c8d78d6047ee0a",
-    },
-    "Haswell": {
-        JSON_CHECKPOINT_FILE: "6ff06412c48ecb4995e6b16628016c14b32e1a04d65f9b83ac50ab3068870d32",
-        JSONL_AUDIT_FILE: "8198ce0d4527e628c4de892e8d59ae81468c9f595ee6cd26ee41746922e75231",
-    },
-}
+    entry = "tier1:pinned[id_free,window=1]"
+    assert_pinned(run_entry(entry, tmp_path)[1], entry)
 
 
 @pytest.mark.parametrize("budget", CHUNK_BUDGETS.values(), ids=CHUNK_BUDGETS.keys())
 def test_dim64_run_directory_is_pinned(tmp_path, monkeypatch, budget):
     states = capture_eval_state(monkeypatch)
     with chunk_budget(budget):
-        result = run_experiment(config_from_dict(dim64_raw()), tmp_path / "run")
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in (tmp_path / "run").iterdir()}
-    assert got == for_kernel(DIM64_DIGESTS), f"BLAS kernel {blas_kernel()}"
-    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0], DIM64_JSON_DIGESTS)
+        result, got = run_entry("tier1:dim64", tmp_path)
+    assert_pinned(got, "tier1:dim64")
+    assert_stored_arrays_are_the_runs(tmp_path / "run", result, states[0])
 
 
 def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from submoe.optim import OptimConfig
 from submoe.streams import Alignment, TaskSpec, generate_stream
 
 from oracles import blas_kernel, for_kernel, frozen_fingerprint
+from pinned import ADAMW_ENTRY, adamw_two_task, recorded
 from reference_grads import full_loss_and_grads
 
 DIM = 8
@@ -351,31 +351,13 @@ def test_second_task_routers_see_all_predecessors():
         assert all(e.owner_task == 0 for e in layer.experts[:n0])
 
 
-# sha256 over every expert's (down, up) and every router's weight bytes after
-# two AdamW tasks with weight decay, recorded before the AdamW update moved
-# into `optim.apply_step`.  It pins bytes, so like the benchmark's golden
-# files it holds for one NumPy/BLAS build, and is keyed by BLAS kernel.
-ADAMW_TWO_TASK_DIGEST = {
-    "SkylakeX": "da114acaa83fffe84f04034752ef99d4718491b99dea190e4404563b8920ee96",
-    "Haswell": "47e91627b3eb71d7375e845eff8b9de47a1679bbe9df780b4b762102606bb225",
-}
-
-
 def test_adamw_learning_path_is_pinned():
-    model = make_model()
-    stream = two_task_stream()
-    cfg = make_cfg(method="adamw", weight_decay=0.05)
-    for t in (0, 1):
-        learn_task(model, t, stream[t], make_schedule(), cfg, np.random.default_rng(40 + t))
-    h = hashlib.sha256()
-    for layer in model.adapter_layers():
-        for e in layer.experts:
-            h.update(e.down.tobytes())
-            h.update(e.up.tobytes())
-        for t in sorted(layer.routers):
-            h.update(layer.routers[t].weight.tobytes())
+    """Two AdamW tasks with weight decay, pinned by the sha256 over every
+    expert's and router's bytes, recorded before the AdamW update moved into
+    `optim.apply_step` (`tests/pinned.py`)."""
+    model, got = adamw_two_task()
     assert model.expert_counts() == {1: 3, 2: 4}  # pruning ran on one layer
-    assert h.hexdigest() == for_kernel(ADAMW_TWO_TASK_DIGEST), f"BLAS kernel {blas_kernel()}"
+    assert got == for_kernel(recorded())[ADAMW_ENTRY], f"BLAS kernel {blas_kernel()}"
 
 
 # A phase's steps read what `AdapterModel.step_rows` made once for every

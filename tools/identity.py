@@ -1,5 +1,6 @@
-"""The byte-identity matrix: run 19 fixed configurations and compare the
-sha256 of every file of their run directories with a recorded table.
+"""The byte-identity matrix: run 19 fixed configurations and the test
+suite's pinned computations, and compare the sha256 of every file they make
+with a recorded table.
 
     python3 tools/identity.py check
     python3 tools/identity.py record
@@ -14,6 +15,13 @@ read and not changed) with overrides:
 - `demo_free_cil` with AdamW at `top_k` 3;
 - the first six `ortho20_given` tasks at `top_k` 5.
 
+Each keeps every file of its run directory.  The pinned computations are
+the entries of `tests/pinned.py`, named `tier1:...`, which the tests
+compare with the same table: the two `pinned_raw` runs, the query-window-1
+run and the dim-64 run, each with its run directory and the files
+re-serialised from it (the version 2 and 3 checkpoints, the JSON-lines and
+the dense audit), and the fingerprint of two AdamW tasks.
+
 A float64 digest holds for one BLAS build and kernel, so `identity.json`
 keeps one table per kernel, keyed by `tests/oracles.py::blas_kernel()`
 (`OPENBLAS_CORETYPE` forces one).  `check` fails when a file differs, is
@@ -21,7 +29,7 @@ missing or is new, and when the running kernel has no table, naming it.
 `record` rewrites the running kernel's table only, after printing the lines
 of `check` between the old table and the new one: use it when a change
 moves artifacts on purpose, and say which files moved.  The matrix takes
-about 20 s on 2 vCPU, so it is not part of the test suite.
+about 16 s on 2 vCPU, so it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MANIFEST = Path(__file__).resolve().parent / "identity.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from oracles import blas_kernel  # noqa: E402
+from oracles import blas_kernel, record_command  # noqa: E402
+from pinned import ENTRIES, IDENTITY, entry_digests  # noqa: E402
 from submoe.cli import _file_digests  # noqa: E402
 from submoe.config import config_from_dict  # noqa: E402
 from submoe.experiment import run_experiment  # noqa: E402
@@ -72,12 +80,20 @@ def configurations() -> dict[str, dict]:
     return cfgs
 
 
+def entry_names() -> list[str]:
+    """The names of a kernel's table: the configurations, then the tests'
+    pinned entries."""
+    return [*configurations(), *ENTRIES]
+
+
 def run_matrix(out: Path) -> dict[str, dict[str, str]]:
     table = {}
     for name, raw in configurations().items():
         run_experiment(config_from_dict(raw), out / name)
         table[name] = _file_digests(out / name)  # what `submoe report A B` compares
         print(f"{name}: {len(table[name])} files", flush=True)
+    table.update(entry_digests(out / "tier1"))
+    print(f"tier1: {sum(len(table[name]) for name in ENTRIES)} files", flush=True)
     return table
 
 
@@ -97,10 +113,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     kernel = blas_kernel()
-    tables = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    tables = json.loads(IDENTITY.read_text()) if IDENTITY.exists() else {}
     if args.mode == "check" and kernel not in tables:
         print(f"identity: no table for BLAS kernel {kernel}; tables exist for "
-              f"{sorted(tables)}", file=sys.stderr)
+              f"{sorted(tables)}; record it with: {record_command()}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         got = run_matrix(Path(tmp))
@@ -109,8 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         for line in compare(tables.get(kernel, {}), got):
             print(f"identity: {line}")
         tables[kernel] = got
-        MANIFEST.write_text(json.dumps(tables, indent=1, sort_keys=True) + "\n")
-        print(f"identity: recorded {files} files of {len(got)} configurations "
+        IDENTITY.write_text(json.dumps(tables, indent=1, sort_keys=True) + "\n")
+        print(f"identity: recorded {files} files of {len(got)} entries "
               f"for BLAS kernel {kernel}")
         return 0
     problems = compare(tables[kernel], got)
@@ -118,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"identity: {line}", file=sys.stderr)
     if problems:
         return 1
-    print(f"identity: all {files} files of {len(got)} configurations equal "
+    print(f"identity: all {files} files of {len(got)} entries equal "
           f"under BLAS kernel {kernel}")
     return 0
 
