@@ -361,7 +361,7 @@ class MixtureAdapterLayer:
                              version=self.version, matmul=matmul, first=first)
         return y, dist, cache
 
-    def frozen_mix(self, task: int, x, block: int, matmul: MatMul = np.matmul) -> FrozenMix:
+    def frozen_mix(self, task: int, x, block: int) -> FrozenMix:
         """`task`'s routing of the rows `x` and the mix of the visible experts
         before its first (all of them if it owns none), which forward()
         continues from while the router and those experts stay frozen.  Both
@@ -373,9 +373,9 @@ class MixtureAdapterLayer:
 
         def mix(rows: slice):
             xb = xm[rows]
-            dist = self.route(task, xb, matmul)
+            dist = self.route(task, xb)
             partial = xb.copy()
-            self._mix_experts(partial, xb, dist.weights, 0, start, matmul)
+            self._mix_experts(partial, xb, dist.weights, 0, start, np.matmul)
             return dist.probs, dist.weights, partial
 
         probs, weights, partial = by_row_blocks(mix, xm.shape[0], block)

@@ -250,12 +250,16 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
         print(f"{args.param}={text}: experts={row['final_expert_total']} "
               f"last={_fmt(row['last'])}")
-    base_out.mkdir(parents=True, exist_ok=True)
     summary_path = base_out / "sweep_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        base_out.mkdir(parents=True, exist_ok=True)
+        with open(summary_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"sweep directory {base_out}: cannot write "
+                        f"{exc.filename or summary_path} ({exc.strerror or exc})") from exc
     print(f"sweep summary: {summary_path}")
     return 0
 

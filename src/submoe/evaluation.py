@@ -17,9 +17,12 @@ only when its route does:
   matrix is joined from them for the time of a call), each window's
   nearest task, distance and route, and each row's prediction, but no bare
   embeddings: a new metric or threshold, or a replaced or removed
-  signature, starts the task afresh.  Each row's routed embedding is kept
-  only for the CIL pass (`EvalState(keep_emb=True)`); without it, a call
-  embeds what it classifies into a temporary.
+  signature, starts the task afresh.  A call embeds the windows it
+  classifies again, whole and in stream order, into one temporary (on the
+  task's first call, every window, seeded with the bare embeddings that
+  unmatched windows keep) and classifies that.  Each row's routed
+  embedding is kept only for the CIL pass (`EvalState(keep_emb=True)`),
+  which copies the temporary into the kept rows.
 - `id_given`: accuracy is kept per (task, route), so a run makes 2n predicts.
 - the CIL pass reuses the row's routed embeddings and computes only the
   cosine against the grown pooled label table.
@@ -128,9 +131,9 @@ class WindowDecisions(NamedTuple):
 class _TaskWindows:
     """One eval task's cached task-free evaluation under one bank rule.  It
     starts with no decisions (every window unmatched at distance +inf, no
-    signature measured) and `emb` holding the bare-backbone embeddings, or
-    None when its state keeps no embeddings; `EvalState.task_windows`
-    measures the bank's entries into it.  The decision arrays are replaced,
+    signature measured) and `emb` not yet filled (None when its state keeps
+    no embeddings); `EvalState.task_windows` measures the bank's entries
+    into it and fills `emb` on the first call.  The decision arrays are replaced,
     never written in place, so a `WindowDecisions` stays valid.  The query
     matrix is built only for the time of a call."""
 
@@ -194,13 +197,11 @@ class EvalState:
         fresh = (w is None or w.data is not data or w.window != window or w.rule != rule
                  or any(bank.entries.get(t) is not sig for t, sig in w.signatures.items()))
         if fresh:
-            emb = model.embed(data.eval_x, None, matmul)
-            img_means, txt_mean = window_means(emb, data.text_emb, window)
+            bare = model.embed(data.eval_x, None, matmul)
+            img_means, txt_mean = window_means(bare, data.text_emb, window)
             w = self.windows[data.task_id] = _TaskWindows(
                 data=data, window=window, img_means=img_means, txt_mean=txt_mean,
-                emb=emb if self.keep_emb else None, rule=rule)
-        else:
-            emb = w.emb
+                emb=np.empty_like(bare) if self.keep_emb else None, rule=rule)
         old_nearest, old_matched = w.nearest, w.matched
         new = sorted(bank.entries.keys() - w.signatures.keys())
         if new:
@@ -213,17 +214,14 @@ class EvalState:
         todo = np.ones_like(moved) if fresh else moved
         if not todo.any():
             return w
+        # the windows to classify, whole and in stream order, as
+        # `_embed_routes` needs; on a first call unmatched ones stay bare
         rows = todo[np.arange(data.eval_x.shape[0]) // window]
-        if emb is None:
-            # nothing kept: the moved windows alone go into a temporary, still
-            # whole windows in stream order, as `_embed_routes` needs
-            emb = np.empty((int(rows.sum()), w.txt_mean.shape[0]))
-            _embed_routes(model, data.eval_x[rows], w.nearest[moved],
-                          np.ones(int(moved.sum()), dtype=bool), window, emb)
-        else:
-            _embed_routes(model, data.eval_x, w.nearest, moved, window, emb)
-            emb = emb[rows]
+        emb = bare if fresh else np.empty((int(rows.sum()), w.txt_mean.shape[0]))
+        _embed_routes(model, data.eval_x[rows], w.nearest[todo], moved[todo], window, emb)
         w.preds[rows] = cosine_logits(emb, data.text_emb, matmul).argmax(axis=1)
+        if w.emb is not None:
+            w.emb[rows] = emb
         return w
 
     def given_accuracy(self, model: AdapterModel, data: TaskData,

@@ -21,7 +21,10 @@ from .checkpoint import (
 )
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, DataError
-from .evaluation import EvalState, evaluate_row, pooled_accuracy
+from .evaluation import (
+    EvalState, average_score, cil_scores, evaluate_row, last_score, pooled_accuracy,
+    transfer_score,
+)
 from .lifecycle import learn_task, kl_to_final, prune_records, trace_records
 from .model import AdapterModel, build_model
 from .streams import TaskData, export_task, generate_stream
@@ -160,7 +163,6 @@ def read_audit(run_dir: str | Path) -> list[dict]:
 
 
 def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
-    from .evaluation import average_score, cil_scores, last_score, transfer_score
     n = matrix.shape[0]
     metrics = {
         "transfer": transfer_score(matrix) if n >= 2 else None,
@@ -302,28 +304,41 @@ def prepare_run(cfg: ExperimentConfig) -> tuple[list[TaskData], AdapterModel, Ta
                                   metric=cfg.task_bank.metric)
 
 
+def _prepare_dir(out: Path, cfg: ExperimentConfig, tasks: list[TaskData]) -> None:
+    """Make the run directory, write the config and export the stream.  An
+    earlier run's audit and exported stream must not outlive this run, nor
+    its summary (the mark of a finished run to `read_audit`) vouch for this
+    run's audit, nor files of the formats before the containers.  A
+    `stream` that is not a directory is refused, and left as it is, before
+    anything is written."""
+    out.mkdir(parents=True, exist_ok=True)
+    stream = out / STREAM_DIR
+    if stream.is_symlink() or (stream.exists() and not stream.is_dir()):
+        raise DataError(f"run directory {out}: {stream} is not a directory; "
+                        f"remove it or choose another output_dir")
+    _write_json(out / CONFIG_FILE, config_to_dict(cfg))
+    for name in (AUDIT_FILE, SUMMARY_FILE, JSONL_AUDIT_FILE, JSON_CHECKPOINT_FILE):
+        (out / name).unlink(missing_ok=True)
+    if stream.exists():
+        shutil.rmtree(stream)
+    if cfg.export_stream:
+        for data in tasks:
+            export_task(data, stream)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     """Learn and evaluate `cfg`'s stream and write every artifact to `out_dir`
     (default: `resolve_output_dir(cfg)`).  A configuration that the stream,
-    the model or the bank refuses raises before the directory is touched."""
+    the model or the bank refuses raises before the directory is touched.
+    A file of the run directory that cannot be written or removed raises
+    `DataError` naming it."""
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
     tasks, model, bank = prepare_run(cfg)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        _prepare_dir(out, cfg, tasks)
     except OSError as exc:
-        raise DataError(f"run directory {out}: cannot create it ({exc.strerror})") from exc
-    _write_json(out / CONFIG_FILE, config_to_dict(cfg))
-    # an earlier run's audit and exported stream must not outlive this run,
-    # nor its summary (the mark of a finished run to `read_audit`) vouch for
-    # this run's audit, nor files of the formats before the containers
-    for name in (AUDIT_FILE, SUMMARY_FILE, JSONL_AUDIT_FILE, JSON_CHECKPOINT_FILE):
-        (out / name).unlink(missing_ok=True)
-    if (out / STREAM_DIR).exists():
-        shutil.rmtree(out / STREAM_DIR)
-
-    if cfg.export_stream:
-        for data in tasks:
-            export_task(data, out / STREAM_DIR)
+        raise DataError(f"run directory {out}: cannot prepare {exc.filename or out} "
+                        f"({exc.strerror or exc})") from exc
 
     run = _Run(cfg=cfg, model=model, bank=bank,
                matrix=np.full((len(tasks), len(tasks)), np.nan),
@@ -337,7 +352,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     run.metrics = compute_metrics(run.matrix, run.cil_trace)
     run.summary = _summary(run)
     for name, write in ARTIFACT_WRITERS:
-        write(out / name, run)
+        try:
+            write(out / name, run)
+        except OSError as exc:
+            raise DataError(f"run directory {out}: cannot write {out / name} "
+                            f"({exc.strerror or exc})") from exc
 
     return RunResult(out_dir=out, matrix=run.matrix, metrics=run.metrics,
                      summary=run.summary, model=model, bank=bank)

@@ -157,12 +157,12 @@ class AdapterModel:
         emb, _ = self._forward(x, task, keep_tape=False, matmul=matmul)
         return emb
 
-    def logits(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
+    def logits(self, x, text_emb, task: int | None) -> np.ndarray:
         """Cosine similarities of embeddings against label rows."""
-        return cosine_logits(self.embed(x, task, matmul), text_emb, matmul)
+        return cosine_logits(self.embed(x, task), text_emb)
 
-    def predict(self, x, text_emb, task: int | None, matmul: MatMul = np.matmul) -> np.ndarray:
-        return self.logits(x, text_emb, task, matmul).argmax(axis=1)
+    def predict(self, x, text_emb, task: int | None) -> np.ndarray:
+        return self.logits(x, text_emb, task).argmax(axis=1)
 
     def step_rows(self, x, labels, text_emb, task: int, block: int,
                   router_grad: bool) -> StepRows:
@@ -189,30 +189,20 @@ class AdapterModel:
         frozen = None if router_grad else self.adapters[lowest].frozen_mix(task, inputs, block)
         return StepRows(task=task, inputs=inputs, labels=y, table=table, frozen=frozen)
 
-    def loss_and_grads(self, x, labels, text_emb=None, task: int | None = None,
-                       router_grad: bool = True):
+    def loss_and_grads(self, rows: StepRows, idx: np.ndarray):
         """Contrastive loss plus analytic gradients for every adapter layer:
-        one learning step.
-
-        A learning phase calls `loss_and_grads(rows, idx)` with the
-        `StepRows` it made once and the indices of the step's batch in
-        them.  `loss_and_grads(x, labels, text_emb, task, router_grad)` makes
-        StepRows over its own rows, in one block, and runs the same step
-        over all of them.
+        one learning step over the batch `idx` (row indices) of a phase's
+        `rows`.  To step on rows of its own, a caller makes them with
+        `step_rows(x, labels, text_emb, task, len(x), router_grad)` and
+        passes `np.arange(len(x))`.
 
         Returns (loss, grads) with one LayerGrads per adapter layer in layer
-        order.  Each holds the router gradient (None when `router_grad` is
-        false: the routers are frozen) and, per visible expert, the
-        (down, up) gradient if `task` owns that expert or None if it is
-        frozen.  The backward pass stops at the lowest adapter layer:
-        nothing below it trains.
+        order.  Each holds the router gradient (None when `rows` were made
+        with frozen routers) and, per visible expert, the (down, up)
+        gradient if `rows.task` owns that expert or None if it is frozen.
+        The backward pass stops at the lowest adapter layer: nothing below
+        it trains.
         """
-        if isinstance(x, StepRows):
-            rows, idx = x, labels
-        else:
-            h = as_matrix(x)
-            rows = self.step_rows(h, labels, text_emb, task, h.shape[0], router_grad)
-            idx = np.arange(h.shape[0])
         frozen = None if rows.frozen is None else rows.frozen.take(idx)
         lowest = min(self.adapters)
         emb, tape = self._layers(lowest, rows.inputs[idx], rows.task, True, frozen=frozen)

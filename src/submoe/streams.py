@@ -294,8 +294,6 @@ def load_task(manifest_path: str | Path) -> TaskData:
     protos = take_f(classes, dim)
     train_y = take_i(n_train)
     eval_y = take_i(n_eval)
-    if off != len(raw):
-        raise DataError(f"{bin_path}: trailing or missing bytes")
     for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
                             ("text_emb", text), ("prototypes", protos)):
         if not np.isfinite(arr).all():

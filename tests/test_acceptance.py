@@ -164,14 +164,17 @@ def test_criterion_03_analytic_gradients_match_finite_differences():
         text = rng.standard_normal((3, dim))
         text /= np.linalg.norm(text, axis=1, keepdims=True)
 
-        _, grads = model.loss_and_grads(x, labels, text, task=0)
+        every_row = np.arange(len(x))
+        _, grads = model.loss_and_grads(
+            model.step_rows(x, labels, text, 0, len(x), True), every_row)
 
         def loss_of(target):
             saved = target.copy()
 
             def f(v):
                 target[...] = v.reshape(target.shape)
-                out, _ = model.loss_and_grads(x, labels, text, task=0)
+                out, _ = model.loss_and_grads(
+                    model.step_rows(x, labels, text, 0, len(x), True), every_row)
                 target[...] = saved
                 return out
 

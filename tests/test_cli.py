@@ -14,7 +14,7 @@ import submoe
 from submoe.cli import main
 from submoe.checkpoint import load_checkpoint
 from submoe.experiment import (
-    CHECKPOINT_FILE, CONFIG_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, SUMMARY_FILE,
+    CHECKPOINT_FILE, CONFIG_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, STREAM_DIR, SUMMARY_FILE,
 )
 
 
@@ -284,6 +284,36 @@ def test_run_into_a_file_exits_2_naming_the_directory(rooted, capsys):
     assert main(["run", str(write_config(rooted))]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: run directory {target}") and "unexpected" not in err
+
+
+# a file where the run directory needs a directory, or a directory where it
+# writes or removes a file: (name in the run directory, how to make it)
+RUN_DIR_FAULTS = {
+    "stream is a file": (STREAM_DIR, lambda path: path.write_text("not a directory")),
+    "summary is a directory": (SUMMARY_FILE, Path.mkdir),
+    "metrics is a directory": (METRICS_FILE, Path.mkdir),
+}
+
+
+@pytest.mark.parametrize("fault", list(RUN_DIR_FAULTS))
+def test_a_run_directory_fault_exits_2_naming_the_path(rooted, capsys, fault):
+    name, make = RUN_DIR_FAULTS[fault]
+    target = rooted / "out" / "runs" / "cli"
+    target.mkdir(parents=True)
+    make(target / name)
+    assert main(["run", str(write_config(rooted))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run directory {target}: ") and str(target / name) in err
+    assert (target / name).is_dir() != (name == STREAM_DIR)  # left as it was
+
+
+def test_a_sweep_summary_that_is_a_directory_exits_2_naming_it(rooted, capsys):
+    base = rooted / "out" / "runs" / "cli"
+    (base / "sweep_summary.csv").mkdir(parents=True)
+    assert main(["sweep", str(write_config(rooted)), "--param", "seed", "--values", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep directory {base}: ")
+    assert str(base / "sweep_summary.csv") in err
 
 
 def child_env(output_root: Path) -> dict:

@@ -413,6 +413,28 @@ def test_eval_state_keeps_no_bare_embeddings_or_query_matrix(trained_three, wind
 
 
 @pytest.mark.parametrize("window", [1, 3, 7])  # 7: the last window is shorter
+def test_kept_embeddings_are_each_windows_own_embed(trained_three, window):
+    # the CIL pass reads `w.emb`: after every row, each window's kept rows
+    # are its own embed through its current route, or the bare backbone
+    model, stream, signatures, middle = trained_three
+    bank = TaskBank(threshold=middle["manhattan"])
+    state = EvalState()
+    matmul = partial(rowwise_matmul, block=window)
+    learned, routes = set(), set()
+    for task_id, signature in signatures.items():
+        bank.entries[task_id] = signature
+        learned.add(task_id)
+        evaluate_row(model, bank, stream, learned, "id_free", window, state=state)
+        for data in stream:
+            w = state.windows[data.task_id]
+            for k, start in enumerate(range(0, data.eval_x.shape[0], window)):
+                route = int(w.nearest[k]) if w.matched[k] else None
+                rows = slice(start, start + window)
+                want = model.embed(data.eval_x[rows], route, matmul)
+                assert w.emb[rows].tobytes() == want.tobytes()
+                routes.add(route)
+    assert None in routes and len(routes) > 2  # bare and routed windows both checked
+@pytest.mark.parametrize("window", [1, 3, 7])  # 7: the last window is shorter
 def test_a_state_without_embeddings_decides_and_predicts_the_same(trained_three, window):
     # a run without the CIL pass keeps no routed embeddings: it embeds a fresh
     # task, and each call's moved windows, into a temporary

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +320,25 @@ def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
     run_experiment(config_from_dict(raw), tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "fresh")
     assert _file_digests(tmp_path / "run") == _file_digests(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("name, make", [
+    (STREAM_DIR, lambda path: path.write_text("not a directory")),
+    (SUMMARY_FILE, Path.mkdir),
+    (METRICS_FILE, Path.mkdir),
+], ids=["stream is a file", "summary is a directory", "metrics is a directory"])
+def test_a_run_directory_fault_is_a_data_error_naming_the_path(tmp_path, name, make):
+    out = tmp_path / "run"
+    out.mkdir()
+    make(out / name)
+    with pytest.raises(DataError, match=re.escape(f"run directory {out}: ")) as info:
+        run_experiment(config_from_dict(base_raw()), out)
+    assert str(out / name) in str(info.value)
+    if name == STREAM_DIR:  # refused before anything is written, and kept
+        assert [p.name for p in out.iterdir()] == [STREAM_DIR]
+        assert (out / STREAM_DIR).read_text() == "not a directory"
+    else:
+        assert (out / name).is_dir()
 
 
 def test_single_task_stream_has_no_transfer(tmp_path):

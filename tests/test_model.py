@@ -75,20 +75,27 @@ def test_zero_output_experts_leave_embedding_unchanged():
     np.testing.assert_array_equal(model.embed(x, task=0), model.embed(x, task=None))
 
 
+def step(model, x, labels, text, task, router_grad=True):
+    """One learning step over every row of `x`: the rows a phase would make
+    for them, in one block, and the batch of all of them."""
+    rows = model.step_rows(x, labels, text, task, len(x), router_grad)
+    return model.loss_and_grads(rows, np.arange(len(x)))
+
+
 def test_loss_and_grads_match_finite_differences():
     model = make_model()
     attach_task(model, 0, n_experts=3, seed=4)
     rng = np.random.default_rng(5)
     x, labels, text = batch(rng)
 
-    loss, grads = model.loss_and_grads(x, labels, text, task=0)
+    loss, grads = step(model, x, labels, text, task=0)
 
     def loss_of(arr, target):
         saved = target.copy()
 
         def f(v):
             target[...] = v.reshape(target.shape)
-            out, _ = model.loss_and_grads(x, labels, text, task=0)
+            out, _ = step(model, x, labels, text, task=0)
             target[...] = saved
             return out
 
@@ -119,7 +126,7 @@ def test_loss_and_grads_equal_the_full_backward_bitwise():
     attach_task(model, 1, n_experts=3, seed=21)
     x, labels, text = batch(np.random.default_rng(22))
     for task, router_grad in ((0, True), (1, True), (0, False), (1, False)):
-        loss, grads = model.loss_and_grads(x, labels, text, task=task, router_grad=router_grad)
+        loss, grads = step(model, x, labels, text, task=task, router_grad=router_grad)
         ref_loss, ref_layers = full_loss_and_grads(model, x, labels, text, task)
         assert loss == ref_loss
         assert [lg.layer_index for lg in grads] == sorted(ref_layers)
@@ -184,10 +191,10 @@ def test_a_learning_step_peaks_under_one_mib():
     rng = np.random.default_rng(52)
     x, labels = rng.standard_normal((48, 64)), rng.integers(0, 3, size=48)
     text = rng.standard_normal((3, 64))
-    model.loss_and_grads(x, labels, text, task=1)  # packs the layers
+    step(model, x, labels, text, task=1)  # packs the layers
     tracemalloc.start()
     try:
-        _, grads = model.loss_and_grads(x, labels, text, task=1)
+        _, grads = step(model, x, labels, text, task=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
