@@ -382,8 +382,9 @@ def _check_bank(bank: TaskBank, dim: int) -> None:
 
 
 def load_checkpoint(path: str | Path):
-    """(model, bank or None, meta) from a checkpoint file of any version; any
-    fault in the file raises `DataError`."""
+    """(model, bank or None, meta) from a checkpoint file of any version;
+    `meta` is a JSON object, `{}` when the file has none.  Any fault in the
+    file raises `DataError` naming the path."""
     path = Path(path)
     doc = read_container(path)
     if doc.get("format") != FORMAT:
@@ -391,15 +392,20 @@ def load_checkpoint(path: str | Path):
     version = doc.get("version")
     if not _is_int(version) or version not in (1, 2, 3, VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint meta is not a JSON object: {meta!r}")
     # the converters trust their payload, so a missing key, a wrong type or a
-    # ragged or non-numeric array surfaces as one of these
+    # ragged or non-numeric array surfaces as one of the second group; the
+    # refusals of the converters and the checks are worded without the path
     try:
         model = model_from_payload(doc["model"], version)
-        n_layer_entries = len(doc["model"]["adapters"])
         bank = bank_from_payload(doc["bank"], version) if doc.get("bank") is not None else None
+        _check_model(model, len(doc["model"]["adapters"]))
+        if bank is not None:
+            _check_bank(bank, model.dim)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    _check_model(model, n_layer_entries)
-    if bank is not None:
-        _check_bank(bank, model.dim)
-    return model, bank, doc.get("meta", {})
+    return model, bank, meta

@@ -39,10 +39,16 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     result = run_experiment(cfg)
     print(f"run complete: {result.out_dir}")
-    for key in METRIC_KEYS:
-        print(f"  {key:>9}: {_fmt(result.metrics.get(key))}")
-    print(f"  experts  : {result.summary['final_expert_total']}")
+    _print_metrics(result.metrics, result.summary)
     return 0
+
+
+def _print_metrics(metrics: dict, summary: dict) -> None:
+    """The metrics block of `run` and `report`; the experts need a summary."""
+    for key in METRIC_KEYS:
+        print(f"  {key:>9}: {_fmt(metrics.get(key))}")
+    if summary:
+        print(f"  experts  : {summary.get('final_expert_total')}")
 
 
 def _read_run(directory: Path) -> tuple[dict, dict]:
@@ -87,43 +93,37 @@ def _layer_counts(row: dict) -> list[tuple[int, int]]:
     return layers
 
 
-def _story(path: Path, summary: dict) -> list[str]:
-    """What each task kept of the candidates it added, and the final experts
-    per adapter layer, from `summary`'s `tasks` and `expert_counts`."""
+def _story(directory: Path, summary: dict, config: dict) -> list[str]:
+    """What each task kept of its candidates, the final experts per adapter
+    layer, the final adapter parameters as experts + routers and the mean
+    phase-1 trainable parameters per task, from `summary` and `config`.  An
+    expert holds 2·rank·dim parameters, and task t's router a row of dim
+    weights for each expert of t's `expert_counts` row (after t's pruning)."""
     try:
-        lines = []
+        lines, trained = [], []
         for rec in summary["tasks"]:
             added, pruned = _count(rec["candidates_added"]), _count(rec["candidates_pruned"])
             if pruned > added:
                 raise ValueError(f"{pruned} of {added} candidates pruned")
             lines.append(f"  task {_count(rec['task_id'])}: kept {added - pruned} of "
                          f"{added} candidates")
-        layers = _layer_counts(summary["expert_counts"][-1])
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{path}: malformed tasks or expert_counts: {exc!r}") from None
-    per_layer = ", ".join(f"layer {k}: {n}" for k, n in layers)
-    return lines + [f"final experts per adapter layer: {per_layer} "
-                    f"(total {sum(n for _, n in layers)})"]
-
-
-def _parameters(directory: Path, summary: dict, config: dict) -> list[str]:
-    """The final adapter parameters as experts + routers, and the mean
-    phase-1 trainable parameters per task.  An expert holds 2·rank·dim
-    parameters, and task t's router a row of dim weights for each expert of
-    that task's `expert_counts` row (the layer after t's pruning)."""
-    try:
-        dim, rank = _count(config["model"]["feature_dim"]), _count(config["model"]["rank"])
-        rows = [sum(n for _, n in _layer_counts(row)) for row in summary["expert_counts"]]
-        trained = [_count(rec["stage1_trainable_params"]) for rec in summary["tasks"]]
+            trained.append(_count(rec["stage1_trainable_params"]))
         if not trained:
             raise ValueError("no tasks")
+        counts = [_layer_counts(row) for row in summary["expert_counts"]]
+        final = counts[-1]
+        dim, rank = _count(config["model"]["feature_dim"]), _count(config["model"]["rank"])
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{directory}: malformed parameter counts in {SUMMARY_FILE} or "
-                        f"{CONFIG_FILE}: {exc!r}") from None
+        raise DataError(f"{directory}: malformed tasks, expert_counts or model size in "
+                        f"{SUMMARY_FILE} or {CONFIG_FILE}: {exc!r}") from None
+    rows = [sum(n for _, n in layers) for layers in counts]
     experts, routers = 2 * rank * dim * rows[-1], dim * sum(rows)
-    return [f"adapter parameters: experts {experts:,} + routers {routers:,} = "
-            f"{experts + routers:,}",
-            f"phase-1 trainable parameters per task: mean {sum(trained) / len(trained):,.1f}"]
+    per_layer = ", ".join(f"layer {k}: {n}" for k, n in final)
+    return lines + [
+        f"final experts per adapter layer: {per_layer} (total {rows[-1]})",
+        f"adapter parameters: experts {experts:,} + routers {routers:,} = "
+        f"{experts + routers:,}",
+        f"phase-1 trainable parameters per task: mean {sum(trained) / len(trained):,.1f}"]
 
 
 def _fmt(val) -> str:
@@ -156,6 +156,8 @@ def _print_file_diff(first: Path, second: Path) -> None:
 
 
 def _cmd_report(args) -> int:
+    if len(args.dirs) > 2:
+        raise ConfigError("report takes one or two run directories")
     first = Path(args.dirs[0])
     metrics, summary = _read_run(first)
     if len(args.dirs) == 1:
@@ -167,16 +169,13 @@ def _cmd_report(args) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 raise DataError(f"cannot read {matrix_path}: {exc}") from exc
         print(f"run: {first}")
-        for key in METRIC_KEYS:
-            print(f"  {key:>9}: {_fmt(metrics.get(key))}")
+        _print_metrics(metrics, summary)
         if summary:
-            print(f"  experts  : {summary.get('final_expert_total')}")
             bank_acc = summary.get("bank_id_accuracy")
             if bank_acc is not None:
                 print(f"  bank id  : {bank_acc:.4f}")
             config = _read_object(first / CONFIG_FILE, ())
-            print("\n".join(_story(first / SUMMARY_FILE, summary)
-                            + _parameters(first, summary, config)))
+            print("\n".join(_story(first, summary, config)))
         if matrix is not None:
             print("accuracy matrix:")
             print(matrix)
@@ -293,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "report" and len(args.dirs) > 2:
-        print("report takes one or two run directories", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

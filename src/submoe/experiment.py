@@ -272,9 +272,9 @@ def _write_audit(path: Path, run: _Run) -> None:
             for task, w in run.state.windows.items()]})
 
 
-# Every artifact but the config (written first), in write order; the summary
-# marks a finished run to `read_audit`, so the audit precedes it.
-# `save_checkpoint` is looked up at call time.
+# Every artifact but the config (written first), in write order; a run removes
+# each when it starts.  The summary marks a finished run to `read_audit`, so
+# the audit precedes it.  `save_checkpoint` is looked up at call time.
 ARTIFACT_WRITERS = (
     (METRICS_FILE, lambda path, run: _write_json(path, run.metrics)),
     (MATRIX_FILE, lambda path, run: _write_matrix_csv(path, run.matrix)),
@@ -305,22 +305,21 @@ def prepare_run(cfg: ExperimentConfig) -> tuple[list[TaskData], AdapterModel, Ta
 
 
 def _prepare_dir(out: Path, cfg: ExperimentConfig, tasks: list[TaskData]) -> None:
-    """Make the run directory, write the config and export the stream.  An
-    earlier run's audit and exported stream must not outlive this run, nor
-    its summary (the mark of a finished run to `read_audit`) vouch for this
-    run's audit, nor files of the formats before the containers.  A
-    `stream` that is not a directory is refused, and left as it is, before
-    anything is written."""
+    """Make the run directory, remove every file a run writes there (and
+    those of the formats before the containers), then write the config and
+    export the stream: a rerun leaves no file of an earlier run, and one
+    that fails leaves only its config.  A `stream` that is not a directory
+    is refused, and left as it is, before anything is written."""
     out.mkdir(parents=True, exist_ok=True)
     stream = out / STREAM_DIR
     if stream.is_symlink() or (stream.exists() and not stream.is_dir()):
         raise DataError(f"run directory {out}: {stream} is not a directory; "
                         f"remove it or choose another output_dir")
-    _write_json(out / CONFIG_FILE, config_to_dict(cfg))
-    for name in (AUDIT_FILE, SUMMARY_FILE, JSONL_AUDIT_FILE, JSON_CHECKPOINT_FILE):
+    for name in [name for name, _ in ARTIFACT_WRITERS] + [JSONL_AUDIT_FILE, JSON_CHECKPOINT_FILE]:
         (out / name).unlink(missing_ok=True)
     if stream.exists():
         shutil.rmtree(stream)
+    _write_json(out / CONFIG_FILE, config_to_dict(cfg))
     if cfg.export_stream:
         for data in tasks:
             export_task(data, stream)

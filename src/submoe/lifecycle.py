@@ -199,19 +199,26 @@ def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
 
 
 def _phase_step(model: AdapterModel, rows: StepRows, idx: np.ndarray, cfg: OptimConfig,
-                router_trainable: bool, states: _StepStates, step_no: int) -> float:
+                states: _StepStates, step_no: int) -> float:
     """One optimisation step over the batch `idx` of the phase's rows;
-    returns the contrastive loss."""
-    loss, grads = model.loss_and_grads(rows, idx)
-    if not np.isfinite(loss):
-        raise NumericError(f"step {step_no}: training loss became non-finite")
-    for lg in grads:
-        st = states[lg.layer_index]
-        mean_w = lg.dist.mean_weights().tolist()
-        pis = [mean_w[j] for j in st.cand_idx]
-        cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
-        plain_grads = [lg.router_grad] if router_trainable else []
-        apply_step(st.cand_params, cand_grads, pis, st.plain, plain_grads, cfg, st.adam)
+    returns the contrastive loss.  A router trains when its layer's state
+    holds it.  A `NumericError`, such as a diverging step's non-finite
+    input to the next forward, is raised again naming the task, the phase
+    and the step."""
+    try:
+        loss, grads = model.loss_and_grads(rows, idx)
+        if not np.isfinite(loss):
+            raise NumericError("training loss became non-finite")
+        for lg in grads:
+            st = states[lg.layer_index]
+            mean_w = lg.dist.mean_weights().tolist()
+            pis = [mean_w[j] for j in st.cand_idx]
+            cand_grads = [lg.expert_grads[j] for j in st.cand_idx]
+            plain_grads = [lg.router_grad] if st.plain else []
+            apply_step(st.cand_params, cand_grads, pis, st.plain, plain_grads, cfg, st.adam)
+    except NumericError as exc:
+        phase = "routing fit" if rows.frozen is None else "expert fit"
+        raise NumericError(f"task {rows.task}, {phase}, step {step_no}: {exc}") from exc
     return loss
 
 
@@ -241,7 +248,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
     plateau_hits = 0
     for s in range(1, schedule.identify_steps + 1):
         idx = cursor.next()
-        _phase_step(model, rows, idx, cfg, True, states, s)
+        _phase_step(model, rows, idx, cfg, states, s)
         if s % schedule.snapshot_interval == 0 or s == schedule.identify_steps:
             snap(s)
             if schedule.kl_plateau_stop is not None and len(snapshots) >= 2:
@@ -318,7 +325,7 @@ def finetune_experts(model: AdapterModel, task: int, data: TaskData,
                                cursor.batch_size, router_grad=False)
         states = _step_states(model, task, cfg, router_trainable=False)
         for s in range(1, schedule.finetune_steps + 1):
-            _phase_step(model, rows, cursor.next(), plain_cfg, False, states, s)
+            _phase_step(model, rows, cursor.next(), plain_cfg, states, s)
     model.phase[task] = "done"
     model.learned_tasks.append(task)
     model.current_task = None

@@ -139,18 +139,14 @@ class TaskBank:
         return np.asarray(ids, dtype=np.int64), self._distances(
             q, [self.entries[t] for t in ids])
 
-    def match(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`nearest` enrolled task of every row of a [windows, 2 * dim]
-        query matrix."""
-        return nearest(*self.distances(queries), self.threshold)
-
     def rematch(self, queries: np.ndarray, tasks: np.ndarray, distances: np.ndarray,
                 task: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`match` of `queries` after enrolling `task`, from (tasks, distances)
-        of a `match` made before: only the new signature is measured.  A row
-        moves to `task` when it is nearer, or as near with a lower id, which
-        is `match`'s argmin rule; each distance equals its column of `match`'s
-        distance matrix bit for bit.  Returns new arrays, as `match` does.
+        """`nearest(*self.distances(queries), self.threshold)` after enrolling
+        `task`, from (tasks, distances) of that rule applied before: only the
+        new signature is measured.  A row moves to `task` when it is nearer,
+        or as near with a lower id, which is `nearest`'s argmin rule; each
+        distance equals its column of `distances` bit for bit.  Returns new
+        arrays, as `nearest` does.
         """
         if task not in self.entries:
             raise StateError(f"task {task} is not enrolled in the bank")
@@ -160,7 +156,8 @@ class TaskBank:
         return np.where(moved, task, tasks), best_dist, best_dist <= self.threshold
 
     def identify(self, img_emb, txt_emb) -> MatchResult:
-        """Nearest enrolled task of one query window (see `match`)."""
-        tasks, dist, matched = self.match(fused_embedding(img_emb, txt_emb)[None])
+        """Nearest enrolled task of one query window (see `nearest`)."""
+        tasks, dist, matched = nearest(*self.distances(fused_embedding(img_emb, txt_emb)[None]),
+                                       self.threshold)
         task = int(tasks[0]) if matched[0] else None
         return MatchResult(matched=bool(matched[0]), task=task, distance=float(dist[0]))

@@ -179,54 +179,34 @@ def expert_gradient_norm(expert_grads) -> np.ndarray:
     return out
 
 
+def _map_arrays(node, convert):
+    """`node` with every ndarray in it replaced by `convert` of it."""
+    if isinstance(node, np.ndarray):
+        return convert(node)
+    if isinstance(node, dict):
+        return {key: _map_arrays(value, convert) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_map_arrays(value, convert) for value in node]
+    return node
+
+
 def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
     """Write (model, bank, meta) as a version 2 checkpoint, the format before
-    version 3: every float64 array as nested lists of shortest-repr numbers,
-    and one `top_k` per layer that all its routers use.  `load_checkpoint`
-    must keep reading these files, and re-serialising a loaded version 3
-    file this way must give the bytes the version 2 writer gave."""
-    def layer_payload(layer) -> dict:
-        ks = {r.top_k for r in layer.routers.values()}
-        if ks - {layer.top_k}:
-            raise ValueError(f"layer {layer.layer_index}: version 2 has one top_k per "
+    version 3: the version 4 document with every float64 array as nested
+    lists of shortest-repr numbers, and no router `top_k`, since every
+    router of a layer used the layer's.  `load_checkpoint` must keep reading
+    these files, and re-serialising a loaded version 3 file this way must
+    give the bytes the version 2 writer gave."""
+    payload = model_to_payload(model)
+    for layer in payload["adapters"]:
+        ks = {r.pop("top_k") for r in layer["routers"]}
+        if ks - {layer["top_k"]}:
+            raise ValueError(f"layer {layer['layer_index']}: version 2 has one top_k per "
                              f"layer, its routers use {sorted(ks)}")
-        return {
-            "layer_index": layer.layer_index,
-            "dim": layer.dim,
-            "rank": layer.rank,
-            "top_k": layer.top_k,
-            "version": layer.version,
-            "next_expert_id": layer.next_expert_id,
-            "experts": [
-                {"down": e.down.tolist(), "up": e.up.tolist(),
-                 "owner_task": e.owner_task, "expert_id": e.expert_id}
-                for e in layer.experts
-            ],
-            "routers": [{"task": task, "weight": r.weight.tolist()}
-                        for task, r in layer.routers.items()],
-        }
-
-    model_payload = {
-        "temperature": model.temperature,
-        "learned_tasks": list(model.learned_tasks),
-        "phase": {str(k): v for k, v in model.phase.items()},
-        "current_task": model.current_task,
-        "backbone": {
-            "weights": [w.tolist() for w in model.backbone.weights],
-            "biases": [b.tolist() for b in model.backbone.biases],
-        },
-        "adapters": [layer_payload(model.adapters[i]) for i in sorted(model.adapters)],
-    }
-    bank_payload = None if bank is None else {
-        "threshold": bank.threshold,
-        "metric": bank.metric,
-        "entries": [{"task": task, "embedding": bank.entries[task].tolist()}
-                    for task in sorted(bank.entries)],
-    }
-    doc = {"format": "submoe-checkpoint", "version": 2, "model": model_payload,
-           "bank": bank_payload, "meta": meta or {}}
+    doc = {"format": "submoe-checkpoint", "version": 2, "model": payload,
+           "bank": None if bank is None else bank_to_payload(bank), "meta": meta or {}}
     path = Path(path)
-    path.write_text(json.dumps(doc) + "\n")
+    path.write_text(json.dumps(_map_arrays(doc, np.ndarray.tolist)) + "\n")
     return path
 
 
@@ -235,17 +215,6 @@ def encode_array(a: np.ndarray) -> dict:
     reads: its shape and the base64 of its little-endian C-order bytes."""
     data = np.ascontiguousarray(a, dtype="<f8").tobytes()
     return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
-
-
-def _base64_arrays(node):
-    """`node` with every ndarray in it replaced by `encode_array` of it."""
-    if isinstance(node, np.ndarray):
-        return encode_array(node)
-    if isinstance(node, dict):
-        return {key: _base64_arrays(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_base64_arrays(value) for value in node]
-    return node
 
 
 def save_checkpoint_v3(path, model, bank=None, meta=None) -> Path:
@@ -257,7 +226,7 @@ def save_checkpoint_v3(path, model, bank=None, meta=None) -> Path:
     doc = {"format": "submoe-checkpoint", "version": 3, "model": model_to_payload(model),
            "bank": None if bank is None else bank_to_payload(bank), "meta": meta or {}}
     path = Path(path)
-    path.write_text(json.dumps(_base64_arrays(doc)) + "\n")
+    path.write_text(json.dumps(_map_arrays(doc, encode_array)) + "\n")
     return path
 
 
@@ -268,7 +237,7 @@ def save_audit_jsonl(path, records) -> Path:
     reading these files, and re-serialising an `ifer_audit.bin` this way must
     give the bytes the JSON-lines writer gave."""
     path = Path(path)
-    path.write_text("".join(json.dumps(_base64_arrays(rec), sort_keys=True) + "\n"
+    path.write_text("".join(json.dumps(_map_arrays(rec, encode_array), sort_keys=True) + "\n"
                             for rec in records))
     return path
 

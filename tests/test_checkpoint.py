@@ -390,6 +390,11 @@ BAD_CONTAINERS = {
     "shape numpy cannot make": (_header(_set(LAST + ["shape"], [0, 10 ** 30])),
                                 "array shape \\[0, 10+\\]"),
     "NaN bits": (_nan_first_float, "non-finite"),
+    # `meta` came back as it was, whatever its type
+    "meta a list": (_header(_set(["meta"], [1, 2])), r"meta is not a JSON object: \[1, 2\]"),
+    "meta a number": (_header(_set(["meta"], 5)), "meta is not a JSON object: 5"),
+    "meta a string": (_header(_set(["meta"], "x")), "meta is not a JSON object: 'x'"),
+    "meta null": (_header(_set(["meta"], None)), "meta is not a JSON object: None"),
 }
 
 
@@ -401,6 +406,29 @@ def test_load_rejects_malformed_containers(tmp_path, name):
     path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
+
+
+def test_load_reads_an_absent_meta_as_an_empty_object(tmp_path):
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "ck.bin", model, bank, meta={"note": "x"})
+    path.write_bytes(_header(_drop(["meta"]))(path.read_bytes()))
+    assert load_checkpoint(path)[2] == {}
+
+
+@pytest.mark.parametrize("name", ["two routers for one task", "two bank entries for one task",
+                                  "f64 not base64", "router top_k zero", "NaN bits"])
+def test_load_names_the_path_of_its_own_refusal_once(tmp_path, name):
+    # a converter's refusal used to come back as `malformed checkpoint:
+    # DataError('...')`, and a check's without the path
+    mutate, message = BAD_V3_DOCUMENTS[name]
+    model, bank, _ = trained_model()
+    path = save_checkpoint_v3(tmp_path / "ck.json", model, bank)
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(DataError) as info:
+        load_checkpoint(path)
+    text = str(info.value)
+    assert text.startswith(f"{path}: ") and text.count(str(path)) == 1
+    assert message in text and "malformed" not in text and "DataError" not in text
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import submoe
@@ -119,6 +120,18 @@ def test_report_two_runs_prints_delta(rooted, capsys):
 def test_report_non_run_dir_exits_1(rooted, capsys):
     assert main(["report", str(rooted)]) == 1
     assert "run directory" in capsys.readouterr().err
+
+
+def test_report_on_a_failed_rerun_exits_1(rooted, capsys):
+    assert main(["run", str(write_config(rooted))]) == 0
+    diverging = write_config(rooted, name="diverging.json",
+                             optimizer={"learning_rate": 1e300, "penalty": 0.01})
+    with np.errstate(all="ignore"):
+        assert main(["run", str(diverging)]) == 2
+    capsys.readouterr()
+    assert main(["report", str(rooted / "out" / "runs" / "cli")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"missing {METRICS_FILE}" in err
 
 
 def test_report_three_dirs_exits_1(rooted, capsys):

@@ -13,12 +13,13 @@ import pytest
 from submoe.checkpoint import load_checkpoint, read_container, write_container
 from submoe.cli import _file_digests
 from submoe.config import config_from_dict
-from submoe.errors import ConfigError, DataError
+from submoe.errors import ConfigError, DataError, NumericError
 from submoe.evaluation import EvalState, evaluate_row
 from submoe.experiment import (
-    AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, JSON_CHECKPOINT_FILE, JSONL_AUDIT_FILE, KL_FILE,
-    MATRIX_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE, STREAM_DIR, SUMMARY_FILE,
-    TRACE_FILE, compute_metrics, read_audit, resolve_output_dir, run_experiment,
+    ARTIFACT_WRITERS, AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, JSON_CHECKPOINT_FILE,
+    JSONL_AUDIT_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE,
+    STREAM_DIR, SUMMARY_FILE, TRACE_FILE, compute_metrics, read_audit, resolve_output_dir,
+    run_experiment,
 )
 from submoe.streams import generate_stream, load_task
 
@@ -320,6 +321,33 @@ def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
     run_experiment(config_from_dict(raw), tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "fresh")
     assert _file_digests(tmp_path / "run") == _file_digests(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("protocol, export", [("id_free", False), ("id_given", True)])
+def test_a_run_directory_holds_what_the_writers_name(tmp_path, protocol, export):
+    # a file written outside `ARTIFACT_WRITERS` would outlive a failed rerun
+    raw = base_raw(protocol=protocol, cil=False)
+    raw["export_stream"] = export
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    want = {CONFIG_FILE} | {name for name, _ in ARTIFACT_WRITERS}
+    if protocol != "id_free":
+        want.remove(AUDIT_FILE)
+    if export:
+        want.add(STREAM_DIR)
+    assert {p.name for p in (tmp_path / "run").iterdir()} == want
+
+
+def test_a_diverging_rerun_names_its_step_and_leaves_only_its_config(tmp_path):
+    out = tmp_path / "run"
+    run_experiment(config_from_dict(base_raw()), out)
+    raw = base_raw()
+    raw["optimizer"]["learning_rate"] = 1e300  # the steps overflow
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^task 0, expert fit, step \d+: adapter input contains "
+                                r"non-finite entries"):
+        run_experiment(config_from_dict(raw), out)
+    assert [p.name for p in out.iterdir()] == [CONFIG_FILE]
+    assert json.loads((out / CONFIG_FILE).read_text())["optimizer"]["learning_rate"] == 1e300
 
 
 @pytest.mark.parametrize("name, make", [

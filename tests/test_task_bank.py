@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from submoe.errors import ConfigError, DimensionError, StateError
 from submoe.checkpoint import bank_from_payload, bank_to_payload
-from submoe.task_bank import MatchResult, TaskBank, fused_embedding
+from submoe.task_bank import MatchResult, TaskBank, fused_embedding, nearest
 
 
 def test_fused_embedding_is_mean_concat():
@@ -36,7 +36,7 @@ def test_manhattan_and_euclidean_distances():
     a, b = np.array([0.0, 0.0, 0.0]), np.array([3.0, -4.0, 0.0])
     for bank, want in ((bank_m, 7.0), (bank_e, 5.0)):
         bank.entries[0] = b
-        assert bank.match(a[None])[1].tolist() == [want]
+        assert nearest(*bank.distances(a[None]), bank.threshold)[1].tolist() == [want]
 
 
 def test_identify_nearest_with_threshold():
@@ -137,7 +137,7 @@ def queries_and_signatures(draw):
 @settings(max_examples=200, deadline=None)
 @given(qs=queries_and_signatures(), metric=st.sampled_from(["manhattan", "euclidean"]))
 def test_each_distance_column_equals_its_one_signature_call(qs, metric):
-    # TaskBank.rematch measures one signature at a time; match measures all
+    # TaskBank.rematch measures one signature at a time; distances measures all
     q, s = qs
     bank = TaskBank(threshold=1.0, metric=metric)
     full = bank._distances(q, s)
@@ -161,11 +161,11 @@ def test_rematch_one_enrolment_at_a_time_equals_match(qs, metric, data):
     bank.threshold = float(data.draw(st.sampled_from(
         sorted(set(bank._distances(q, s).ravel().tolist()))), label="threshold"))
     bank.entries[ids[0]] = s[0]
-    tasks, dist, matched = bank.match(q)
+    tasks, dist, matched = nearest(*bank.distances(q), bank.threshold)
     for task, sig in zip(ids[1:], s[1:]):
         bank.entries[task] = sig
         tasks, dist, matched = bank.rematch(q, tasks, dist, task)
-    ref = bank.match(q)
+    ref = nearest(*bank.distances(q), bank.threshold)
     for got, want in zip((tasks, dist, matched), ref):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -174,7 +174,7 @@ def test_rematch_one_enrolment_at_a_time_equals_match(qs, metric, data):
 def test_distances_columns_equal_rematch_and_match_is_their_argmin(metric):
     # the audit stores `distances` of the final bank and replays each row's
     # decisions from it, so each column must be what `rematch` measured at
-    # that task's enrolment, and `match` its argmin with the lower id on ties
+    # that task's enrolment, and `nearest` its argmin with the lower id on ties
     rng = np.random.default_rng(11)
     imgs = rng.standard_normal((6, 4, 5))
     txt = rng.standard_normal((3, 5))
@@ -194,7 +194,7 @@ def test_distances_columns_equal_rematch_and_match_is_their_argmin(metric):
         assert dist[:, k].tobytes() == alone.tobytes()
 
     bank.threshold = float(np.median(dist.min(axis=1)))
-    tasks, best, matched = bank.match(q)
+    tasks, best, matched = nearest(*bank.distances(q), bank.threshold)
     col = dist.argmin(axis=1)
     assert tasks.tolist() == got_ids[col].tolist()
     assert best.tobytes() == dist[np.arange(n), col].tobytes()
