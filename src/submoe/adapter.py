@@ -189,9 +189,6 @@ def _scratch(slices: tuple[slice, ...], rows: int, dim: int) -> np.ndarray:
 def top_k_select(probs: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest entries per row, ties broken toward the
     lower expert index."""
-    n = probs.shape[1]
-    if k >= n:
-        return np.ones(probs.shape, dtype=bool)
     # stable sort on the negated probs keeps the lower index first among ties
     order = np.argsort(-probs, axis=1, kind="stable")
     mask = np.zeros(probs.shape, dtype=bool)
@@ -269,9 +266,6 @@ class MixtureAdapterLayer:
         self._pack(self.experts + (expert,))
         self.version += 1
         return expert
-
-    def candidates(self, task: int) -> list[LoraExpert]:
-        return [e for e in self.experts if e.owner_task == task]
 
     def candidate_indices(self, task: int) -> list[int]:
         return [i for i, e in enumerate(self.experts) if e.owner_task == task]

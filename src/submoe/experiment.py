@@ -108,23 +108,24 @@ def read_audit(run_dir: str | Path) -> list[dict]:
     threshold and window come from `effective_config.json`.  The run must
     have finished: its `summary.json` (written after the audit) must exist
     and count the records as `bank_queries`.  A missing, malformed or
-    unfinished audit raises `DataError`."""
+    unfinished audit raises `DataError`: a fault of the container itself
+    (`checkpoint.read_container`, which names the file) as it is, every
+    other fault worded with `run_dir`."""
     run_dir = Path(run_dir)
+    jsonl = not (run_dir / AUDIT_FILE).exists() and (run_dir / JSONL_AUDIT_FILE).exists()
+    doc = None if jsonl else read_container(run_dir / AUDIT_FILE)
     try:
         cfg = json.loads((run_dir / CONFIG_FILE).read_text())
         stream = [task["task_id"] for task in cfg["stream"]]
         threshold = cfg["task_bank"]["match_threshold"]
         window = cfg["task_bank"]["query_window"]
         ids = np.array(sorted(stream), dtype=np.int64)
-        jsonl = not (run_dir / AUDIT_FILE).exists() and (run_dir / JSONL_AUDIT_FILE).exists()
         if jsonl:
             tasks = [json.loads(line)
                      for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
+        elif doc.get("format") != AUDIT_FORMAT or doc.get("version") != AUDIT_VERSION:
+            raise ValueError(f"not an audit of format {AUDIT_FORMAT!r}, version {AUDIT_VERSION}")
         else:
-            doc = read_container(run_dir / AUDIT_FILE)
-            if doc.get("format") != AUDIT_FORMAT or doc.get("version") != AUDIT_VERSION:
-                raise ValueError(f"not an audit of format {AUDIT_FORMAT!r}, "
-                                 f"version {AUDIT_VERSION}")
             tasks = doc["tasks"]
         if len(tasks) != len(stream):
             raise ValueError(f"{len(tasks)} task records for {len(stream)} stream tasks")

@@ -30,7 +30,7 @@ import numpy as np
 from .adapter import ForwardCache, FrozenMix, MixtureAdapterLayer, RoutingDistribution
 from .errors import ConfigError, DimensionError
 from .numerics import (
-    MatMul, as_matrix, by_row_blocks, contrastive_loss, label_ids, label_table,
+    MatMul, _row_norms, as_matrix, by_row_blocks, contrastive_loss, label_ids, label_table,
     require_finite, table_loss,
 )
 
@@ -72,8 +72,8 @@ def cosine_logits(emb: np.ndarray, text_emb, matmul: MatMul = np.matmul) -> np.n
     """Cosine similarities of embedding rows against label rows: the
     classification step after `AdapterModel.embed`, row by row."""
     txt = as_matrix(text_emb)
-    e = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-    t = txt / np.linalg.norm(txt, axis=1, keepdims=True)
+    e = emb / _row_norms(emb)[:, None]
+    t = txt / _row_norms(txt)[:, None]
     return matmul(e, t.T)
 
 
@@ -261,7 +261,7 @@ def trainable_stage1_params(model: AdapterModel, task: int) -> int:
     experts plus the task's routers."""
     total = 0
     for layer in model.adapter_layers():
-        for e in layer.candidates(task):
-            total += e.down.size + e.up.size
+        for i in layer.candidate_indices(task):
+            total += layer.down_all[i].size + layer.up_all[i].size
         total += layer.router_for(task).weight.size
     return total

@@ -1,6 +1,9 @@
 """Float64 numeric primitives shared by every other module.
 
-Everything here is pure and operates on plain numpy arrays.
+Everything here is pure and operates on plain numpy arrays.  The contrastive
+loss has one body, `table_loss`: a learning phase checks its label rows once
+with `label_table` and `label_ids`, and `contrastive_loss` is those three in
+a row.
 """
 
 from __future__ import annotations
@@ -121,27 +124,9 @@ def kl_divergence(p, q) -> float:
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row: what `np.linalg.norm(x, axis=1)` computes
-    for real input, without its conjugate copy."""
+    for real input, without its conjugate copy.  The loss and
+    `model.cosine_logits` both normalise through it."""
     return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-def _check_temperature(temperature: float) -> None:
-    if not np.isfinite(temperature) or temperature <= 0.0:
-        raise NumericError(f"temperature must be positive, got {temperature}")
-
-
-def _unit_rows(txt: np.ndarray) -> np.ndarray:
-    norm = _row_norms(txt)
-    if not norm.all():
-        raise NumericError("zero-norm text embedding row")
-    return txt / norm[:, None]
-
-
-def _image_norms(img: np.ndarray) -> np.ndarray:
-    img_norm = _row_norms(img)
-    if not img_norm.all():
-        raise NumericError("zero-norm image embedding row")
-    return img_norm
 
 
 def label_table(txt_emb, width: int, temperature: float) -> np.ndarray:
@@ -154,9 +139,13 @@ def label_table(txt_emb, width: int, temperature: float) -> np.ndarray:
         raise DimensionError("contrastive loss needs at least one image and one label row")
     if txt.shape[1] != width:
         raise DimensionError(f"embedding widths differ: image {width} vs text {txt.shape[1]}")
-    _check_temperature(temperature)
+    if not np.isfinite(temperature) or temperature <= 0.0:
+        raise NumericError(f"temperature must be positive, got {temperature}")
     require_finite("text embeddings", txt)
-    return _unit_rows(txt)
+    norm = _row_norms(txt)
+    if not norm.all():
+        raise NumericError("zero-norm text embedding row")
+    return txt / norm[:, None]
 
 
 def label_ids(labels, rows: int, classes: int) -> np.ndarray:
@@ -176,23 +165,16 @@ def contrastive_loss(img_emb, txt_emb, labels, temperature: float):
     Returns (loss, grad) where grad is the analytic gradient with respect to
     the unnormalised image embeddings (the cosine normalisation is part of
     the op and is differentiated through).  It is `table_loss` against the
-    table `label_table` makes, with every check of both, in the order of
-    the loss as first written.
+    table `label_table` makes, with the ids `label_ids` makes, after a check
+    that there is an image row: of several faults, the label rows' is
+    reported first, then the labels', then the image rows'.
     """
     img = as_matrix(img_emb)
-    txt = as_matrix(txt_emb)
-    if img.shape[0] == 0 or txt.shape[0] == 0:
+    if img.shape[0] == 0:
         raise DimensionError("contrastive loss needs at least one image and one label row")
-    if img.shape[1] != txt.shape[1]:
-        raise DimensionError(
-            f"embedding widths differ: image {img.shape[1]} vs text {txt.shape[1]}"
-        )
-    _check_temperature(temperature)
-    require_finite("image embeddings", img)
-    require_finite("text embeddings", txt)
-    y = label_ids(labels, img.shape[0], txt.shape[0])
-    img_norm = _image_norms(img)
-    return _table_loss(img, img_norm, _unit_rows(txt), y, temperature)
+    table = label_table(txt_emb, img.shape[1], temperature)
+    y = label_ids(labels, img.shape[0], table.shape[0])
+    return table_loss(img, table, y, temperature)
 
 
 def table_loss(img: np.ndarray, table: np.ndarray, y: np.ndarray, temperature: float):
@@ -201,14 +183,13 @@ def table_loss(img: np.ndarray, table: np.ndarray, y: np.ndarray, temperature: f
     checked, with `y` from `label_ids`.  It checks what changes per step:
     the image rows are finite and none has zero norm."""
     require_finite("image embeddings", img)
-    return _table_loss(img, _image_norms(img), table, y, temperature)
-
-
-def _table_loss(img, img_norm, th, y, temperature):
+    img_norm = _row_norms(img)
+    if not img_norm.all():
+        raise NumericError("zero-norm image embedding row")
     ih = img / img_norm[:, None]
 
     # every temporary below is fresh, so it is scaled and shifted in place
-    logits = ih @ th.T
+    logits = ih @ table.T
     logits /= temperature
     m = np.maximum.reduce(logits, axis=1, keepdims=True)
     shifted = logits - m
@@ -224,7 +205,7 @@ def _table_loss(img, img_norm, th, y, temperature):
     ds = np.exp(logp, out=logp)
     ds[rows, y] -= 1.0
     ds /= b
-    dih = ds @ th
+    dih = ds @ table
     dih /= temperature
     # back through the row normalisation of the image embeddings
     proj = np.add.reduce(dih * ih, axis=1, keepdims=True)

@@ -243,12 +243,16 @@ def save_audit_jsonl(path, records) -> Path:
 
 
 def reference_contrastive_loss(img_emb, txt_emb, labels, temperature: float):
-    """`numerics.contrastive_loss` as first written: every check in the same
-    order with the same message, `np.linalg.norm`, and a fresh array per
-    operation.  The engine must match it bit for bit."""
+    """`numerics.contrastive_loss` as first written, with its checks in the
+    order of the one form: a check that there is an image row, then the
+    label rows', the labels' and the image rows', each with the same
+    message, `np.linalg.norm`, and a fresh array per operation.  The engine
+    must match it bit for bit."""
     img = as_matrix(img_emb)
+    if img.shape[0] == 0:
+        raise DimensionError("contrastive loss needs at least one image and one label row")
     txt = as_matrix(txt_emb)
-    if img.shape[0] == 0 or txt.shape[0] == 0:
+    if txt.shape[0] == 0:
         raise DimensionError("contrastive loss needs at least one image and one label row")
     if img.shape[1] != txt.shape[1]:
         raise DimensionError(
@@ -256,20 +260,20 @@ def reference_contrastive_loss(img_emb, txt_emb, labels, temperature: float):
         )
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise NumericError(f"temperature must be positive, got {temperature}")
-    require_finite("image embeddings", img)
     require_finite("text embeddings", txt)
+    txt_norm = np.linalg.norm(txt, axis=1)
+    if np.any(txt_norm == 0.0):
+        raise NumericError("zero-norm text embedding row")
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != img.shape[0]:
         raise DimensionError(f"{img.shape[0]} image rows but {y.shape[0]} labels")
     if y.min(initial=0) < 0 or y.max(initial=-1) >= txt.shape[0]:
         raise LabelError(f"labels must lie in [0, {txt.shape[0]})")
-
+    require_finite("image embeddings", img)
     img_norm = np.linalg.norm(img, axis=1)
-    txt_norm = np.linalg.norm(txt, axis=1)
     if np.any(img_norm == 0.0):
         raise NumericError("zero-norm image embedding row")
-    if np.any(txt_norm == 0.0):
-        raise NumericError("zero-norm text embedding row")
+
     ih = img / img_norm[:, None]
     th = txt / txt_norm[:, None]
 

@@ -146,7 +146,8 @@ def test_read_audit_rejects_a_malformed_line(tmp_path):
     run_experiment(config_from_dict(base_raw()), tmp_path / "run")
     with open(tmp_path / "run" / AUDIT_FILE, "a") as fh:
         fh.write('{"after_task": 1}\n')
-    with pytest.raises(DataError, match="cannot read the audit"):
+    with pytest.raises(DataError, match=re.escape(
+            f"{tmp_path / 'run' / AUDIT_FILE}: 18 trailing bytes after the arrays")):
         read_audit(tmp_path / "run")
 
 
@@ -230,7 +231,7 @@ def test_read_audit_rejects_an_unfinished_or_foreign_audit(tmp_path, monkeypatch
     with pytest.raises(RuntimeError, match="stop"):
         run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
     assert not (run_dir / AUDIT_FILE).exists() and not (run_dir / SUMMARY_FILE).exists()
-    with pytest.raises(DataError, match="cannot read the audit"):
+    with pytest.raises(DataError, match=re.escape(f"cannot read {run_dir / AUDIT_FILE}: ")):
         read_audit(run_dir)
 
 
@@ -279,8 +280,9 @@ def test_id_given_run_removes_an_earlier_audit(tmp_path):
 def test_id_given_protocol_has_no_audits(tmp_path):
     cfg = config_from_dict(base_raw(protocol="id_given", cil=False))
     result = run_experiment(cfg, tmp_path / "run")
-    assert not (tmp_path / "run" / AUDIT_FILE).exists()
-    with pytest.raises(DataError, match="cannot read the audit"):
+    audit = tmp_path / "run" / AUDIT_FILE
+    assert not audit.exists()
+    with pytest.raises(DataError, match=re.escape(f"cannot read {audit}: ")):
         read_audit(tmp_path / "run")
     assert result.summary["bank_queries"] == 0
     assert result.summary["bank_id_accuracy"] is None
@@ -499,8 +501,13 @@ def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):
     run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
     audit = (run_dir / AUDIT_FILE).read_bytes()
     (run_dir / AUDIT_FILE).write_bytes(audit[:-8])
-    with pytest.raises(DataError, match="cannot read the audit") as info:
+    with pytest.raises(DataError) as direct:
+        read_container(run_dir / AUDIT_FILE)
+    with pytest.raises(DataError) as info:
         read_audit(run_dir)
+    # the container's own fault, which names the file, is reported once
+    assert str(info.value) == str(direct.value)
+    assert str(info.value).startswith(f"{run_dir / AUDIT_FILE}: array of shape [5, 3]")
     assert "overruns" in str(info.value) and "checkpoint" not in str(info.value)
     (run_dir / AUDIT_FILE).write_bytes(audit)
     _write_json_files(run_dir)

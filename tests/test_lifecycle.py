@@ -447,8 +447,9 @@ def test_every_phase_step_equals_a_step_from_scratch(monkeypatch, case):
     prune_candidates(model, task, trace, sched.prune_threshold)
     lowest = model.adapters[1]
     if clear_lowest:
-        lowest.remove_experts({e.expert_id for e in lowest.candidates(task)}, task)
+        lowest.remove_experts({lowest.experts[i].expert_id
+                              for i in lowest.candidate_indices(task)}, task)
     finetune_experts(model, task, data, sched, cfg, rng)
     assert frozen == [False] * 12 + [True] * 12
     assert 13 <= lowest.router_for(task).n_visible <= 16
-    assert len(lowest.candidates(task)) == (0 if clear_lowest else 2)
+    assert len(lowest.candidate_indices(task)) == (0 if clear_lowest else 2)

@@ -7,9 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submoe.errors import ConfigError, DimensionError
-from submoe.model import AdapterModel, build_backbone, build_model, trainable_stage1_params
+from submoe.model import (
+    AdapterModel, build_backbone, build_model, cosine_logits, trainable_stage1_params,
+)
 from submoe.numerics import contrastive_loss
 
 from oracles import finite_diff_grad, frozen_fingerprint
@@ -233,6 +237,18 @@ def test_input_width_guard():
         model.embed(np.zeros((2, DIM + 1)), task=None)
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 70), seed=st.integers(0, 2 ** 31 - 1))
+def test_cosine_logits_equals_its_linalg_norm_form(d, seed):
+    # the shared row norm, on rows each scaled by 1e-150 to 1e150
+    rng = np.random.default_rng(seed)
+    emb, text = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 151, (n, 1))
+                 for n in (9, 4))
+    e = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    t = text / np.linalg.norm(text, axis=1, keepdims=True)
+    assert cosine_logits(emb, text).tobytes() == (e @ t.T).tobytes()
+
+
 def test_trainable_param_count():
     model = make_model(rank=2)
     attach_task(model, 0, n_experts=3, seed=10)
@@ -250,7 +266,7 @@ def test_fingerprint_excludes_named_task():
     assert all(k in full for k in without)
     # mutating an excluded expert leaves the filtered fingerprint unchanged
     for layer in model.adapter_layers():
-        for e in layer.candidates(1):
-            e.up += 1.0
+        for i in layer.candidate_indices(1):
+            layer.experts[i].up += 1.0
     assert frozen_fingerprint(model, exclude_task=1) == without
     assert frozen_fingerprint(model) != full

@@ -210,6 +210,19 @@ def test_contrastive_loss_rejects_what_its_first_form_rejects(args):
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+def test_contrastive_loss_reports_label_rows_then_labels_then_image_rows():
+    zero_img, nan_img = _zero_row(IMG, 2), _poison(IMG, np.nan)
+    for img in (zero_img, nan_img):
+        with pytest.raises(NumericError, match="^zero-norm text embedding row$"):
+            contrastive_loss(img, _zero_row(TXT, 1), [0, 1, 3, 0], 0.5)
+        with pytest.raises(NumericError, match="^text embeddings contains non-finite"):
+            contrastive_loss(img, _poison(TXT, np.inf), [0, 1, 3, 0], 0.5)
+        with pytest.raises(LabelError):
+            contrastive_loss(img, TXT, [0, 1, 3, 0], 0.5)
+    with pytest.raises(NumericError, match="^image embeddings contains non-finite"):
+        contrastive_loss(_zero_row(nan_img, 0), TXT, [0, 1, 2, 0], 0.5)
+
+
 def test_finite_diff_on_known_quadratic():
     # f(x) = sum(x^2) has gradient 2x; central differences are exact up to rounding
     x = np.array([1.0, 2.0])
