@@ -14,19 +14,13 @@ A checkpoint is a container with format `submoe-checkpoint`, version 4:
 the model (backbone weights and biases, each expert's `down` and `up`, each
 router's `weight` and its own `top_k`) and the bank (signatures, threshold,
 metric).  Scalars such as the temperature and the bank threshold stay JSON
-numbers, whose shortest round-trip repr is exact too.
-
-Versions 1 to 3 were one line of JSON text and no body; the loader reads
-them.  Version 3 wrote each array as `{"shape": [...], "f64": "<base64>"}`
-of the same bytes.  Versions 1 and 2 wrote arrays as nested lists of
-numbers and had every router of a layer mix the layer's `top_k`.  Version 2
-dropped the per-expert and per-router `frozen` flags that version 1 wrote;
-the loader ignores them.
+numbers, whose shortest round-trip repr is exact too.  Versions 1 to 3,
+one line of JSON text (`checkpoint.json`), are refused with the command
+that converts them: `python3 tools/upgrade.py RUN_DIR`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from pathlib import Path
@@ -165,46 +159,11 @@ def read_container(path: str | Path) -> dict:
     return doc
 
 
-def _array_check(ok: bool, message: str) -> None:
-    if not ok:
-        raise DataError(message)
-
-
-def decode_array(obj) -> np.ndarray:
-    """A version 3 array `{"shape": [...], "f64": "<base64>"}` (the base64 of
-    its little-endian C-order bytes) as an owned, writable, native float64
-    array.  A malformed object raises `DataError`, worded by the array alone:
-    version 3 checkpoints and the audits of `ifer_audit.jsonl` both store
-    their arrays this way, and their readers name the file."""
-    _array_check(isinstance(obj, dict) and obj.keys() == {"shape", "f64"},
-                 "array: not a {shape, f64} object")
-    shape = obj["shape"]
-    _array_check(_is_shape(shape), "array shape: not a list of non-negative ints")
-    _array_check(isinstance(obj["f64"], str), "array f64: not a string")
-    try:
-        data = base64.b64decode(obj["f64"], validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise DataError(f"array f64: not base64: {exc}") from exc
-    _array_check(len(data) == 8 * math.prod(shape),
-                 f"array f64: {len(data)} bytes for shape {shape}")
-    # frombuffer is a read-only view of `data`; astype makes the owned copy
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def _placed(obj) -> np.ndarray:
-    """A version 4 array, which `read_container` has already read."""
-    _array_check(isinstance(obj, np.ndarray), "array: not a {shape, offset} object")
+    """An array of the document, which `read_container` has already read."""
+    if not isinstance(obj, np.ndarray):
+        raise DataError("array: not a {shape, offset} object")
     return obj
-
-
-def _decoder(version: int):
-    """The array reader of a checkpoint version: version 3 wrote base64 text,
-    versions 1 and 2 nested lists."""
-    if version >= 4:
-        return _placed
-    if version == 3:
-        return decode_array
-    return lambda obj: np.asarray(obj, dtype=np.float64)
 
 
 def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
@@ -231,17 +190,14 @@ def layer_to_payload(layer: MixtureAdapterLayer) -> dict:
     }
 
 
-def layer_from_payload(payload: dict, version: int = VERSION) -> MixtureAdapterLayer:
-    """Inverse of `layer_to_payload` for a checkpoint of `version`; routers of
-    versions 1 and 2 take the layer's `top_k`, and version 1's `frozen` keys
-    are ignored."""
-    decode = _decoder(version)
+def layer_from_payload(payload: dict) -> MixtureAdapterLayer:
+    """Inverse of `layer_to_payload`."""
     layer = MixtureAdapterLayer(
         layer_index=payload["layer_index"],
         dim=payload["dim"],
         rank=payload["rank"],
         top_k=payload["top_k"],
-        experts=[LoraExpert(down=decode(e["down"]), up=decode(e["up"]),
+        experts=[LoraExpert(down=_placed(e["down"]), up=_placed(e["up"]),
                             owner_task=e["owner_task"], expert_id=e["expert_id"])
                  for e in payload["experts"]],
         version=payload["version"],
@@ -250,11 +206,7 @@ def layer_from_payload(payload: dict, version: int = VERSION) -> MixtureAdapterL
     for r in payload["routers"]:
         if r["task"] in layer.routers:
             raise DataError(f"adapter layer {layer.layer_index}: two routers for task {r['task']!r}")
-        weight = decode(r["weight"])
-        if weight.shape == (0,):  # a version 1 or 2 router with no rows saved as []
-            weight = weight.reshape(0, layer.dim)
-        top_k = r["top_k"] if version >= 3 else layer.top_k
-        layer.routers[r["task"]] = Router(weight=weight, top_k=top_k)
+        layer.routers[r["task"]] = Router(weight=_placed(r["weight"]), top_k=r["top_k"])
     return layer
 
 
@@ -269,13 +221,12 @@ def bank_to_payload(bank: TaskBank) -> dict:
     }
 
 
-def bank_from_payload(payload: dict, version: int = VERSION) -> TaskBank:
-    decode = _decoder(version)
+def bank_from_payload(payload: dict) -> TaskBank:
     bank = TaskBank(threshold=payload["threshold"], metric=payload["metric"])
     for item in payload["entries"]:
         if item["task"] in bank.entries:
             raise DataError(f"bank: two entries for task {item['task']!r}")
-        bank.entries[item["task"]] = decode(item["embedding"])
+        bank.entries[item["task"]] = _placed(item["embedding"])
     return bank
 
 
@@ -293,15 +244,14 @@ def model_to_payload(model: AdapterModel) -> dict:
     }
 
 
-def model_from_payload(payload: dict, version: int = VERSION) -> AdapterModel:
-    decode = _decoder(version)
+def model_from_payload(payload: dict) -> AdapterModel:
     backbone = FrozenBackbone(
-        weights=[decode(w) for w in payload["backbone"]["weights"]],
-        biases=[decode(b) for b in payload["backbone"]["biases"]],
+        weights=[_placed(w) for w in payload["backbone"]["weights"]],
+        biases=[_placed(b) for b in payload["backbone"]["biases"]],
     )
     adapters = {}
     for entry in payload["adapters"]:
-        layer = layer_from_payload(entry, version)
+        layer = layer_from_payload(entry)
         adapters[layer.layer_index] = layer
     return AdapterModel(
         backbone=backbone,
@@ -382,25 +332,34 @@ def _check_bank(bank: TaskBank, dim: int) -> None:
 
 
 def load_checkpoint(path: str | Path):
-    """(model, bank or None, meta) from a checkpoint file of any version;
-    `meta` is a JSON object, `{}` when the file has none.  Any fault in the
-    file raises `DataError` naming the path."""
+    """(model, bank or None, meta) from a version 4 checkpoint file; `meta`
+    is a JSON object, `{}` when the file has none.  Any fault in the file
+    raises `DataError` naming the path, and so does a file of versions 1 to
+    3, with the command that converts it."""
     path = Path(path)
-    doc = read_container(path)
+    return checkpoint_from_document(read_container(path), path)
+
+
+def checkpoint_from_document(doc: dict, path: Path):
+    """`load_checkpoint` of `doc`, a document as `read_container` returns it,
+    its faults named by `path`."""
     if doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a checkpoint file")
     version = doc.get("version")
-    if not _is_int(version) or version not in (1, 2, 3, VERSION):
+    if _is_int(version) and version in (1, 2, 3):
+        raise DataError(f"{path}: checkpoint version {version}, from before the container; "
+                        f"convert it with: python3 tools/upgrade.py {path.parent}")
+    if not _is_int(version) or version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint meta is not a JSON object: {meta!r}")
-    # the converters trust their payload, so a missing key, a wrong type or a
-    # ragged or non-numeric array surfaces as one of the second group; the
-    # refusals of the converters and the checks are worded without the path
+    # the converters trust their payload, so a missing key or a wrong type
+    # surfaces as one of the second group; the refusals of the converters and
+    # the checks are worded without the path
     try:
-        model = model_from_payload(doc["model"], version)
-        bank = bank_from_payload(doc["bank"], version) if doc.get("bank") is not None else None
+        model = model_from_payload(doc["model"])
+        bank = bank_from_payload(doc["bank"]) if doc.get("bank") is not None else None
         _check_model(model, len(doc["model"]["adapters"]))
         if bank is not None:
             _check_bank(bank, model.dim)

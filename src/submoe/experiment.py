@@ -16,9 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    Deferred, decode_array, read_container, save_checkpoint, write_container,
-)
+from .checkpoint import Deferred, read_container, save_checkpoint, write_container
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -44,7 +42,8 @@ CHECKPOINT_FILE = "checkpoint.bin"
 STREAM_DIR = "stream"
 AUDIT_FORMAT = "submoe-audit"
 AUDIT_VERSION = 1
-# the audit and the checkpoint as JSON text, before they became containers
+# the audit and the checkpoint as JSON text, before they became containers;
+# `tools/upgrade.py` converts them
 JSONL_AUDIT_FILE = "ifer_audit.jsonl"
 JSON_CHECKPOINT_FILE = "checkpoint.json"
 
@@ -98,35 +97,32 @@ def read_audit(run_dir: str | Path) -> list[dict]:
     file is a container (`checkpoint.write_container`) whose header lists
     one `{"true_task", "distance"}` record per eval task, in stream order:
     the task's window distances to every final bank signature, ids
-    ascending, as a [windows, tasks] array.  A run directory written before
-    the container holds `ifer_audit.jsonl` instead, one such record per line
-    with the array in base64 (`checkpoint.decode_array`); it is read the
-    same way.  A signature never changes after enrolment, so
-    column k is what the bank measured when task k was enrolled: at row i a
-    window's nearest task over the columns of the first i + 1 stream tasks
-    follows the bank's rule, `task_bank.nearest`.  The row order,
-    threshold and window come from `effective_config.json`.  The run must
-    have finished: its `summary.json` (written after the audit) must exist
-    and count the records as `bank_queries`.  A missing, malformed or
+    ascending, as a [windows, tasks] array.  A signature never changes
+    after enrolment, so column k is what the bank measured when task k was
+    enrolled: at row i a window's nearest task over the columns of the first
+    i + 1 stream tasks follows the bank's rule, `task_bank.nearest`.  The row
+    order, threshold and window come from `effective_config.json`.  The run
+    must have finished: its `summary.json` (written after the audit) must
+    exist and count the records as `bank_queries`.  A missing, malformed or
     unfinished audit raises `DataError`: a fault of the container itself
     (`checkpoint.read_container`, which names the file) as it is, every
-    other fault worded with `run_dir`."""
+    other fault worded with `run_dir`.  A directory that holds the audit as
+    `ifer_audit.jsonl`, the form before the container, is refused with the
+    command that converts it."""
     run_dir = Path(run_dir)
-    jsonl = not (run_dir / AUDIT_FILE).exists() and (run_dir / JSONL_AUDIT_FILE).exists()
-    doc = None if jsonl else read_container(run_dir / AUDIT_FILE)
+    if not (run_dir / AUDIT_FILE).exists() and (run_dir / JSONL_AUDIT_FILE).exists():
+        raise DataError(f"{run_dir / JSONL_AUDIT_FILE}: the audit from before the container; "
+                        f"convert it with: python3 tools/upgrade.py {run_dir}")
+    doc = read_container(run_dir / AUDIT_FILE)
     try:
         cfg = json.loads((run_dir / CONFIG_FILE).read_text())
         stream = [task["task_id"] for task in cfg["stream"]]
         threshold = cfg["task_bank"]["match_threshold"]
         window = cfg["task_bank"]["query_window"]
         ids = np.array(sorted(stream), dtype=np.int64)
-        if jsonl:
-            tasks = [json.loads(line)
-                     for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
-        elif doc.get("format") != AUDIT_FORMAT or doc.get("version") != AUDIT_VERSION:
+        if doc.get("format") != AUDIT_FORMAT or doc.get("version") != AUDIT_VERSION:
             raise ValueError(f"not an audit of format {AUDIT_FORMAT!r}, version {AUDIT_VERSION}")
-        else:
-            tasks = doc["tasks"]
+        tasks = doc["tasks"]
         if len(tasks) != len(stream):
             raise ValueError(f"{len(tasks)} task records for {len(stream)} stream tasks")
         dists = []
@@ -135,7 +131,7 @@ def read_audit(run_dir: str | Path) -> list[dict]:
                     or rec["true_task"] != task):
                 raise ValueError(f"record {n} is not the {{true_task, distance}} "
                                  f"record of task {task}")
-            dist = decode_array(rec["distance"]) if jsonl else rec["distance"]
+            dist = rec["distance"]
             if not isinstance(dist, np.ndarray) or dist.ndim != 2 or dist.shape[1] != len(ids):
                 raise ValueError(f"task {task}: distance shape {np.shape(dist)}, "
                                  f"want [windows, {len(ids)}]")

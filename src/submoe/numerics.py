@@ -124,8 +124,8 @@ def kl_divergence(p, q) -> float:
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row: what `np.linalg.norm(x, axis=1)` computes
-    for real input, without its conjugate copy.  The loss and
-    `model.cosine_logits` both normalise through it."""
+    for real input, without its conjugate copy.  The loss,
+    `model.cosine_logits` and the streams' unit rows normalise through it."""
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
+from .numerics import _row_norms
 
 _MODES = ("orthogonal", "reuse", "mixed")
 _MAGIC = b"SUBMOE01"
@@ -146,7 +147,7 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
                 protos = src.copy()
             else:
                 bump = rng.standard_normal(src.shape)
-                bump /= np.linalg.norm(bump, axis=1, keepdims=True)
+                bump /= _row_norms(bump)[:, None]
                 protos = src + align.perturbation * bump
         else:  # mixed
             prior = np.vstack(prior_prototypes)
@@ -169,7 +170,7 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
         text = prior_text[align.source].copy()
     else:
         text = rng.standard_normal((spec.classes, dim))
-        text /= np.linalg.norm(text, axis=1, keepdims=True)
+        text /= _row_norms(text)[:, None]
 
     return TaskData(
         task_id=spec.task_id,

@@ -194,9 +194,9 @@ def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
     """Write (model, bank, meta) as a version 2 checkpoint, the format before
     version 3: the version 4 document with every float64 array as nested
     lists of shortest-repr numbers, and no router `top_k`, since every
-    router of a layer used the layer's.  `load_checkpoint` must keep reading
-    these files, and re-serialising a loaded version 3 file this way must
-    give the bytes the version 2 writer gave."""
+    router of a layer used the layer's.  `tools/upgrade.py` must keep
+    converting these files, and re-serialising a converted version 3 file
+    this way must give the bytes the version 2 writer gave."""
     payload = model_to_payload(model)
     for layer in payload["adapters"]:
         ks = {r.pop("top_k") for r in layer["routers"]}
@@ -211,8 +211,9 @@ def save_checkpoint_v2(path, model, bank=None, meta=None) -> Path:
 
 
 def encode_array(a: np.ndarray) -> dict:
-    """The version 3 form of a float64 array, which `checkpoint.decode_array`
-    reads: its shape and the base64 of its little-endian C-order bytes."""
+    """The version 3 form of a float64 array, which `decode_array` of
+    `tools/upgrade.py` reads: its shape and the base64 of its little-endian
+    C-order bytes."""
     data = np.ascontiguousarray(a, dtype="<f8").tobytes()
     return {"shape": list(a.shape), "f64": base64.b64encode(data).decode("ascii")}
 
@@ -220,7 +221,7 @@ def encode_array(a: np.ndarray) -> dict:
 def save_checkpoint_v3(path, model, bank=None, meta=None) -> Path:
     """Write (model, bank, meta) as a version 3 checkpoint, the format before
     the container: one line of JSON, the version 4 document with each array
-    as `encode_array` of it.  `load_checkpoint` must keep reading these
+    as `encode_array` of it.  `tools/upgrade.py` must keep converting these
     files, and re-serialising a loaded version 4 file this way must give the
     bytes the version 3 writer gave."""
     doc = {"format": "submoe-checkpoint", "version": 3, "model": model_to_payload(model),
@@ -233,9 +234,9 @@ def save_checkpoint_v3(path, model, bank=None, meta=None) -> Path:
 def save_audit_jsonl(path, records) -> Path:
     """Write an audit's `{"true_task", "distance"}` records as
     `ifer_audit.jsonl`, the form before the container: a line each, keys
-    sorted, the distance as `encode_array` of it.  `read_audit` must keep
-    reading these files, and re-serialising an `ifer_audit.bin` this way must
-    give the bytes the JSON-lines writer gave."""
+    sorted, the distance as `encode_array` of it.  `tools/upgrade.py` must
+    keep converting these files, and re-serialising an `ifer_audit.bin` this
+    way must give the bytes the JSON-lines writer gave."""
     path = Path(path)
     path.write_text("".join(json.dumps(_map_arrays(rec, encode_array), sort_keys=True) + "\n"
                             for rec in records))

@@ -10,7 +10,9 @@ Each entry is a name and the sha256 of every file it makes:
   `<out>/derived`: the checkpoint as version 2 (`checkpoint_v2.json`) and as
   version 3 (`checkpoint.json`), and under `id_free` the audit as JSON lines
   (`ifer_audit.jsonl`) and as its dense records, a line each
-  (`ifer_audit_dense.jsonl`);
+  (`ifer_audit_dense.jsonl`).  All but the dense records are the inputs of
+  the converter, `tools/upgrade.py`, which `tests/test_upgrade.py` checks
+  turns each back into the run's own `checkpoint.bin` and `ifer_audit.bin`;
 - `ADAMW_ENTRY` learns two AdamW tasks and keeps one `fingerprint`: the
   sha256 over every expert's (down, up) and every router's weight bytes.
 

@@ -1,15 +1,16 @@
-"""Checkpoint round trips must preserve every float bit for bit."""
+"""Checkpoint round trips must preserve every float bit for bit.  The
+formats before the container are the converter's, `tests/test_upgrade.py`."""
 
 from __future__ import annotations
 
-import base64
 import json
+import re
 
 import numpy as np
 import pytest
 
 from submoe.checkpoint import (
-    Deferred, decode_array, load_checkpoint, read_container, save_checkpoint, write_container,
+    Deferred, load_checkpoint, read_container, save_checkpoint, write_container,
 )
 from submoe.errors import DataError
 from submoe.lifecycle import (
@@ -20,14 +21,12 @@ from submoe.optim import OptimConfig
 from submoe.streams import TaskSpec, generate_stream
 from submoe.task_bank import TaskBank
 
-from oracles import encode_array, frozen_fingerprint, save_checkpoint_v2, save_checkpoint_v3
+from oracles import encode_array, frozen_fingerprint, save_checkpoint_v3
 
 DIM = 8
 SCHEDULE = PhaseSchedule(identify_steps=15, finetune_steps=10, num_candidates=2,
                          batch_size=16, snapshot_interval=5)
 OPTIM = OptimConfig(learning_rate=0.5, penalty=0.01)
-# the current writer and the version 3 and 2 ones the loader must keep reading
-WRITERS = {"v4": save_checkpoint, "v3": save_checkpoint_v3, "v2": save_checkpoint_v2}
 
 
 def trained_model(learned=(0, 1)):
@@ -88,18 +87,6 @@ def test_awkward_floats_survive(tmp_path):
     assert loaded.adapter_layers()[0].experts[0].up[0, 0] == 0.1 + 0.2
     assert loaded.adapter_layers()[0].experts[0].down[0, 0] == 1e-308
     assert np.signbit(loaded.adapter_layers()[0].experts[0].down[0, 1])
-
-
-def test_array_encoding_is_the_exact_bytes():
-    a = np.array([[0.1 + 0.2, -0.0, 5e-324], [np.nextafter(1.0, 2.0), -1e308, 3.0]])
-    enc = encode_array(a)
-    assert enc == {"shape": [2, 3],
-                   "f64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
-    back = decode_array(json.loads(json.dumps(enc)))
-    assert back.tobytes() == a.tobytes() and back.shape == a.shape
-    # owned, writable, native: a later learning step updates it in place
-    assert back.dtype == np.float64 and back.flags.owndata and back.flags.writeable
-    assert decode_array(encode_array(np.zeros((0, DIM)))).shape == (0, DIM)
 
 
 def test_container_body_is_the_exact_bytes(tmp_path):
@@ -168,26 +155,6 @@ def test_each_router_keeps_its_top_k(tmp_path):
         assert loaded.embed(x, t).tobytes() == model.embed(x, t).tobytes()
 
 
-def test_version_2_routers_take_the_layer_top_k(tmp_path):
-    model, bank, _ = trained_model()
-    loaded, _, _ = load_checkpoint(save_checkpoint_v2(tmp_path / "v2.json", model, bank))
-    for layer in loaded.adapter_layers():
-        assert all(r.top_k == layer.top_k == 2 for r in layer.routers.values())
-    assert save_checkpoint(tmp_path / "v4.bin", loaded, bank).read_bytes() \
-        == save_checkpoint(tmp_path / "orig.bin", model, bank).read_bytes()
-
-
-def test_version_3_files_load_to_the_same_model(tmp_path):
-    model, bank, _ = trained_model()
-    for layer in model.adapter_layers():
-        layer.router_for(1).top_k = 3
-    loaded, loaded_bank, meta = load_checkpoint(
-        save_checkpoint_v3(tmp_path / "v3.json", model, bank, meta={"note": "x"}))
-    assert frozen_fingerprint(loaded) == frozen_fingerprint(model) and meta == {"note": "x"}
-    assert save_checkpoint(tmp_path / "v4.bin", loaded, loaded_bank).read_bytes() \
-        == save_checkpoint(tmp_path / "orig.bin", model, bank).read_bytes()
-
-
 def test_load_rejects_bad_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(DataError, match="cannot read"):
@@ -247,85 +214,52 @@ def _duplicate(list_keys, index, task):
 LAYER = ["model", "adapters", 0]
 EXPERT = LAYER + ["experts", 0]
 ROUTER = LAYER + ["routers", 0]
+# faults of structure, each with the message it raises, made in the document
+# `read_container` returns and written back by `write_container`; the faults
+# of an array's encoding are the converter's (`tests/test_upgrade.py`)
 BAD_DOCUMENTS = {
-    "not an object": lambda doc: [doc],
-    "version as bool": _set(["version"], True),
-    "missing model": _drop(["model"]),
-    "missing backbone": _drop(["model", "backbone"]),
-    "missing expert key": _drop(EXPERT + ["up"]),
-    "missing bank threshold": _drop(["bank", "threshold"]),
-    "phase not a mapping": _set(["model", "phase"], [1, 2]),
-    "adapters not a list": _set(["model", "adapters"], 3),
-    "ragged down": _set(EXPERT + ["down", 0], [1.0]),
-    "non-numeric up": _set(EXPERT + ["up", 0, 0], "x"),
-    "nested number": _set(EXPERT + ["up", 0, 0], [[1.0]]),
-    "huge integer": _set(EXPERT + ["up", 0, 0], 10 ** 400),
-    "rank as string": _set(LAYER + ["rank"], "2"),
-    "zero top_k": _set(LAYER + ["top_k"], 0),
-    "float layer index": _set(LAYER + ["layer_index"], 1.0),
-    "layer outside backbone": _set(LAYER + ["layer_index"], 7),
-    "duplicate layer index": _set(["model", "adapters", 1, "layer_index"], 1),
-    "down of wrong shape": _set(EXPERT + ["down"], [[0.0] * DIM] * 3),
-    "up transposed": _set(EXPERT + ["up"], [[0.0] * 2] * (DIM + 1)),
-    "router beyond experts": _set(ROUTER + ["weight"], [[0.0] * DIM] * 20),
-    "router of wrong width": _set(ROUTER + ["weight"], [[0.0] * (DIM - 1)]),
-    "backbone weight shape": _set(["model", "backbone", "weights", 1], [[0.0] * DIM] * 2),
-    "backbone bias missing": _drop(["model", "backbone", "biases", 2]),
-    "non-finite backbone": _set(["model", "backbone", "biases", 0, 0], float("nan")),
-    "non-finite expert": _set(EXPERT + ["down", 0, 0], float("inf")),
-    "zero temperature": _set(["model", "temperature"], 0.0),
-    "unknown phase": _set(["model", "phase", "0"], "halfway"),
-    "duplicate expert id": _set(LAYER + ["experts", 1, "expert_id"], 0),
-    "bank entry width": _set(["bank", "entries", 0, "embedding"], [0.0] * DIM),
-    "bank metric": _set(["bank", "metric"], "cosine"),
-    "two routers for one task": _duplicate(LAYER + ["routers"], 1, 0),
-    "two bank entries for one task": _duplicate(["bank", "entries"], 1, 0),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
-def test_load_rejects_malformed_documents_with_data_error(tmp_path, name):
-    # nested-list arrays: the version 2 documents the loader still reads
-    model, bank, _ = trained_model()
-    path = save_checkpoint_v2(tmp_path / "ck.json", model, bank)
-    doc = BAD_DOCUMENTS[name](json.loads(path.read_text()))
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError):
-        load_checkpoint(path)
-
-
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-DOWN = EXPERT + ["down"]
-BAD_V3_DOCUMENTS = {
-    "f64 not base64": (_set(DOWN + ["f64"], "@@@@"), "not base64"),
-    "f64 not ascii": (_set(DOWN + ["f64"], "\u00e9\u00e9\u00e9\u00e9"), "not base64"),
-    "f64 bad padding": (_set(DOWN + ["f64"], "AAA"), "not base64"),
-    "f64 not a string": (_set(DOWN + ["f64"], 0), "f64: not a string"),
-    "f64 one float short": (_set(DOWN + ["f64"], _b64(bytes(8 * (2 * DIM - 1)))),
-                            "bytes for shape"),
-    "f64 not whole floats": (_set(DOWN + ["f64"], _b64(bytes(8 * 2 * DIM + 3))),
-                             "bytes for shape"),
-    "f64 missing": (_drop(DOWN + ["f64"]), "array: not a"),
-    "shape missing": (_drop(DOWN + ["shape"]), "array: not a"),
-    "extra key": (_set(DOWN + ["dtype"], "f8"), "array: not a"),
-    "nested list in version 3": (_set(DOWN, [[0.0] * DIM] * 2), "array: not a"),
-    "negative shape": (_set(DOWN + ["shape"], [-2, -DIM]), "array shape"),
-    "bool in shape": (_set(["model", "backbone", "biases", 0, "shape"], [True, DIM]),
-                      "array shape"),
-    "float in shape": (_set(DOWN + ["shape"], [2.0, DIM]), "array shape"),
-    "shape not a list": (_set(DOWN + ["shape"], 2 * DIM), "array shape"),
-    "NaN bits": (_set(DOWN + ["f64"], _b64(np.full(2 * DIM, np.nan).tobytes())),
-                 "non-finite"),
-    "Inf bits in the bank": (_set(["bank", "entries", 0, "embedding", "f64"],
-                                  _b64(np.full(2 * DIM, -np.inf).tobytes())), "non-finite"),
-    "router beyond experts": (_set(ROUTER + ["weight"], encode_array(np.zeros((20, DIM)))),
-                              "router 0: shape"),
-    "router top_k missing": (_drop(ROUTER + ["top_k"]), "malformed"),
-    "router top_k zero": (_set(ROUTER + ["top_k"], 0), "bad top_k"),
-    "router top_k bool": (_set(ROUTER + ["top_k"], True), "bad top_k"),
+    "not an object": (lambda doc: [doc], "the header is not a JSON object"),
+    "version as bool": (_set(["version"], True), "unsupported checkpoint version True"),
+    "missing model": (_drop(["model"]), "malformed checkpoint: KeyError('model')"),
+    "missing backbone": (_drop(["model", "backbone"]), "KeyError('backbone')"),
+    "missing expert key": (_drop(EXPERT + ["up"]), "KeyError('up')"),
+    "missing bank threshold": (_drop(["bank", "threshold"]), "KeyError('threshold')"),
+    "phase not a mapping": (_set(["model", "phase"], [1, 2]), "AttributeError"),
+    "adapters not a list": (_set(["model", "adapters"], 3), "TypeError"),
+    "rank as string": (_set(LAYER + ["rank"], "2"), "expected (('2', 8), (8, '2'))"),
+    "zero top_k": (_set(LAYER + ["top_k"], 0), "adapter layer 1: bad header"),
+    "float layer index": (_set(LAYER + ["layer_index"], 1.0),
+                          "adapter layer 1.0: outside the backbone"),
+    "layer outside backbone": (_set(LAYER + ["layer_index"], 7),
+                               "adapter layer 7: outside the backbone"),
+    "duplicate layer index": (_set(["model", "adapters", 1, "layer_index"], 1),
+                              "duplicate layer index"),
+    "down of wrong shape": (_set(EXPERT + ["down"], np.zeros((3, DIM))), "down (3, 8)"),
+    "up transposed": (_set(EXPERT + ["up"], np.zeros((DIM + 1, 2))), "up (9, 2)"),
+    "router beyond experts": (_set(ROUTER + ["weight"], np.zeros((20, DIM))),
+                              "router 0: shape (20, 8), 4 experts"),
+    "router of wrong width": (_set(ROUTER + ["weight"], np.zeros((1, DIM - 1))),
+                              "router 0: shape (1, 7), expected (1, 8)"),
+    "backbone weight shape": (_set(["model", "backbone", "weights", 1], np.zeros((2, DIM))),
+                              "backbone weight 1: shape (2, 8)"),
+    "backbone bias missing": (_drop(["model", "backbone", "biases", 2]), "layer counts differ"),
+    "non-finite backbone": (_set(["model", "backbone", "biases", 0, 0], float("nan")),
+                            "backbone bias 0: non-finite values"),
+    "non-finite expert": (_set(EXPERT + ["down", 0, 0], float("inf")),
+                          "expert 0 down: non-finite values"),
+    "non-finite router": (_set(ROUTER + ["weight", 0, 0], float("nan")),
+                          "router 0: non-finite values"),
+    "non-finite bank entry": (_set(["bank", "entries", 0, "embedding"],
+                                   np.full(2 * DIM, -np.inf)), "bank entry 0: non-finite values"),
+    "zero temperature": (_set(["model", "temperature"], 0.0), "temperature: not a positive"),
+    "unknown phase": (_set(["model", "phase", "0"], "halfway"), "phase: unknown value"),
+    "duplicate expert id": (_set(LAYER + ["experts", 1, "expert_id"], 0), "bad expert ids"),
+    "bank entry width": (_set(["bank", "entries", 0, "embedding"], np.zeros(DIM)),
+                         "bank entry 0: shape (8,), expected (16,)"),
+    "bank metric": (_set(["bank", "metric"], "cosine"), "unknown metric 'cosine'"),
+    "router top_k missing": (_drop(ROUTER + ["top_k"]), "malformed checkpoint: KeyError('top_k')"),
+    "router top_k zero": (_set(ROUTER + ["top_k"], 0), "router 0: bad top_k"),
+    "router top_k bool": (_set(ROUTER + ["top_k"], True), "router 0: bad top_k"),
     # the last entry used to win: task 1's router or signature loaded as task 0's
     "two routers for one task": (_duplicate(LAYER + ["routers"], 1, 0),
                                  "adapter layer 1: two routers for task 0"),
@@ -334,14 +268,36 @@ BAD_V3_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_V3_DOCUMENTS))
-def test_load_rejects_malformed_version_3_arrays(tmp_path, name):
-    mutate, message = BAD_V3_DOCUMENTS[name]
+def _write_bad_document(path, name: str) -> str:
+    """Rewrite the checkpoint at `path` with fault `name` of `BAD_DOCUMENTS`;
+    returns the message it must raise."""
+    mutate, message = BAD_DOCUMENTS[name]
+    write_container(path, mutate(read_container(path)))
+    return message
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_load_rejects_malformed_documents(tmp_path, name):
     model, bank, _ = trained_model()
-    path = save_checkpoint_v3(tmp_path / "ck.json", model, bank)
-    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
-    with pytest.raises(DataError, match=message):
+    path = save_checkpoint(tmp_path / "ck.bin", model, bank)
+    message = _write_bad_document(path, name)
+    with pytest.raises(DataError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["two routers for one task", "two bank entries for one task",
+                                  "router top_k zero", "non-finite expert"])
+def test_load_names_the_path_of_its_own_refusal_once(tmp_path, name):
+    # a converter's refusal used to come back as `malformed checkpoint:
+    # DataError('...')`, and a check's without the path
+    model, bank, _ = trained_model()
+    path = save_checkpoint(tmp_path / "ck.bin", model, bank)
+    message = _write_bad_document(path, name)
+    with pytest.raises(DataError) as info:
+        load_checkpoint(path)
+    text = str(info.value)
+    assert text.startswith(f"{path}: ") and text.count(str(path)) == 1
+    assert message in text and "malformed" not in text and "DataError" not in text
 
 
 def _split(raw: bytes) -> tuple:
@@ -378,7 +334,9 @@ BAD_CONTAINERS = {
     "header not an object": (_header(lambda header: [header]), "not a JSON object"),
     "wrong format": (_header(_set(["format"], "submoe-audit")), "not a checkpoint"),
     "wrong version": (_header(_set(["version"], 5)), "unsupported checkpoint version 5"),
-    "version 3 with a body": (_header(_set(["version"], 3)), r"not a \{shape, f64\}"),
+    "version 3 with a body": (_header(_set(["version"], 3)),
+                              "checkpoint version 3, from before the container; "
+                              "convert it with: python3 tools/upgrade.py"),
     "offset after a gap": (_header(_set(FIRST + ["offset"], 8)),
                            "offset 8, where the previous array ends at 0"),
     "offset as a float": (_header(_set(FIRST + ["offset"], 0.0)), "offset 0.0"),
@@ -415,63 +373,25 @@ def test_load_reads_an_absent_meta_as_an_empty_object(tmp_path):
     assert load_checkpoint(path)[2] == {}
 
 
-@pytest.mark.parametrize("name", ["two routers for one task", "two bank entries for one task",
-                                  "f64 not base64", "router top_k zero", "NaN bits"])
-def test_load_names_the_path_of_its_own_refusal_once(tmp_path, name):
-    # a converter's refusal used to come back as `malformed checkpoint:
-    # DataError('...')`, and a check's without the path
-    mutate, message = BAD_V3_DOCUMENTS[name]
-    model, bank, _ = trained_model()
-    path = save_checkpoint_v3(tmp_path / "ck.json", model, bank)
-    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
-    with pytest.raises(DataError) as info:
-        load_checkpoint(path)
-    text = str(info.value)
-    assert text.startswith(f"{path}: ") and text.count(str(path)) == 1
-    assert message in text and "malformed" not in text and "DataError" not in text
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_router_without_visible_experts_round_trips(tmp_path, writer):
+def test_router_without_visible_experts_round_trips(tmp_path):
     # a task whose candidates were all pruned keeps a router with no rows
-    save = WRITERS[writer]
     model, bank, _ = trained_model()
     for layer in model.adapter_layers():
         layer.router_for(0).weight = np.zeros((0, DIM))
-    path = save(tmp_path / "ck.json", model, bank)
+    path = save_checkpoint(tmp_path / "ck.bin", model, bank)
     loaded, loaded_bank, _ = load_checkpoint(path)
     for layer in loaded.adapter_layers():
         assert layer.router_for(0).weight.shape == (0, DIM)
     x = np.random.default_rng(3).standard_normal((4, DIM))
     np.testing.assert_array_equal(loaded.embed(x, 0), model.embed(x, 0))
-    again = save(tmp_path / "again.json", loaded, loaded_bank)
+    again = save_checkpoint(tmp_path / "again.bin", loaded, loaded_bank)
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_version_1_documents_with_frozen_flags_still_load(tmp_path):
-    # version 1 wrote a `frozen` flag on every expert and router; nothing
-    # reads it, so the loader ignores it
+def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path):
     model, bank, _ = trained_model()
-    path = save_checkpoint_v2(tmp_path / "v2.json", model, bank)
-    doc = json.loads(path.read_text())
-    assert doc["version"] == 2
-    doc["version"] = 1
-    for layer in doc["model"]["adapters"]:
-        for entry in layer["experts"] + layer["routers"]:
-            entry["frozen"] = True
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(doc))
-    loaded, loaded_bank, _ = load_checkpoint(v1)
-    assert frozen_fingerprint(loaded) == frozen_fingerprint(model)
-    assert save_checkpoint_v2(tmp_path / "resaved.json", loaded, loaded_bank).read_bytes() \
-        == path.read_bytes()
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_truncated_or_bit_flipped_checkpoints_load_or_raise_data_error(tmp_path, writer):
-    model, bank, _ = trained_model()
-    good = WRITERS[writer](tmp_path / "good.json", model, bank).read_bytes()
-    path = tmp_path / "fuzz.json"
+    good = save_checkpoint(tmp_path / "good.bin", model, bank).read_bytes()
+    path = tmp_path / "fuzz.bin"
     outcomes = {"loaded": 0, "rejected": 0}
 
     def attempt(data: bytes):

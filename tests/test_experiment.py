@@ -245,22 +245,6 @@ def _write_json_files(run_dir) -> None:
     (run_dir / AUDIT_FILE).unlink()
 
 
-def test_read_audit_reads_an_ifer_audit_jsonl(tmp_path):
-    run_dir = tmp_path / "run"
-    run_experiment(config_from_dict(pinned_raw("id_free", True, 3)), run_dir)
-    records = read_audit(run_dir)
-    _write_json_files(run_dir)
-    assert read_audit(run_dir) == records
-    # its arrays are base64 text, whose faults are named as before
-    lines = [json.loads(line) for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
-    for key, value, match in (("f64", "not base64!", "not base64"),
-                              ("shape", [6, 3], "bytes for shape")):
-        bad = [{**lines[0], "distance": {**lines[0]["distance"], key: value}}] + lines[1:]
-        (run_dir / JSONL_AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in bad))
-        with pytest.raises(DataError, match=match):
-            read_audit(run_dir)
-
-
 def test_rerun_deletes_the_json_checkpoint_and_audit(tmp_path):
     raw = pinned_raw("id_free", True, 3)
     run_experiment(config_from_dict(raw), tmp_path / "run")
@@ -509,11 +493,3 @@ def test_a_bad_audit_array_is_named_as_the_audit(tmp_path):
     assert str(info.value) == str(direct.value)
     assert str(info.value).startswith(f"{run_dir / AUDIT_FILE}: array of shape [5, 3]")
     assert "overruns" in str(info.value) and "checkpoint" not in str(info.value)
-    (run_dir / AUDIT_FILE).write_bytes(audit)
-    _write_json_files(run_dir)
-    lines = [json.loads(line) for line in (run_dir / JSONL_AUDIT_FILE).read_text().splitlines()]
-    lines[0]["distance"]["f64"] = "AAA"
-    (run_dir / JSONL_AUDIT_FILE).write_text("".join(json.dumps(rec) + "\n" for rec in lines))
-    with pytest.raises(DataError, match="cannot read the audit") as info:
-        read_audit(run_dir)
-    assert "not base64" in str(info.value) and "checkpoint" not in str(info.value)

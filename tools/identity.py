@@ -20,7 +20,9 @@ the entries of `tests/pinned.py`, named `tier1:...`, which the tests
 compare with the same table: the two `pinned_raw` runs, the query-window-1
 run and the dim-64 run, each with its run directory and the files
 re-serialised from it (the version 2 and 3 checkpoints, the JSON-lines and
-the dense audit), and the fingerprint of two AdamW tasks.
+the dense audit), and the fingerprint of two AdamW tasks.  The version 2
+and 3 checkpoints and the JSON-lines audit are the inputs of the converter,
+`tools/upgrade.py`, which the tests check against the run's own files.
 
 A float64 digest holds for one BLAS build and kernel, so `identity.json`
 keeps one table per kernel, keyed by `tests/oracles.py::blas_kernel()`
