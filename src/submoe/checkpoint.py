@@ -1,5 +1,5 @@
 """Checkpoints of the model and task bank, and the container file that
-holds them and the task-free audit.
+holds them, the task-free audit and exported tasks.
 
 A container is one line of JSON, the header, followed by a raw body.  The
 header is a JSON document in which each float64 array is an object
@@ -8,7 +8,8 @@ C-order IEEE-754 bytes in header order, each starting where the one before
 it ends.  A float costs its 8 bytes (base64 text took 32/3 characters), and
 a read returns every value bit for bit (`-0.0` included) with no conversion
 either way.  `write_container` and `read_container` are the one writer and
-reader; `experiment` stores its audit with them too.
+reader; `experiment` stores its audit and `streams` an exported task with
+them too.
 
 A checkpoint is a container with format `submoe-checkpoint`, version 4:
 the model (backbone weights and biases, each expert's `down` and `up`, each
@@ -117,7 +118,7 @@ def read_container(path: str | Path) -> dict:
     each later one where the one before it ends, and the last ends with the
     body.  An unreadable file, a first line that is not a JSON object, or
     arrays that do not tile the body raise `DataError`, worded by the file
-    alone: the checkpoint and the audit both use it."""
+    alone: the checkpoint, the audit and an exported task all use it."""
     path = Path(path)
     try:
         raw = path.read_bytes()

@@ -27,8 +27,8 @@ from pathlib import Path
 from .config import config_from_dict, config_to_dict, load_config
 from .errors import ConfigError, DataError, SubmoeError
 from .experiment import (
-    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, prepare_run, resolve_output_dir,
-    run_experiment,
+    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, _run_prepared, prepare_run,
+    resolve_output_dir, run_experiment,
 )
 
 METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
@@ -237,11 +237,11 @@ def _cmd_sweep(args) -> int:
         _set_by_path(raw, args.param, _parse_value(text))
         raw["output_dir"] = str(out)
         cfgs.append(config_from_dict(raw))
-    for cfg in cfgs:  # and prepared, so that no value is refused after a run
-        prepare_run(cfg)
+    # and prepared, so that no value is refused after a run; each runs on its own
+    prepared = [prepare_run(cfg) for cfg in cfgs]
     rows = []
-    for text, cfg in zip(values, cfgs):
-        result = run_experiment(cfg)
+    for text, cfg, inputs in zip(values, cfgs, prepared):
+        result = _run_prepared(cfg, inputs, resolve_output_dir(cfg))
         row = {"value": text, "dir": str(result.out_dir),
                "final_expert_total": result.summary["final_expert_total"]}
         for key in METRIC_KEYS:

@@ -329,7 +329,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     A file of the run directory that cannot be written or removed raises
     `DataError` naming it."""
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(cfg)
-    tasks, model, bank = prepare_run(cfg)
+    return _run_prepared(cfg, prepare_run(cfg), out)
+
+
+def _run_prepared(cfg: ExperimentConfig,
+                  prepared: tuple[list[TaskData], AdapterModel, TaskBank],
+                  out: Path) -> RunResult:
+    """`run_experiment` of `cfg` into `out`, on `prepared`, what
+    `prepare_run(cfg)` returned; the run learns into its model and bank."""
+    tasks, model, bank = prepared
     try:
         _prepare_dir(out, cfg, tasks)
     except OSError as exc:

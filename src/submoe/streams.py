@@ -1,5 +1,7 @@
 """Synthetic task streams: Gaussian class clusters with controllable overlap
-between tasks, plus a flat binary export format.
+between tasks, plus the export of a task as a container file
+(`checkpoint.write_container`), which a stream entry's `data_path` reads
+back.
 
 Alignment modes relate a task's class prototypes to earlier tasks:
   orthogonal  - prototypes drawn in the orthogonal complement of every prior
@@ -12,19 +14,16 @@ Alignment modes relate a task's class prototypes to earlier tasks:
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import _is_int, read_container, write_container
 from .errors import ConfigError, DataError, DimensionError
 from .numerics import _row_norms
 
 _MODES = ("orthogonal", "reuse", "mixed")
-_MAGIC = b"SUBMOE01"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -209,100 +208,66 @@ def generate_stream(specs: list[TaskSpec], dim: int,
     return out
 
 
-def export_task(data: TaskData, directory: str | Path, stem: str | None = None) -> Path:
-    """Write a task as <stem>.bin (header + little-endian float64 body) plus
-    <stem>.json manifest.  Returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = stem or f"task_{data.task_id}"
-    bin_path = directory / f"{stem}.bin"
-    dim = data.dim
-    with open(bin_path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(
-            "<6q", _VERSION, data.classes, dim,
-            data.train_x.shape[0], data.eval_x.shape[0], data.task_id,
-        ))
-        for arr in (data.train_x, data.eval_x, data.text_emb, data.prototypes):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for arr in (data.train_y, data.eval_y):
-            fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-    manifest = {
-        "format": "submoe-task",
-        "version": _VERSION,
-        "task_id": data.task_id,
-        "classes": data.classes,
-        "dim": dim,
-        "n_train": int(data.train_x.shape[0]),
-        "n_eval": int(data.eval_x.shape[0]),
-        "file": bin_path.name,
-    }
-    manifest_path = directory / f"{stem}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
+TASK_FORMAT = "submoe-task"
+TASK_VERSION = 2
+_ARRAYS = ("train_x", "eval_x", "text_emb", "prototypes")  # body order
 
 
-def load_task(manifest_path: str | Path) -> TaskData:
-    manifest_path = Path(manifest_path)
+def export_task(data: TaskData, directory: str | Path) -> Path:
+    """Write `data` to `directory/task_<id>.bin` as a container
+    (`checkpoint.write_container`) of format `submoe-task`, version 2: the
+    task id and the int labels in the header, the four float64 arrays in the
+    body.  Returns the path."""
+    return write_container(Path(directory) / f"task_{data.task_id}.bin", {
+        "format": TASK_FORMAT, "version": TASK_VERSION, "task_id": data.task_id,
+        "train_y": data.train_y.tolist(), "eval_y": data.eval_y.tolist(),
+        **{name: getattr(data, name) for name in _ARRAYS},
+    })
+
+
+def load_task(path: str | Path) -> TaskData:
+    """The task that `export_task` wrote to `path`.  Beyond the checks of
+    `checkpoint.read_container`, the task id and the labels must be ints,
+    each label in [0, classes), each array finite, and the shapes must fit
+    together: `text_emb` and `prototypes` [classes, dim], `train_x` and
+    `eval_x` [rows, dim] with a label per row.  A fault raises `DataError`
+    naming the file and the field.  A task manifest of the export before
+    the container (version 1, `.json`) is refused with the command that
+    converts it."""
+    path = Path(path)
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read task manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "submoe-task":
-        raise DataError(f"{manifest_path} is not a task manifest")
-    name = manifest.get("file")
-    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
-        raise DataError(
-            f"{manifest_path}: 'file' must name a file in the manifest's directory, got {name!r}"
-        )
-    bin_path = manifest_path.parent / name
-    try:
-        raw = bin_path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read task data {bin_path}: {exc}") from exc
-    if len(raw) < 56:
-        raise DataError(f"{bin_path}: truncated header ({len(raw)} bytes)")
-    if raw[:8] != _MAGIC:
-        raise DataError(f"{bin_path}: bad magic")
-    version, classes, dim, n_train, n_eval, task_id = struct.unpack("<6q", raw[8:56])
-    if version != _VERSION:
-        raise DataError(f"{bin_path}: unsupported version {version}")
-    if min(classes, dim, n_train, n_eval) < 0:
-        raise DataError(f"{bin_path}: negative count in header")
-    expected = 56 + 8 * ((n_train + n_eval + 2 * classes) * dim + n_train + n_eval)
-    if len(raw) != expected:
-        raise DataError(
-            f"{bin_path}: trailing or missing bytes ({len(raw)} vs {expected} expected)"
-        )
-    off = 56
+        doc = read_container(path)
+    except DataError:
+        if path.suffix == ".json" and path.is_file():
+            raise DataError(f"{path}: a task manifest from before the container; convert it "
+                            f"with: python3 tools/upgrade.py {path.parent}") from None
+        raise
+    if doc.get("format") != TASK_FORMAT or doc.get("version") != TASK_VERSION:
+        raise DataError(f"{path} is not a task file of format {TASK_FORMAT!r}, "
+                        f"version {TASK_VERSION}")
 
-    def take_f(rows, cols):
-        nonlocal off
-        count = rows * cols
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(rows, cols)
-        off += count * 8
-        return arr.astype(np.float64)
+    def refuse(name: str, what: str):
+        raise DataError(f"{path}: {name} {what}")
 
-    def take_i(rows):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype="<i8", count=rows, offset=off)
-        off += rows * 8
-        return arr.astype(np.int64)
-
-    train_x = take_f(n_train, dim)
-    eval_x = take_f(n_eval, dim)
-    text = take_f(classes, dim)
-    protos = take_f(classes, dim)
-    train_y = take_i(n_train)
-    eval_y = take_i(n_eval)
-    for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
-                            ("text_emb", text), ("prototypes", protos)):
-        if not np.isfinite(arr).all():
-            raise DataError(f"{bin_path}: {field_name} has non-finite entries")
-    for field_name, labels in (("train_y", train_y), ("eval_y", eval_y)):
-        if labels.size and (labels.min() < 0 or labels.max() >= classes):
-            raise DataError(f"{bin_path}: {field_name} has labels outside [0, {classes})")
-    return TaskData(
-        task_id=task_id, train_x=train_x, train_y=train_y,
-        eval_x=eval_x, eval_y=eval_y, text_emb=text, prototypes=protos,
-    )
+    if not _is_int(doc.get("task_id")):
+        refuse("task_id", f"is not an int: {doc.get('task_id')!r}")
+    arrays = {name: doc.get(name) for name in _ARRAYS}
+    for name, a in arrays.items():
+        if not isinstance(a, np.ndarray) or a.ndim != 2:
+            refuse(name, "is not a 2-d array")
+        if not np.isfinite(a).all():
+            refuse(name, "has non-finite entries")
+    classes, dim = arrays["text_emb"].shape
+    labels = {}
+    for name, rows in (("train_y", "train_x"), ("eval_y", "eval_x")):
+        values = doc.get(name)
+        if not isinstance(values, list) or not all(_is_int(v) for v in values):
+            refuse(name, "is not a list of ints")
+        if not all(0 <= v < classes for v in values):
+            refuse(name, f"has labels outside [0, {classes})")
+        labels[name] = np.array(values, dtype=np.int64)
+        if arrays[rows].shape != (len(values), dim):
+            refuse(rows, f"has shape {arrays[rows].shape}, expected {(len(values), dim)}")
+    if arrays["prototypes"].shape != (classes, dim):
+        refuse("prototypes", f"has shape {arrays['prototypes'].shape}, expected {(classes, dim)}")
+    return TaskData(task_id=doc["task_id"], **arrays, **labels)

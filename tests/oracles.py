@@ -1,7 +1,8 @@
 """Independent checks the test suite compares the engine against: a generic
 quadratic solve for the damped step, its diagonal projection form, central
 finite differences, byte fingerprints of frozen state, the version 2 and 3
-checkpoint writers and the JSON-lines audit writer, and the contrastive loss
+checkpoint writers, the JSON-lines audit writer and the version 1 task
+exporter, and the contrastive loss
 and routing as first written, with NumPy's convenience wrappers and fresh
 temporaries; plus the name of the BLAS kernel.  The kernel keys the one table
 of pinned digests, `tools/identity.json` (see `tests/pinned.py`), and
@@ -15,6 +16,7 @@ import base64
 import ctypes
 import functools
 import json
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -241,6 +243,34 @@ def save_audit_jsonl(path, records) -> Path:
     path.write_text("".join(json.dumps(_map_arrays(rec, encode_array), sort_keys=True) + "\n"
                             for rec in records))
     return path
+
+
+def export_task_v1(data, directory, stem: str | None = None) -> Path:
+    """Write a task as the export before the container (version 1) wrote it:
+    `<stem>.bin` (the magic `SUBMOE01`, six little-endian int64s: version,
+    classes, dim, train rows, eval rows, task id; then the float64 arrays
+    and the int64 labels) plus a `<stem>.json` manifest naming it.  Returns
+    the manifest path.  `tools/upgrade.py` must keep converting these
+    files."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = stem or f"task_{data.task_id}"
+    bin_path = directory / f"{stem}.bin"
+    with open(bin_path, "wb") as fh:
+        fh.write(b"SUBMOE01")
+        fh.write(struct.pack("<6q", 1, data.classes, data.dim, data.train_x.shape[0],
+                             data.eval_x.shape[0], data.task_id))
+        for arr in (data.train_x, data.eval_x, data.text_emb, data.prototypes):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for arr in (data.train_y, data.eval_y):
+            fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    manifest = {"format": "submoe-task", "version": 1, "task_id": data.task_id,
+                "classes": data.classes, "dim": data.dim,
+                "n_train": int(data.train_x.shape[0]), "n_eval": int(data.eval_x.shape[0]),
+                "file": bin_path.name}
+    manifest_path = directory / f"{stem}.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest_path
 
 
 def reference_contrastive_loss(img_emb, txt_emb, labels, temperature: float):

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import submoe
+from submoe import experiment
 from submoe.cli import main
 from submoe.checkpoint import load_checkpoint
+from submoe.config import load_config
+from submoe.streams import generate_stream
 from submoe.experiment import (
     CHECKPOINT_FILE, CONFIG_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, STREAM_DIR, SUMMARY_FILE,
 )
@@ -164,6 +167,38 @@ def test_sweep_runs_grid_and_writes_summary(rooted, capsys):
     assert len(summary) == 3
     for v in ("1", "2"):
         assert (base / f"schedule.num_candidates={v}" / METRICS_FILE).is_file()
+
+
+def test_sweep_prepares_each_value_once(rooted, capsys, monkeypatch):
+    # the check before the first run prepares each value; its run uses that
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_stream(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "generate_stream", counting)
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", "seed", "--values", "1,2"]) == 0
+    assert len(calls) == 2
+    base = rooted / "out" / "runs" / "cli"
+    for seed in (1, 2):
+        assert (base / f"seed={seed}" / METRICS_FILE).is_file()
+        assert load_config(base / f"seed={seed}" / CONFIG_FILE).seed == seed
+
+
+def test_sweep_takes_a_value_that_is_not_json_as_text(rooted, capsys):
+    cfg = write_config(rooted)
+    assert main(["sweep", str(cfg), "--param", "task_bank.metric",
+                 "--values", "manhattan,euclidean"]) == 0
+    base = rooted / "out" / "runs" / "cli"
+    for metric in ("manhattan", "euclidean"):
+        run = base / f"task_bank.metric={metric}"
+        assert load_config(run / CONFIG_FILE).task_bank.metric == metric
+        _, bank, _ = load_checkpoint(run / CHECKPOINT_FILE)
+        assert bank.metric == metric
+    rows = (base / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["manhattan", "euclidean"]
 
 
 def test_sweep_empty_values_exits_1(rooted, capsys):

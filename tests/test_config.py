@@ -103,6 +103,18 @@ def test_effective_config_round_trip():
     assert config_to_dict(cfg2) == effective
 
 
+def test_an_int_for_a_float_parses_to_the_float_and_reparses_equal():
+    # `_check` coerces an int (not a bool) given for a float field
+    raw = minimal()
+    raw["optimizer"] = {"learning_rate": 5}
+    cfg = config_from_dict(raw)
+    assert cfg.optimizer.learning_rate == 5.0 and type(cfg.optimizer.learning_rate) is float
+    effective = json.loads(json.dumps(config_to_dict(cfg)))
+    assert effective["optimizer"]["learning_rate"] == 5.0
+    assert type(effective["optimizer"]["learning_rate"]) is float
+    assert config_from_dict(effective) == cfg
+
+
 def test_effective_config_is_json_serialisable_and_complete():
     effective = config_to_dict(config_from_dict(minimal()))
     text = json.dumps(effective)

@@ -281,15 +281,34 @@ def test_export_stream_round_trips(tmp_path):
     assert result.out_dir == tmp_path / "run"
     stream = tmp_path / "run" / STREAM_DIR
     tasks = generate_stream(cfg.stream, cfg.model.feature_dim, cfg.model.prototype_scale)
+    # one container per task, and no manifest
     assert sorted(p.name for p in stream.iterdir()) == sorted(
-        f"task_{data.task_id}{ext}" for data in tasks for ext in (".bin", ".json"))
+        f"task_{data.task_id}.bin" for data in tasks)
     for data in tasks:
-        back = load_task(stream / f"task_{data.task_id}.json")
+        back = load_task(stream / f"task_{data.task_id}.bin")
         assert back.task_id == data.task_id
         for name in ("train_x", "train_y", "eval_x", "eval_y", "text_emb", "prototypes"):
             got, want = getattr(back, name), getattr(data, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_stream_read_through_data_path_reproduces_the_run(tmp_path):
+    # every artifact but the config (which names the files) is the exported run's
+    raw = base_raw()
+    raw["export_stream"] = True
+    run_experiment(config_from_dict(raw), tmp_path / "run")
+    raw["export_stream"] = False
+    for task in raw["stream"]:
+        task["data_path"] = str(tmp_path / "run" / STREAM_DIR / f"task_{task['task_id']}.bin")
+        task["seed"] = 99  # unused: the file holds the data
+    run_experiment(config_from_dict(raw), tmp_path / "read")
+    made = _file_digests(tmp_path / "run")
+    read = _file_digests(tmp_path / "read")
+    assert read.pop(CONFIG_FILE) != made.pop(CONFIG_FILE)
+    assert read == {name: digest for name, digest in made.items()
+                    if not name.startswith(STREAM_DIR + "/")}
+    assert {AUDIT_FILE, CHECKPOINT_FILE, TRACE_FILE} <= read.keys()
 
 
 @pytest.mark.parametrize("n_tasks, export", [(6, False), (2, True)],
@@ -302,7 +321,7 @@ def test_rerun_leaves_no_file_of_an_earlier_export(tmp_path, n_tasks, export):
         return raw
 
     run_experiment(config_from_dict(raw_of(6, True)), tmp_path / "run")
-    assert len(list((tmp_path / "run" / STREAM_DIR).iterdir())) == 12
+    assert len(list((tmp_path / "run" / STREAM_DIR).iterdir())) == 6
     raw = raw_of(n_tasks, export)
     run_experiment(config_from_dict(raw), tmp_path / "run")
     run_experiment(config_from_dict(raw), tmp_path / "fresh")

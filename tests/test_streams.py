@@ -1,16 +1,20 @@
-"""Synthetic stream generation and the flat task export format."""
+"""Synthetic stream generation and the export of a task as a container."""
 
 from __future__ import annotations
 
-import json
+import re
 
 import numpy as np
 import pytest
 
+from submoe.checkpoint import read_container, write_container
 from submoe.errors import ConfigError, DataError
 from submoe.streams import (
     Alignment, TaskSpec, export_task, generate_stream, generate_task, load_task,
 )
+
+from oracles import export_task_v1
+from test_checkpoint import _drop, _header, _set, _split
 
 DIM = 16
 
@@ -170,123 +174,138 @@ def test_alignment_validation():
         TaskSpec(task_id=0, classes=1, samples_per_class=4)
 
 
+FIELDS = ("train_x", "train_y", "eval_x", "eval_y", "text_emb", "prototypes")
+
+
 def test_export_round_trip_is_bit_exact(tmp_path):
-    data = generate_task(spec(classes=3, seed=77), DIM, [])
-    manifest = export_task(data, tmp_path)
-    back = load_task(manifest)
+    data = generate_task(spec(task_id=4, classes=3, seed=77), DIM, [])
+    path = export_task(data, tmp_path / "out")
+    assert path == tmp_path / "out" / "task_4.bin"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["task_4.bin"]
+    back = load_task(path)
     assert back.task_id == data.task_id
-    for name in ("train_x", "train_y", "eval_x", "eval_y", "text_emb", "prototypes"):
-        assert getattr(back, name).tobytes() == getattr(data, name).tobytes()
+    for name in FIELDS:
+        got, want = getattr(back, name), getattr(data, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    # the one container: labels in the header, the four arrays in the body
+    header, body = _split(path.read_bytes())
+    assert (header["format"], header["version"], header["task_id"]) == ("submoe-task", 2, 4)
+    assert header["train_y"] == data.train_y.tolist()
+    assert body == b"".join(getattr(data, name).astype("<f8").tobytes()
+                            for name in ("train_x", "eval_x", "text_emb", "prototypes"))
 
 
 def test_spec_data_path_loads_instead_of_generating(tmp_path):
     data = generate_task(spec(seed=8), DIM, [])
-    manifest = export_task(data, tmp_path, stem="frozen")
-    loaded = generate_task(spec(seed=999, data_path=str(manifest)), DIM, [])
+    path = export_task(data, tmp_path / "frozen")
+    loaded = generate_task(spec(seed=999, data_path=str(path)), DIM, [])
     assert loaded.train_x.tobytes() == data.train_x.tobytes()
 
 
 def test_spec_data_path_holding_another_task_id_is_refused(tmp_path):
     # the task would otherwise run under the file's id, and its run's audit
     # would no longer match the stream the effective config lists
-    manifest = export_task(generate_task(spec(task_id=7), DIM, []), tmp_path)
+    path = export_task(generate_task(spec(task_id=7), DIM, []), tmp_path)
     with pytest.raises(DataError, match=r"stream task 1: .* holds task 7"):
-        generate_task(spec(task_id=1, data_path=str(manifest)), DIM, [])
+        generate_task(spec(task_id=1, data_path=str(path)), DIM, [])
 
 
-def test_load_rejects_corrupt_files(tmp_path):
-    data = generate_task(spec(), DIM, [])
-    manifest = export_task(data, tmp_path)
-    payload = json.loads(manifest.read_text())
-
-    bad_magic = tmp_path / payload["file"]
-    raw = bytearray(bad_magic.read_bytes())
-    raw[:8] = b"XXXXXXXX"
-    bad_magic.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="magic"):
-        load_task(manifest)
-
-    raw[:8] = b"SUBMOE01"
-    bad_magic.write_bytes(bytes(raw[:-8]))  # drop one float
-    with pytest.raises(DataError, match="trailing or missing"):
-        load_task(manifest)
-
-    not_manifest = tmp_path / "other.json"
-    not_manifest.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(DataError, match="not a task manifest"):
-        load_task(not_manifest)
-
+def test_load_rejects_unreadable_files_and_other_formats(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
-        load_task(tmp_path / "missing.json")
-
-    not_utf8 = tmp_path / "latin1.json"
+        load_task(tmp_path / "missing.bin")
+    not_utf8 = tmp_path / "latin1.bin"
     not_utf8.write_bytes(b"\xff")
-    with pytest.raises(DataError, match="cannot read task manifest"):
+    with pytest.raises(DataError, match=re.escape(f"cannot read {not_utf8}: no JSON header")):
         load_task(not_utf8)
+    path = export_task(generate_task(spec(), DIM, []), tmp_path)
+    good = path.read_bytes()
+    for mutate in (_set(["format"], "submoe-checkpoint"), _set(["version"], 1),
+                   _drop(["version"])):
+        path.write_bytes(_header(mutate)(good))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path} is not a task file of format 'submoe-task', version 2")):
+            load_task(path)
 
 
-def _exported(tmp_path):
-    data = generate_task(spec(), DIM, [])
-    manifest = export_task(data, tmp_path)
-    return data, manifest, tmp_path / json.loads(manifest.read_text())["file"]
-
-
-def test_load_rejects_non_finite_arrays(tmp_path):
-    _, manifest, bin_path = _exported(tmp_path)
-    raw = bytearray(bin_path.read_bytes())
-    raw[56:64] = np.array([np.nan], dtype="<f8").tobytes()  # train_x[0, 0]
-    bin_path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="train_x has non-finite"):
+def test_load_refuses_a_version_1_manifest_naming_the_converter(tmp_path):
+    manifest = export_task_v1(generate_task(spec(), DIM, []), tmp_path / "old")
+    with pytest.raises(DataError, match=re.escape(
+            f"{manifest}: a task manifest from before the container; convert it with: "
+            f"python3 tools/upgrade.py {tmp_path / 'old'}")):
         load_task(manifest)
+    # a container keeps its name: the suffix alone refuses nothing
+    renamed = tmp_path / "task.json"
+    export_task(generate_task(spec(), DIM, []), tmp_path).rename(renamed)
+    assert load_task(renamed).task_id == 0
 
 
-@pytest.mark.parametrize("label", [-1, 3])
-def test_load_rejects_labels_outside_class_range(tmp_path, label):
-    data, manifest, bin_path = _exported(tmp_path)
-    n_train, n_eval = data.train_x.shape[0], data.eval_x.shape[0]
-    off = 56 + 8 * (n_train + n_eval + 2 * data.classes) * DIM + 8 * n_train  # eval_y[0]
-    raw = bytearray(bin_path.read_bytes())
-    raw[off:off + 8] = np.array([label], dtype="<i8").tobytes()
-    bin_path.write_bytes(bytes(raw))
-    with pytest.raises(DataError, match=r"eval_y has labels outside \[0, 3\)"):
-        load_task(manifest)
+def _nan(name: str, index):
+    def mutate(doc):
+        doc[name][index] = np.nan
+        return doc
+    return mutate
 
 
-@pytest.mark.parametrize("name", ["../task_0.bin", "sub/task_0.bin", "/tmp/task_0.bin",
-                                  "", "..", 7, None])
-def test_load_rejects_manifest_file_outside_its_directory(tmp_path, name):
-    inner = tmp_path / "inner"
-    _, manifest, _ = _exported(inner)
-    payload = json.loads(manifest.read_text())
-    payload["file"] = name
-    manifest.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match="'file' must name a file"):
-        load_task(manifest)
+def _rows(name: str, stop: int):
+    def mutate(doc):
+        doc[name] = doc[name][:stop]
+        return doc
+    return mutate
 
 
-def test_load_wraps_os_errors_reading_the_data_file(tmp_path):
-    _, manifest, bin_path = _exported(tmp_path)
-    bin_path.unlink()
-    with pytest.raises(DataError, match="cannot read task data"):
-        load_task(manifest)
-    bin_path.mkdir()  # reading a directory raises IsADirectoryError
-    with pytest.raises(DataError, match="cannot read task data"):
-        load_task(manifest)
-    bin_path.rmdir()
-    bin_path.write_bytes(b"SUBMOE01" + bytes(8))
-    with pytest.raises(DataError, match="truncated header"):
-        load_task(manifest)
+N_TRAIN, N_EVAL, CLASSES = 24, 12, 3  # of spec(): 8 and 4 rows per class
+# each a change to a well-formed task document, which `write_container` writes
+BAD_TASKS = {
+    "task_id a float": (_set(["task_id"], 0.0), "task_id is not an int: 0.0"),
+    "task_id missing": (_drop(["task_id"]), "task_id is not an int: None"),
+    "train_x missing": (_drop(["train_x"]), "train_x is not a 2-d array"),
+    "train_x a list": (_set(["train_x"], [[0.0] * DIM] * N_TRAIN), "train_x is not a 2-d array"),
+    "text_emb 1-d": (_set(["text_emb"], np.zeros(CLASSES * DIM)), "text_emb is not a 2-d array"),
+    "train_x NaN": (_nan("train_x", (0, 0)), "train_x has non-finite entries"),
+    "prototypes Inf": (_set(["prototypes", -1], np.full(DIM, -np.inf)),
+                       "prototypes has non-finite entries"),
+    "label a float": (_set(["train_y", 0], 0.0), "train_y is not a list of ints"),
+    "label a bool": (_set(["eval_y", 0], True), "eval_y is not a list of ints"),
+    "label a string": (_set(["eval_y", 0], "1"), "eval_y is not a list of ints"),
+    "labels not a list": (_set(["train_y"], 0), "train_y is not a list of ints"),
+    "labels missing": (_drop(["eval_y"]), "eval_y is not a list of ints"),
+    "label below range": (_set(["eval_y", 0], -1), re.escape("eval_y has labels outside [0, 3)")),
+    "label above range": (_set(["train_y", 5], 3), re.escape("train_y has labels outside [0, 3)")),
+    "label beyond int64": (_set(["train_y", 5], 2 ** 70),
+                           re.escape("train_y has labels outside [0, 3)")),
+    "one label short": (_rows("train_y", -1), re.escape(
+        f"train_x has shape ({N_TRAIN}, {DIM}), expected ({N_TRAIN - 1}, {DIM})")),
+    "one eval row short": (_rows("eval_x", -1), re.escape(
+        f"eval_x has shape ({N_EVAL - 1}, {DIM}), expected ({N_EVAL}, {DIM})")),
+    "eval rows of another dim": (_set(["eval_x"], np.zeros((N_EVAL, DIM - 1))), re.escape(
+        f"eval_x has shape ({N_EVAL}, {DIM - 1}), expected ({N_EVAL}, {DIM})")),
+    "prototypes of fewer classes": (_rows("prototypes", -1), re.escape(
+        f"prototypes has shape ({CLASSES - 1}, {DIM}), expected ({CLASSES}, {DIM})")),
+    "labels of fewer classes": (_rows("text_emb", 2), re.escape(
+        "train_y has labels outside [0, 2)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TASKS))
+def test_load_rejects_malformed_tasks_naming_the_file_and_field(tmp_path, name):
+    mutate, message = BAD_TASKS[name]
+    path = export_task(generate_task(spec(), DIM, []), tmp_path)
+    write_container(path, mutate(read_container(path)))
+    with pytest.raises(DataError, match=message) as info:
+        load_task(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_truncated_or_bit_flipped_task_files_load_or_raise_data_error(tmp_path):
-    _, manifest, bin_path = _exported(tmp_path)
-    good = bin_path.read_bytes()
+    path = export_task(generate_task(spec(), DIM, []), tmp_path)
+    good = path.read_bytes()
     outcomes = {"loaded": 0, "rejected": 0}
 
     def attempt(data: bytes):
-        bin_path.write_bytes(data)
+        path.write_bytes(data)
         try:
-            load_task(manifest)
+            load_task(path)
         except DataError:
             outcomes["rejected"] += 1
         else:

@@ -1,9 +1,11 @@
 """The converter of the formats before the container, `tools/upgrade.py`: a
 run directory's `checkpoint.json` (versions 1 to 3) and `ifer_audit.jsonl`
-become the `checkpoint.bin` and `ifer_audit.bin` a run writes, byte for byte;
-a malformed old file, an existing container or nothing to convert is refused
-and leaves the directory as it was.  The old files come from the writers of
-`tests/oracles.py`, which `tests/pinned.py` also pins."""
+become the `checkpoint.bin` and `ifer_audit.bin` a run writes, and a version
+1 task export (manifest and data file) becomes the `task_<id>.bin` that
+`export_task` writes, byte for byte; a malformed old file, an existing
+container or nothing to convert is refused and leaves the directory as it
+was.  The old files come from the writers of `tests/oracles.py`, which
+`tests/pinned.py` also pins."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import importlib.util
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +26,13 @@ import pytest
 from submoe.checkpoint import load_checkpoint, save_checkpoint
 from submoe.errors import DataError
 from submoe.experiment import (
-    AUDIT_FILE, CHECKPOINT_FILE, JSON_CHECKPOINT_FILE, JSONL_AUDIT_FILE, read_audit,
+    AUDIT_FILE, CHECKPOINT_FILE, JSON_CHECKPOINT_FILE, JSONL_AUDIT_FILE, STREAM_DIR, read_audit,
 )
+from submoe.streams import TaskSpec, export_task, generate_stream, load_task
 
-from oracles import encode_array, frozen_fingerprint, save_checkpoint_v2, save_checkpoint_v3
+from oracles import (
+    encode_array, export_task_v1, frozen_fingerprint, save_checkpoint_v2, save_checkpoint_v3,
+)
 from pinned import DENSE_AUDIT_FILE, RUNS, V2_CHECKPOINT_FILE, run_entry
 from test_checkpoint import DIM, EXPERT, LAYER, ROUTER, _drop, _duplicate, _set, trained_model
 
@@ -36,10 +42,13 @@ upgrade = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(upgrade)
 
 OLD_WRITERS = {"v2": save_checkpoint_v2, "v3": save_checkpoint_v3}
+NOTHING = f"no {JSON_CHECKPOINT_FILE}, {JSONL_AUDIT_FILE} or task_*.json to convert"
 
 
-def _files(directory: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+def _files(directory: Path) -> dict[str, bytes | None]:
+    """Every file's bytes under `directory`, and None for each directory."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))}
 
 
 def _sha256(path: Path) -> str:
@@ -166,7 +175,7 @@ def test_a_directory_with_nothing_to_convert_is_refused(tmp_path):
                                     (run / JSONL_AUDIT_FILE, run / AUDIT_FILE)]
     assert {name: (run / name).read_bytes() for name in containers} == containers
     assert not (run / JSON_CHECKPOINT_FILE).exists() and not (run / JSONL_AUDIT_FILE).exists()
-    _refused(run, re.escape(f"{run}: no {JSON_CHECKPOINT_FILE} or {JSONL_AUDIT_FILE} to convert"))
+    _refused(run, re.escape(f"{run}: {NOTHING}"))
     (tmp_path / "empty").mkdir()
     _refused(tmp_path / "empty", "to convert")
     with pytest.raises(DataError, match="to convert"):
@@ -189,8 +198,7 @@ def test_the_command_converts_or_refuses_with_its_exit_status(tmp_path):
     assert {name: (run / name).read_bytes() for name in containers} == containers
     done = command()
     assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == (f"upgrade: {run}: no {JSON_CHECKPOINT_FILE} or {JSONL_AUDIT_FILE} "
-                           f"to convert\n")
+    assert done.stderr == f"upgrade: {run}: {NOTHING}\n"
 
 
 def test_array_encoding_is_the_exact_bytes():
@@ -425,3 +433,162 @@ def test_a_bad_jsonl_audit_array_is_named_as_the_audit(tmp_path):
     assert text.startswith(f"{run / JSONL_AUDIT_FILE}: ")
     reason = text.removeprefix(f"{run / JSONL_AUDIT_FILE}: ")
     assert "not base64" in reason and "checkpoint" not in reason
+
+
+def _tasks() -> list:
+    specs = [TaskSpec(task_id=task, classes=3, samples_per_class=8, eval_per_class=4, seed=task)
+             for task in (0, 5)]
+    return generate_stream(specs, DIM)
+
+
+def _old_export(directory: Path) -> tuple[Path, Path]:
+    """Task 0 of `_tasks()` exported as version 1 to `directory`: (manifest,
+    data file)."""
+    manifest = export_task_v1(_tasks()[0], directory)
+    return manifest, manifest.with_suffix(".bin")
+
+
+@pytest.mark.parametrize("where", ["", STREAM_DIR])
+def test_an_old_export_converts_to_the_bytes_export_task_writes(tmp_path, where):
+    # a run's export lives in `stream/`; an export of its own, in DIR
+    old, new = tmp_path / "old", tmp_path / "new"
+    for data in _tasks():
+        export_task_v1(data, old / where)
+        export_task(data, new)
+    assert upgrade.upgrade(old) == [(old / where / f"task_{t}.json", old / where / f"task_{t}.bin")
+                                    for t in (0, 5)]
+    assert sorted(p.name for p in (old / where).iterdir()) == ["task_0.bin", "task_5.bin"]
+    for data in _tasks():
+        name = f"task_{data.task_id}.bin"
+        assert _sha256(old / where / name) == _sha256(new / name)
+        back = load_task(old / where / name)
+        for field in ("train_x", "train_y", "eval_x", "eval_y", "text_emb", "prototypes"):
+            got, want = getattr(back, field), getattr(data, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    _refused(old, "to convert")
+
+
+def test_an_export_under_another_stem_takes_its_task_name(tmp_path):
+    data = _tasks()[1]
+    manifest = export_task_v1(data, tmp_path, stem="task_frozen")
+    assert upgrade.upgrade(tmp_path) == [(manifest, tmp_path / "task_5.bin")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_5.bin"]
+    assert (tmp_path / "task_5.bin").read_bytes() == \
+        export_task(data, tmp_path / "again").read_bytes()
+
+
+def _rewrite_manifest(manifest: Path, **changes) -> None:
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **changes}))
+
+
+def _patch(data_file: Path, offset: int, value: bytes) -> None:
+    raw = bytearray(data_file.read_bytes())
+    raw[offset:offset + len(value)] = value
+    data_file.write_bytes(bytes(raw))
+
+
+N_TRAIN, N_EVAL, CLASSES = 24, 12, 3
+BAD_EXPORTS = {
+    "bad magic": (lambda m, b: _patch(b, 0, b"XXXXXXXX"), "bad magic"),
+    "one float short": (lambda m, b: b.write_bytes(b.read_bytes()[:-8]),
+                        r"trailing or missing bytes \(\d+ vs \d+ expected\)"),
+    "one float more": (lambda m, b: b.write_bytes(b.read_bytes() + bytes(8)),
+                       "trailing or missing"),
+    "truncated header": (lambda m, b: b.write_bytes(b"SUBMOE01" + bytes(8)),
+                         r"truncated header \(16 bytes\)"),
+    "version 2 header": (lambda m, b: _patch(b, 8, struct.pack("<q", 2)),
+                         "unsupported version 2"),
+    "negative count": (lambda m, b: _patch(b, 16, struct.pack("<q", -1)),
+                       "negative count in header"),
+    "train_x NaN": (lambda m, b: _patch(b, 56, np.array([np.nan]).tobytes()),
+                    "train_x has non-finite"),
+    "eval_y out of range": (
+        lambda m, b: _patch(b, 56 + 8 * (N_TRAIN + N_EVAL + 2 * CLASSES) * DIM + 8 * N_TRAIN,
+                            struct.pack("<q", 3)),
+        re.escape("eval_y has labels outside [0, 3)")),
+    "eval_y negative": (
+        lambda m, b: _patch(b, 56 + 8 * (N_TRAIN + N_EVAL + 2 * CLASSES) * DIM + 8 * N_TRAIN,
+                            struct.pack("<q", -1)),
+        re.escape("eval_y has labels outside [0, 3)")),
+    "data file missing": (lambda m, b: b.unlink(), "cannot read task data"),
+    "not a task manifest": (lambda m, b: m.write_text(json.dumps({"format": "other"})),
+                            "is not a task manifest"),
+    "manifest not JSON": (lambda m, b: m.write_text("{"), "cannot read task manifest"),
+    "manifest not UTF-8": (lambda m, b: m.write_bytes(b"\xff"), "cannot read task manifest"),
+    **{f"file {name!r}": (lambda m, b, name=name: _rewrite_manifest(m, file=name),
+                          "'file' must name a file in the manifest's directory")
+       for name in ["../task_0.bin", "sub/task_0.bin", "/tmp/task_0.bin", "", "..", 7, None]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EXPORTS))
+def test_a_malformed_old_export_converts_nothing(tmp_path, name):
+    mutate, message = BAD_EXPORTS[name]
+    manifest, data_file = _old_export(tmp_path / "old")
+    mutate(manifest, data_file)
+    assert str(tmp_path / "old") in str(_refused(tmp_path / "old", message))
+
+
+def test_a_data_file_that_is_a_directory_converts_nothing(tmp_path):
+    _, data_file = _old_export(tmp_path)
+    data_file.unlink()
+    data_file.mkdir()  # reading a directory raises IsADirectoryError
+    _refused(tmp_path, "cannot read task data")
+
+
+def test_an_existing_task_file_or_two_exports_of_one_task_convert_nothing(tmp_path):
+    data = _tasks()[0]
+    export_task_v1(data, tmp_path, stem="task_a")
+    export_task(data, tmp_path)
+    _refused(tmp_path, re.escape(f"{tmp_path / 'task_a.json'}: {tmp_path / 'task_0.bin'} "
+                                 f"already exists"))
+    (tmp_path / "task_0.bin").unlink()
+    export_task_v1(data, tmp_path, stem="task_b")
+    _refused(tmp_path, re.escape(f"{tmp_path / 'task_a.json'}: another old file converts to "
+                                 f"{tmp_path / 'task_0.bin'} too"))
+
+
+def test_a_failed_task_write_keeps_the_old_data_file(tmp_path, monkeypatch):
+    # the new file takes the old data file's name, so it is written beside it first
+    _old_export(tmp_path)
+    before = _files(tmp_path)
+
+    def fail(data, directory):
+        (Path(directory) / "task_0.bin").write_bytes(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(upgrade, "export_task", fail)
+    with pytest.raises(OSError, match="disk full"):
+        upgrade.upgrade(tmp_path)
+    assert _files(tmp_path) == before
+
+
+def test_truncated_or_bit_flipped_old_exports_convert_or_raise_data_error(tmp_path):
+    manifest, data_file = _old_export(tmp_path / "good")
+    good, text = data_file.read_bytes(), manifest.read_text()
+    run = tmp_path / "run"
+    run.mkdir()
+    outcomes = {"converted": 0, "rejected": 0}
+
+    def attempt(data: bytes):
+        (run / manifest.name).write_text(text)
+        (run / data_file.name).write_bytes(data)
+        try:
+            upgrade.upgrade(run)
+        except DataError:
+            outcomes["rejected"] += 1
+            assert _files(run) == {manifest.name: text.encode(), data_file.name: data}
+            (run / manifest.name).unlink()
+        else:
+            outcomes["converted"] += 1
+            assert sorted(p.name for p in run.iterdir()) == ["task_0.bin"]
+            load_task(run / "task_0.bin")
+        (run / data_file.name).unlink()
+
+    for end in range(0, len(good), 97):
+        attempt(good[:end])
+    for offset in range(0, len(good), 23):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        attempt(bytes(flipped))
+    assert outcomes["converted"] > 0 and outcomes["rejected"] > 0

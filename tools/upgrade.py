@@ -1,7 +1,7 @@
-"""Convert a run directory's checkpoint and audit from the JSON text of the
-formats before the container to the files a run writes today.
+"""Convert a directory's files from the formats before the container to
+the files the engine writes today.
 
-    python3 tools/upgrade.py RUN_DIR
+    python3 tools/upgrade.py DIR
 
 `checkpoint.json` (checkpoint versions 1 to 3) becomes `checkpoint.bin`
 (version 4), written by `save_checkpoint`, and `ifer_audit.jsonl` becomes
@@ -14,11 +14,20 @@ of numbers (a router with no rows as `[]`) and had every router of a layer
 mix the layer's `top_k`; version 1 also wrote a `frozen` flag on every
 expert and router, which nothing read and the converter drops.
 
+Each task manifest `task_*.json` in DIR or in its `stream/` (a run's
+export), the task export before the container (version 1), becomes
+`task_<id>.bin` (version 2), written by `export_task`.  A manifest named
+its data file, which held `SUBMOE01`, six little-endian int64s (version,
+classes, dim, train rows, eval rows, task id), then `train_x`, `eval_x`,
+`text_emb` and `prototypes` as little-endian float64 and `train_y` and
+`eval_y` as int64.  The new file may take the old data file's name.
+
 Every old file is read and checked before any new one is written, and each
 is removed once its new form is written, so the directory holds one form of
-each.  A malformed old file, a new file that already exists, or a directory
-with nothing to convert is refused with a `DataError` naming it, and the
-directory is left as it was.
+each.  A malformed old file, a new file that already exists (other than the
+old data file it replaces) or that two old files would write, or a
+directory with nothing to convert is refused with a `DataError` naming it,
+and the directory is left as it was.
 """
 
 from __future__ import annotations
@@ -27,7 +36,10 @@ import argparse
 import base64
 import json
 import math
+import os
+import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +53,11 @@ from submoe.checkpoint import (  # noqa: E402
 from submoe.errors import DataError  # noqa: E402
 from submoe.experiment import (  # noqa: E402
     AUDIT_FILE, AUDIT_FORMAT, AUDIT_VERSION, CHECKPOINT_FILE, JSON_CHECKPOINT_FILE,
-    JSONL_AUDIT_FILE,
+    JSONL_AUDIT_FILE, STREAM_DIR,
 )
+from submoe.streams import TaskData, export_task  # noqa: E402
+
+OLD_TASKS = "task_*.json"
 
 
 def _array_check(ok: bool, message: str) -> None:
@@ -130,6 +145,66 @@ def read_jsonl_audit(path: Path) -> dict:
     return {"format": AUDIT_FORMAT, "version": AUDIT_VERSION, "tasks": tasks}
 
 
+def read_old_task(manifest_path: Path) -> tuple[TaskData, Path]:
+    """(task, data file) of `manifest_path`, a task manifest of version 1,
+    with the checks its loader made.  Any fault raises `DataError` naming
+    the manifest or the data file."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read task manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "submoe-task":
+        raise DataError(f"{manifest_path} is not a task manifest")
+    name = manifest.get("file")
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise DataError(
+            f"{manifest_path}: 'file' must name a file in the manifest's directory, got {name!r}"
+        )
+    bin_path = manifest_path.parent / name
+    try:
+        raw = bin_path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read task data {bin_path}: {exc}") from exc
+    if len(raw) < 56:
+        raise DataError(f"{bin_path}: truncated header ({len(raw)} bytes)")
+    if raw[:8] != b"SUBMOE01":
+        raise DataError(f"{bin_path}: bad magic")
+    version, classes, dim, n_train, n_eval, task_id = struct.unpack("<6q", raw[8:56])
+    if version != 1:
+        raise DataError(f"{bin_path}: unsupported version {version}")
+    if min(classes, dim, n_train, n_eval) < 0:
+        raise DataError(f"{bin_path}: negative count in header")
+    expected = 56 + 8 * ((n_train + n_eval + 2 * classes) * dim + n_train + n_eval)
+    if len(raw) != expected:
+        raise DataError(
+            f"{bin_path}: trailing or missing bytes ({len(raw)} vs {expected} expected)"
+        )
+    arrays, off = [], 56
+    for shape, kind in (((n_train, dim), "f8"), ((n_eval, dim), "f8"), ((classes, dim), "f8"),
+                        ((classes, dim), "f8"), ((n_train,), "i8"), ((n_eval,), "i8")):
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(raw, "<" + kind, count, off).reshape(shape).astype(kind))
+        off += 8 * count
+    train_x, eval_x, text, protos, train_y, eval_y = arrays
+    for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
+                            ("text_emb", text), ("prototypes", protos)):
+        if not np.isfinite(arr).all():
+            raise DataError(f"{bin_path}: {field_name} has non-finite entries")
+    for field_name, labels in (("train_y", train_y), ("eval_y", eval_y)):
+        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+            raise DataError(f"{bin_path}: {field_name} has labels outside [0, {classes})")
+    return TaskData(task_id=task_id, train_x=train_x, train_y=train_y, eval_x=eval_x,
+                    eval_y=eval_y, text_emb=text, prototypes=protos), bin_path
+
+
+def write_task(new: Path, data: TaskData) -> None:
+    """`export_task` of `data` to `new`, which may be the old data file: the
+    task is written in a directory of its own beside `new`, then moved onto
+    it."""
+    with tempfile.TemporaryDirectory(dir=new.parent) as tmp:
+        os.replace(export_task(data, tmp), new)
+
+
 # old file, new file, reader of the old, writer of the new
 CONVERSIONS = (
     (JSON_CHECKPOINT_FILE, CHECKPOINT_FILE, read_old_checkpoint,
@@ -138,35 +213,55 @@ CONVERSIONS = (
 )
 
 
-def upgrade(run_dir: str | Path) -> list[tuple[Path, Path]]:
-    """Convert every old file of `run_dir`; returns each (old, new) pair in
-    the order converted."""
-    run_dir = Path(run_dir)
-    todo = [(run_dir / old, run_dir / new, read, write)
-            for old, new, read, write in CONVERSIONS if (run_dir / old).is_file()]
+def _conversions(directory: Path) -> list:
+    """(old files, new file, content, writer of the new) for each old file of
+    `directory`, every old file read and checked: the checkpoint, the audit,
+    and each task manifest, here or in `stream/`, with its data file."""
+    todo = [([directory / old], directory / new, read(directory / old), write)
+            for old, new, read, write in CONVERSIONS if (directory / old).is_file()]
+    for manifest in [*sorted(directory.glob(OLD_TASKS)),
+                     *sorted((directory / STREAM_DIR).glob(OLD_TASKS))]:
+        data, data_file = read_old_task(manifest)
+        todo.append(([manifest, data_file], manifest.parent / f"task_{data.task_id}.bin",
+                     data, write_task))
+    return todo
+
+
+def upgrade(directory: str | Path) -> list[tuple[Path, Path]]:
+    """Convert every old file of `directory`; returns each (old, new) pair,
+    a task's old file its manifest, in the order converted."""
+    directory = Path(directory)
+    todo = _conversions(directory)
     if not todo:
-        raise DataError(f"{run_dir}: no {JSON_CHECKPOINT_FILE} or {JSONL_AUDIT_FILE} to convert")
-    for old, new, _, _ in todo:
-        if new.exists():
-            raise DataError(f"{old}: {new} already exists, and the directory would hold "
+        raise DataError(f"{directory}: no {JSON_CHECKPOINT_FILE}, {JSONL_AUDIT_FILE} or "
+                        f"{OLD_TASKS} to convert")
+    news = [new for _, new, _, _ in todo]
+    for olds, new, _, _ in todo:
+        if news.count(new) > 1:
+            raise DataError(f"{olds[0]}: another old file converts to {new} too; "
+                            f"nothing converted")
+        if new.exists() and new not in olds:
+            raise DataError(f"{olds[0]}: {new} already exists, and the directory would hold "
                             f"two forms; nothing converted")
-    contents = [read(old) for old, _, read, _ in todo]
-    for (old, new, _, write), content in zip(todo, contents):
+    for olds, new, content, write in todo:
         try:
             write(new, content)
         except BaseException:
-            new.unlink(missing_ok=True)
+            if new not in olds:
+                new.unlink(missing_ok=True)
             raise
-        old.unlink()
-    return [(old, new) for old, new, _, _ in todo]
+        for old in olds:
+            if old != new:
+                old.unlink()
+    return [(olds[0], new) for olds, new, _, _ in todo]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("run_dir", metavar="RUN_DIR")
+    parser.add_argument("directory", metavar="DIR")
     args = parser.parse_args(argv)
     try:
-        converted = upgrade(args.run_dir)
+        converted = upgrade(args.directory)
     except (DataError, OSError) as exc:
         print(f"upgrade: {exc}", file=sys.stderr)
         return 1
