@@ -23,7 +23,7 @@ from .lifecycle import (
     fit_routing, kl_to_final, learn_task, prune_candidates,
 )
 from .model import AdapterModel, FrozenBackbone, build_backbone, build_model
-from .numerics import contrastive_loss, kl_divergence, softmax, softmax_rows
+from .numerics import contrastive_loss, kl_divergence, softmax_rows
 from .optim import OptimConfig, apply_step, penalty_value, step_scale
 from .streams import Alignment, TaskData, TaskSpec, generate_stream, generate_task
 from .task_bank import MatchResult, TaskBank, fused_embedding

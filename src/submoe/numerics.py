@@ -84,16 +84,6 @@ def by_row_blocks(fn: Callable[[slice], tuple[np.ndarray, ...]], n: int,
     return out
 
 
-def softmax(logits) -> np.ndarray:
-    """Stable softmax of a 1-d logit vector."""
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"softmax expects a non-empty 1-d vector, got shape {v.shape}")
-    require_finite("logits", v)
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise stable softmax of a 2-d logit array."""
     m = as_matrix(logits)

@@ -90,8 +90,9 @@ class TaskData:
 
 
 def _orthonormal_complement_draw(rng: np.random.Generator, dim: int, count: int,
-                                 prior: np.ndarray | None) -> np.ndarray:
-    """Orthonormal rows orthogonal to the row span of `prior` (may be None)."""
+                                 priors: list[TaskData]) -> np.ndarray:
+    """Orthonormal rows orthogonal to the span of every prototype of `priors`."""
+    prior = np.vstack([p.prototypes for p in priors]) if priors else None
     used = 0 if prior is None or prior.size == 0 else np.linalg.matrix_rank(prior)
     if used + count > dim:
         raise DataError(
@@ -112,13 +113,13 @@ def _orthonormal_complement_draw(rng: np.random.Generator, dim: int, count: int,
     return (q2 * signs).T
 
 
-def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
-                  prototype_scale: float = 1.0,
-                  prior_text: list[np.ndarray] | None = None) -> TaskData:
-    """Build one task's data.  `prior_prototypes` lists the prototype matrices
-    of every earlier task in stream order (used by all three modes);
-    `prior_text` lists their label embeddings so reuse/mixed tasks keep the
-    source task's label set instead of drawing a fresh one."""
+def generate_task(spec: TaskSpec, dim: int, priors: list[TaskData],
+                  prototype_scale: float = 1.0) -> TaskData:
+    """Build one task's data.  `priors` lists every earlier task in stream
+    order: an orthogonal task avoids their prototypes' span, and a reuse or
+    mixed task starts from the prototypes of `priors[source]` and keeps its
+    label embeddings, so the source task's experts can serve it.  A source
+    outside [0, len(priors)) raises `ConfigError`."""
     if spec.data_path is not None:
         data = load_task(spec.data_path)
         if data.task_id != spec.task_id:
@@ -129,14 +130,13 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
     align = spec.alignment
 
     if align.mode == "orthogonal":
-        prior = np.vstack(prior_prototypes) if prior_prototypes else None
-        protos = _orthonormal_complement_draw(rng, dim, spec.classes, prior) * prototype_scale
+        protos = _orthonormal_complement_draw(rng, dim, spec.classes, priors) * prototype_scale
     else:
-        if align.source is None or align.source >= len(prior_prototypes):
+        if not 0 <= align.source < len(priors):
             raise ConfigError(
                 f"alignment.source: task {spec.task_id} references unknown task {align.source}"
             )
-        src = prior_prototypes[align.source]
+        src = priors[align.source].prototypes
         if src.shape[0] != spec.classes:
             raise DataError(
                 f"source task has {src.shape[0]} classes, spec asks for {spec.classes}"
@@ -149,8 +149,7 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
                 bump /= _row_norms(bump)[:, None]
                 protos = src + align.perturbation * bump
         else:  # mixed
-            prior = np.vstack(prior_prototypes)
-            fresh = _orthonormal_complement_draw(rng, dim, spec.classes, prior) * prototype_scale
+            fresh = _orthonormal_complement_draw(rng, dim, spec.classes, priors) * prototype_scale
             protos = (1.0 - align.fraction) * src + align.fraction * fresh
 
     def draw(per_class: int):
@@ -164,9 +163,8 @@ def generate_task(spec: TaskSpec, dim: int, prior_prototypes: list[np.ndarray],
     train_x, train_y = draw(spec.samples_per_class)
     eval_x, eval_y = draw(spec.eval_per_class)
 
-    if align.mode != "orthogonal" and prior_text is not None:
-        # same label set as the source task: its experts can serve this one
-        text = prior_text[align.source].copy()
+    if align.mode != "orthogonal":
+        text = priors[align.source].text_emb.copy()
     else:
         text = rng.standard_normal((spec.classes, dim))
         text /= _row_norms(text)[:, None]
@@ -196,15 +194,11 @@ def generate_stream(specs: list[TaskSpec], dim: int,
                 f"got {spec.alignment.source}"
             )
     out: list[TaskData] = []
-    priors: list[np.ndarray] = []
-    prior_text: list[np.ndarray] = []
     for spec in specs:
-        data = generate_task(spec, dim, priors, prototype_scale, prior_text=prior_text)
+        data = generate_task(spec, dim, out, prototype_scale)
         if data.dim != dim:
             raise DimensionError(f"task {spec.task_id} has dim {data.dim}, stream wants {dim}")
         out.append(data)
-        priors.append(data.prototypes)
-        prior_text.append(data.text_emb)
     return out
 
 
@@ -226,14 +220,10 @@ def export_task(data: TaskData, directory: str | Path) -> Path:
 
 
 def load_task(path: str | Path) -> TaskData:
-    """The task that `export_task` wrote to `path`.  Beyond the checks of
-    `checkpoint.read_container`, the task id and the labels must be ints,
-    each label in [0, classes), each array finite, and the shapes must fit
-    together: `text_emb` and `prototypes` [classes, dim], `train_x` and
-    `eval_x` [rows, dim] with a label per row.  A fault raises `DataError`
-    naming the file and the field.  A task manifest of the export before
-    the container (version 1, `.json`) is refused with the command that
-    converts it."""
+    """The task that `export_task` wrote to `path`, read through
+    `checkpoint.read_container` and checked by `task_from_document`.  A task
+    manifest of the export before the container (version 1, `.json`) is
+    refused with the command that converts it."""
     path = Path(path)
     try:
         doc = read_container(path)
@@ -242,6 +232,16 @@ def load_task(path: str | Path) -> TaskData:
             raise DataError(f"{path}: a task manifest from before the container; convert it "
                             f"with: python3 tools/upgrade.py {path.parent}") from None
         raise
+    return task_from_document(doc, path)
+
+
+def task_from_document(doc: dict, path: str | Path) -> TaskData:
+    """The task of `doc`, a document as `read_container` returns it, each
+    fault a `DataError` naming `path` and the field.  Beyond the format and
+    version, the task id and labels must be ints, each label in [0, classes),
+    each array finite, `text_emb` and `prototypes` [classes, dim], and
+    `train_x` and `eval_x` [rows, dim] with a label per row.  As a `TaskSpec`
+    does, a task needs 2 classes, a training row and an eval row."""
     if doc.get("format") != TASK_FORMAT or doc.get("version") != TASK_VERSION:
         raise DataError(f"{path} is not a task file of format {TASK_FORMAT!r}, "
                         f"version {TASK_VERSION}")
@@ -258,6 +258,8 @@ def load_task(path: str | Path) -> TaskData:
         if not np.isfinite(a).all():
             refuse(name, "has non-finite entries")
     classes, dim = arrays["text_emb"].shape
+    if classes < 2:
+        refuse("text_emb", f"needs at least 2 rows, one per class, got {classes}")
     labels = {}
     for name, rows in (("train_y", "train_x"), ("eval_y", "eval_x")):
         values = doc.get(name)
@@ -268,6 +270,8 @@ def load_task(path: str | Path) -> TaskData:
         labels[name] = np.array(values, dtype=np.int64)
         if arrays[rows].shape != (len(values), dim):
             refuse(rows, f"has shape {arrays[rows].shape}, expected {(len(values), dim)}")
+        if not values:
+            refuse(rows, "needs at least one row, got 0")
     if arrays["prototypes"].shape != (classes, dim):
         refuse("prototypes", f"has shape {arrays['prototypes'].shape}, expected {(classes, dim)}")
     return TaskData(task_id=doc["task_id"], **arrays, **labels)

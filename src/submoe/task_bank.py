@@ -26,20 +26,9 @@ class MatchResult:
     distance: float
 
 
-def _checked_embeddings(img_emb, txt_emb) -> tuple[np.ndarray, np.ndarray]:
-    img = as_matrix(img_emb)
-    txt = as_matrix(txt_emb)
-    if img.shape[0] == 0 or txt.shape[0] == 0:
-        raise DimensionError("fused embedding needs at least one image and one text row")
-    require_finite("image embeddings", img)
-    require_finite("text embeddings", txt)
-    return img, txt
-
-
 def fused_embedding(img_emb, txt_emb) -> np.ndarray:
-    """Concat(mean image embedding, mean text embedding)."""
-    img, txt = _checked_embeddings(img_emb, txt_emb)
-    return np.concatenate([img.mean(axis=0), txt.mean(axis=0)])
+    """Concat(mean image embedding, mean text embedding): one window of all rows."""
+    return fused_queries(*window_means(img_emb, txt_emb, len(img_emb)))[0]
 
 
 def window_means(img_emb, txt_emb, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,9 +41,14 @@ def window_means(img_emb, txt_emb, window: int) -> tuple[np.ndarray, np.ndarray]
     reshaped mean adds each window's rows in the same order
     (`np.add.reduceat` does not, for windows of 3 or more rows).
     """
+    img = as_matrix(img_emb)
+    txt = as_matrix(txt_emb)
+    if img.shape[0] == 0 or txt.shape[0] == 0:
+        raise DimensionError("fused embedding needs at least one image and one text row")
+    require_finite("image embeddings", img)
+    require_finite("text embeddings", txt)
     if window < 1:
         raise DimensionError(f"query window must be >= 1, got {window}")
-    img, txt = _checked_embeddings(img_emb, txt_emb)
     n, dim = img.shape
     full = n - n % window
     means = [img[:full].reshape(-1, window, dim).mean(axis=1)]

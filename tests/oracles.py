@@ -17,7 +17,7 @@ import ctypes
 import functools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -271,6 +271,24 @@ def export_task_v1(data, directory, stem: str | None = None) -> Path:
     manifest_path = directory / f"{stem}.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
+
+
+def _one_class(data):
+    train, ev = data.train_y == 0, data.eval_y == 0
+    return replace(data, train_x=data.train_x[train], train_y=data.train_y[train],
+                   eval_x=data.eval_x[ev], eval_y=data.eval_y[ev],
+                   text_emb=data.text_emb[:1], prototypes=data.prototypes[:1])
+
+
+# a task below the bounds a `TaskSpec` sets, and the message of its refusal
+UNDER_BOUNDS = {
+    "one class": (_one_class, "text_emb needs at least 2 rows, one per class, got 1"),
+    "no training rows": (lambda data: replace(data, train_x=data.train_x[:0],
+                                              train_y=data.train_y[:0]),
+                         "train_x needs at least one row, got 0"),
+    "no eval rows": (lambda data: replace(data, eval_x=data.eval_x[:0], eval_y=data.eval_y[:0]),
+                     "eval_x needs at least one row, got 0"),
+}
 
 
 def reference_contrastive_loss(img_emb, txt_emb, labels, temperature: float):

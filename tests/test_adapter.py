@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 import tracemalloc
 from functools import partial
 
@@ -254,6 +255,50 @@ def test_bad_grad_shape_raises():
     _, _, cache = layer.forward(0, np.ones((2, 6)))
     with pytest.raises(DimensionError):
         layer.backward(cache, np.ones((3, 6)))
+
+
+def _grown(layer: MixtureAdapterLayer) -> MixtureAdapterLayer:
+    """`layer` with one expert of task 1 and task 1's router over all four."""
+    layer.add_expert(1, np.random.default_rng(5))
+    layer.add_router(1)
+    return layer
+
+
+def _stale_frozen_mix(layer: MixtureAdapterLayer, x: np.ndarray):
+    frozen = layer.frozen_mix(0, x, block=2)
+    layer.add_expert(1, np.random.default_rng(5))
+    return layer.forward(0, x, frozen=frozen)
+
+
+def _flags_on_a_frozen_mix(layer: MixtureAdapterLayer, x: np.ndarray):
+    # task 1 owns expert 3 alone, so the frozen mix holds experts 0-2
+    _, _, cache = layer.forward(1, x, frozen=_grown(layer).frozen_mix(1, x, block=2))
+    return layer.backward(cache, np.ones_like(x), input_grad=False)
+
+
+LAYER_REFUSALS = {
+    "second router": (lambda layer, x: layer.add_router(0), StateError,
+                      "layer 0 already has a router for task 0"),
+    "unknown expert id": (lambda layer, x: layer.remove_experts({99}, 0), StateError,
+                          "some expert ids to remove were not found"),
+    "foreign expert id": (lambda layer, x: _grown(layer).remove_experts({0}, 1), StateError,
+                          "expert 0 belongs to task 0, not 1"),
+    "input of another width": (lambda layer, x: layer.route(0, x[:, :5]), DimensionError,
+                               "layer dim 6, input width 5"),
+    "stale frozen mix": (_stale_frozen_mix, StateError,
+                         "frozen mix is stale: layer structure changed since frozen_mix()"),
+    "flags on a frozen mix": (_flags_on_a_frozen_mix, StateError,
+                              "a forward from a frozen mix keeps no activations of the experts "
+                              "mixed in it: it has no input or router gradient"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_REFUSALS))
+def test_the_layer_refuses_naming_the_fault(name):
+    act, kind, message = LAYER_REFUSALS[name]
+    layer = make_layer()
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        act(layer, np.random.default_rng(6).standard_normal((2, 6)))
 
 
 def test_old_router_forward_bitwise_stable_after_growth_and_prune():

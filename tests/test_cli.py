@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 
 import submoe
-from submoe import experiment
+from submoe import cli, experiment
 from submoe.cli import main
 from submoe.checkpoint import load_checkpoint
 from submoe.config import load_config
+from submoe.errors import DataError
 from submoe.streams import generate_stream
 from submoe.experiment import (
     CHECKPOINT_FILE, CONFIG_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, STREAM_DIR, SUMMARY_FILE,
@@ -574,3 +577,17 @@ def test_report_two_runs_lists_the_files_whose_bytes_differ(rooted, capsys, monk
     out = capsys.readouterr().out.split("files whose bytes differ (sha256), 2 of")
     listed = [line.split() for line in out[1].splitlines()[1:]]
     assert [(line[0], line[2]) for line in listed][1] == ("extra.txt", "absent")
+
+
+def test_file_digests_names_a_file_it_cannot_read(tmp_path, monkeypatch):
+    path = tmp_path / STREAM_DIR / "task_0.bin"
+    path.parent.mkdir()
+    path.write_bytes(b"task")
+
+    def unreadable(fh, digest):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(cli.hashlib, "file_digest", unreadable)
+    with pytest.raises(DataError, match=re.escape(
+            f"cannot read {path}: [Errno {errno.EIO}] Input/output error")):
+        cli._file_digests(tmp_path)

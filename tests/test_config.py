@@ -220,3 +220,38 @@ def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
     bad.write_bytes(b'{"output_dir": "caf\xe9"}')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+
+
+# each refusal of a section's bounds, with the message that names the field
+BAD_VALUES = {
+    "model.feature_dim": (1, "model.feature_dim: must be >= 2, got 1"),
+    "model.depth": (0, "model.depth: must be >= 1, got 0"),
+    "model.prototype_scale": (0.0, "model.prototype_scale: must be positive, got 0.0"),
+    "contrastive.temperature": (0.0, "contrastive.temperature: must be positive, got 0.0"),
+    "task_bank.enroll_batch": (0, "task_bank.enroll_batch: must be >= 1, got 0"),
+    "task_bank.query_window": (0, "task_bank.query_window: must be >= 1, got 0"),
+    "schedule.finetune_steps": (-1, "schedule.finetune_steps: must be >= 0, got -1"),
+    "schedule.top_k": (0, "schedule.top_k: must be >= 1, got 0"),
+    "schedule.batch_size": (0, "schedule.batch_size: must be >= 1, got 0"),
+    "schedule.eval_batch_size": (0, "schedule.eval_batch_size: must be >= 1, got 0"),
+    "schedule.snapshot_interval": (0, "schedule.snapshot_interval: must be >= 1, got 0"),
+    "optimizer.weight_decay": (-1.0, "optimizer.weight_decay: must be >= 0, got -1.0"),
+    "optimizer.beta1": (1.0, "optimizer.beta1/beta2: must lie in [0, 1)"),
+    "optimizer.beta2": (-0.5, "optimizer.beta1/beta2: must lie in [0, 1)"),
+    "stream[0].alignment.fraction": (
+        1.5, "stream[0].alignment: alignment.fraction: must lie in [0, 1], got 1.5"),
+    "stream[0].samples_per_class": (
+        0, "stream[0]: stream.samples_per_class: must be >= 1, got 0"),
+    "stream[0].eval_per_class": (0, "stream[0]: stream.eval_per_class: must be >= 1, got 0"),
+    "stream[0].noise": (-0.1, "stream[0]: stream.noise: must be >= 0, got -0.1"),
+}
+
+
+@pytest.mark.parametrize("raw, message", [
+    *[(_with_value(dotted, value), message) for dotted, (value, message) in BAD_VALUES.items()],
+    ([], "config: expected an object"),
+    ({"stream": {}}, "stream: expected a list of task specs"),
+], ids=[*BAD_VALUES, "config not an object", "stream not a list"])
+def test_each_bound_is_refused_naming_its_field(raw, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(raw)

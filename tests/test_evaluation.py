@@ -342,6 +342,13 @@ def test_task_free_evaluation_on_an_empty_bank_raises_state_error(trained_three)
         evaluate_row(model, TaskBank(threshold=1e300), stream, set(), "id_free", 1)
 
 
+def test_task_windows_refuses_a_window_below_one(trained_three):
+    model, stream, signatures, _ = trained_three
+    bank = TaskBank(threshold=1e300, entries={0: signatures[0]})
+    with pytest.raises(DimensionError, match="^query window must be >= 1, got 0$"):
+        EvalState().task_windows(model, bank, stream[0], 0)
+
+
 def test_eval_state_reevaluates_when_a_signature_is_replaced(trained_three):
     model, stream, signatures, _ = trained_three
     bank = TaskBank(threshold=1e300, entries={0: signatures[0].copy()})

@@ -18,12 +18,14 @@ from submoe.evaluation import EvalState, evaluate_row
 from submoe.experiment import (
     ARTIFACT_WRITERS, AUDIT_FILE, CHECKPOINT_FILE, CONFIG_FILE, JSON_CHECKPOINT_FILE,
     JSONL_AUDIT_FILE, KL_FILE, MATRIX_FILE, METRICS_FILE, OUTPUT_ROOT_ENV, PRUNE_FILE,
-    STREAM_DIR, SUMMARY_FILE, TRACE_FILE, compute_metrics, read_audit, resolve_output_dir,
-    run_experiment,
+    STREAM_DIR, SUMMARY_FILE, TRACE_FILE, compute_metrics, prepare_run, read_audit,
+    resolve_output_dir, run_experiment,
 )
-from submoe.streams import generate_stream, load_task
+from submoe.streams import TaskSpec, export_task, generate_stream, generate_task, load_task
 
-from oracles import blas_kernel, encode_array, for_kernel, save_audit_jsonl, save_checkpoint_v3
+from oracles import (
+    UNDER_BOUNDS, blas_kernel, encode_array, for_kernel, save_audit_jsonl, save_checkpoint_v3,
+)
 from pinned import pinned_raw, recorded, run_entry
 from reference_grads import CHUNK_BUDGETS, chunk_budget
 
@@ -309,6 +311,23 @@ def test_a_stream_read_through_data_path_reproduces_the_run(tmp_path):
     assert read == {name: digest for name, digest in made.items()
                     if not name.startswith(STREAM_DIR + "/")}
     assert {AUDIT_FILE, CHECKPOINT_FILE, TRACE_FILE} <= read.keys()
+
+
+@pytest.mark.parametrize("protocol", ["id_given", "id_free"])
+@pytest.mark.parametrize("fault", sorted(UNDER_BOUNDS))
+def test_a_data_path_task_below_the_bounds_is_refused_before_the_run(tmp_path, fault, protocol):
+    # refused before the run writes its config or learns tasks 0 and 1
+    raw = base_raw(n_tasks=3, protocol=protocol)
+    below, message = UNDER_BOUNDS[fault]
+    task = generate_task(TaskSpec(**raw["stream"][2]), raw["model"]["feature_dim"], [])
+    raw["stream"][2]["data_path"] = str(export_task(below(task), tmp_path / "frozen"))
+    cfg = config_from_dict(raw)
+    want = f"^{re.escape(raw['stream'][2]['data_path'] + ': ' + message)}$"
+    with pytest.raises(DataError, match=want):
+        prepare_run(cfg)
+    with pytest.raises(DataError, match=want):
+        run_experiment(cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("n_tasks, export", [(6, False), (2, True)],

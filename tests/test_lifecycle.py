@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from submoe.config import config_from_dict
-from submoe.errors import ConfigError, NumericError, StateError
+from submoe.errors import ConfigError, DataError, NumericError, StateError
 from submoe.experiment import prepare_run
 from submoe.lifecycle import (
     PhaseSchedule, RoutingSnapshot, RoutingTrace, begin_task, finetune_experts,
@@ -86,10 +87,26 @@ def test_phase_order_is_enforced():
         prune_candidates(model, 0, RoutingTrace(task=0, snapshots=[]), 0.1)
     with pytest.raises(StateError, match="prune_candidates first"):
         finetune_experts(model, 0, data, sched, cfg, rng)
+    with pytest.raises(DataError, match="^task 0: empty training set$"):
+        fit_routing(model, 0, replace(data, train_x=data.train_x[:0], train_y=data.train_y[:0]),
+                    sched, cfg, rng)
     trace = fit_routing(model, 0, data, sched, cfg, rng)
     foreign = RoutingTrace(task=1, snapshots=trace.snapshots)
     with pytest.raises(StateError, match="belongs to task"):
         prune_candidates(model, 0, foreign, 0.1)
+    final = trace.snapshots[-1]
+    for weights, message in (
+            (final.layer_weights[:1], "^trace layer count does not match the model$"),
+            ([w[:-1] for w in final.layer_weights],
+             f"^layer 1: trace has {final.layer_weights[0].size - 1} experts, router sees "
+             f"{final.layer_weights[0].size}$")):
+        cut = RoutingTrace(task=0, snapshots=[replace(final, layer_weights=weights)])
+        with pytest.raises(StateError, match=message):
+            prune_candidates(model, 0, cut, 0.1)
+    prune_candidates(model, 0, trace, 0.0)  # every candidate survives
+    with pytest.raises(DataError, match="^task has no training rows$"):
+        finetune_experts(model, 0, replace(data, train_x=data.train_x[:0],
+                                           train_y=data.train_y[:0]), sched, cfg, rng)
 
 
 def test_snapshot_steps_and_final_coverage():

@@ -229,6 +229,10 @@ def test_build_model_validation():
         build_model(DIM, 3, [1], 0, 1, 0.5, 0)
     with pytest.raises(ConfigError, match="temperature"):
         build_model(DIM, 3, [1], 2, 1, 0.0, 0)
+    with pytest.raises(ConfigError, match="^schedule.top_k: must be >= 1, got 0$"):
+        build_model(DIM, 3, [1], 2, 0, 0.5, 0)
+    with pytest.raises(ConfigError, match="^model.feature_dim/depth: must be >= 1, got 0/3$"):
+        build_backbone(0, 3, 0)
 
 
 def test_input_width_guard():

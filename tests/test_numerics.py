@@ -12,55 +12,57 @@ from hypothesis.extra.numpy import arrays
 
 from submoe.errors import DimensionError, LabelError, NumericError
 from submoe.numerics import (
-    contrastive_loss, kl_divergence, rowwise_matmul, softmax, softmax_rows,
+    by_row_blocks, contrastive_loss, kl_divergence, rowwise_matmul, softmax_rows,
 )
 
 from oracles import finite_diff_grad, is_prob_vector, reference_contrastive_loss
 
 # Hand-evaluated expectations, frozen before the implementations were run.
-SOFTMAX_LN2_LN1 = (2.0 / 3.0, 1.0 / 3.0)          # softmax([ln 2, ln 1])
+SOFTMAX_LN2_LN1 = (2.0 / 3.0, 1.0 / 3.0)          # softmax of [ln 2, ln 1]
 KL_POINT_VS_UNIFORM = math.log(2.0)                # KL([1,0] || [0.5,0.5])
 KL_HALF_VS_SKEWED = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
 # = 0.5108256237659907
 
 
 def test_softmax_hand_value():
-    out = softmax([math.log(2.0), math.log(1.0)])
+    out = softmax_rows([[math.log(2.0), math.log(1.0)]])[0]
     assert out == pytest.approx(SOFTMAX_LN2_LN1, abs=1e-15)
 
 
 def test_softmax_shift_invariance():
-    v = np.array([0.3, -1.2, 2.5])
-    np.testing.assert_allclose(softmax(v), softmax(v + 1000.0), atol=1e-12)
+    v = np.array([[0.3, -1.2, 2.5]])
+    np.testing.assert_allclose(softmax_rows(v), softmax_rows(v + 1000.0), atol=1e-12)
 
 
 def test_softmax_extreme_logits_stay_finite():
-    out = softmax([1000.0, -1000.0, 0.0])
+    out = softmax_rows([[1000.0, -1000.0, 0.0]])[0]
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0)
 
 
 def test_softmax_rejects_bad_input():
-    with pytest.raises(DimensionError):
-        softmax([])
-    with pytest.raises(DimensionError):
-        softmax(np.zeros((2, 2)))
-    with pytest.raises(NumericError):
-        softmax([np.nan, 0.0])
+    with pytest.raises(DimensionError, match="softmax needs at least one column"):
+        softmax_rows(np.zeros((1, 0)))
+    with pytest.raises(DimensionError, match="expected a 2-d array"):
+        softmax_rows([0.0, 1.0])
+    with pytest.raises(NumericError, match="logits contains non-finite entries"):
+        softmax_rows([[np.nan, 0.0]])
 
 
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.integers(1, 12),
               elements=st.floats(-50, 50, allow_nan=False)))
 def test_softmax_is_probability_vector(logits):
-    assert is_prob_vector(softmax(logits))
+    assert is_prob_vector(softmax_rows(logits[None])[0])
 
 
 def test_softmax_rows_matches_vector_softmax():
+    # each row as the stable softmax of that vector alone
     m = np.array([[0.1, 2.0, -1.0], [5.0, 5.0, 5.0]])
     out = softmax_rows(m)
     for i in range(2):
-        np.testing.assert_allclose(out[i], softmax(m[i]), atol=1e-15)
+        e = np.exp(m[i] - m[i].max())
+        np.testing.assert_allclose(out[i], e / e.sum(), atol=1e-15)
 
 
 def test_kl_hand_values():
@@ -70,7 +72,7 @@ def test_kl_hand_values():
 
 
 def test_kl_identical_is_zero():
-    p = softmax([0.2, 1.4, -0.7])
+    p = softmax_rows([[0.2, 1.4, -0.7]])[0]
     assert kl_divergence(p, p) == 0.0
 
 
@@ -91,7 +93,7 @@ def test_kl_shape_mismatch():
     arrays(np.float64, 6, elements=st.floats(-20, 20, allow_nan=False)),
 )
 def test_kl_nonnegative(lp, lq):
-    assert kl_divergence(softmax(lp), softmax(lq)) >= 0.0
+    assert kl_divergence(*softmax_rows([lp, lq])) >= 0.0
 
 
 def test_contrastive_uniform_similarities_gives_log_c():
@@ -197,6 +199,7 @@ REJECTED = {
     "label count": (IMG, TXT, [0, 1, 2], 0.5),
     "widths": (IMG, np.eye(3, 4), [0, 1, 2, 0], 0.5),
     "no images": (np.zeros((0, 5)), TXT, [], 0.5),
+    "no label rows": (IMG, np.zeros((0, 5)), [0, 1, 2, 0], 0.5),
     "not a matrix": (IMG[0], TXT, [0], 0.5),
 }
 
@@ -229,6 +232,12 @@ def test_finite_diff_on_known_quadratic():
     grad = finite_diff_grad(lambda v: float((v * v).sum()), x, h=1e-5)
     np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-8)
     np.testing.assert_array_equal(x, [1.0, 2.0])  # input untouched
+
+
+@pytest.mark.parametrize("block", [0, 5])
+def test_by_row_blocks_refuses_blocks_outside_the_rows(block):
+    with pytest.raises(DimensionError, match=f"^blocks of {block} rows need 1 to 4 of them$"):
+        by_row_blocks(lambda rows: (np.zeros(1),), 4, block)
 
 
 def test_finite_diff_rejects_bad_step():

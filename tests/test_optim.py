@@ -27,6 +27,10 @@ def test_step_scale_hand_values():
     assert step_scale(1.0, 1, cfg()) == pytest.approx(SCALE_FULL_MASS, abs=1e-15)
     assert step_scale(0.4, 2, cfg()) == pytest.approx(SCALE_PARTIAL, abs=1e-15)
     assert SCALE_PARTIAL == pytest.approx(0.5556, abs=1e-4)
+    with pytest.raises(NumericError, match=r"^routing mass must lie in \[0, 1\], got 1.5$"):
+        step_scale(1.5, 1, cfg())
+    with pytest.raises(NumericError, match="^change count must be >= 0, got -1$"):
+        step_scale(0.5, -1, cfg())
 
 
 def test_step_scale_zero_penalty_is_exactly_one():
@@ -154,6 +158,9 @@ def test_penalty_value_hand_example():
     w_prev = np.zeros(4)
     live = [[w_prev + 1.0]]  # displacement norm^2 = 4
     assert penalty_value([0.5], live, [[w_prev]], 1) == pytest.approx(2.0, abs=1e-15)
+    with pytest.raises(DimensionError, match="^candidate count mismatch between live params, "
+                                             "prev, and pis$"):
+        penalty_value([0.5, 0.5], live, [[w_prev]], 1)
 
 
 def test_penalty_value_zero_without_movement():
@@ -189,6 +196,8 @@ def test_config_validation():
 def test_apply_step_shape_guards():
     with pytest.raises(DimensionError):
         apply_step([[np.zeros(2)]], [], [0.5], [], [], cfg())
+    with pytest.raises(DimensionError, match="^plain params and grads must align$"):
+        apply_step([], [], [], [np.zeros(2)], [], cfg())
     live = [[np.zeros(2)]]
     with pytest.raises(DimensionError):  # AdamW without a moment per array
         apply_step(live, [[np.ones(2)]], [0.5], [], [], cfg(method="adamw"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from submoe.checkpoint import read_container, write_container
-from submoe.errors import ConfigError, DataError
+from submoe.errors import ConfigError, DataError, DimensionError
 from submoe.streams import (
     Alignment, TaskSpec, export_task, generate_stream, generate_task, load_task,
 )
@@ -46,7 +46,7 @@ def test_orthogonal_prototypes_are_orthonormal_and_scaled():
 
 def test_orthogonal_mode_avoids_prior_span():
     first = generate_task(spec(task_id=0, seed=0), DIM, [])
-    second = generate_task(spec(task_id=1, seed=9), DIM, [first.prototypes])
+    second = generate_task(spec(task_id=1, seed=9), DIM, [first])
     cross = second.prototypes @ first.prototypes.T
     np.testing.assert_allclose(cross, 0.0, atol=1e-10)
 
@@ -69,9 +69,10 @@ def test_reuse_with_zero_perturbation_copies_exactly():
     src = generate_task(spec(task_id=0), DIM, [])
     again = generate_task(
         spec(task_id=1, seed=5, alignment=Alignment(mode="reuse", source=0)),
-        DIM, [src.prototypes],
+        DIM, [src],
     )
     np.testing.assert_array_equal(again.prototypes, src.prototypes)
+    assert again.text_emb.tobytes() == src.text_emb.tobytes()
 
 
 def test_reuse_and_mixed_share_the_source_label_embeddings():
@@ -99,7 +100,7 @@ def test_reuse_perturbation_has_exact_row_norm():
     moved = generate_task(
         spec(task_id=1, seed=5,
              alignment=Alignment(mode="reuse", source=0, perturbation=0.3)),
-        DIM, [src.prototypes],
+        DIM, [src],
     )
     norms = np.linalg.norm(moved.prototypes - src.prototypes, axis=1)
     np.testing.assert_allclose(norms, 0.3, atol=1e-12)
@@ -110,13 +111,13 @@ def test_mixed_mode_interpolates():
     full_src = generate_task(
         spec(task_id=1, seed=3,
              alignment=Alignment(mode="mixed", source=0, fraction=0.0)),
-        DIM, [src.prototypes],
+        DIM, [src],
     )
     np.testing.assert_allclose(full_src.prototypes, src.prototypes, atol=1e-12)
     full_fresh = generate_task(
         spec(task_id=1, seed=3,
              alignment=Alignment(mode="mixed", source=0, fraction=1.0)),
-        DIM, [src.prototypes],
+        DIM, [src],
     )
     cross = full_fresh.prototypes @ src.prototypes.T
     np.testing.assert_allclose(cross, 0.0, atol=1e-10)
@@ -126,7 +127,25 @@ def test_orthogonal_room_exhaustion():
     dim = 4
     first = generate_task(spec(task_id=0, classes=3), dim, [])
     with pytest.raises(DataError, match="orthogonal room"):
-        generate_task(spec(task_id=1, classes=3, seed=1), dim, [first.prototypes])
+        generate_task(spec(task_id=1, classes=3, seed=1), dim, [first])
+
+
+@pytest.mark.parametrize("mode", ["reuse", "mixed"])
+@pytest.mark.parametrize("source", [-1, 1, 2])
+def test_a_source_outside_the_priors_is_refused(mode, source):
+    # -1 would index the last task
+    priors = [generate_task(spec(task_id=0), DIM, [])]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"alignment.source: task 1 references unknown task {source}")):
+        generate_task(spec(task_id=1, seed=1, alignment=Alignment(mode=mode, source=source)),
+                      DIM, priors)
+
+
+def test_a_source_of_another_class_count_is_refused():
+    priors = [generate_task(spec(task_id=0, classes=3), DIM, [])]
+    with pytest.raises(DataError, match="source task has 3 classes, spec asks for 4"):
+        generate_task(spec(task_id=1, classes=4, alignment=Alignment(mode="reuse", source=0)),
+                      DIM, priors)
 
 
 def test_zero_noise_puts_points_on_prototypes():
@@ -209,6 +228,12 @@ def test_spec_data_path_holding_another_task_id_is_refused(tmp_path):
     path = export_task(generate_task(spec(task_id=7), DIM, []), tmp_path)
     with pytest.raises(DataError, match=r"stream task 1: .* holds task 7"):
         generate_task(spec(task_id=1, data_path=str(path)), DIM, [])
+
+
+def test_a_data_path_task_of_another_dim_is_refused(tmp_path):
+    path = export_task(generate_task(spec(), DIM - 1, []), tmp_path)
+    with pytest.raises(DimensionError, match=f"^task 0 has dim {DIM - 1}, stream wants {DIM}$"):
+        generate_stream([spec(data_path=str(path))], DIM)
 
 
 def test_load_rejects_unreadable_files_and_other_formats(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from submoe.errors import ConfigError, DimensionError, StateError
 from submoe.checkpoint import bank_from_payload, bank_to_payload
-from submoe.task_bank import MatchResult, TaskBank, fused_embedding, nearest
+from submoe.task_bank import MatchResult, TaskBank, fused_embedding, nearest, window_means
 
 
 def test_fused_embedding_is_mean_concat():
@@ -24,10 +24,23 @@ def test_fused_embedding_is_mean_concat():
 
 
 def test_fused_embedding_guards():
-    with pytest.raises(DimensionError):
+    empty = "^fused embedding needs at least one image and one text row$"
+    with pytest.raises(DimensionError, match=empty):
         fused_embedding(np.zeros((0, 2)), np.ones((1, 2)))
     with pytest.raises(Exception):
         fused_embedding(np.array([[np.inf, 0.0]]), np.ones((1, 2)))
+    # the embeddings are checked before the window
+    with pytest.raises(DimensionError, match=empty):
+        window_means(np.zeros((0, 2)), np.ones((1, 2)), 0)
+    with pytest.raises(DimensionError, match="^query window must be >= 1, got 0$"):
+        window_means(np.ones((2, 2)), np.ones((1, 2)), 0)
+
+
+def test_a_query_of_another_width_is_refused():
+    bank = TaskBank(threshold=1.0)
+    bank.enroll(0, np.ones((2, 2)), np.ones((1, 2)))
+    with pytest.raises(DimensionError, match="^query width 6 does not match bank width 4$"):
+        bank.distances(np.ones((1, 6)))
 
 
 def test_manhattan_and_euclidean_distances():

@@ -31,7 +31,8 @@ from submoe.experiment import (
 from submoe.streams import TaskSpec, export_task, generate_stream, load_task
 
 from oracles import (
-    encode_array, export_task_v1, frozen_fingerprint, save_checkpoint_v2, save_checkpoint_v3,
+    UNDER_BOUNDS, encode_array, export_task_v1, frozen_fingerprint, save_checkpoint_v2,
+    save_checkpoint_v3,
 )
 from pinned import DENSE_AUDIT_FILE, RUNS, V2_CHECKPOINT_FILE, run_entry
 from test_checkpoint import DIM, EXPERT, LAYER, ROUTER, _drop, _duplicate, _set, trained_model
@@ -527,6 +528,13 @@ def test_a_malformed_old_export_converts_nothing(tmp_path, name):
     manifest, data_file = _old_export(tmp_path / "old")
     mutate(manifest, data_file)
     assert str(tmp_path / "old") in str(_refused(tmp_path / "old", message))
+
+
+@pytest.mark.parametrize("fault", sorted(UNDER_BOUNDS))
+def test_an_old_export_below_the_task_bounds_converts_nothing(tmp_path, fault):
+    below, message = UNDER_BOUNDS[fault]
+    data_file = export_task_v1(below(_tasks()[0]), tmp_path).with_suffix(".bin")
+    _refused(tmp_path, f"^{re.escape(f'{data_file}: {message}')}$")
 
 
 def test_a_data_file_that_is_a_directory_converts_nothing(tmp_path):

@@ -55,7 +55,9 @@ from submoe.experiment import (  # noqa: E402
     AUDIT_FILE, AUDIT_FORMAT, AUDIT_VERSION, CHECKPOINT_FILE, JSON_CHECKPOINT_FILE,
     JSONL_AUDIT_FILE, STREAM_DIR,
 )
-from submoe.streams import TaskData, export_task  # noqa: E402
+from submoe.streams import (  # noqa: E402
+    TASK_FORMAT, TASK_VERSION, TaskData, export_task, task_from_document,
+)
 
 OLD_TASKS = "task_*.json"
 
@@ -147,8 +149,9 @@ def read_jsonl_audit(path: Path) -> dict:
 
 def read_old_task(manifest_path: Path) -> tuple[TaskData, Path]:
     """(task, data file) of `manifest_path`, a task manifest of version 1,
-    with the checks its loader made.  Any fault raises `DataError` naming
-    the manifest or the data file."""
+    the task checked by `task_from_document` as `load_task` checks a version
+    2 file.  Any fault raises `DataError` naming the manifest or the data
+    file."""
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, ValueError) as exc:
@@ -179,22 +182,17 @@ def read_old_task(manifest_path: Path) -> tuple[TaskData, Path]:
         raise DataError(
             f"{bin_path}: trailing or missing bytes ({len(raw)} vs {expected} expected)"
         )
-    arrays, off = [], 56
-    for shape, kind in (((n_train, dim), "f8"), ((n_eval, dim), "f8"), ((classes, dim), "f8"),
-                        ((classes, dim), "f8"), ((n_train,), "i8"), ((n_eval,), "i8")):
+    doc, off = {"format": TASK_FORMAT, "version": TASK_VERSION, "task_id": task_id}, 56
+    for name, shape in (("train_x", (n_train, dim)), ("eval_x", (n_eval, dim)),
+                        ("text_emb", (classes, dim)), ("prototypes", (classes, dim)),
+                        ("train_y", (n_train,)), ("eval_y", (n_eval,))):
         count = math.prod(shape)
-        arrays.append(np.frombuffer(raw, "<" + kind, count, off).reshape(shape).astype(kind))
+        if name.endswith("_y"):  # the labels, as the container's header holds them
+            doc[name] = np.frombuffer(raw, "<i8", count, off).tolist()
+        else:
+            doc[name] = np.frombuffer(raw, "<f8", count, off).reshape(shape).astype(np.float64)
         off += 8 * count
-    train_x, eval_x, text, protos, train_y, eval_y = arrays
-    for field_name, arr in (("train_x", train_x), ("eval_x", eval_x),
-                            ("text_emb", text), ("prototypes", protos)):
-        if not np.isfinite(arr).all():
-            raise DataError(f"{bin_path}: {field_name} has non-finite entries")
-    for field_name, labels in (("train_y", train_y), ("eval_y", eval_y)):
-        if labels.size and (labels.min() < 0 or labels.max() >= classes):
-            raise DataError(f"{bin_path}: {field_name} has labels outside [0, {classes})")
-    return TaskData(task_id=task_id, train_x=train_x, train_y=train_y, eval_x=eval_x,
-                    eval_y=eval_y, text_emb=text, prototypes=protos), bin_path
+    return task_from_document(doc, bin_path), bin_path
 
 
 def write_task(new: Path, data: TaskData) -> None:
