@@ -380,9 +380,10 @@ class MixtureAdapterLayer:
         """Analytic backward through forward().
 
         Returns (grad_x, expert_grads, router_grad).  expert_grads[j] is
-        (grad_down, grad_up) for visible expert j when `cache.task` owns it,
-        and None for every other visible expert: experts of other tasks are
-        frozen, so nothing would apply their gradients.  The routing gradient
+        (grad_down, grad_up) for visible expert j when `cache.task` owns it
+        (`candidate_indices`, from `cache.first` on), and None for every
+        other visible expert: experts of other tasks are frozen, so nothing
+        would apply their gradients.  The routing gradient
         goes through the softmax Jacobian restricted to the top-k support;
         the discrete top-k selection itself is treated as constant.  With
         `input_grad` false, grad_x is None and is not computed (the lowest
@@ -408,12 +409,11 @@ class MixtureAdapterLayer:
         down_all, up_all = self.down_all, self.up_all
 
         expert_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * cache.n_visible
-        for j in range(first, cache.n_visible):
-            e = self.experts[j]
-            if e.owner_task == cache.task:
+        for j in self.candidate_indices(cache.task):
+            if first <= j < cache.n_visible:
                 wg = g * w[:, j:j + 1]
                 grad_up = wg.T @ acts[j - first]
-                grad_down = (wg @ e.up).T @ x
+                grad_down = (wg @ up_all[j]).T @ x
                 expert_grads[j] = (grad_down, grad_up)
         if not (input_grad or router_grad):
             return None, expert_grads, None

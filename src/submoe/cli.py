@@ -27,11 +27,10 @@ from pathlib import Path
 from .config import config_from_dict, config_to_dict, load_config
 from .errors import ConfigError, DataError, SubmoeError
 from .experiment import (
-    CONFIG_FILE, MATRIX_FILE, METRICS_FILE, SUMMARY_FILE, _run_prepared, prepare_run,
-    resolve_output_dir, run_experiment,
+    CONFIG_FILE, MATRIX_FILE, METRIC_KEYS, METRICS_FILE, SUMMARY_FILE, _run_prepared,
+    prepare_run, resolve_output_dir, run_experiment,
 )
 
-METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
 SUMMARY_KEYS = ("final_expert_total", "bank_id_accuracy")
 
 

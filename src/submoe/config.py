@@ -118,10 +118,12 @@ def _parse(cls, raw, path: str, defaults):
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        # a stream entry's checks name the field without its index: add the path
-        if str(exc).startswith(path):
+        # a section's checks name the field under the section's own name,
+        # which for a stream entry lacks the index: the path replaces it
+        own = path.rpartition(".")[2].partition("[")[0]
+        if own == path or not str(exc).startswith(f"{own}."):
             raise
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(path + str(exc)[len(own):]) from None
 
 
 def _value(hint, val, path: str, default):

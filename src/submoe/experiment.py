@@ -40,6 +40,8 @@ KL_FILE = "kl_curves.csv"
 AUDIT_FILE = "ifer_audit.bin"
 CHECKPOINT_FILE = "checkpoint.bin"
 STREAM_DIR = "stream"
+# the keys of `metrics.json`, which `compute_metrics` fills and `cli` prints in this order
+METRIC_KEYS = ("transfer", "avg", "last", "cil_last", "cil_avg")
 AUDIT_FORMAT = "submoe-audit"
 AUDIT_VERSION = 1
 # the audit and the checkpoint as JSON text, before they became containers;
@@ -160,17 +162,11 @@ def read_audit(run_dir: str | Path) -> list[dict]:
 
 
 def compute_metrics(matrix: np.ndarray, cil_trace: list[float]) -> dict:
-    n = matrix.shape[0]
-    metrics = {
-        "transfer": transfer_score(matrix) if n >= 2 else None,
-        "avg": average_score(matrix),
-        "last": last_score(matrix),
-        "cil_last": None,
-        "cil_avg": None,
-    }
-    if cil_trace:
-        metrics["cil_last"], metrics["cil_avg"] = cil_scores(cil_trace)
-    return metrics
+    """Each metric of `METRIC_KEYS`: the CIL pair is None without a CIL
+    trace, and the transfer score None for a single task."""
+    transfer = transfer_score(matrix) if matrix.shape[0] >= 2 else None
+    cil = cil_scores(cil_trace) if cil_trace else (None, None)
+    return dict(zip(METRIC_KEYS, (transfer, average_score(matrix), last_score(matrix), *cil)))
 
 
 @dataclass
@@ -230,12 +226,13 @@ def _evaluate(run: _Run, tasks: list, i: int, learned: set[int]) -> None:
 
 
 def _summary(run: _Run) -> dict:
-    added = run.cfg.schedule.num_candidates * len(run.model.adapters)
+    """The record of `summary.json`.  A task's candidate counts come from
+    its `PruneReport`: every candidate phase 1 trained, and those pruned."""
     return {
         "tasks": [{
             "task_id": report.task,
             "stage1_trainable_params": report.stage1_trainable_params,
-            "candidates_added": added,
+            "candidates_added": sum(len(rec.candidate_ids) for rec in report.layers),
             "candidates_pruned": report.removed_total,
             "final_eval_loss": trace.snapshots[-1].loss,
         } for report, trace in zip(run.reports, run.traces)],

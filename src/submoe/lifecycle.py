@@ -181,16 +181,17 @@ class _LayerStep:
 _StepStates = dict[int, _LayerStep]
 
 
-def _step_states(model: AdapterModel, task: int, cfg: OptimConfig,
-                 router_trainable: bool) -> _StepStates:
-    """Per adapter layer, the task's candidates, the arrays a phase steps
-    (candidates, then the router when it trains) and, for AdamW, the moments
-    of every stepped array."""
+def _step_states(model: AdapterModel, rows: StepRows, cfg: OptimConfig) -> _StepStates:
+    """Per adapter layer, the candidates of `rows.task`, the arrays a phase
+    steps (candidates, then the router when it trains) and, for AdamW, the
+    moments of every stepped array.  Whether the routers train comes from
+    `rows`: they do when `rows.frozen` is None, which is also what
+    `AdapterModel.loss_and_grads` reads to return their gradients."""
     states: _StepStates = {}
     for layer in model.adapter_layers():
-        cand_idx = layer.candidate_indices(task)
+        cand_idx = layer.candidate_indices(rows.task)
         cand_params = [layer.experts[j].params() for j in cand_idx]
-        plain = [layer.router_for(task).weight] if router_trainable else []
+        plain = [layer.router_for(rows.task).weight] if rows.frozen is None else []
         adam = None
         if cfg.method == "adamw":
             adam = init_adamw_state([p for group in cand_params for p in group] + plain)
@@ -237,7 +238,7 @@ def fit_routing(model: AdapterModel, task: int, data: TaskData,
 
     rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
                            cursor.batch_size, router_grad=True)
-    states = _step_states(model, task, cfg, router_trainable=True)
+    states = _step_states(model, rows, cfg)
     snapshots: list[RoutingSnapshot] = []
 
     def snap(step: int):
@@ -323,7 +324,7 @@ def finetune_experts(model: AdapterModel, task: int, data: TaskData,
         cursor = _BatchCursor(data.train_x.shape[0], schedule.batch_size, rng)
         rows = model.step_rows(data.train_x, data.train_y, data.text_emb, task,
                                cursor.batch_size, router_grad=False)
-        states = _step_states(model, task, cfg, router_trainable=False)
+        states = _step_states(model, rows, cfg)
         for s in range(1, schedule.finetune_steps + 1):
             _phase_step(model, rows, cursor.next(), plain_cfg, states, s)
     model.phase[task] = "done"

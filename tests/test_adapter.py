@@ -192,6 +192,16 @@ def test_backward_is_bit_exact_on_owned_experts(owners, visible, task, top_k, ro
             else:
                 assert got is None
 
+    # from a frozen mix of the experts before the task's first, the same
+    # gradients at the task's visible experts and None elsewhere
+    _, _, frozen_cache = layer.forward(task, x, frozen=layer.frozen_mix(task, x, block=rows))
+    _, expert_grads, _ = layer.backward(frozen_cache, g, input_grad=False, router_grad=False)
+    owned = [j for j in range(cache.n_visible) if owners[j] == task]
+    assert frozen_cache.first == (owned[0] if owned else cache.n_visible)
+    assert [j for j, got in enumerate(expert_grads) if got is not None] == owned
+    for j in owned:
+        assert [a.tobytes() for a in expert_grads[j]] == [a.tobytes() for a in ref_experts[j]]
+
 
 def test_expert_grad_equals_routing_mass_times_sole_expert_grad():
     # single-row inputs so the routing mass is a scalar per expert

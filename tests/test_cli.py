@@ -213,8 +213,8 @@ def test_sweep_empty_values_exits_1(rooted, capsys):
 
 NEGATIVE = {
     "seed": ("seed", -1, "seed: must be >= 0, got -1"),
-    "task seed": ("stream", {"seed": -3}, "stream[0]: stream.seed: must be >= 0, got -3"),
-    "task id": ("stream", {"task_id": -1}, "stream[0]: stream.task_id: must be >= 0, got -1"),
+    "task seed": ("stream", {"seed": -3}, "stream[0].seed: must be >= 0, got -3"),
+    "task id": ("stream", {"task_id": -1}, "stream[0].task_id: must be >= 0, got -1"),
 }
 
 

@@ -239,11 +239,11 @@ BAD_VALUES = {
     "optimizer.beta1": (1.0, "optimizer.beta1/beta2: must lie in [0, 1)"),
     "optimizer.beta2": (-0.5, "optimizer.beta1/beta2: must lie in [0, 1)"),
     "stream[0].alignment.fraction": (
-        1.5, "stream[0].alignment: alignment.fraction: must lie in [0, 1], got 1.5"),
-    "stream[0].samples_per_class": (
-        0, "stream[0]: stream.samples_per_class: must be >= 1, got 0"),
-    "stream[0].eval_per_class": (0, "stream[0]: stream.eval_per_class: must be >= 1, got 0"),
-    "stream[0].noise": (-0.1, "stream[0]: stream.noise: must be >= 0, got -0.1"),
+        1.5, "stream[0].alignment.fraction: must lie in [0, 1], got 1.5"),
+    "stream[0].alignment.mode": ("reuse", "stream[0].alignment.source: required for mode 'reuse'"),
+    "stream[0].samples_per_class": (0, "stream[0].samples_per_class: must be >= 1, got 0"),
+    "stream[0].eval_per_class": (0, "stream[0].eval_per_class: must be >= 1, got 0"),
+    "stream[0].noise": (-0.1, "stream[0].noise: must be >= 0, got -0.1"),
 }
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from submoe import experiment
 from submoe.checkpoint import load_checkpoint, read_container, write_container
 from submoe.cli import _file_digests
 from submoe.config import config_from_dict
@@ -391,6 +394,22 @@ def test_a_run_directory_fault_is_a_data_error_naming_the_path(tmp_path, name, m
         assert (out / STREAM_DIR).read_text() == "not a directory"
     else:
         assert (out / name).is_dir()
+
+
+def test_an_artifact_write_that_fails_after_the_directory_was_prepared_names_it(
+        tmp_path, monkeypatch):
+    def broken(path, run):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+
+    writers = dict(ARTIFACT_WRITERS)
+    writers[SUMMARY_FILE] = broken
+    monkeypatch.setattr(experiment, "ARTIFACT_WRITERS", tuple(writers.items()))
+    out = tmp_path / "run"
+    message = f"run directory {out}: cannot write {out / SUMMARY_FILE} ({os.strerror(errno.EIO)})"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        run_experiment(config_from_dict(base_raw()), out)
+    # the writers before the summary ran; those after it did not
+    assert {p.name for p in out.iterdir()} == {CONFIG_FILE, METRICS_FILE, MATRIX_FILE, AUDIT_FILE}
 
 
 def test_single_task_stream_has_no_transfer(tmp_path):

@@ -301,6 +301,20 @@ def test_non_finite_forward_raises_numeric_error():
         fit_routing(model, 0, data, sched, make_cfg(), rng)
 
 
+def test_a_non_finite_loss_from_finite_inputs_raises_numeric_error():
+    # at temperature 1e-308 the logits stay finite but a true label's
+    # log-probability overflows to -inf, while the gradient stays finite;
+    # at 1e-310 the logits overflow and the gradient check fires first
+    model = build_model(dim=DIM, depth=3, adapter_layers=[1, 2], rank=2, top_k=2,
+                        temperature=1e-308, seed=0)
+    sched = make_schedule()
+    rng = np.random.default_rng(0)
+    begin_task(model, 0, sched, rng)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="^task 0, routing fit, step 1: training loss became non-finite$"):
+        fit_routing(model, 0, two_task_stream()[0], sched, make_cfg(), rng)
+
+
 def test_huge_learning_rate_stalls_but_stays_finite():
     """Cosine normalisation absorbs exploding weights: an absurd learning
     rate degrades to a zero-gradient stall rather than a non-finite loss."""
@@ -454,19 +468,30 @@ def test_every_phase_step_equals_a_step_from_scratch(monkeypatch, case):
                     assert [g.tobytes() for g in got] == [g.tobytes() for g in ref_experts[j]]
                 else:
                     assert got is None
-        frozen.append(rows.frozen is not None)
+        # phase 2's lowest layer continues from a frozen mix of 14 experts
+        frozen.append(rows.frozen is not None and rows.frozen.start > 0)
         return loss, grads
+
+    def routers():
+        return {(i, t): r.weight.tobytes()
+                for i, layer in model.adapters.items() for t, r in layer.routers.items()}
 
     monkeypatch.setattr(AdapterModel, "loss_and_grads", checked_step)
     rng = np.random.default_rng(61)
     begin_task(model, task, sched, rng)
+    before = routers()
     trace = fit_routing(model, task, data, sched, cfg, rng)
+    # phase 1 trains the learned task's routers and no other
+    fitted = routers()
+    assert {key for key in before if fitted[key] != before[key]} == {(1, task), (2, task)}
     prune_candidates(model, task, trace, sched.prune_threshold)
     lowest = model.adapters[1]
     if clear_lowest:
         lowest.remove_experts({lowest.experts[i].expert_id
                               for i in lowest.candidate_indices(task)}, task)
+    pruned = routers()
     finetune_experts(model, task, data, sched, cfg, rng)
+    assert routers() == pruned  # phase 2 trains no router
     assert frozen == [False] * 12 + [True] * 12
     assert 13 <= lowest.router_for(task).n_visible <= 16
     assert len(lowest.candidate_indices(task)) == (0 if clear_lowest else 2)
